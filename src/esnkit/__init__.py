@@ -3,7 +3,7 @@
 Simulation of the nonlinear leaky recursion, contraction/ESP certificates,
 small-signal and lifted linear surrogates, CT<->DT conversions, frequency-
 domain kernel analysis, Kalman/EM/subspace identification, design recipes,
-and probabilistic prediction -- all driven by the ``esnkit`` CLI.
+and probabilistic prediction.
 """
 
 from .core import (Activation, Readout, ReservoirParams, Trajectory,

@@ -9,12 +9,7 @@ which module asks for them.
 from __future__ import annotations
 
 import numpy as np
-
-# Seed for the deterministic start vector of the power iteration.  A fixed
-# random start avoids the classic failure of symmetric starts being
-# orthogonal to the dominant eigenspace.
-_POWER_SEED = 0x5EED
-
+import scipy.linalg
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) so draws are reproducible across platforms."""
@@ -39,38 +34,10 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def spectral_norm(w: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value of ``w`` by power iteration on ``w.T @ w``.
-
-    The Rayleigh quotient of a PSD matrix increases monotonically along the
-    iteration, so the estimate approaches the true norm from below.  Because
-    certificates compare the result against strict thresholds, the loop runs
-    to a float fixed point (far tighter than ``tol``) whenever the iteration
-    budget allows; ``tol`` only matters as the guaranteed accuracy when the
-    budget is exhausted on nearly degenerate spectra.
-    """
+def spectral_norm(w: np.ndarray) -> float:
+    """Largest singular value of ``w`` from the LAPACK SVD."""
     w = np.asarray(w, dtype=np.float64)
-    if w.size == 0:
-        return 0.0
-    s = w.T @ w
-    if not s.any():
-        return 0.0
-    v = rng_from_seed(_POWER_SEED).standard_normal(s.shape[0])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    cur = float(v @ s @ v)
-    fixed_point_tol = 4.0 * np.finfo(np.float64).eps
-    for _ in range(max_iter):
-        sv = s @ v
-        nrm = np.linalg.norm(sv)
-        if nrm == 0.0:
-            return 0.0
-        v = sv / nrm
-        cur = float(v @ s @ v)
-        if abs(cur - prev) <= fixed_point_tol * max(cur, 1.0):
-            break
-        prev = cur
-    return float(np.sqrt(max(cur, 0.0)))
+    return float(np.linalg.norm(w, 2)) if w.size else 0.0
 
 
 def check_psd(m: np.ndarray, name: str, sym_tol: float = 1e-12,
@@ -99,33 +66,20 @@ def cholesky_psd(q: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
 
 def solve_discrete_lyapunov(a: np.ndarray, s: np.ndarray,
                             residual_tol: float = 1e-10) -> np.ndarray:
-    """Solve ``X = A X A^T + S`` for stable ``A``.
+    """Solve ``X = A X A^T + S`` by Bartels--Stewart (O(n^3), through
+    ``scipy.linalg.solve_discrete_lyapunov``).
 
-    Direct vectorized solve for n <= 64; for larger systems the doubling
-    iteration ``X <- X + M X M^T``, ``M <- M^2`` (quadratically convergent
-    for rho(A) < 1).  Raises if the final residual exceeds ``residual_tol``
-    relative to the solution scale.
+    Requires rho(A) < 1 and raises ``LinAlgError`` otherwise: there the
+    solver can return a huge "solution" that still meets a relative residual
+    test.  Also raises if the residual exceeds ``residual_tol`` relative to
+    the solution scale.
     """
     a = np.asarray(a, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    n = a.shape[0]
-    if n <= 64:
-        eye = np.eye(n * n)
-        try:
-            vec = np.linalg.solve(eye - np.kron(a, a), s.flatten(order="F"))
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "discrete Lyapunov solve failed (is rho(A) < 1?)") from exc
-        x = vec.reshape((n, n), order="F")
-    else:
-        x = s.copy()
-        m = a.copy()
-        for _ in range(200):
-            x = x + m @ x @ m.T
-            m = m @ m
-            if np.abs(m).max() ** 2 * n < 1e-18:
-                break
-    x = symmetrize(x)
+    if float(np.abs(np.linalg.eigvals(a)).max()) >= 1.0:
+        raise np.linalg.LinAlgError(
+            "discrete Lyapunov solve needs rho(A) < 1")
+    x = symmetrize(scipy.linalg.solve_discrete_lyapunov(a, s))
     scale = max(1.0, float(np.abs(x).max()))
     residual = np.abs(a @ x @ a.T + s - x).max()
     if not np.isfinite(residual) or residual > residual_tol * scale:

@@ -1,6 +1,6 @@
 """Design recipes: memory targets to pole radii, spectral scaling, generators.
 
-The workflow composed by the CLI (and by the closure tests) is:
+The design workflow is:
 
     target_radius(H)  ->  r_star
     gamma_for_radius(r_star, leak, slope)  ->  gamma   (reservoir radius)

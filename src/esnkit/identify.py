@@ -30,7 +30,7 @@ import scipy.linalg
 from ._linalg import as_float_array, check_psd, spectral_norm, symmetrize
 from .core import Readout, ReservoirParams, activation_eval
 from .linearize import LtiModel, jacobians_at
-from .stability import Certificate, CertificateMethod, Verdict
+from .stability import Certificate, _small_gain
 
 __all__ = [
     "NoiseModel", "SmoothedPosterior", "StructuredBasis", "StructuredTheta",
@@ -695,9 +695,7 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     b_ssi = ctr[:, :m]
 
     theta = project_structured(a_ssi, basis)
-    kappa = ((1.0 - theta.lam) + theta.lam * basis.l_sigma
-             * spectral_norm(theta.alpha * basis.W_bar))
-    verdict = Verdict.PASS if (theta.feasible and kappa < 1.0) else Verdict.FAIL
-    cert = Certificate(CertificateMethod.LIPSCHITZ_C1, kappa, verdict)
+    cert = _small_gain(theta.lam, basis.l_sigma, theta.alpha * basis.W_bar,
+                       theta.feasible)
     return SubspaceResult(A=a_ssi, B=b_ssi, C=c_ssi, markov=markov,
                           theta=theta, certificate=cert)

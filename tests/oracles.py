@@ -74,3 +74,25 @@ def random_stable_system(n, m, p, seed, rho=0.8):
     b = rng.standard_normal((n, m))
     c = rng.standard_normal((p, n))
     return a, b, c
+
+
+def kronecker_lyapunov(a, s):
+    """Solution of ``X = A X A' + S`` from the vectorized form
+    ``(I - A kron A) vec(X) = vec(S)``; O(n^6), so keep n small."""
+    n = a.shape[0]
+    vec = np.linalg.solve(np.eye(n * n) - np.kron(a, a), s.flatten(order="F"))
+    return vec.reshape((n, n), order="F")
+
+
+def vertex_margin_min(w, leak, l_sigma, p, kappa):
+    """Smallest eigenvalue of ``kappa^2 P - M' P M`` over every slope vertex
+    ``M = (1-leak) I + leak D W``, ``D`` in {0, l_sigma}^n, one vertex at a
+    time (brute force)."""
+    n = w.shape[0]
+    worst = np.inf
+    for bits in range(2 ** n):
+        d = l_sigma * np.array([(bits >> i) & 1 for i in range(n)], dtype=float)
+        m = (1.0 - leak) * np.eye(n) + leak * d[:, None] * w
+        margin = kappa ** 2 * p - m.T @ p @ m
+        worst = min(worst, float(np.linalg.eigvalsh(0.5 * (margin + margin.T)).min()))
+    return worst

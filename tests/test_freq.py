@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import esnkit.freq
 from esnkit import (LtiModel, ctrb_obsv_rank, gramians, h2_norm,
                     hinf_norm_grid, impulse_kernel, modal, output_psd,
                     spectral_radius, transfer_eval)
@@ -174,7 +175,7 @@ class TestGramians:
             assert np.abs(r_o).max() <= 1e-10 * max(np.abs(pair.W_o).max(), 1.0)
 
     def test_doubling_path_matches_direct(self):
-        # n > 64 exercises the doubling iteration
+        # n = 70, beyond the sizes the Kronecker oracle covers
         rng = np.random.default_rng(9)
         n = 70
         a = rng.standard_normal((n, n))
@@ -278,6 +279,33 @@ class TestNorms:
         assert abs(est.omega_peak - oracle_peak) <= 2 * np.pi / grid_points
         assert est.value <= mags.max() * (1 + 1e-9)   # certified lower bound
         assert est.value >= mags.max() * 0.999
+
+    def test_hinf_grid_gains_match_per_frequency(self, monkeypatch):
+        # MIMO, non-normal A; 513 points leave a partial last batch
+        rng = np.random.default_rng(21)
+        a = np.triu(rng.standard_normal((6, 6)), 1)
+        a[np.diag_indices(6)] = [0.9, -0.8, 0.7, 0.5, -0.3, 0.1]
+        lti = LtiModel(A=a, B=rng.standard_normal((6, 2)),
+                       C=rng.standard_normal((3, 6)), D=np.zeros((3, 2)))
+        batches = []
+        batch_eval = esnkit.freq._transfer_batch
+
+        def recording(*args):
+            batches.append(batch_eval(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(esnkit.freq, "_transfer_batch", recording)
+        est = hinf_norm_grid(lti, grid_points=513)
+        grid = np.linalg.svd(batches[0], compute_uv=False)[:, 0]
+
+        def sigma_max(omega):
+            return np.linalg.svd(transfer_eval(lti, np.exp(1j * omega)),
+                                 compute_uv=False)[0]
+
+        expect = [sigma_max(w) for w in np.linspace(0.0, np.pi, 513)]
+        np.testing.assert_allclose(grid, expect, rtol=1e-12, atol=0)
+        assert est.value == pytest.approx(sigma_max(est.omega_peak), rel=1e-12)
+        assert est.value >= max(expect) * (1 - 1e-12)
 
     def test_grid_floor(self):
         with pytest.raises(ValueError, match="64"):

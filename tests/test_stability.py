@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esnkit import (Activation, CertificateMethod, ReservoirParams, Verdict,
                     certify_lipschitz, certify_weighted, deep_stack_radius,
                     memory_horizon, reservoir_step, simulate, spectral_radius)
 
 from conftest import make_reservoir
+from oracles import vertex_margin_min
 
 
 def reservoir_with_norm(norm, leak, n=3, seed=0, activation=None):
@@ -38,6 +40,21 @@ class TestLipschitzCertificate:
         cert = certify_lipschitz(p)
         assert cert.kappa == 1.0
         assert cert.verdict is Verdict.FAIL
+
+    def test_near_degenerate_top_singular_values_fail(self):
+        # sigma_1 = 1 + 4e-9 and sigma_2 = sigma_1 - 1e-7: a power iteration
+        # stalls below 1 here and would certify a map with ||W||_2 > 1
+        rng = np.random.default_rng(0)
+        n = 50
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = np.concatenate([[1 + 4e-9, 1 + 4e-9 - 1e-7],
+                            rng.uniform(0.0, 0.9, n - 2)])
+        p = ReservoirParams(W=(u * s) @ v.T, U=np.zeros((n, 1)), b=np.zeros(n),
+                            leak=1.0, activation=Activation.identity())
+        cert = certify_lipschitz(p)
+        assert cert.verdict is Verdict.FAIL
+        assert cert.kappa >= 1.0
 
     def test_kappa_monotone_in_norm_and_slope(self):
         leak = 0.6
@@ -125,6 +142,30 @@ class TestWeightedCertificate:
         cert = certify_weighted(p, vertex_budget=64)  # 2^8 = 256 > budget
         assert cert.verdict is Verdict.UNKNOWN
         assert cert.kappa < 1.0
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([8, 9]), seed=st.integers(0, 2 ** 32 - 1),
+           norm=st.floats(0.3, 2.0), leak=st.floats(0.2, 1.0),
+           nonnormal=st.booleans())
+    def test_exhaustive_verdict_is_sound(self, n, seed, norm, leak, nonnormal):
+        # 2^n vertices span several stacks; every Pass is re-checked vertex by
+        # vertex, and every Fail must report a bound of at least one
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((n, n))
+        if nonnormal:
+            w = np.triu(w)
+        w *= norm / np.linalg.norm(w, 2)
+        p = ReservoirParams(W=w, U=np.zeros((n, 1)), b=np.zeros(n), leak=leak)
+        cert = certify_weighted(p, vertex_budget=2 ** n)
+        if cert.verdict is Verdict.PASS:
+            assert cert.kappa < 1.0
+            p_mat = cert.weight_P
+            scale = cert.kappa ** 2 * np.abs(p_mat).max()
+            assert np.linalg.eigvalsh(p_mat).min() > 0.0
+            assert vertex_margin_min(w, leak, 1.0, p_mat, cert.kappa) >= -1e-10 * scale
+        else:
+            assert cert.verdict is Verdict.FAIL
+            assert cert.kappa >= 1.0
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
