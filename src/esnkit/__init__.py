@@ -23,14 +23,14 @@ from .identify import (BayesReadoutPosterior, EmResult, EmStepResult,
                        em_step, excitation_sigma_min, kalman_filter,
                        project_structured, readout_bayes, readout_ml,
                        rts_smoother, subspace_shape)
-from .lift import (Dictionary, LiftedModel, dictionary_eval, edmd_fit,
-                   lifted_rollout_error, rf_smallgain)
+from .lift import (Dictionary, LiftedModel, edmd_fit, lifted_rollout_error,
+                   rf_smallgain)
 from .linearize import (LtiModel, LtvModel, jacobians_at,
                         linearize_trajectory, remainder_bound)
 from .predict import PredictiveDistribution, predictive
 from .stability import (Certificate, CertificateMethod, HorizonEstimate,
                         Verdict, certify_lipschitz, certify_weighted,
-                        deep_stack_radius, memory_horizon, spectral_radius)
+                        memory_horizon, spectral_radius)
 
 __version__ = "0.1.0"
 
@@ -42,13 +42,13 @@ __all__ = [
     # stability
     "Certificate", "CertificateMethod", "Verdict", "HorizonEstimate",
     "certify_lipschitz", "certify_weighted", "spectral_radius",
-    "memory_horizon", "deep_stack_radius",
+    "memory_horizon",
     # linearize
     "LtiModel", "LtvModel", "jacobians_at", "remainder_bound",
     "linearize_trajectory",
     # lift
-    "Dictionary", "LiftedModel", "dictionary_eval", "edmd_fit",
-    "lifted_rollout_error", "rf_smallgain",
+    "Dictionary", "LiftedModel", "edmd_fit", "lifted_rollout_error",
+    "rf_smallgain",
     # discretize
     "CtLinearModel", "euler_leak", "tustin_leak", "ct_jacobians",
     "zoh_discretize",

@@ -8,12 +8,16 @@ with an optional linear readout ``y_t = C x_t + d``.  Everything downstream
 (stability certificates, linearization, lifting, identification) treats this
 map as the ground-truth nonlinear system, so this module keeps it exact:
 float64 arithmetic, no approximations, reproducible seeded noise.
+
+:func:`leaky_map` (the map and its slope) and :func:`leaky_jacobians` (its
+Jacobians) are the single definition of both.  They work over any leading
+axes and validate nothing: every caller checks its inputs once, up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +30,8 @@ __all__ = [
     "Readout",
     "Trajectory",
     "activation_eval",
+    "leaky_jacobians",
+    "leaky_map",
     "reservoir_step",
     "simulate",
 ]
@@ -89,21 +95,19 @@ class Activation:
         return None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "tanh":
-            return np.tanh(x)
-        if self.kind == "identity":
-            return x.copy()
-        return np.where(x >= 0.0, x, self.negative_slope * x)
+        return self.evaluate(x)[0]
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
+    def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sigma(x), sigma'(x))`` componentwise, with no validation."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "tanh":
             t = np.tanh(x)
-            return 1.0 - t * t
+            return t, 1.0 - t * t
         if self.kind == "identity":
-            return np.ones_like(x)
-        return np.where(x >= 0.0, 1.0, self.negative_slope)
+            return x.copy(), np.ones_like(x)
+        positive = x >= 0.0
+        return (np.where(positive, x, self.negative_slope * x),
+                np.where(positive, 1.0, self.negative_slope))
 
 
 def activation_eval(activation: Activation, x) -> Tuple[np.ndarray, np.ndarray]:
@@ -118,7 +122,7 @@ def activation_eval(activation: Activation, x) -> Tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=np.float64)
     check_finite(x, "activation input")
-    return activation(x), activation.derivative(x)
+    return activation.evaluate(x)
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,8 @@ class ReservoirParams:
         return self.U.shape[1]
 
     def preactivation(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.W @ x + self.U @ u + self.b
+        """``W x + U u + b`` over the leading axes of ``x (..., n)``, ``u (..., m)``."""
+        return x @ self.W.T + u @ self.U.T + self.b
 
 
 @dataclass(frozen=True)
@@ -226,6 +231,28 @@ class Trajectory:
         return self.inputs.shape[0]
 
 
+def leaky_map(params: ReservoirParams, x: np.ndarray,
+              u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The leaky map and its slope: ``(x_next, sigma'(W x + U u + b))``.
+
+    Works over the leading axes of ``x (..., n)`` and ``u (..., m)`` and does
+    no validation; callers check shapes and finiteness once, up front.
+    """
+    value, slope = params.activation.evaluate(params.preactivation(x, u))
+    lam = params.leak
+    return (1.0 - lam) * x + lam * value, slope
+
+
+def leaky_jacobians(params: ReservoirParams,
+                    slope: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Jacobians ``(A, B)`` of the leaky map at activation slope ``slope``:
+    ``A = (1 - leak) I + leak diag(slope) W`` and ``B = leak diag(slope) U``,
+    over the leading axes of ``slope (..., n)``."""
+    lam = params.leak
+    a = (1.0 - lam) * np.eye(params.n) + lam * (slope[..., :, None] * params.W)
+    return a, lam * (slope[..., :, None] * params.U)
+
+
 def reservoir_step(params: ReservoirParams, x, u) -> np.ndarray:
     """One exact step of the leaky recursion (deterministic, no noise)."""
     x = np.asarray(x, dtype=np.float64)
@@ -234,8 +261,7 @@ def reservoir_step(params: ReservoirParams, x, u) -> np.ndarray:
         raise ValueError(f"state must have shape ({params.n},), got {x.shape}")
     if u.shape != (params.m,):
         raise ValueError(f"input must have shape ({params.m},), got {u.shape}")
-    lam = params.leak
-    return (1.0 - lam) * x + lam * params.activation(params.preactivation(x, u))
+    return leaky_map(params, x, u)[0]
 
 
 def simulate(params: ReservoirParams,
@@ -292,7 +318,7 @@ def simulate(params: ReservoirParams,
     states[0] = x0
     x = x0
     for t in range(horizon):
-        x = reservoir_step(params, x, inputs[t])
+        x = leaky_map(params, x, inputs[t])[0]
         if w_draws is not None:
             x = x + w_draws[t]
         states[t + 1] = x

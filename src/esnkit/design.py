@@ -11,8 +11,9 @@ With a normal W whose top pole is real at gamma, the small-signal state
 matrix at the origin has spectral radius exactly (1 - leak) + leak * slope *
 gamma = r_star (slope = 1 for tanh at zero preactivation).  Multi-rate
 ("block leak") designs are obtained by concatenating per-block reservoirs;
-no dedicated type exists for them, the stacked-radius operation covers the
-stability question.
+no dedicated type exists for them.  The spectral radius of a block-triangular
+stack is the largest radius of its diagonal blocks, so ``spectral_radius`` of
+each block covers the stability question.
 """
 
 from __future__ import annotations

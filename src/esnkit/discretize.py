@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._linalg import as_float_array, check_psd, symmetrize
-from .core import ReservoirParams, activation_eval
+from .core import ReservoirParams, leaky_map
 
 __all__ = ["CtLinearModel", "euler_leak", "tustin_leak", "ct_jacobians",
            "zoh_discretize"]
@@ -94,15 +94,15 @@ def tustin_leak(dt: float, tau: float) -> float:
 
 def ct_jacobians(params: ReservoirParams, tau: float, x_bar, u_bar) -> CtLinearModel:
     """Continuous-time Jacobians of the lag at an operating pair:
-    A_c = (diag(sigma'(xi)) W - I) / tau, B_c = diag(sigma'(xi)) U / tau."""
+    A_c = (diag(sigma'(xi)) W - I) / tau, B_c = diag(sigma'(xi)) U / tau.
+    A non-finite operating pair is rejected."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    x_bar = np.asarray(x_bar, dtype=np.float64)
-    u_bar = np.asarray(u_bar, dtype=np.float64)
+    x_bar = as_float_array(x_bar, "x_bar")
+    u_bar = as_float_array(u_bar, "u_bar")
     if x_bar.shape != (params.n,) or u_bar.shape != (params.m,):
         raise ValueError("operating pair has inconsistent dimensions")
-    xi = params.preactivation(x_bar, u_bar)
-    _, slope = activation_eval(params.activation, xi)
+    _, slope = leaky_map(params, x_bar, u_bar)
     a_c = ((slope[:, None] * params.W) - np.eye(params.n)) / tau
     b_c = (slope[:, None] * params.U) / tau
     return CtLinearModel(A_c=a_c, B_c=b_c, tau=tau)

@@ -1,6 +1,6 @@
 """State estimation and hyperparameter learning for linear(ized) surrogates.
 
-Conventions (shared with :mod:`esnkit.core` and the CSV loader):
+Conventions (shared with :mod:`esnkit.core`):
 
 * states are indexed 0..T, inputs 0..T-1, observations 1..T;
 * ``outputs[t-1]`` measures ``states[t]``;
@@ -27,8 +27,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg
 
-from ._linalg import as_float_array, check_psd, spectral_norm, symmetrize
-from .core import Readout, ReservoirParams, activation_eval
+from ._linalg import (as_float_array, check_finite, check_psd, spectral_norm,
+                      symmetrize)
+from .core import Readout, ReservoirParams, leaky_jacobians, leaky_map
 from .linearize import LtiModel, jacobians_at
 from .stability import Certificate, _small_gain
 
@@ -245,18 +246,16 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
 
     The mean is propagated through the full nonlinear update; covariances use
     the Jacobian linearization at the current filtered mean (so the recorded
-    transition sequence is time varying).
+    transition sequence is time varying).  A mean or covariance that becomes
+    non-finite (a diverging reservoir) raises ValueError.
     """
     inputs, outputs, mu0, p0 = _validate_io(params.n, params.m, readout.p,
                                             inputs, outputs, prior)
-    lam = params.leak
 
     def step(mu, u):
-        xi = params.preactivation(mu, u)
-        value, slope = activation_eval(params.activation, xi)
-        mean_next = (1.0 - lam) * mu + lam * value
-        a_t = (1.0 - lam) * np.eye(params.n) + lam * (slope[:, None] * params.W)
-        return mean_next, a_t
+        mean_next, slope = leaky_map(params, mu, u)
+        check_finite(mean_next, "EKF predicted mean")
+        return mean_next, leaky_jacobians(params, slope)[0]
 
     return _filter_loop(None, None, readout.C, noise, inputs, outputs, mu0,
                         p0, nonlinear=(step, readout.d))

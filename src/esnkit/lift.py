@@ -4,10 +4,10 @@ A dictionary phi always starts with the constant 1 and the raw state
 coordinates, optionally followed by extra observables (monomials or random
 Fourier features).  Fitting regresses the lifted one-step image
 ``phi(f(x_t, u_t))`` on ``[phi(x_t); u_t]`` in ridge least squares; the
-constant feature absorbs the affine offset, so a separate offset vector is
-never fit (it is stored as zeros for completeness).  The uniform training
-residual ``epsilon = max_t ||e_t||`` is the quantity the rollout bound
-``epsilon * (1 - rho^t) / (1 - rho)`` is built from.
+constant feature absorbs the affine offset, so no separate offset vector is
+fit.  The uniform training residual ``epsilon = max_t ||e_t||`` is the
+quantity the rollout bound ``epsilon * (1 - rho^t) / (1 - rho)`` is built
+from.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._linalg import as_float_array, rng_from_seed
-from .core import Readout, ReservoirParams, Trajectory
+from .core import Readout, ReservoirParams, Trajectory, leaky_map
 from .stability import Certificate, CertificateMethod, Verdict, spectral_radius
 
-__all__ = ["Dictionary", "LiftedModel", "dictionary_eval", "edmd_fit",
-           "lifted_rollout_error", "rf_smallgain"]
+__all__ = ["Dictionary", "LiftedModel", "edmd_fit", "lifted_rollout_error",
+           "rf_smallgain"]
 
 
 @dataclass(frozen=True)
@@ -114,27 +114,18 @@ class Dictionary:
         return out
 
 
-def dictionary_eval(dictionary: Dictionary, x) -> np.ndarray:
-    """phi(x): first entry 1, next n entries x, remaining per dictionary kind."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("dictionary_eval expects a single state vector")
-    return dictionary.eval_batch(x[None, :])[0]
-
-
 @dataclass(frozen=True)
 class LiftedModel:
     """Linear dynamics on dictionary features z = phi(x).
 
     ``epsilon`` is the max one-step training residual (the uniform bound the
     rollout analysis uses); ``residual_rms`` is reported for diagnostics.
-    The offset is carried by the constant feature, so ``c_phi`` is zero.
+    The offset is carried by the constant feature.
     """
 
     dictionary: Dictionary
     A_phi: np.ndarray
     B_phi: np.ndarray
-    c_phi: np.ndarray
     C_phi: np.ndarray
     epsilon: float
     ridge: float
@@ -149,7 +140,6 @@ class LiftedModel:
             "dictionary": self.dictionary.to_dict(),
             "A_phi": self.A_phi.tolist(),
             "B_phi": self.B_phi.tolist(),
-            "c_phi": self.c_phi.tolist(),
             "C_phi": self.C_phi.tolist(),
             "epsilon": self.epsilon,
             "ridge": self.ridge,
@@ -195,10 +185,7 @@ def edmd_fit(params: ReservoirParams,
             f"need at least N + m + 1 = {big_n + m + 1} snapshots, got {snapshots}")
 
     phi_x = dictionary.eval_batch(x)
-    lam = params.leak
-    fx = (1.0 - lam) * x + lam * params.activation(
-        x @ params.W.T + u @ params.U.T + params.b)
-    targets = dictionary.eval_batch(fx)
+    targets = dictionary.eval_batch(leaky_map(params, x, u)[0])
 
     regressors = np.hstack([phi_x, u])                      # (S, N + m)
     gram = regressors.T @ regressors
@@ -229,8 +216,8 @@ def edmd_fit(params: ReservoirParams,
         c_phi = np.zeros((n, big_n))
         c_phi[:, 1:1 + n] = np.eye(n)
     return LiftedModel(dictionary=dictionary, A_phi=a_phi, B_phi=b_phi,
-                       c_phi=np.zeros(big_n), C_phi=c_phi,
-                       epsilon=epsilon, ridge=float(ridge), residual_rms=rms)
+                       C_phi=c_phi, epsilon=epsilon, ridge=float(ridge),
+                       residual_rms=rms)
 
 
 def lifted_rollout_error(model: LiftedModel,
@@ -249,7 +236,7 @@ def lifted_rollout_error(model: LiftedModel,
     z = phi_true[0].copy()
     discrepancy = np.empty(horizon)
     for t in range(horizon):
-        z = model.A_phi @ z + model.B_phi @ traj.inputs[t] + model.c_phi
+        z = model.A_phi @ z + model.B_phi @ traj.inputs[t]
         discrepancy[t] = np.linalg.norm(z - phi_true[t + 1])
     rho = spectral_radius(model.A_phi)
     powers = np.cumsum(rho ** np.arange(horizon))

@@ -6,20 +6,23 @@ the exact Jacobians of the leaky update are
     A = (1 - leak) I + leak * diag(sigma'(xi)) W
     B = leak * diag(sigma'(xi)) U
 
-and the readout contributes C with zero feedthrough.  The surrogate is valid
-on the tube ||W dx + U du|| <= r with one-step error at most
-(leak / 2) * sup|sigma''| * r^2.
+and the readout contributes C with zero feedthrough; both come from
+:func:`esnkit.core.leaky_jacobians`.  The surrogate is valid on the tube
+||W dx + U du|| <= r with one-step error at most
+(leak / 2) * sup|sigma''| * r^2.  Along a trajectory the Jacobians are
+evaluated in one batched call and stored as (T, n, n) and (T, n, m) arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ._linalg import as_float_array
-from .core import Readout, ReservoirParams, Trajectory, activation_eval
+from .core import (Readout, ReservoirParams, Trajectory, leaky_jacobians,
+                   leaky_map)
 
 __all__ = ["LtiModel", "LtvModel", "jacobians_at", "remainder_bound",
            "linearize_trajectory"]
@@ -84,29 +87,30 @@ class LtiModel:
 
 @dataclass(frozen=True)
 class LtvModel:
-    """Time-varying surrogate: one (A_t, B_t) pair per step along a nominal
-    trajectory, shared C and D."""
+    """Time-varying surrogate along a nominal trajectory: ``A_seq[t]`` and
+    ``B_seq[t]`` are the Jacobians at step t, stacked as (T, n, n) and
+    (T, n, m) arrays; C and D are shared."""
 
-    A_seq: Tuple[np.ndarray, ...]
-    B_seq: Tuple[np.ndarray, ...]
+    A_seq: np.ndarray
+    B_seq: np.ndarray
     C: np.ndarray
     D: np.ndarray
 
     def __post_init__(self):
-        a_seq = tuple(as_float_array(a, "A_t") for a in self.A_seq)
-        b_seq = tuple(as_float_array(b, "B_t") for b in self.B_seq)
-        if len(a_seq) != len(b_seq):
-            raise ValueError("A_seq and B_seq must have equal length")
-        for a, b in zip(a_seq, b_seq):
-            if a.shape[0] != a.shape[1] or b.shape[0] != a.shape[0]:
-                raise ValueError("inconsistent per-step dimensions")
-        object.__setattr__(self, "A_seq", a_seq)
-        object.__setattr__(self, "B_seq", b_seq)
+        a = as_float_array(self.A_seq, "A_seq")
+        b = as_float_array(self.B_seq, "B_seq")
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise ValueError(f"A_seq must be (T, n, n), got shape {a.shape}")
+        if b.ndim != 3 or b.shape[:2] != a.shape[:2]:
+            raise ValueError(f"B_seq must be ({a.shape[0]}, {a.shape[1]}, m) "
+                             f"to match A_seq, got shape {b.shape}")
+        object.__setattr__(self, "A_seq", a)
+        object.__setattr__(self, "B_seq", b)
         object.__setattr__(self, "C", as_float_array(self.C, "C"))
         object.__setattr__(self, "D", as_float_array(self.D, "D"))
 
     def __len__(self) -> int:
-        return len(self.A_seq)
+        return self.A_seq.shape[0]
 
 
 def jacobians_at(params: ReservoirParams, x_bar, u_bar,
@@ -114,17 +118,13 @@ def jacobians_at(params: ReservoirParams, x_bar, u_bar,
     """Exact Jacobians of the reservoir update at an operating pair.
 
     With no readout the state itself is observed (C = I).  D is always zero:
-    the readout has no feedthrough.
+    the readout has no feedthrough.  A non-finite operating pair is rejected.
     """
-    x_bar = np.asarray(x_bar, dtype=np.float64)
-    u_bar = np.asarray(u_bar, dtype=np.float64)
+    x_bar = as_float_array(x_bar, "x_bar")
+    u_bar = as_float_array(u_bar, "u_bar")
     if x_bar.shape != (params.n,) or u_bar.shape != (params.m,):
         raise ValueError("operating pair has inconsistent dimensions")
-    xi = params.preactivation(x_bar, u_bar)
-    _, slope = activation_eval(params.activation, xi)
-    lam = params.leak
-    a = (1.0 - lam) * np.eye(params.n) + lam * (slope[:, None] * params.W)
-    b = lam * (slope[:, None] * params.U)
+    a, b = leaky_jacobians(params, leaky_map(params, x_bar, u_bar)[1])
     c = readout.C if readout is not None else np.eye(params.n)
     d = np.zeros((c.shape[0], params.m))
     return LtiModel(A=a, B=b, C=c, D=d, x_bar=x_bar, u_bar=u_bar)
@@ -147,15 +147,12 @@ def remainder_bound(params: ReservoirParams, radius: float) -> float:
 
 def linearize_trajectory(params: ReservoirParams, traj: Trajectory,
                          readout: Optional[Readout] = None) -> LtvModel:
-    """Per-step Jacobians along a nominal trajectory (frozen-time surrogate)."""
+    """Per-step Jacobians along a nominal trajectory (frozen-time surrogate),
+    all T steps in one batched evaluation."""
     if traj.states.shape[1] != params.n or traj.inputs.shape[1] != params.m:
         raise ValueError("trajectory dimensions do not match the reservoir")
-    a_seq: List[np.ndarray] = []
-    b_seq: List[np.ndarray] = []
-    for t in range(traj.horizon):
-        lti = jacobians_at(params, traj.states[t], traj.inputs[t], readout)
-        a_seq.append(lti.A)
-        b_seq.append(lti.B)
+    a, b = leaky_jacobians(params, leaky_map(params, traj.states[:-1],
+                                             traj.inputs)[1])
     c = readout.C if readout is not None else np.eye(params.n)
     d = np.zeros((c.shape[0], params.m))
-    return LtvModel(A_seq=tuple(a_seq), B_seq=tuple(b_seq), C=c, D=d)
+    return LtvModel(A_seq=a, B_seq=b, C=c, D=d)

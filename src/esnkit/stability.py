@@ -1,4 +1,4 @@
-"""Contraction certificates, memory horizons, and stacked-reservoir radii.
+"""Contraction certificates and memory horizons.
 
 Three checkable routes to a geometric contraction rate kappa < 1 (which is
 what guarantees unique input-driven trajectories and fading memory):
@@ -34,14 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 from scipy.stats import qmc
 
 from ._linalg import solve_discrete_lyapunov, spectral_norm, symmetrize
-from .core import ReservoirParams
+from .core import ReservoirParams, leaky_jacobians
 
 __all__ = [
     "CertificateMethod",
@@ -52,7 +52,6 @@ __all__ = [
     "certify_weighted",
     "spectral_radius",
     "memory_horizon",
-    "deep_stack_radius",
 ]
 
 # Bisection controls for the weighted certificate.
@@ -177,11 +176,8 @@ def _slope_vertices(n: int, l_sigma: float, budget: int):
 def _vertex_stacks(params: ReservoirParams, diags: np.ndarray):
     """Vertex matrices M = (1-leak) I + leak D W, (k, n, n) stacks of at most
     ``_VERTEX_CHUNK``."""
-    lam = params.leak
-    base = (1.0 - lam) * np.eye(params.n)
     for start in range(0, len(diags), _VERTEX_CHUNK):
-        d = diags[start:start + _VERTEX_CHUNK]
-        yield base + lam * (d[:, :, None] * params.W)
+        yield leaky_jacobians(params, diags[start:start + _VERTEX_CHUNK])[0]
 
 
 def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Certificate:
@@ -201,7 +197,7 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     n = params.n
     lam = params.leak
     l_sigma = params.activation.lipschitz
-    a_plus = (1.0 - lam) * np.eye(n) + lam * l_sigma * params.W
+    a_plus = leaky_jacobians(params, np.full(n, l_sigma))[0]
     rho_plus = spectral_radius(a_plus)
     diags, exhaustive = _slope_vertices(n, l_sigma, vertex_budget)
 
@@ -285,10 +281,3 @@ def memory_horizon(kappa: float, input_gain: float, amplitude: float,
                            amplitude=amplitude, tolerance=tolerance,
                            horizon=horizon)
 
-
-def deep_stack_radius(diag_blocks: Sequence[np.ndarray]) -> float:
-    """Spectral radius of a block-triangular stack = max over diagonal blocks."""
-    blocks = list(diag_blocks)
-    if not blocks:
-        raise ValueError("need at least one diagonal block")
-    return max(spectral_radius(b) for b in blocks)

@@ -96,3 +96,16 @@ def vertex_margin_min(w, leak, l_sigma, p, kappa):
         margin = kappa ** 2 * p - m.T @ p @ m
         worst = min(worst, float(np.linalg.eigvalsh(0.5 * (margin + margin.T)).min()))
     return worst
+
+
+def monte_carlo_prediction(a, b, c, q, r, mu, p, inputs, samples, seed):
+    """Sample mean and covariance of y_{t+h} from ``samples`` independent
+    rollouts of x+ = A x + B u + w, y = C x + v started at x_t ~ N(mu, P),
+    with w ~ N(0, Q) and v ~ N(0, R)."""
+    rng = np.random.default_rng(seed)
+    n, p_dim = a.shape[0], c.shape[0]
+    x = rng.multivariate_normal(mu, p, samples)
+    for u in inputs:
+        x = x @ a.T + b @ u + rng.multivariate_normal(np.zeros(n), q, samples)
+    y = x @ c.T + rng.multivariate_normal(np.zeros(p_dim), r, samples)
+    return y.mean(axis=0), np.cov(y.T)

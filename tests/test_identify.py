@@ -176,6 +176,21 @@ class TestEkf:
             total += err.size
         assert hits / total >= 0.95
 
+    def test_diverging_reservoir_raises(self):
+        # A = 3 I with no covariance to correct it: the unobserved mean
+        # coordinate overflows near step 650, which must raise, not yield NaN
+        p = ReservoirParams(W=3.0 * np.eye(2), U=np.ones((2, 1)),
+                            b=np.zeros(2), leak=1.0,
+                            activation=Activation.identity())
+        ro = Readout(C=np.array([[1.0, 0.0]]))
+        noise = NoiseModel(Q=np.zeros((2, 2)), R=np.eye(1))
+        rng = np.random.default_rng(8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                ekf_filter(p, ro, noise, rng.standard_normal((1000, 1)),
+                           rng.standard_normal((1000, 1)),
+                           (np.ones(2), np.zeros((2, 2))))
+
 
 class TestEmStep:
     def test_perfect_states_recover_dynamics(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from esnkit import (Activation, CertificateMethod, Dictionary, ReservoirParams,
-                    Verdict, dictionary_eval, edmd_fit, lifted_rollout_error,
-                    reservoir_step, rf_smallgain, simulate, spectral_radius)
+                    Verdict, edmd_fit, lifted_rollout_error, reservoir_step,
+                    rf_smallgain, simulate, spectral_radius)
 
 from conftest import make_readout, make_reservoir
 
@@ -11,19 +11,19 @@ from conftest import make_readout, make_reservoir
 class TestDictionary:
     def test_identity_plus_constant(self):
         d = Dictionary.identity_plus_constant()
-        np.testing.assert_array_equal(dictionary_eval(d, np.array([2.0, 3.0])),
+        np.testing.assert_array_equal(d.eval_batch([[2.0, 3.0]])[0],
                                       [1.0, 2.0, 3.0])
         assert d.output_dim(2) == 3
 
     def test_monomials_scalar(self):
         d = Dictionary.monomials(2)
-        np.testing.assert_array_equal(dictionary_eval(d, np.array([2.0])),
+        np.testing.assert_array_equal(d.eval_batch([[2.0]])[0],
                                       [1.0, 2.0, 4.0])
 
     def test_monomials_cross_terms(self):
         d = Dictionary.monomials(2)
         x = np.array([2.0, 3.0])
-        feats = dictionary_eval(d, x)
+        feats = d.eval_batch(x[None])[0]
         # 1, x1, x2, x1^2, x1 x2, x2^2
         np.testing.assert_array_equal(feats, [1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
         assert d.output_dim(2) == 6
@@ -32,7 +32,7 @@ class TestDictionary:
         count, bw, seed = 8, 1.5, 42
         d = Dictionary.random_fourier(count, bw, seed)
         x = np.array([0.3, -0.7])
-        feats = dictionary_eval(d, x)
+        feats = d.eval_batch(x[None])[0]
         assert feats[0] == 1.0
         np.testing.assert_array_equal(feats[1:3], x)
         # reconstruct from the same counter-based stream
@@ -41,7 +41,7 @@ class TestDictionary:
         phase = rng.uniform(0.0, 2 * np.pi, count)
         expect = np.sqrt(2.0 / count) * np.cos(omega @ x + phase)
         np.testing.assert_allclose(feats[3:], expect, atol=1e-15)
-        np.testing.assert_array_equal(feats, dictionary_eval(d, x))
+        np.testing.assert_array_equal(feats, d.eval_batch(x[None])[0])
 
     def test_rff_frequency_spread_scales_with_bandwidth(self):
         wide = Dictionary.random_fourier(2000, 0.5, 0)._fourier_weights(1)[0]
@@ -107,7 +107,7 @@ class TestEdmdFit:
         fx = np.array([reservoir_step(p, traj.states[t], traj.inputs[t])
                        for t in range(traj.horizon)])
         targets = d.eval_batch(fx)
-        pred = phi @ lm.A_phi.T + traj.inputs @ lm.B_phi.T + lm.c_phi
+        pred = phi @ lm.A_phi.T + traj.inputs @ lm.B_phi.T
         eps = np.linalg.norm(targets - pred, axis=1).max()
         assert eps == pytest.approx(lm.epsilon, rel=1e-12, abs=1e-15)
 
@@ -118,7 +118,7 @@ class TestEdmdFit:
         traj = simulate(p, np.zeros(3), rng.uniform(-1, 1, (40, 1)))
         lm = edmd_fit(p, [traj], Dictionary.identity_plus_constant(),
                       ridge=1e-12, readout=ro)
-        z = dictionary_eval(lm.dictionary, traj.states[5])
+        z = lm.dictionary.eval_batch(traj.states[5][None])[0]
         np.testing.assert_allclose(lm.C_phi @ z, ro(traj.states[5]), atol=1e-12)
 
     def test_too_few_snapshots(self):

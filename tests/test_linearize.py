@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from esnkit import (Activation, ReservoirParams, Trajectory, jacobians_at,
-                    linearize_trajectory, remainder_bound, reservoir_step,
-                    simulate)
+from esnkit import (Activation, LtvModel, ReservoirParams, Trajectory,
+                    ct_jacobians, jacobians_at, linearize_trajectory,
+                    remainder_bound, reservoir_step, simulate)
+from esnkit.core import leaky_map
 
 from conftest import make_readout, make_reservoir
 
@@ -169,3 +171,67 @@ class TestLtvLinearization:
             drift.append(np.linalg.norm(a_t - (1 - p.leak) * np.eye(p.n)))
         # once the state saturates the Jacobian shrinks toward pure leak
         assert drift[-1] < drift[0]
+
+    def test_mismatched_sequences_rejected(self):
+        eye = np.eye(3)
+        with pytest.raises(ValueError, match="B_seq"):
+            LtvModel(A_seq=np.zeros((5, 3, 3)), B_seq=np.zeros((4, 3, 1)),
+                     C=eye, D=np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="B_seq"):
+            LtvModel(A_seq=np.zeros((5, 3, 3)), B_seq=np.zeros((5, 2, 1)),
+                     C=eye, D=np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="A_seq"):
+            LtvModel(A_seq=np.zeros((5, 3, 2)), B_seq=np.zeros((5, 3, 1)),
+                     C=eye, D=np.zeros((3, 1)))
+
+
+def _close(got, want, rtol):
+    return np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
+
+
+class TestLeakyKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), m=st.integers(1, 3), steps=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 31 - 1), leak=st.floats(0.1, 1.0),
+           kind=st.sampled_from(["tanh", "identity", "leaky_slope"]),
+           negative_slope=st.floats(0.0, 2.0))
+    def test_batched_kernel_matches_pointwise_layers(self, n, m, steps, seed,
+                                                     leak, kind, negative_slope):
+        # one batched kernel call per layer must agree with the single-point
+        # entry points: reservoir_step, jacobians_at, and the CT lag
+        act = Activation(kind, negative_slope=negative_slope)
+        p = make_reservoir(n=n, m=m, seed=seed, leak=leak, w_scale=1.2,
+                           activation=act, bias_scale=0.5)
+        rng = np.random.default_rng(seed)
+        states = 2.0 * rng.standard_normal((steps + 1, n))
+        inputs = rng.standard_normal((steps, m))
+        x_next, _ = leaky_map(p, states[:-1], inputs)
+        rows = np.array([reservoir_step(p, x, u)
+                         for x, u in zip(states[:-1], inputs)])
+        assert _close(x_next, rows, 1e-14)
+
+        ltv = linearize_trajectory(p, Trajectory(states=states, inputs=inputs))
+        assert len(ltv) == steps
+        tau = 1.0 + seed % 5
+        for t in range(steps):
+            lti = jacobians_at(p, states[t], inputs[t])
+            assert _close(ltv.A_seq[t], lti.A, 1e-14)
+            assert _close(ltv.B_seq[t], lti.B, 1e-14)
+            ct = ct_jacobians(p, tau, states[t], inputs[t])
+            slope_w = (lti.A - (1.0 - leak) * np.eye(n)) / leak
+            assert _close(ct.A_c * tau, slope_w - np.eye(n), 1e-12)
+
+
+class TestOperatingPointValidation:
+    @pytest.mark.parametrize("kind", ["tanh", "identity"])
+    @pytest.mark.parametrize("bad", ["x_bar", "u_bar"])
+    def test_nonfinite_operating_pair_rejected(self, kind, bad):
+        # identity slopes do not depend on the operating point, so only an
+        # explicit check can reject a NaN there
+        p = make_reservoir(n=3, m=1, activation=Activation(kind))
+        pair = {"x_bar": np.zeros(3), "u_bar": np.zeros(1)}
+        pair[bad][0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobians_at(p, **pair)
+        with pytest.raises(ValueError, match="non-finite"):
+            ct_jacobians(p, 1.0, **pair)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from esnkit import (Activation, CertificateMethod, ReservoirParams, Verdict,
-                    certify_lipschitz, certify_weighted, deep_stack_radius,
-                    memory_horizon, reservoir_step, simulate, spectral_radius)
+                    certify_lipschitz, certify_weighted, memory_horizon,
+                    reservoir_step, simulate, spectral_radius)
 
 from conftest import make_reservoir
 from oracles import vertex_margin_min
@@ -188,23 +188,6 @@ class TestMemoryHorizon:
             memory_horizon(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="fading-memory"):
             memory_horizon(1.3, 1.0, 1.0, 1.0)
-
-
-class TestDeepStackRadius:
-    def test_max_over_blocks(self):
-        blocks = [np.diag([0.5]), 0.9 * np.eye(2)]
-        assert deep_stack_radius(blocks) == pytest.approx(0.9, abs=1e-12)
-
-    def test_single_block(self):
-        assert deep_stack_radius([np.diag([0.4, 0.2])]) == pytest.approx(0.4)
-
-    def test_companion_block(self):
-        blocks = [np.diag([0.2]), np.array([[0.0, 1.0], [0.25, 0.0]])]
-        assert deep_stack_radius(blocks) == pytest.approx(0.5, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            deep_stack_radius([])
 
 
 class TestContractionProperties:
