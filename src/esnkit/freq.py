@@ -108,8 +108,9 @@ def _transfer_batch(lti: LtiModel, zs: np.ndarray) -> np.ndarray:
 def transfer_eval(lti: LtiModel, z: complex) -> np.ndarray:
     """H(z) by direct linear solve (no series summation).
 
-    Warns when |z| is inside the convergence region boundary rho(A); raises
-    when z hits a pole, reporting the nearest eigenvalue.
+    Warns when |z| <= rho(A), which is outside the region of convergence
+    |z| > rho(A) of this causal system; raises when z hits a pole, reporting
+    the nearest eigenvalue.
     """
     z = complex(z)
     if z == 0:
@@ -117,8 +118,8 @@ def transfer_eval(lti: LtiModel, z: complex) -> np.ndarray:
     rho = spectral_radius(lti.A)
     if abs(z) <= rho:
         warnings.warn(
-            f"|z| = {abs(z):.6g} is inside the region of convergence "
-            f"(rho(A) = {rho:.6g})", stacklevel=2)
+            f"|z| = {abs(z):.6g} is outside the region of convergence "
+            f"|z| > rho(A) = {rho:.6g}", stacklevel=2)
     try:
         return _transfer_batch(lti, np.array([z]))[0]
     except np.linalg.LinAlgError:

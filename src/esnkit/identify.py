@@ -48,6 +48,8 @@ _FEASIBILITY_MARGIN = 1e-6
 _LAM_FLOOR = 1e-6
 _ALPHA_FLOOR = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
+# relative step below which an LTI covariance recursion counts as converged
+_STEADY_TOL = 4.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,10 @@ class SmoothedPosterior:
     t = 0..T-1.  Smoothed fields are None on a pure filter pass.
     ``time_varying`` flags that per-step linearizations were used (the
     smoother then reuses the LTI cross-covariance formula per step).
+    ``steady_from`` is the first t from which ``predicted_covs[t:]`` and
+    ``filtered_covs[t + 1:]`` each hold one frozen matrix (see
+    :func:`kalman_filter`); None for the EKF, for a run that never
+    converged, and for a hand-built posterior.
     """
 
     filtered_means: np.ndarray
@@ -87,6 +93,7 @@ class SmoothedPosterior:
     cross_covs: Optional[np.ndarray] = None
     time_varying: bool = False
     transition_seq: Optional[np.ndarray] = field(default=None, repr=False)
+    steady_from: Optional[int] = None
 
     @property
     def horizon(self) -> int:
@@ -115,6 +122,7 @@ def _innovation_chol(s: np.ndarray, t: int):
     except scipy.linalg.LinAlgError:
         pass
     jitter = _JITTER * max(1.0, float(np.trace(s)) / s.shape[0])
+    logger.debug("kalman.innovation_jitter time_index=%d jitter=%.3e", t, jitter)
     try:
         return scipy.linalg.cho_factor(s + jitter * np.eye(s.shape[0]),
                                        lower=True, check_finite=False)
@@ -130,6 +138,13 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     Covariance updates use the Joseph form and are re-symmetrized each step.
     The model must be strictly proper (D = 0); observations are ``y_t = C x_t
     + v_t``.
+
+    The covariance recursion does not depend on the data and converges to the
+    DARE fixed point.  At the first step t >= 1 at which the predicted and
+    the filtered covariance each moved by at most ``_STEADY_TOL`` (4 eps)
+    times their largest entry since step t-1, the gain, the covariances and
+    the innovation Cholesky factor are frozen and ``steady_from`` is set to
+    t; later steps update only the means.  :func:`ekf_filter` never freezes.
     """
     if np.any(lti.D != 0.0):
         raise ValueError("kalman_filter requires D = 0")
@@ -158,6 +173,7 @@ def _filter_loop(a, b, c, noise, inputs, outputs, mu0, p0, nonlinear):
     f_covs[0] = p0
     mu, cov = mu0, p0
     loglik = 0.0
+    steady_from = None
     offset = nonlinear[1] if nonlinear is not None else np.zeros(p_dim)
     for t in range(horizon):
         if nonlinear is not None:
@@ -184,11 +200,40 @@ def _filter_loop(a, b, c, noise, inputs, outputs, mu0, p0, nonlinear):
         logdet = 2.0 * float(np.log(np.diag(chol[0])).sum())
         loglik -= 0.5 * (p_dim * _LOG_2PI + logdet + float(white @ white))
 
+        if (nonlinear is None and t > 0 and _settled(cov_pred, p_covs[t - 1])
+                and _settled(cov, f_covs[t])):
+            steady_from = t
+            logger.debug("kalman.steady_state steady_from=%d", t)
+            break
+
+    if steady_from is not None:
+        # frozen gain K: mu+ = (I - KC)(A mu + B u) + K y; B u and the affine
+        # terms are accumulated in place in p_means and f_means
+        start = steady_from + 1
+        p_covs[start:] = cov_pred
+        f_covs[start + 1:] = cov
+        ikc = eye - gain @ c
+        a_closed = ikc @ a
+        drive = np.matmul(inputs[start:], b.T, out=p_means[start:])
+        np.matmul(drive, ikc.T, out=f_means[start + 1:])
+        f_means[start + 1:] += outputs[start:] @ gain.T
+        for t in range(start + 1, horizon + 1):
+            f_means[t] += a_closed @ f_means[t - 1]
+        p_means[start:] += f_means[start:-1] @ a.T
+        innov = outputs[start:] - p_means[start:] @ c.T
+        white = scipy.linalg.solve_triangular(chol[0], innov.T, lower=True)
+        loglik -= 0.5 * ((horizon - start) * (p_dim * _LOG_2PI + logdet)
+                         + float(np.square(white).sum()))
+
     return SmoothedPosterior(filtered_means=f_means, filtered_covs=f_covs,
                              predicted_means=p_means, predicted_covs=p_covs,
                              loglik=loglik,
                              time_varying=nonlinear is not None,
-                             transition_seq=a_seq)
+                             transition_seq=a_seq, steady_from=steady_from)
+
+
+def _settled(new: np.ndarray, old: np.ndarray) -> bool:
+    return np.abs(new - old).max() <= _STEADY_TOL * np.abs(new).max()
 
 
 def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
@@ -199,31 +244,46 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     ``Cov(x_t, x_{t+1} | y_{1:T}) = J_t P_{t+1|T}``.  For time-varying filter
     output the per-step transition matrices recorded by the filter are used
     with the same (LTI) cross-covariance formula.
+
+    Past ``filtered.steady_from`` the gain J is computed once, and the
+    covariances are iterated only until a step moves them by at most
+    ``_STEADY_TOL`` times their largest entry; then only the means are
+    updated.  Earlier steps, and every EKF step, are computed one by one.
     """
     horizon = filtered.horizon
     n = filtered.filtered_means.shape[1]
+    f_means, p_means = filtered.filtered_means, filtered.predicted_means
     s_means = np.empty((horizon + 1, n))
     s_covs = np.empty((horizon + 1, n, n))
     cross = np.empty((horizon, n, n))
-    s_means[horizon] = filtered.filtered_means[horizon]
+    s_means[horizon] = f_means[horizon]
     s_covs[horizon] = filtered.filtered_covs[horizon]
 
-    for t in range(horizon - 1, -1, -1):
+    start = horizon
+    if filtered.steady_from is not None and filtered.steady_from + 1 < horizon:
+        start = filtered.steady_from + 1
+        p_f = filtered.filtered_covs[horizon]
+        gain, p_pred = _smoother_gain(lti.A, p_f, filtered.predicted_covs[-1],
+                                      horizon - 1)
+        for t in range(horizon - 1, start - 1, -1):
+            s_covs[t] = symmetrize(p_f + gain @ (s_covs[t + 1] - p_pred) @ gain.T)
+            cross[t] = gain @ s_covs[t + 1]
+            if _settled(s_covs[t], s_covs[t + 1]):
+                s_covs[start:t] = s_covs[t]
+                cross[start:t] = gain @ s_covs[t]
+                break
+        offsets = np.matmul(p_means[start:horizon], -gain.T,
+                            out=s_means[start:horizon])
+        offsets += f_means[start:horizon]
+        for t in range(horizon - 1, start - 1, -1):
+            s_means[t] += gain @ s_means[t + 1]
+
+    for t in range(start - 1, -1, -1):
         a_t = (filtered.transition_seq[t]
                if filtered.transition_seq is not None else lti.A)
         p_f = filtered.filtered_covs[t]
-        p_pred = filtered.predicted_covs[t]
-        try:
-            gain = np.linalg.solve(p_pred, a_t @ p_f).T
-        except np.linalg.LinAlgError:
-            p_pred = p_pred + _JITTER * np.eye(n)
-            try:
-                gain = np.linalg.solve(p_pred, a_t @ p_f).T
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(
-                    f"singular predicted covariance at time index {t + 1}") from exc
-        s_means[t] = filtered.filtered_means[t] + gain @ (
-            s_means[t + 1] - filtered.predicted_means[t])
+        gain, p_pred = _smoother_gain(a_t, p_f, filtered.predicted_covs[t], t)
+        s_means[t] = f_means[t] + gain @ (s_means[t + 1] - p_means[t])
         s_covs[t] = symmetrize(p_f + gain @ (s_covs[t + 1] - p_pred) @ gain.T)
         cross[t] = gain @ s_covs[t + 1]
 
@@ -237,7 +297,24 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
         smoothed_covs=s_covs,
         cross_covs=cross,
         time_varying=filtered.time_varying,
-        transition_seq=filtered.transition_seq)
+        transition_seq=filtered.transition_seq,
+        steady_from=filtered.steady_from)
+
+
+def _smoother_gain(a_t, p_f, p_pred, t):
+    """RTS gain ``J = P_f A' P_pred^{-1}`` at time index t, retrying once with
+    diagonal jitter on a singular ``P_pred``; returns J and the P_pred used."""
+    try:
+        return np.linalg.solve(p_pred, a_t @ p_f).T, p_pred
+    except np.linalg.LinAlgError:
+        pass
+    logger.debug("rts.predicted_cov_jitter time_index=%d", t + 1)
+    p_pred = p_pred + _JITTER * np.eye(p_pred.shape[0])
+    try:
+        return np.linalg.solve(p_pred, a_t @ p_f).T, p_pred
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"singular predicted covariance at time index {t + 1}") from exc
 
 
 def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,

@@ -109,3 +109,41 @@ def monte_carlo_prediction(a, b, c, q, r, mu, p, inputs, samples, seed):
         x = x @ a.T + b @ u + rng.multivariate_normal(np.zeros(n), q, samples)
     y = x @ c.T + rng.multivariate_normal(np.zeros(p_dim), r, samples)
     return y.mean(axis=0), np.cov(y.T)
+
+
+def kalman_rts_reference(a, b, c, q, r, mu0, p0, inputs, outputs):
+    """Textbook Kalman filter and RTS smoother, one step at a time and never
+    frozen: covariance update ``P - K S K'``, gains from plain solves and the
+    log-likelihood from ``slogdet``.
+
+    Returns a dict with the filtered, predicted and smoothed means and
+    covariances (indexed as in ``SmoothedPosterior``), the cross-covariances
+    ``Cov(x_t, x_{t+1} | y_{1:T})`` and the log-likelihood.
+    """
+    f_means, f_covs = [np.asarray(mu0)], [np.asarray(p0)]
+    p_means, p_covs = [], []
+    loglik = 0.0
+    for u, y in zip(inputs, outputs):
+        m_pred = a @ f_means[-1] + b @ u
+        c_pred = a @ f_covs[-1] @ a.T + q
+        s = c @ c_pred @ c.T + r
+        k = np.linalg.solve(s, c @ c_pred).T
+        e = y - c @ m_pred
+        p_means.append(m_pred)
+        p_covs.append(c_pred)
+        f_means.append(m_pred + k @ e)
+        f_covs.append(c_pred - k @ s @ k.T)
+        loglik -= 0.5 * (len(y) * np.log(2.0 * np.pi)
+                         + np.linalg.slogdet(s)[1] + e @ np.linalg.solve(s, e))
+
+    s_means, s_covs, cross = [f_means[-1]], [f_covs[-1]], []
+    for t in range(len(inputs) - 1, -1, -1):
+        j = np.linalg.solve(p_covs[t], a @ f_covs[t]).T
+        cross.insert(0, j @ s_covs[0])
+        s_means.insert(0, f_means[t] + j @ (s_means[0] - p_means[t]))
+        s_covs.insert(0, f_covs[t] + j @ (s_covs[0] - p_covs[t]) @ j.T)
+    return dict(filtered_means=np.array(f_means), filtered_covs=np.array(f_covs),
+                predicted_means=np.array(p_means),
+                predicted_covs=np.array(p_covs),
+                smoothed_means=np.array(s_means), smoothed_covs=np.array(s_covs),
+                cross_covs=np.array(cross), loglik=loglik)

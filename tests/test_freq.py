@@ -54,7 +54,8 @@ class TestTransferEval:
 
     def test_pole_hit_reports_nearest_eigenvalue(self):
         lti = scalar_lti(0.5, 1.0, 1.0)
-        with pytest.raises(ValueError, match="0.5"):
+        with pytest.raises(ValueError, match="0.5"), \
+                pytest.warns(UserWarning, match="region of convergence"):
             transfer_eval(lti, 0.5)
 
     def test_rejects_origin(self):

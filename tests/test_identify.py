@@ -1,5 +1,10 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from esnkit import (Activation, LtiModel, NoiseModel, Readout,
                     ReservoirParams, StructuredBasis, Verdict, ekf_filter,
@@ -8,8 +13,12 @@ from esnkit import (Activation, LtiModel, NoiseModel, Readout,
                     readout_ml, rts_smoother, simulate, subspace_shape)
 
 from conftest import make_reservoir
-from oracles import joint_gaussian_posterior, posterior_blocks, \
-    random_stable_system
+from oracles import joint_gaussian_posterior, kalman_rts_reference, \
+    posterior_blocks, random_stable_system
+
+POSTERIOR_ARRAYS = ("filtered_means", "filtered_covs", "predicted_means",
+                    "predicted_covs", "smoothed_means", "smoothed_covs",
+                    "cross_covs")
 
 
 def scalar_system(a=0.5, q=0.1, c=1.0, r=0.1):
@@ -90,13 +99,21 @@ class TestRtsSmoother:
                           (states[0], 1e-10 * np.eye(n))), lti, noise)
         assert np.abs(post.smoothed_means - states).max() <= 1e-6
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_joint_gaussian_conditioning(self, seed):
+    # the long horizons run past the point where the filter freezes its
+    # covariance recursion, so the steady-state path is checked as well
+    @pytest.mark.parametrize("seed, long_horizon", [
+        *(pytest.param(seed, None, id=str(seed)) for seed in range(6)),
+        pytest.param(6, 80, id="steady-80"),
+        pytest.param(7, 150, id="steady-150")])
+    def test_matches_joint_gaussian_conditioning(self, seed, long_horizon):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         m, p = 1, int(rng.integers(1, 3))
         horizon = int(rng.integers(2, 9))
-        a, b, c = random_stable_system(n, m, p, seed=100 + seed, rho=0.85)
+        rho = 0.85
+        if long_horizon is not None:
+            horizon, rho = long_horizon, 0.5
+        a, b, c = random_stable_system(n, m, p, seed=100 + seed, rho=rho)
         root_q = rng.standard_normal((n, n)) * 0.3
         q = root_q @ root_q.T + 0.05 * np.eye(n)
         root_r = rng.standard_normal((p, p)) * 0.3
@@ -111,6 +128,8 @@ class TestRtsSmoother:
             kalman_filter(lti, NoiseModel(Q=q, R=r), inputs, outputs,
                           (mu0, p0)),
             lti, NoiseModel(Q=q, R=r))
+        if long_horizon is not None:
+            assert post.steady_from is not None
         means, cov = joint_gaussian_posterior(a, b, c, q, r, mu0, p0, inputs,
                                               outputs)
         assert np.abs(post.smoothed_means - means).max() <= 1e-8
@@ -122,6 +141,110 @@ class TestRtsSmoother:
             np.testing.assert_allclose(post.cross_covs[t],
                                        posterior_blocks(cov, n, t, t + 1),
                                        atol=1e-7)
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 16), p=st.integers(1, 3),
+           horizon=st.integers(2, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_step_reference(self, n, p, horizon, seed):
+        rng = np.random.default_rng(seed)
+        a, b, c = random_stable_system(n, 1, p, seed=seed,
+                                       rho=rng.uniform(0.1, 0.95))
+        root_q = rng.standard_normal((n, n)) * 0.3
+        q = root_q @ root_q.T + 0.05 * np.eye(n)
+        root_r = rng.standard_normal((p, p)) * 0.3
+        r = root_r @ root_r.T + 0.05 * np.eye(p)
+        mu0 = rng.standard_normal(n)
+        inputs = rng.standard_normal((horizon, 1))
+        outputs = rng.standard_normal((horizon, p))
+        lti = LtiModel(A=a, B=b, C=c, D=np.zeros((p, 1)))
+        noise = NoiseModel(Q=q, R=r)
+        post = rts_smoother(kalman_filter(lti, noise, inputs, outputs,
+                                          (mu0, np.eye(n))), lti, noise)
+        event(f"steady state reached: {post.steady_from is not None}")
+        ref = kalman_rts_reference(a, b, c, q, r, mu0, np.eye(n), inputs,
+                                   outputs)
+        for name in POSTERIOR_ARRAYS:
+            got, want = getattr(post, name), ref[name]
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+        assert post.loglik == pytest.approx(ref["loglik"], rel=1e-10)
+
+    def test_singular_predicted_cov_before_freeze_names_time_index(self):
+        a, b, c = random_stable_system(2, 1, 1, seed=26, rho=0.5)
+        lti = LtiModel(A=a, B=b, C=c, D=np.zeros((1, 1)))
+        noise = NoiseModel(Q=0.1 * np.eye(2), R=[[0.1]])
+        rng = np.random.default_rng(27)
+        filt = kalman_filter(lti, noise, rng.standard_normal((100, 1)),
+                             rng.standard_normal((100, 1)),
+                             (np.zeros(2), np.eye(2)))
+        assert filt.steady_from is not None and filt.steady_from > 3
+        # exactly singular even after the 1e-12 jitter retry
+        p_covs = filt.predicted_covs.copy()
+        p_covs[2] = np.full((2, 2), 1e6)
+        broken = dataclasses.replace(filt, predicted_covs=p_covs)
+        with pytest.raises(ValueError, match="time index 3$"):
+            rts_smoother(broken, lti, noise)
+
+
+class TestFilterEvents:
+    def _events(self, caplog, name):
+        return [rec.getMessage() for rec in caplog.records
+                if rec.name == "esnkit.identify"
+                and rec.levelno == logging.DEBUG
+                and rec.getMessage().split()[0] == name]
+
+    def test_steady_state_reported_once(self, caplog):
+        lti, noise = scalar_system()
+        rng = np.random.default_rng(28)
+        with caplog.at_level(logging.DEBUG, logger="esnkit.identify"):
+            post = kalman_filter(lti, noise, np.zeros((200, 1)),
+                                 rng.standard_normal((200, 1)),
+                                 (np.zeros(1), np.eye(1)))
+        assert post.steady_from is not None
+        assert self._events(caplog, "kalman.steady_state") == [
+            f"kalman.steady_state steady_from={post.steady_from}"]
+
+    def test_innovation_jitter_reported_with_time_index(self, caplog):
+        # two noiseless copies of one measurement: S = [[1, 1], [1, 1]] is
+        # exactly singular, so the Cholesky factorization needs the jitter
+        lti = LtiModel(A=[[0.5]], B=[[0.0]], C=[[1.0], [1.0]],
+                       D=[[0.0], [0.0]])
+        noise = NoiseModel(Q=[[1.0]], R=np.zeros((2, 2)))
+        with caplog.at_level(logging.DEBUG, logger="esnkit.identify"):
+            kalman_filter(lti, noise, np.zeros((3, 1)), np.ones((3, 2)),
+                          (np.zeros(1), np.zeros((1, 1))))
+        found = self._events(caplog, "kalman.innovation_jitter")
+        assert found and found[0].split()[1] == "time_index=1"
+
+    def test_smoother_jitter_reported_with_time_index(self, caplog):
+        # no process noise and an exact prior: the predicted covariance is 0
+        lti, _ = scalar_system()
+        noise = NoiseModel(Q=[[0.0]], R=[[0.1]])
+        filt = kalman_filter(lti, noise, np.zeros((1, 1)), np.ones((1, 1)),
+                             (np.zeros(1), np.zeros((1, 1))))
+        with caplog.at_level(logging.DEBUG, logger="esnkit.identify"):
+            rts_smoother(filt, lti, noise)
+        found = self._events(caplog, "rts.predicted_cov_jitter")
+        assert [msg.split()[1] for msg in found] == ["time_index=1"]
+
+    def test_logging_does_not_change_results(self, caplog):
+        a, b, c = random_stable_system(3, 1, 2, seed=29, rho=0.6)
+        lti = LtiModel(A=a, B=b, C=c, D=np.zeros((2, 1)))
+        noise = NoiseModel(Q=0.05 * np.eye(3), R=0.05 * np.eye(2))
+        rng = np.random.default_rng(30)
+        args = (rng.standard_normal((300, 1)), rng.standard_normal((300, 2)),
+                (np.zeros(3), np.eye(3)))
+        runs = []
+        for level in (logging.WARNING, logging.DEBUG):
+            with caplog.at_level(level, logger="esnkit.identify"):
+                runs.append(rts_smoother(kalman_filter(lti, noise, *args),
+                                         lti, noise))
+        assert self._events(caplog, "kalman.steady_state")
+        quiet, loud = runs
+        assert quiet.loglik == loud.loglik
+        assert quiet.steady_from == loud.steady_from
+        for name in POSTERIOR_ARRAYS:
+            assert np.array_equal(getattr(quiet, name), getattr(loud, name))
 
 
 class TestEkf:
@@ -175,6 +298,22 @@ class TestEkf:
             hits += int((err <= 3 * sigma + 1e-12).sum())
             total += err.size
         assert hits / total >= 0.95
+
+    def test_never_freezes_on_tanh_reservoir(self):
+        p = make_reservoir(n=4, m=1, seed=15, w_scale=0.7, leak=0.8)
+        ro = Readout(C=np.array([[1.0, 0.0, 0.5, 0.0]]))
+        noise = NoiseModel(Q=0.002 * np.eye(4), R=[[0.002]])
+        rng = np.random.default_rng(31)
+        inputs = rng.uniform(-1, 1, (600, 1))
+        traj = simulate(p, np.zeros(4), inputs, readout=ro,
+                        process_noise=(noise.Q, 32),
+                        measurement_noise=(noise.R, 33))
+        post = ekf_filter(p, ro, noise, inputs, traj.outputs,
+                          (np.zeros(4), 0.01 * np.eye(4)))
+        assert post.steady_from is None
+        assert post.transition_seq.shape == (600, 4, 4)
+        steps = np.abs(np.diff(post.transition_seq, axis=0))
+        assert steps.max(axis=(1, 2)).min() > 0.0
 
     def test_diverging_reservoir_raises(self):
         # A = 3 I with no covariance to correct it: the unobserved mean
