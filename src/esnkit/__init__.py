@@ -8,9 +8,8 @@ and probabilistic prediction.
 
 from .core import (Activation, Readout, ReservoirParams, Trajectory,
                    activation_eval, reservoir_step, simulate)
-from .design import (DesignSpec, gamma_for_radius, input_scaling,
-                     make_normal_reservoir, make_sparse_reservoir,
-                     target_radius)
+from .design import (gamma_for_radius, input_scaling, make_normal_reservoir,
+                     make_sparse_reservoir, target_radius)
 from .discretize import (CtLinearModel, ct_jacobians, euler_leak, tustin_leak,
                          zoh_discretize)
 from .freq import (GramianPair, HinfEstimate, ImpulseKernel,
@@ -63,8 +62,7 @@ __all__ = [
     "readout_ml", "readout_bayes", "project_structured",
     "excitation_sigma_min", "subspace_shape",
     # design
-    "DesignSpec", "target_radius", "gamma_for_radius",
-    "make_normal_reservoir", "make_sparse_reservoir", "input_scaling",
+    "target_radius", "gamma_for_radius", "make_normal_reservoir", "make_sparse_reservoir", "input_scaling",
     # predict
     "PredictiveDistribution", "predictive",
 ]

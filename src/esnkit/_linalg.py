@@ -24,7 +24,7 @@ def check_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has non-finite entry at flat index {idx}")
 
 
-def as_float_array(a, name: str = "array") -> np.ndarray:
+def as_float_array(a, name: str) -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)
     check_finite(out, name)
     return out
@@ -40,39 +40,38 @@ def spectral_norm(w: np.ndarray) -> float:
     return float(np.linalg.norm(w, 2)) if w.size else 0.0
 
 
-def check_psd(m: np.ndarray, name: str, sym_tol: float = 1e-12,
-              eig_floor: float = -1e-12) -> np.ndarray:
-    """Validate symmetry (to ``sym_tol``) and eigenvalue floor; return the symmetrized matrix."""
+def check_psd(m: np.ndarray, name: str) -> np.ndarray:
+    """Convert to float64, validate symmetry to 1e-12 and the eigenvalue floor
+    -1e-12 (both relative to max(1, max|m|)); return the symmetrized matrix."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     check_finite(m, name)
     scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > sym_tol * scale:
-        raise ValueError(f"{name} is not symmetric within tolerance {sym_tol}")
+    if np.abs(m - m.T).max() > 1e-12 * scale:
+        raise ValueError(f"{name} is not symmetric within tolerance 1e-12")
     ms = symmetrize(m)
-    if ms.size and float(np.linalg.eigvalsh(ms).min()) < eig_floor * scale:
+    if ms.size and float(np.linalg.eigvalsh(ms).min()) < -1e-12 * scale:
         raise ValueError(f"{name} is not positive semidefinite")
     return ms
 
 
-def cholesky_psd(q: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
-    """Cholesky factor of a PSD matrix, retrying once with diagonal jitter."""
+def cholesky_psd(q: np.ndarray) -> np.ndarray:
+    """Cholesky factor of a PSD matrix, retrying once with diagonal jitter 1e-12."""
     try:
         return np.linalg.cholesky(q)
     except np.linalg.LinAlgError:
-        return np.linalg.cholesky(q + jitter * np.eye(q.shape[0]))
+        return np.linalg.cholesky(q + 1e-12 * np.eye(q.shape[0]))
 
 
-def solve_discrete_lyapunov(a: np.ndarray, s: np.ndarray,
-                            residual_tol: float = 1e-10) -> np.ndarray:
+def solve_discrete_lyapunov(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Solve ``X = A X A^T + S`` by Bartels--Stewart (O(n^3), through
     ``scipy.linalg.solve_discrete_lyapunov``).
 
     Requires rho(A) < 1 and raises ``LinAlgError`` otherwise: there the
     solver can return a huge "solution" that still meets a relative residual
-    test.  Also raises if the residual exceeds ``residual_tol`` relative to
-    the solution scale.
+    test.  Also raises if the residual exceeds 1e-10 relative to the
+    solution scale.
     """
     a = np.asarray(a, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
@@ -82,7 +81,7 @@ def solve_discrete_lyapunov(a: np.ndarray, s: np.ndarray,
     x = symmetrize(scipy.linalg.solve_discrete_lyapunov(a, s))
     scale = max(1.0, float(np.abs(x).max()))
     residual = np.abs(a @ x @ a.T + s - x).max()
-    if not np.isfinite(residual) or residual > residual_tol * scale:
+    if not np.isfinite(residual) or residual > 1e-10 * scale:
         raise np.linalg.LinAlgError(
             f"discrete Lyapunov residual {residual:.3e} exceeds tolerance")
     return x

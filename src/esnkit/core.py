@@ -301,7 +301,7 @@ def simulate(params: ReservoirParams,
     w_draws = None
     if process_noise is not None:
         q, seed = process_noise
-        q = check_psd(np.asarray(q, dtype=np.float64), "Q")
+        q = check_psd(q, "Q")
         chol = cholesky_psd(q)
         w_draws = rng_from_seed(seed).standard_normal((horizon, params.n)) @ chol.T
 
@@ -310,7 +310,7 @@ def simulate(params: ReservoirParams,
         if readout is None:
             raise ValueError("measurement noise requires a readout")
         r, seed = measurement_noise
-        r = check_psd(np.asarray(r, dtype=np.float64), "R")
+        r = check_psd(r, "R")
         chol = cholesky_psd(r)
         v_draws = rng_from_seed(seed).standard_normal((horizon, readout.p)) @ chol.T
 

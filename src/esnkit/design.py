@@ -19,68 +19,27 @@ each block covers the stability question.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+import scipy.linalg
 
-from ._linalg import as_float_array, check_psd, rng_from_seed, spectral_norm
+from ._linalg import check_psd, rng_from_seed, spectral_norm
 
-__all__ = ["DesignSpec", "target_radius", "gamma_for_radius",
+__all__ = ["target_radius", "gamma_for_radius",
            "make_normal_reservoir", "make_sparse_reservoir", "input_scaling"]
 
 _GAMMA_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class DesignSpec:
-    """Inputs for a full reservoir design.
+def target_radius(horizon: float) -> float:
+    """Pole radius exp(-1/H) whose impulse response decays by e per H steps.
 
-    Exactly one of ``horizon`` / ``half_life`` sets the memory target.
-    ``slope`` is the operating activation slope the caller wants to design
-    for (default 1, the tanh slope at zero preactivation); ``radii_range``
-    optionally tiles the non-dominant pole radii log-uniformly.
+    A half-life h (decay by 2 per h steps) is the horizon H = h / ln 2.
     """
-
-    n: int
-    m: int
-    leak: float
-    horizon: Optional[float] = None
-    half_life: Optional[float] = None
-    slope: float = 1.0
-    pole_angles: Optional[Tuple[float, ...]] = None
-    radii_range: Optional[Tuple[float, float]] = None
-    target_preact_var: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be positive")
-        if not (0.0 < self.leak <= 1.0):
-            raise ValueError("leak must be in (0, 1]")
-        if not self.slope > 0.0:
-            raise ValueError("slope must be positive")
-        if self.radii_range is not None:
-            lo, hi = self.radii_range
-            if not (0.0 < lo <= hi < 1.0):
-                raise ValueError("radii_range must satisfy 0 < lo <= hi < 1")
-
-
-def target_radius(horizon: Optional[float] = None,
-                  half_life: Optional[float] = None) -> float:
-    """Pole radius hitting a memory target: exp(-1/H) or 2^(-1/H_half).
-
-    Exactly one of the two arguments must be given.
-    """
-    if (horizon is None) == (half_life is None):
-        raise ValueError("give exactly one of horizon or half_life")
-    if horizon is not None:
-        if horizon <= 0.0:
-            raise ValueError("horizon must be positive")
-        return math.exp(-1.0 / horizon)
-    if half_life <= 0.0:
-        raise ValueError("half_life must be positive")
-    return 2.0 ** (-1.0 / half_life)
+    if horizon <= 0.0:
+        raise ValueError("horizon must be positive")
+    return math.exp(-1.0 / horizon)
 
 
 def gamma_for_radius(r_star: float, leak: float, slope: float,
@@ -135,28 +94,21 @@ def make_normal_reservoir(n: int, radii: Sequence[float],
     if len(radii) != len(angles):
         raise ValueError("radii and angles must have equal length")
     blocks = []
-    used = 0
     for r, theta in zip(radii, angles):
         if not (0.0 < r < 1.0):
             raise ValueError(f"pole radius must be in (0, 1), got {r}")
         theta = float(theta) % (2.0 * math.pi)
         if theta in (0.0, math.pi):
             blocks.append(np.array([[r if theta == 0.0 else -r]]))
-            used += 1
         else:
             c, s = r * math.cos(theta), r * math.sin(theta)
             blocks.append(np.array([[c, -s], [s, c]]))
-            used += 2
-    if used != n:
+    # the leading (0, 0) block keeps an empty pole list at shape (0, 0)
+    core = scipy.linalg.block_diag(np.zeros((0, 0)), *blocks)
+    if core.shape[0] != n:
         raise ValueError(
-            f"pole list consumes {used} dimensions but n = {n}; real poles "
-            "take one dimension, conjugate pairs two")
-    core = np.zeros((n, n))
-    pos = 0
-    for blk in blocks:
-        k = blk.shape[0]
-        core[pos:pos + k, pos:pos + k] = blk
-        pos += k
+            f"pole list consumes {core.shape[0]} dimensions but n = {n}; real "
+            "poles take one dimension, conjugate pairs two")
     q = _orthogonal(n, rng_from_seed(seed))
     return q.T @ core @ q
 
@@ -197,7 +149,7 @@ def input_scaling(target_preact_var: float, input_cov, n: int,
     """
     if target_preact_var < 0.0:
         raise ValueError("target_preact_var must be >= 0")
-    cov = check_psd(np.asarray(input_cov, dtype=np.float64), "input_cov")
+    cov = check_psd(input_cov, "input_cov")
     m = cov.shape[0]
     if target_preact_var == 0.0:
         return np.zeros((n, m))

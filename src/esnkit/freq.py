@@ -178,15 +178,15 @@ def _transient_growth(a: np.ndarray, rho: float) -> float:
     return float(growth)
 
 
-def modal(lti: LtiModel, cond_limit: float = 1e8) -> ModalDecomposition:
+def modal(lti: LtiModel) -> ModalDecomposition:
     """Eigen-decomposition A = V diag(lambda) V^{-1} with residues (C v_i)(w_i' B).
 
-    Raises for near-defective A (eigenvector condition above ``cond_limit``);
+    Raises for near-defective A (eigenvector condition above 1e8);
     kernel-domain analysis is the robust alternative there.
     """
     eigvals, v = scipy.linalg.eig(lti.A)
     cond_v = float(np.linalg.cond(v))
-    if not np.isfinite(cond_v) or cond_v > cond_limit:
+    if not np.isfinite(cond_v) or cond_v > 1e8:
         raise ValueError(
             f"A is near-defective (eigenvector condition {cond_v:.3e}); "
             "use kernel-domain analysis instead of modal form")
@@ -211,9 +211,10 @@ def gramians(lti: LtiModel) -> GramianPair:
     return GramianPair(W_c=w_c, W_o=w_o, min_eigs=(min_c, min_o))
 
 
-def ctrb_obsv_rank(lti: LtiModel, tol: float = 1e-10) -> RankReport:
-    """Numerical ranks of the controllability/observability matrices plus the
-    Gramian minimum eigenvalues (NaN when rho(A) >= 1)."""
+def ctrb_obsv_rank(lti: LtiModel) -> RankReport:
+    """Numerical ranks of the controllability/observability matrices (singular
+    values at least 1e-10 times the largest) plus the Gramian minimum
+    eigenvalues (NaN when rho(A) >= 1)."""
     n = lti.n
     if n > 512:
         raise ValueError("rank tests are limited to n <= 512")
@@ -229,7 +230,7 @@ def ctrb_obsv_rank(lti: LtiModel, tol: float = 1e-10) -> RankReport:
         s = np.linalg.svd(mat, compute_uv=False)
         if s.size == 0 or s[0] == 0.0:
             return 0
-        return int(np.sum(s >= tol * s[0]))
+        return int(np.sum(s >= 1e-10 * s[0]))
 
     if spectral_radius(lti.A) < 1.0:
         pair = gramians(lti)

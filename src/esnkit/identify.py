@@ -19,10 +19,11 @@ allowed to decrease the likelihood and is flagged instead of failing.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +31,7 @@ import scipy.linalg
 from ._linalg import (as_float_array, check_finite, check_psd, spectral_norm,
                       symmetrize)
 from .core import Readout, ReservoirParams, leaky_jacobians, leaky_map
-from .linearize import LtiModel, jacobians_at
+from .linearize import LtiModel
 from .stability import Certificate, _small_gain
 
 __all__ = [
@@ -63,9 +64,6 @@ class NoiseModel:
         object.__setattr__(self, "Q", check_psd(self.Q, "Q"))
         object.__setattr__(self, "R", check_psd(self.R, "R"))
 
-    def to_dict(self) -> dict:
-        return {"Q": self.Q.tolist(), "R": self.R.tolist()}
-
 
 @dataclass(frozen=True)
 class SmoothedPosterior:
@@ -75,8 +73,9 @@ class SmoothedPosterior:
     t-1 stores the one-step prediction of x_t), smoothed quantities over
     t = 0..T, and ``cross_covs[t]`` is Cov(x_t, x_{t+1} | y_{1:T}) for
     t = 0..T-1.  Smoothed fields are None on a pure filter pass.
-    ``time_varying`` flags that per-step linearizations were used (the
-    smoother then reuses the LTI cross-covariance formula per step).
+    ``transition_seq`` holds the per-step linearized transitions A_t of an
+    EKF pass, (T, n, n), and is None for an LTI pass; the smoother then
+    applies the LTI formulas with A_t at each step.
     ``steady_from`` is the first t from which ``predicted_covs[t:]`` and
     ``filtered_covs[t + 1:]`` each hold one frozen matrix (see
     :func:`kalman_filter`); None for the EKF, for a run that never
@@ -91,7 +90,6 @@ class SmoothedPosterior:
     smoothed_means: Optional[np.ndarray] = None
     smoothed_covs: Optional[np.ndarray] = None
     cross_covs: Optional[np.ndarray] = None
-    time_varying: bool = False
     transition_seq: Optional[np.ndarray] = field(default=None, repr=False)
     steady_from: Optional[int] = None
 
@@ -110,7 +108,7 @@ def _validate_io(n: int, m: int, p: int, inputs, outputs, prior):
     if inputs.shape[0] != outputs.shape[0]:
         raise ValueError("inputs and outputs must have equal length")
     mu0 = as_float_array(prior[0], "mu0")
-    p0 = check_psd(np.asarray(prior[1], dtype=np.float64), "P0")
+    p0 = check_psd(prior[1], "P0")
     if mu0.shape != (n,) or p0.shape != (n, n):
         raise ValueError("prior dimensions do not match the state")
     return inputs, outputs, mu0, p0
@@ -227,9 +225,8 @@ def _filter_loop(a, b, c, noise, inputs, outputs, mu0, p0, nonlinear):
 
     return SmoothedPosterior(filtered_means=f_means, filtered_covs=f_covs,
                              predicted_means=p_means, predicted_covs=p_covs,
-                             loglik=loglik,
-                             time_varying=nonlinear is not None,
-                             transition_seq=a_seq, steady_from=steady_from)
+                             loglik=loglik, transition_seq=a_seq,
+                             steady_from=steady_from)
 
 
 def _settled(new: np.ndarray, old: np.ndarray) -> bool:
@@ -287,18 +284,8 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
         s_covs[t] = symmetrize(p_f + gain @ (s_covs[t + 1] - p_pred) @ gain.T)
         cross[t] = gain @ s_covs[t + 1]
 
-    return SmoothedPosterior(
-        filtered_means=filtered.filtered_means,
-        filtered_covs=filtered.filtered_covs,
-        predicted_means=filtered.predicted_means,
-        predicted_covs=filtered.predicted_covs,
-        loglik=filtered.loglik,
-        smoothed_means=s_means,
-        smoothed_covs=s_covs,
-        cross_covs=cross,
-        time_varying=filtered.time_varying,
-        transition_seq=filtered.transition_seq,
-        steady_from=filtered.steady_from)
+    return dataclasses.replace(filtered, smoothed_means=s_means,
+                               smoothed_covs=s_covs, cross_covs=cross)
 
 
 def _smoother_gain(a_t, p_f, p_pred, t):
@@ -460,8 +447,9 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     covs = post.smoothed_covs
     cross = post.cross_covs
 
+    cov_next = covs[1:].sum(axis=0)
     s_xx = covs[:-1].sum(axis=0) + mu[:-1].T @ mu[:-1]
-    s_11 = covs[1:].sum(axis=0) + mu[1:].T @ mu[1:]
+    s_11 = cov_next + mu[1:].T @ mu[1:]
     s_1x = cross.sum(axis=0).T + mu[1:].T @ mu[:-1]
     s_xu = mu[:-1].T @ inputs
     s_1u = mu[1:].T @ inputs
@@ -496,8 +484,7 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     q_new = _floor_psd(symmetrize(resid / horizon))
 
     y_resid = outputs - mu[1:] @ lti.C.T
-    r_new = (y_resid.T @ y_resid
-             + lti.C @ covs[1:].sum(axis=0) @ lti.C.T) / horizon
+    r_new = (y_resid.T @ y_resid + lti.C @ cov_next @ lti.C.T) / horizon
     r_new = _floor_psd(symmetrize(r_new))
 
     new_lti = LtiModel(A=a_new, B=b_new, C=lti.C, D=lti.D)
@@ -506,10 +493,11 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
                         constrained=constrained)
 
 
-def _floor_psd(mat: np.ndarray, floor: float = _JITTER) -> np.ndarray:
+def _floor_psd(mat: np.ndarray) -> np.ndarray:
+    """Shift ``mat`` up so its smallest eigenvalue is at least ``_JITTER``."""
     min_eig = float(np.linalg.eigvalsh(mat).min())
-    if min_eig < floor:
-        mat = mat + (floor - min_eig) * np.eye(mat.shape[0])
+    if min_eig < _JITTER:
+        mat = mat + (_JITTER - min_eig) * np.eye(mat.shape[0])
     return mat
 
 
@@ -568,15 +556,29 @@ def em_run(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
 # Readout learning
 
 
-def _states_and_covs(states) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+def _readout_moments(states, outputs):
+    """Means ``x_mean``, ``y_mean``, the centered state second moment
+    ``sum_t (P_t + xc_t xc_t')`` (P_t = 0 for a raw state array) and the
+    centered cross moment ``sum_t yc_t xc_t'`` of a readout regression."""
     if isinstance(states, SmoothedPosterior):
         if states.smoothed_means is None:
             raise ValueError("posterior has no smoothed estimates; run the smoother")
-        return states.smoothed_means[1:], states.smoothed_covs[1:]
-    arr = as_float_array(states, "states")
-    if arr.ndim != 2:
-        raise ValueError("states must be a (T, n) array or a SmoothedPosterior")
-    return arr, None
+        x_hat, covs = states.smoothed_means[1:], states.smoothed_covs[1:]
+    else:
+        x_hat, covs = as_float_array(states, "states"), None
+        if x_hat.ndim != 2:
+            raise ValueError("states must be a (T, n) array or a SmoothedPosterior")
+    y = as_float_array(outputs, "outputs")
+    if y.ndim != 2 or y.shape[0] != x_hat.shape[0]:
+        raise ValueError("outputs must be (T, p) aligned with the states")
+    x_mean = x_hat.mean(axis=0)
+    y_mean = y.mean(axis=0)
+    xc = x_hat - x_mean
+    yc = y - y_mean
+    moment = xc.T @ xc
+    if covs is not None:
+        moment = moment + covs.sum(axis=0)
+    return x_mean, y_mean, moment, yc.T @ xc
 
 
 def readout_ml(states, outputs, ridge: float = 0.0) -> Readout:
@@ -587,22 +589,12 @@ def readout_ml(states, outputs, ridge: float = 0.0) -> Readout:
     The offset d is fit by centering: means of x and y are removed before the
     solve and d recovered afterwards.
     """
-    x_hat, covs = _states_and_covs(states)
-    y = as_float_array(outputs, "outputs")
-    if y.ndim != 2 or y.shape[0] != x_hat.shape[0]:
-        raise ValueError("outputs must be (T, p) aligned with the states")
     if ridge < 0.0:
         raise ValueError("ridge must be >= 0")
-    x_mean = x_hat.mean(axis=0)
-    y_mean = y.mean(axis=0)
-    xc = x_hat - x_mean
-    yc = y - y_mean
-    gram = xc.T @ xc
-    if covs is not None:
-        gram = gram + covs.sum(axis=0)
+    x_mean, y_mean, gram, g = _readout_moments(states, outputs)
     gram = gram + ridge * np.eye(gram.shape[0])
     try:
-        c = np.linalg.solve(gram, (yc.T @ xc).T).T
+        c = np.linalg.solve(gram, g.T).T
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular readout Gram; set ridge > 0") from exc
     d = y_mean - c @ x_mean
@@ -638,22 +630,11 @@ def readout_bayes(states, outputs, tau_p: float,
     """
     if not tau_p > 0.0:
         raise ValueError("prior precision tau_p must be positive")
-    r = check_psd(np.asarray(R, dtype=np.float64), "R")
+    r = check_psd(R, "R")
     if float(np.linalg.eigvalsh(r).min()) <= 0.0:
         raise ValueError("R must be positive definite")
-    x_hat, covs = _states_and_covs(states)
-    y = as_float_array(outputs, "outputs")
-    if y.ndim != 2 or y.shape[0] != x_hat.shape[0]:
-        raise ValueError("outputs must be (T, p) aligned with the states")
-    x_mean = x_hat.mean(axis=0)
-    y_mean = y.mean(axis=0)
-    xc = x_hat - x_mean
-    yc = y - y_mean
-    s_moment = xc.T @ xc
-    if covs is not None:
-        s_moment = s_moment + covs.sum(axis=0)
+    x_mean, y_mean, s_moment, g = _readout_moments(states, outputs)
     s_moment = symmetrize(s_moment)
-    g = yc.T @ xc
     c = scipy.linalg.solve_sylvester(tau_p * r, s_moment, g)
     d = y_mean - c @ x_mean
     posterior = BayesReadoutPosterior(tau=float(tau_p), state_moment=s_moment,
@@ -695,12 +676,9 @@ def _markov_from_io(inputs: np.ndarray, outputs: np.ndarray,
     p = outputs.shape[1]
     if horizon <= n_markov + m * n_markov:
         raise ValueError("not enough data for the requested Markov horizon")
-    rows = horizon - n_markov
-    regress = np.empty((rows, n_markov * m))
-    for i, t in enumerate(range(n_markov, horizon)):
-        # regressor [u_{t}, u_{t-1}, ..., u_{t-L+1}] paired with outputs[t]
-        window = inputs[t - n_markov + 1:t + 1][::-1]
-        regress[i] = window.ravel()
+    # row t - L: regressor [u_t, u_{t-1}, ..., u_{t-L+1}] paired with outputs[t]
+    windows = np.lib.stride_tricks.sliding_window_view(inputs, (n_markov, m))
+    regress = windows[1:, 0, ::-1].reshape(horizon - n_markov, n_markov * m)
     target = outputs[n_markov:]
     coeffs, *_ = np.linalg.lstsq(regress, target, rcond=None)
     return coeffs.T.reshape(p, n_markov, m).transpose(1, 0, 2)
@@ -709,8 +687,7 @@ def _markov_from_io(inputs: np.ndarray, outputs: np.ndarray,
 def subspace_shape(order: int, basis: StructuredBasis, *,
                    impulse: Optional[np.ndarray] = None,
                    inputs=None, outputs=None,
-                   n_markov: Optional[int] = None,
-                   sv_floor: float = 0.0) -> SubspaceResult:
+                   n_markov: Optional[int] = None) -> SubspaceResult:
     """Ho-Kalman realization followed by the structured contraction projection.
 
     Either pass ``impulse`` (the kernel blocks h_k = C A^k B, shape
@@ -720,8 +697,8 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     exceed 1e-8).
 
     The balanced realization of order ``order`` comes from the truncated SVD
-    of the block Hankel matrix (singular values below ``1e-8 * s_1`` or
-    ``sv_floor`` are treated as rank); its transition matrix is then projected
+    of the block Hankel matrix (singular values below ``1e-8 * s_1`` do not
+    count toward its rank); its transition matrix is then projected
     onto span{I, W_bar} and rescaled to the contraction margin, and the
     resulting small-gain certificate is attached.
     """
@@ -758,7 +735,7 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     hankel1 = np.block([[markov[i + j + 1] for j in range(s_blocks)]
                         for i in range(q_blocks)])
     u_svd, svals, vt = np.linalg.svd(hankel0, full_matrices=False)
-    effective = int(np.sum((svals >= 1e-8 * svals[0]) & (svals >= sv_floor)))
+    effective = int(np.sum(svals >= 1e-8 * svals[0]))
     if effective < order:
         raise ValueError(
             f"Hankel numerical rank {effective} is below the requested "

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import as_float_array, rng_from_seed
+from ._linalg import rng_from_seed
 from .core import Readout, ReservoirParams, Trajectory, leaky_map
 from .stability import Certificate, CertificateMethod, Verdict, spectral_radius
 
@@ -105,14 +105,6 @@ class Dictionary:
             cols.append(feats)
         return np.hstack(cols)
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "monomials":
-            out["max_degree"] = self.max_degree
-        elif self.kind == "random_fourier":
-            out.update(count=self.count, bandwidth=self.bandwidth, seed=self.seed)
-        return out
-
 
 @dataclass(frozen=True)
 class LiftedModel:
@@ -134,17 +126,6 @@ class LiftedModel:
     @property
     def dim(self) -> int:
         return self.A_phi.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "dictionary": self.dictionary.to_dict(),
-            "A_phi": self.A_phi.tolist(),
-            "B_phi": self.B_phi.tolist(),
-            "C_phi": self.C_phi.tolist(),
-            "epsilon": self.epsilon,
-            "ridge": self.ridge,
-            "residual_rms": self.residual_rms,
-        }
 
 
 def _stack_snapshots(params: ReservoirParams,

@@ -75,15 +75,6 @@ class LtiModel:
     def p(self) -> int:
         return self.C.shape[0]
 
-    def to_dict(self) -> dict:
-        out = {"A": self.A.tolist(), "B": self.B.tolist(),
-               "C": self.C.tolist(), "D": self.D.tolist()}
-        if self.x_bar is not None:
-            out["x_bar"] = self.x_bar.tolist()
-        if self.u_bar is not None:
-            out["u_bar"] = self.u_bar.tolist()
-        return out
-
 
 @dataclass(frozen=True)
 class LtvModel:

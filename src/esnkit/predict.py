@@ -46,7 +46,7 @@ def predictive(lti: LtiModel, noise: NoiseModel,
     """Distribution of y_{t+h} given the filtered belief (mu, P) at time t
     and the h future inputs u_t .. u_{t+h-1}."""
     mu = as_float_array(belief[0], "belief mean")
-    cov = check_psd(np.asarray(belief[1], dtype=np.float64), "belief covariance")
+    cov = check_psd(belief[1], "belief covariance")
     inputs = np.atleast_2d(as_float_array(future_inputs, "future_inputs"))
     if mu.shape != (lti.n,) or cov.shape != (lti.n, lti.n):
         raise ValueError("belief dimensions do not match the model")

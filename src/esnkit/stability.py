@@ -67,7 +67,6 @@ _SVD_ERROR = 4.0
 
 class CertificateMethod(str, Enum):
     LIPSCHITZ_C1 = "LipschitzC1"
-    SPECTRAL_C3 = "SpectralC3"
     WEIGHTED_C2 = "WeightedC2"
     RF_SMALL_GAIN = "RfSmallGain"
 
@@ -100,17 +99,6 @@ class Certificate:
     @property
     def passed(self) -> bool:
         return self.verdict is Verdict.PASS
-
-    def to_dict(self) -> dict:
-        out = {
-            "method": self.method.value,
-            "kappa": self.kappa,
-            "margin": self.margin,
-            "verdict": self.verdict.value,
-        }
-        if self.weight_P is not None:
-            out["P"] = self.weight_P.tolist()
-        return out
 
 
 @dataclass(frozen=True)

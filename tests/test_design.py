@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
-from esnkit import (Activation, ReservoirParams, gamma_for_radius,
-                    jacobians_at, make_normal_reservoir, spectral_radius,
-                    target_radius)
+from esnkit import (Activation, ReservoirParams, Verdict, certify_lipschitz,
+                    gamma_for_radius, input_scaling, jacobians_at,
+                    make_normal_reservoir, make_sparse_reservoir,
+                    spectral_radius, target_radius)
 
 
 def test_design_chain_hits_target_radius_at_origin():
@@ -29,3 +31,37 @@ def test_design_chain_hits_target_radius_at_origin():
                                  activation=Activation.tanh())
         lti = jacobians_at(params, np.zeros(n), np.zeros(1))
         assert abs(spectral_radius(lti.A) - r_star) <= 1e-12
+
+
+@pytest.mark.parametrize("l_sigma", [1.0, 2.5])
+def test_sparse_reservoir_pattern_norm_and_seed(l_sigma):
+    w = make_sparse_reservoir(40, 3, 0.9, l_sigma=l_sigma, seed=4)
+    assert np.all(np.count_nonzero(w, axis=1) == 3)
+    assert abs(np.linalg.norm(w, 2) - 0.9 / l_sigma) <= 1e-12
+    assert np.array_equal(w, make_sparse_reservoir(40, 3, 0.9,
+                                                   l_sigma=l_sigma, seed=4))
+    assert not np.array_equal(w, make_sparse_reservoir(40, 3, 0.9,
+                                                       l_sigma=l_sigma, seed=5))
+
+
+@pytest.mark.parametrize("leak", [0.1, 0.5, 1.0])
+def test_sparse_reservoir_passes_lipschitz_certificate(leak):
+    # the docstring's claim: target_norm < 1 certifies for any leak
+    n = 30
+    w = make_sparse_reservoir(n, 5, 0.999, seed=8)
+    params = ReservoirParams(W=w, U=np.ones((n, 1)), b=np.zeros(n), leak=leak,
+                             activation=Activation.tanh())
+    assert certify_lipschitz(params).verdict is Verdict.PASS
+
+
+def test_input_scaling_hits_target_preactivation_variance():
+    # a singular input covariance is allowed
+    cov = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    u = input_scaling(2.5, cov, 20, seed=3)
+    assert u.shape == (20, 3)
+    variances = np.einsum("im,mk,ik->i", u, cov, u)
+    assert np.abs(variances - 2.5).max() <= 1e-12
+    assert np.array_equal(input_scaling(0.0, cov, 20, seed=3),
+                          np.zeros((20, 3)))
+    with pytest.raises(ValueError, match="zero along a sampled row"):
+        input_scaling(1.0, np.zeros((2, 2)), 5)

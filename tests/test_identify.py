@@ -262,7 +262,7 @@ class TestEkf:
         kf = kalman_filter(lti, noise, inputs, outputs, prior)
         assert np.abs(ekf.filtered_means - kf.filtered_means).max() <= 1e-10
         assert np.abs(ekf.filtered_covs - kf.filtered_covs).max() <= 1e-10
-        assert ekf.time_varying
+        assert ekf.transition_seq is not None
 
     def test_zero_noise_exact_init_tracks_truth(self):
         p = make_reservoir(n=4, m=2, seed=12, w_scale=0.8)
