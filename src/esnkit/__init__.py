@@ -17,11 +17,11 @@ from .freq import (GramianPair, HinfEstimate, ImpulseKernel,
                    h2_norm, hinf_norm_grid, impulse_kernel, modal, output_psd,
                    transfer_eval)
 from .identify import (BayesReadoutPosterior, EmResult, EmStepResult,
-                       NoiseModel, SmoothedPosterior, StructuredBasis,
-                       StructuredTheta, SubspaceResult, ekf_filter, em_run,
-                       em_step, excitation_sigma_min, kalman_filter,
-                       project_structured, readout_bayes, readout_ml,
-                       rts_smoother, subspace_shape)
+                       FrozenCovs, NoiseModel, SmoothedPosterior,
+                       StructuredBasis, StructuredTheta, SubspaceResult,
+                       ekf_filter, em_run, em_step, excitation_sigma_min,
+                       kalman_filter, project_structured, readout_bayes,
+                       readout_ml, rts_smoother, subspace_shape)
 from .lift import (Dictionary, LiftedModel, edmd_fit, lifted_rollout_error,
                    rf_smallgain)
 from .linearize import (LtiModel, LtvModel, jacobians_at,
@@ -56,8 +56,9 @@ __all__ = [
     "HinfEstimate", "transfer_eval", "impulse_kernel", "modal", "gramians",
     "ctrb_obsv_rank", "h2_norm", "hinf_norm_grid", "output_psd",
     # identify
-    "NoiseModel", "SmoothedPosterior", "StructuredBasis", "StructuredTheta",
-    "EmStepResult", "EmResult", "SubspaceResult", "BayesReadoutPosterior",
+    "NoiseModel", "FrozenCovs", "SmoothedPosterior", "StructuredBasis",
+    "StructuredTheta", "EmStepResult", "EmResult", "SubspaceResult",
+    "BayesReadoutPosterior",
     "kalman_filter", "rts_smoother", "ekf_filter", "em_step", "em_run",
     "readout_ml", "readout_bayes", "project_structured",
     "excitation_sigma_min", "subspace_shape",

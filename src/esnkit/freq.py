@@ -115,17 +115,27 @@ def transfer_eval(lti: LtiModel, z: complex) -> np.ndarray:
     z = complex(z)
     if z == 0:
         raise ValueError("transfer function is undefined at z = 0")
+    return _transfer_checked(lti, np.array([z]))[0]
+
+
+def _transfer_checked(lti: LtiModel, zs: np.ndarray) -> np.ndarray:
+    """:func:`_transfer_batch` behind one rho(A) check: warns once when some
+    |z| <= rho(A), and turns a pole hit into a ValueError that names the
+    offending z and the eigenvalue nearest to it."""
     rho = spectral_radius(lti.A)
-    if abs(z) <= rho:
+    radius = float(np.abs(zs).min()) if zs.size else math.inf
+    if radius <= rho:
         warnings.warn(
-            f"|z| = {abs(z):.6g} is outside the region of convergence "
-            f"|z| > rho(A) = {rho:.6g}", stacklevel=2)
+            f"|z| = {radius:.6g} is outside the region of convergence "
+            f"|z| > rho(A) = {rho:.6g}", stacklevel=3)
     try:
-        return _transfer_batch(lti, np.array([z]))[0]
+        return _transfer_batch(lti, zs)
     except np.linalg.LinAlgError:
         eigs = np.linalg.eigvals(lti.A)
-        nearest = eigs[np.argmin(np.abs(eigs - z))]
-        raise ValueError(f"z = {z} hits a pole; nearest eigenvalue {nearest}")
+        gaps = np.abs(zs[:, None] - eigs[None, :])
+        i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+        raise ValueError(
+            f"z = {complex(zs[i])} hits a pole; nearest eigenvalue {eigs[j]}")
 
 
 def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
@@ -293,9 +303,15 @@ def hinf_norm_grid(lti: LtiModel, grid_points: int = 512) -> HinfEstimate:
                         interval_width=float(b - a))
 
 
-def output_psd(lti: LtiModel, input_psd: np.ndarray, omega: float) -> np.ndarray:
+def output_psd(lti: LtiModel, input_psd: np.ndarray, omega) -> np.ndarray:
     """Output spectral density H(e^{j omega}) S_u H(e^{j omega})^* for a
-    constant Hermitian PSD input density S_u."""
+    constant Hermitian PSD input density S_u.
+
+    ``omega`` is a scalar, giving a (p, p) result, or an array of
+    frequencies, giving ``omega.shape + (p, p)``; every frequency is
+    evaluated by one batched solve behind one rho(A) check, and the
+    region-of-convergence warning (rho(A) >= 1) fires once per call.
+    """
     s_u = np.asarray(input_psd, dtype=complex)
     if s_u.shape != (lti.m, lti.m):
         raise ValueError(f"input PSD must be {lti.m} x {lti.m}")
@@ -303,5 +319,7 @@ def output_psd(lti: LtiModel, input_psd: np.ndarray, omega: float) -> np.ndarray
         raise ValueError("input PSD must be Hermitian")
     if s_u.size and float(np.linalg.eigvalsh(s_u).min()) < -1e-12:
         raise ValueError("input PSD must be positive semidefinite")
-    h = transfer_eval(lti, np.exp(1j * omega))
-    return h @ s_u @ h.conj().T
+    omega = np.asarray(omega, dtype=np.float64)
+    h = _transfer_checked(lti, np.exp(1j * omega.ravel()))
+    psd = h @ s_u @ h.conj().transpose(0, 2, 1)
+    return psd.reshape(omega.shape + psd.shape[1:])

@@ -22,8 +22,9 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -35,11 +36,11 @@ from .linearize import LtiModel
 from .stability import Certificate, _small_gain
 
 __all__ = [
-    "NoiseModel", "SmoothedPosterior", "StructuredBasis", "StructuredTheta",
-    "EmStepResult", "EmResult", "SubspaceResult", "kalman_filter",
-    "rts_smoother", "ekf_filter", "em_step", "em_run", "readout_ml",
-    "readout_bayes", "BayesReadoutPosterior", "project_structured",
-    "excitation_sigma_min", "subspace_shape",
+    "NoiseModel", "FrozenCovs", "SmoothedPosterior", "StructuredBasis",
+    "StructuredTheta", "EmStepResult", "EmResult", "SubspaceResult",
+    "kalman_filter", "rts_smoother", "ekf_filter", "em_step", "em_run",
+    "readout_ml", "readout_bayes", "BayesReadoutPosterior",
+    "project_structured", "excitation_sigma_min", "subspace_shape",
 ]
 
 logger = logging.getLogger(__name__)
@@ -65,6 +66,83 @@ class NoiseModel:
         object.__setattr__(self, "R", check_psd(self.R, "R"))
 
 
+@dataclass(frozen=True, eq=False)
+class FrozenCovs:
+    """Read-only covariance sequence ``[*head, *[frozen] * count, *tail]``.
+
+    An LTI covariance recursion converges, so past a short transient every
+    step repeats one matrix; this stores that matrix once.  ``head`` (h, n, n)
+    and ``tail`` (k, n, n) hold the steps before and after the run of
+    ``count`` copies of ``frozen`` (n, n).  ``len``, integer and tuple
+    indexing (negative too), step-1 slices (which return a FrozenCovs) and
+    ``sum(axis=0)`` (in closed form) work without building the full
+    (h + count + k, n, n) array; ``np.asarray`` builds it.
+    """
+
+    head: np.ndarray
+    frozen: np.ndarray
+    count: int
+    tail: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        frozen = np.asarray(self.frozen, dtype=np.float64)
+        tail = np.empty((0,) + frozen.shape) if self.tail is None else self.tail
+        for name, arr in ("head", self.head), ("frozen", frozen), ("tail", tail):
+            view = np.asarray(arr, dtype=np.float64).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        if (frozen.ndim != 2 or self.count < 0
+                or self.head.shape[1:] != frozen.shape
+                or self.tail.shape[1:] != frozen.shape):
+            raise ValueError("FrozenCovs needs (h, n, n) head and tail "
+                             "arrays, an (n, n) frozen matrix and count >= 0")
+
+    def __len__(self) -> int:
+        return len(self.head) + self.count + len(self.tail)
+
+    def __getitem__(self, key):
+        if isinstance(key, numbers.Integral):
+            index = int(key) + (len(self) if key < 0 else 0)
+            if not 0 <= index < len(self):
+                raise IndexError(f"index {key} out of range for {len(self)}")
+            run = index - len(self.head)
+            if run < 0:
+                return self.head[index]
+            if run < self.count:
+                return self.frozen
+            return self.tail[run - self.count]
+        if (isinstance(key, tuple) and key
+                and isinstance(key[0], numbers.Integral)):
+            return self[key[0]][key[1:]]
+        if isinstance(key, slice) and key.step in (None, 1):
+            start, stop, _ = key.indices(len(self))
+            stop = max(start, stop)
+            h, tail_from = len(self.head), len(self.head) + self.count
+            return FrozenCovs(
+                self.head[start:stop], self.frozen,
+                max(0, min(stop, tail_from) - max(start, h)),
+                self.tail[max(start - tail_from, 0):max(stop - tail_from, 0)])
+        raise TypeError("FrozenCovs takes an integer, a tuple led by an "
+                        "integer or a step-1 slice; use np.asarray for other "
+                        "indexing")
+
+    def sum(self, axis: int = 0) -> np.ndarray:
+        if axis != 0:
+            raise ValueError("FrozenCovs sums over axis 0 only")
+        return (self.head.sum(axis=0) + self.count * self.frozen
+                + self.tail.sum(axis=0))
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a FrozenCovs is not an array; it must be copied")
+        run = np.broadcast_to(self.frozen, (self.count,) + self.frozen.shape)
+        full = np.concatenate([self.head, run, self.tail])
+        return full if dtype is None else full.astype(dtype, copy=False)
+
+
+Covs = Union[np.ndarray, FrozenCovs]
+
+
 @dataclass(frozen=True)
 class SmoothedPosterior:
     """Filter / smoother outputs.
@@ -76,20 +154,28 @@ class SmoothedPosterior:
     ``transition_seq`` holds the per-step linearized transitions A_t of an
     EKF pass, (T, n, n), and is None for an LTI pass; the smoother then
     applies the LTI formulas with A_t at each step.
+
     ``steady_from`` is the first t from which ``predicted_covs[t:]`` and
     ``filtered_covs[t + 1:]`` each hold one frozen matrix (see
-    :func:`kalman_filter`); None for the EKF, for a run that never
-    converged, and for a hand-built posterior.
+    :func:`kalman_filter`).  When it is set, the four covariance fields are
+    :class:`FrozenCovs`: the filtered and predicted ones store their steps
+    before that point and then the frozen matrix; the smoothed and cross
+    ones store their steps before t = ``steady_from + 1``, then the matrix
+    the backward recursion settles on, then the short run it took to settle
+    after starting at t = T (see :func:`rts_smoother`).  ``steady_from`` is
+    None for the EKF and for a run that never converged; the covariances
+    are then (T+1, n, n) / (T, n, n) arrays.  A hand-built posterior may
+    hold either kind, and every consumer accepts both.
     """
 
     filtered_means: np.ndarray
-    filtered_covs: np.ndarray
+    filtered_covs: Covs
     predicted_means: np.ndarray
-    predicted_covs: np.ndarray
+    predicted_covs: Covs
     loglik: float
     smoothed_means: Optional[np.ndarray] = None
-    smoothed_covs: Optional[np.ndarray] = None
-    cross_covs: Optional[np.ndarray] = None
+    smoothed_covs: Optional[Covs] = None
+    cross_covs: Optional[Covs] = None
     transition_seq: Optional[np.ndarray] = field(default=None, repr=False)
     steady_from: Optional[int] = None
 
@@ -142,7 +228,11 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     the filtered covariance each moved by at most ``_STEADY_TOL`` (4 eps)
     times their largest entry since step t-1, the gain, the covariances and
     the innovation Cholesky factor are frozen and ``steady_from`` is set to
-    t; later steps update only the means.  :func:`ekf_filter` never freezes.
+    t; later steps update only the means.  The covariances are then returned
+    as :class:`FrozenCovs` that store the t per-step predicted and t + 1
+    filtered matrices and the frozen pair once, so they take O(t n^2) memory
+    rather than O(T n^2).  A run that never freezes returns full arrays, as
+    does :func:`ekf_filter`, which never freezes.
     """
     if np.any(lti.D != 0.0):
         raise ValueError("kalman_filter requires D = 0")
@@ -162,10 +252,14 @@ def _filter_loop(a, b, c, noise, inputs, outputs, mu0, p0, nonlinear):
     eye = np.eye(n)
 
     f_means = np.empty((horizon + 1, n))
-    f_covs = np.empty((horizon + 1, n, n))
     p_means = np.empty((horizon, n))
-    p_covs = np.empty((horizon, n, n))
-    a_seq = np.empty((horizon, n, n)) if nonlinear is not None else None
+    if nonlinear is None:
+        # LTI covariances are kept step by step only until they freeze
+        f_covs, p_covs, a_seq = [None] * (horizon + 1), [None] * horizon, None
+    else:
+        f_covs = np.empty((horizon + 1, n, n))
+        p_covs = np.empty((horizon, n, n))
+        a_seq = np.empty((horizon, n, n))
 
     f_means[0] = mu0
     f_covs[0] = p0
@@ -208,8 +302,6 @@ def _filter_loop(a, b, c, noise, inputs, outputs, mu0, p0, nonlinear):
         # frozen gain K: mu+ = (I - KC)(A mu + B u) + K y; B u and the affine
         # terms are accumulated in place in p_means and f_means
         start = steady_from + 1
-        p_covs[start:] = cov_pred
-        f_covs[start + 1:] = cov
         ikc = eye - gain @ c
         a_closed = ikc @ a
         drive = np.matmul(inputs[start:], b.T, out=p_means[start:])
@@ -222,6 +314,12 @@ def _filter_loop(a, b, c, noise, inputs, outputs, mu0, p0, nonlinear):
         white = scipy.linalg.solve_triangular(chol[0], innov.T, lower=True)
         loglik -= 0.5 * ((horizon - start) * (p_dim * _LOG_2PI + logdet)
                          + float(np.square(white).sum()))
+        repeat = horizon - steady_from
+        f_covs = FrozenCovs(f_covs[:start], cov, repeat)
+        p_covs = FrozenCovs(p_covs[:steady_from], cov_pred, repeat)
+    elif nonlinear is None:
+        f_covs = np.reshape(f_covs, (horizon + 1, n, n))
+        p_covs = np.reshape(p_covs, (horizon, n, n))
 
     return SmoothedPosterior(filtered_means=f_means, filtered_covs=f_covs,
                              predicted_means=p_means, predicted_covs=p_covs,
@@ -243,18 +341,22 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     with the same (LTI) cross-covariance formula.
 
     Past ``filtered.steady_from`` the gain J is computed once, and the
-    covariances are iterated only until a step moves them by at most
-    ``_STEADY_TOL`` times their largest entry; then only the means are
-    updated.  Earlier steps, and every EKF step, are computed one by one.
+    covariances are iterated back from t = T only until a step moves them by
+    at most ``_STEADY_TOL`` times their largest entry; then only the means
+    are updated.  Earlier steps, and every EKF step, are computed one by one.
+    The smoothed and cross covariances of such a run are :class:`FrozenCovs`:
+    the per-step head before t = ``steady_from + 1``, the settled matrix once
+    with its repeat count, and the per-step tail from where the backward
+    iteration settled to t = T.  Without ``steady_from`` they are full
+    arrays.
     """
     horizon = filtered.horizon
     n = filtered.filtered_means.shape[1]
     f_means, p_means = filtered.filtered_means, filtered.predicted_means
     s_means = np.empty((horizon + 1, n))
-    s_covs = np.empty((horizon + 1, n, n))
-    cross = np.empty((horizon, n, n))
     s_means[horizon] = f_means[horizon]
-    s_covs[horizon] = filtered.filtered_covs[horizon]
+    # covariances from t = T backward, computed before the per-step pass
+    s_tail, cross_tail = [filtered.filtered_covs[horizon]], []
 
     start = horizon
     if filtered.steady_from is not None and filtered.steady_from + 1 < horizon:
@@ -262,19 +364,24 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
         p_f = filtered.filtered_covs[horizon]
         gain, p_pred = _smoother_gain(lti.A, p_f, filtered.predicted_covs[-1],
                                       horizon - 1)
+        repeat = 0
         for t in range(horizon - 1, start - 1, -1):
-            s_covs[t] = symmetrize(p_f + gain @ (s_covs[t + 1] - p_pred) @ gain.T)
-            cross[t] = gain @ s_covs[t + 1]
-            if _settled(s_covs[t], s_covs[t + 1]):
-                s_covs[start:t] = s_covs[t]
-                cross[start:t] = gain @ s_covs[t]
+            cross_tail.append(gain @ s_tail[-1])
+            s_tail.append(
+                symmetrize(p_f + gain @ (s_tail[-1] - p_pred) @ gain.T))
+            if _settled(s_tail[-1], s_tail[-2]):
+                repeat = t - start
                 break
+        cross_frozen = gain @ s_tail[-1]
         offsets = np.matmul(p_means[start:horizon], -gain.T,
                             out=s_means[start:horizon])
         offsets += f_means[start:horizon]
         for t in range(horizon - 1, start - 1, -1):
             s_means[t] += gain @ s_means[t + 1]
 
+    s_covs = np.empty((start + 1, n, n))
+    cross = np.empty((start, n, n))
+    s_covs[start] = s_tail[-1]
     for t in range(start - 1, -1, -1):
         a_t = (filtered.transition_seq[t]
                if filtered.transition_seq is not None else lti.A)
@@ -284,6 +391,9 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
         s_covs[t] = symmetrize(p_f + gain @ (s_covs[t + 1] - p_pred) @ gain.T)
         cross[t] = gain @ s_covs[t + 1]
 
+    if start < horizon:
+        s_covs = FrozenCovs(s_covs[:start], s_tail[-1], repeat, s_tail[::-1])
+        cross = FrozenCovs(cross, cross_frozen, repeat, cross_tail[::-1])
     return dataclasses.replace(filtered, smoothed_means=s_means,
                                smoothed_covs=s_covs, cross_covs=cross)
 
@@ -434,8 +544,9 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     parameters (the quantity EM drives upward).  The transition update solves
     the stacked normal equations for [A B] jointly; with a structured basis
     the A part is projected afterwards (see :func:`project_structured`).
-    A singular regression Gram is repaired with a logged ridge of
-    ``1e-10 * trace / dim``.
+    A singular regression Gram is repaired with a ridge of
+    ``1e-10 * trace / dim``, reported as the WARNING event ``em.ridge``; the
+    Q and R updates are floored as in :func:`_floor_psd`.
     """
     post = rts_smoother(kalman_filter(lti, noise, inputs, outputs, prior),
                         lti, noise)
@@ -460,7 +571,7 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     svals = np.linalg.svd(gram, compute_uv=False)
     if svals[-1] <= 1e-13 * max(svals[0], 1.0):
         ridge = 1e-10 * float(np.trace(gram)) / gram.shape[0]
-        logger.warning("singular EM regression Gram; adding ridge %.3e", ridge)
+        logger.warning("em.ridge ridge=%.3e", ridge)
         gram = gram + ridge * np.eye(gram.shape[0])
     coeffs = np.linalg.solve(gram, rhs.T).T
     a_ls = coeffs[:, :n]
@@ -494,10 +605,13 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
 
 
 def _floor_psd(mat: np.ndarray) -> np.ndarray:
-    """Shift ``mat`` up so its smallest eigenvalue is at least ``_JITTER``."""
+    """Shift ``mat`` up so its smallest eigenvalue is at least ``_JITTER``;
+    a shift is reported as the DEBUG event ``em.psd_floor``."""
     min_eig = float(np.linalg.eigvalsh(mat).min())
     if min_eig < _JITTER:
-        mat = mat + (_JITTER - min_eig) * np.eye(mat.shape[0])
+        shift = _JITTER - min_eig
+        logger.debug("em.psd_floor shift=%.3e", shift)
+        mat = mat + shift * np.eye(mat.shape[0])
     return mat
 
 

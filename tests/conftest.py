@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,16 @@ def make_reservoir(n=4, m=2, seed=0, leak=0.7, w_scale=0.8,
 def make_readout(n=4, p=2, seed=1):
     rng = np.random.default_rng(seed)
     return Readout(C=rng.standard_normal((p, n)), d=rng.standard_normal(p))
+
+
+def traced_peak_mib(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the tracemalloc peak of the call in MiB."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

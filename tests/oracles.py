@@ -76,6 +76,32 @@ def random_stable_system(n, m, p, seed, rho=0.8):
     return a, b, c
 
 
+def m_step_reference(post, inputs, outputs, c):
+    """Unstructured EM M-step (Shumway & Stoffer 1982) from the full arrays
+    of a :func:`kalman_rts_reference` posterior, accumulated step by step.
+
+    Returns (A, B, Q, R).  [A B] solves the expected normal equations in
+    z_t = [x_t; u_t], so at that optimum Q is ``(S_11 - [A B] S_z1) / T``.
+    """
+    mu, covs, cross = post["smoothed_means"], post["smoothed_covs"], post["cross_covs"]
+    horizon, n = len(inputs), mu.shape[1]
+    dim, p = n + inputs.shape[1], c.shape[0]
+    gram, rhs = np.zeros((dim, dim)), np.zeros((n, dim))
+    s_11, r_sum = np.zeros((n, n)), np.zeros((p, p))
+    for t in range(horizon):
+        z = np.concatenate([mu[t], inputs[t]])
+        gram += np.outer(z, z)
+        gram[:n, :n] += covs[t]
+        rhs += np.outer(mu[t + 1], z)
+        rhs[:, :n] += cross[t].T
+        s_11 += covs[t + 1] + np.outer(mu[t + 1], mu[t + 1])
+        err = outputs[t] - c @ mu[t + 1]
+        r_sum += np.outer(err, err) + c @ covs[t + 1] @ c.T
+    coeffs = np.linalg.solve(gram, rhs.T).T
+    q = (s_11 - coeffs @ rhs.T) / horizon
+    return coeffs[:, :n], coeffs[:, n:], 0.5 * (q + q.T), r_sum / horizon
+
+
 def kronecker_lyapunov(a, s):
     """Solution of ``X = A X A' + S`` from the vectorized form
     ``(I - A kron A) vec(X) = vec(S)``; O(n^6), so keep n small."""

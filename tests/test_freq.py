@@ -329,12 +329,30 @@ class TestOutputPsd:
     def test_integrated_psd_matches_gramian_energy(self):
         lti = stable_random_lti(n=3, m=2, p=2, seed=13, rho=0.7)
         omegas = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
-        acc = 0.0
-        for w in omegas:
-            acc += float(np.real(np.trace(output_psd(lti, np.eye(lti.m), w))))
-        integral = acc / len(omegas)
+        psd = output_psd(lti, np.eye(lti.m), omegas)
+        integral = float(np.real(np.trace(psd, axis1=1, axis2=2)).mean())
         expect = float(np.trace(lti.C @ gramians(lti).W_c @ lti.C.T))
         assert integral == pytest.approx(expect, rel=1e-4)
+
+    def test_frequency_array_matches_scalar_calls(self):
+        lti = stable_random_lti(n=4, m=2, p=3, seed=15, rho=0.9)
+        rng = np.random.default_rng(16)
+        root = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        s_u = root @ root.conj().T
+        omegas = rng.uniform(-np.pi, np.pi, (3, 5))
+        got = output_psd(lti, s_u, omegas)
+        assert got.shape == (3, 5, 3, 3)
+        for idx in np.ndindex(omegas.shape):
+            want = output_psd(lti, s_u, omegas[idx])
+            assert want.shape == (3, 3)
+            np.testing.assert_allclose(got[idx], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_unstable_model_warns_once_per_call(self):
+        lti = scalar_lti(1.2, 1.0, 1.0)
+        with pytest.warns(UserWarning, match="region of convergence") as caught:
+            output_psd(lti, np.eye(1), np.linspace(0.1, 3.0, 50))
+        assert len(caught) == 1
 
     def test_validates_hermitian_psd(self):
         lti = stable_random_lti(seed=14)

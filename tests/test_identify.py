@@ -6,25 +6,88 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from esnkit import (Activation, LtiModel, NoiseModel, Readout,
-                    ReservoirParams, StructuredBasis, Verdict, ekf_filter,
-                    em_run, em_step, excitation_sigma_min, jacobians_at,
-                    kalman_filter, project_structured, readout_bayes,
-                    readout_ml, rts_smoother, simulate, subspace_shape)
+from esnkit import (Activation, FrozenCovs, LtiModel, NoiseModel, Readout,
+                    ReservoirParams, SmoothedPosterior, StructuredBasis,
+                    Verdict, ekf_filter, em_run, em_step,
+                    excitation_sigma_min, jacobians_at, kalman_filter,
+                    project_structured, readout_bayes, readout_ml,
+                    rts_smoother, simulate, subspace_shape)
 
-from conftest import make_reservoir
+from conftest import make_reservoir, traced_peak_mib
 from oracles import joint_gaussian_posterior, kalman_rts_reference, \
-    posterior_blocks, random_stable_system
+    m_step_reference, posterior_blocks, random_stable_system
 
 POSTERIOR_ARRAYS = ("filtered_means", "filtered_covs", "predicted_means",
                     "predicted_covs", "smoothed_means", "smoothed_covs",
                     "cross_covs")
+COVARIANCE_FIELDS = ("filtered_covs", "predicted_covs", "smoothed_covs",
+                     "cross_covs")
+
+
+def assert_reads_like(got, want, indices, rel):
+    """``got`` (an array or a FrozenCovs) reads like the full array ``want``:
+    its length, the given indices (skipped when out of range), the slices
+    [:], [1:] and [:-1] and their sums over axis 0, each to ``rel``."""
+    scale = np.abs(want).max()
+    assert len(got) == len(want)
+    for i in indices:
+        if -len(want) <= i < len(want):
+            assert np.abs(got[i] - want[i]).max() <= rel * scale, i
+            assert np.abs(got[i, 0] - want[i, 0]).max() <= rel * scale, i
+    for key in (slice(None), slice(1, None), slice(None, -1)):
+        part, whole = got[key], want[key]
+        assert len(part) == len(whole)
+        assert np.abs(np.asarray(part) - whole).max() <= rel * scale, key
+        total = whole.sum(axis=0)
+        assert (np.abs(part.sum(axis=0) - total).max()
+                <= rel * np.abs(whole).sum(axis=0).max()), key
 
 
 def scalar_system(a=0.5, q=0.1, c=1.0, r=0.1):
     lti = LtiModel(A=[[a]], B=[[0.0]], C=[[c]], D=[[0.0]])
     noise = NoiseModel(Q=[[q]], R=[[r]])
     return lti, noise
+
+
+class TestFrozenCovs:
+    def _pair(self):
+        rng = np.random.default_rng(37)
+        seq = FrozenCovs(rng.standard_normal((3, 2, 2)),
+                         rng.standard_normal((2, 2)), 4,
+                         rng.standard_normal((2, 2, 2)))
+        return seq, np.asarray(seq)
+
+    def test_full_array_layout(self):
+        seq, full = self._pair()
+        assert full.shape == (9, 2, 2) and len(seq) == 9
+        assert np.array_equal(full[:3], seq.head)
+        assert np.array_equal(full[3:7], np.broadcast_to(seq.frozen, (4, 2, 2)))
+        assert np.array_equal(full[7:], seq.tail)
+
+    def test_every_index_and_slice_matches_the_array(self):
+        seq, full = self._pair()
+        for i in range(-9, 9):
+            assert np.array_equal(seq[i], full[i])
+            assert seq[i, 1, 0] == full[i, 1, 0]
+        for start in range(-10, 11):
+            for stop in [None, *range(-10, 11)]:
+                part = seq[start:stop]
+                assert isinstance(part, FrozenCovs)
+                assert np.array_equal(np.asarray(part), full[start:stop])
+                np.testing.assert_allclose(part.sum(axis=0),
+                                           full[start:stop].sum(axis=0),
+                                           rtol=1e-14, atol=1e-14)
+
+    def test_read_only_and_unsupported_access(self):
+        seq, _ = self._pair()
+        with pytest.raises(ValueError, match="read-only"):
+            seq[4][0, 0] = 1.0
+        with pytest.raises(IndexError):
+            seq[9]
+        with pytest.raises(TypeError, match="np.asarray"):
+            seq[::2]
+        with pytest.raises(TypeError, match="np.asarray"):
+            seq[:, 0, 0]
 
 
 class TestKalmanFilter:
@@ -168,6 +231,12 @@ class TestRtsSmoother:
             got, want = getattr(post, name), ref[name]
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
         assert post.loglik == pytest.approx(ref["loglik"], rel=1e-10)
+        steady = post.steady_from
+        assert isinstance(post.filtered_covs, FrozenCovs) == (steady is not None)
+        indices = [0, -1] + ([] if steady is None
+                             else [steady - 1, steady, steady + 1])
+        for name in COVARIANCE_FIELDS:
+            assert_reads_like(getattr(post, name), ref[name], indices, 1e-10)
 
     def test_singular_predicted_cov_before_freeze_names_time_index(self):
         a, b, c = random_stable_system(2, 1, 1, seed=26, rho=0.5)
@@ -179,7 +248,7 @@ class TestRtsSmoother:
                              (np.zeros(2), np.eye(2)))
         assert filt.steady_from is not None and filt.steady_from > 3
         # exactly singular even after the 1e-12 jitter retry
-        p_covs = filt.predicted_covs.copy()
+        p_covs = np.array(filt.predicted_covs)
         p_covs[2] = np.full((2, 2), 1e6)
         broken = dataclasses.replace(filt, predicted_covs=p_covs)
         with pytest.raises(ValueError, match="time index 3$"):
@@ -377,6 +446,113 @@ class TestEmStep:
                            rng.standard_normal((60, p)),
                            (np.zeros(n), np.eye(n)))
             assert np.linalg.eigvalsh(step.noise.Q).min() >= 1e-13
+
+    @pytest.mark.parametrize("horizon, settles", [(6, False), (300, True)])
+    def test_matches_full_array_reference(self, horizon, settles):
+        # a short run never freezes and keeps full arrays; a long one stores
+        # FrozenCovs; both must give the M-step and the readout that the full
+        # reference arrays give, and so must a hand-built ndarray posterior
+        n, p = 3, 2
+        a, b, c = random_stable_system(n, 1, p, seed=33, rho=0.6)
+        lti = LtiModel(A=a, B=b, C=c, D=np.zeros((p, 1)))
+        noise = NoiseModel(Q=0.05 * np.eye(n), R=0.05 * np.eye(p))
+        rng = np.random.default_rng(34)
+        inputs = rng.standard_normal((horizon, 1))
+        outputs = rng.standard_normal((horizon, p))
+        prior = (np.zeros(n), np.eye(n))
+        post = rts_smoother(kalman_filter(lti, noise, inputs, outputs, prior),
+                            lti, noise)
+        assert (post.steady_from is not None) == settles
+        ref = kalman_rts_reference(a, b, c, noise.Q, noise.R, *prior, inputs,
+                                   outputs)
+        step = em_step(lti, noise, inputs, outputs, prior)
+        want = m_step_reference(ref, inputs, outputs, c)
+        got = (step.lti.A, step.lti.B, step.noise.Q, step.noise.R)
+        for name, g, w in zip("ABQR", got, want):
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max(), name
+
+        hand = SmoothedPosterior(loglik=ref["loglik"],
+                                 **{name: ref[name] for name in POSTERIOR_ARRAYS})
+        xs, covs = ref["smoothed_means"][1:], ref["smoothed_covs"][1:]
+        xc, yc = xs - xs.mean(axis=0), outputs - outputs.mean(axis=0)
+        c_want = np.linalg.solve(xc.T @ xc + covs.sum(axis=0), xc.T @ yc).T
+        for states in (post, hand):
+            ro = readout_ml(states, outputs)
+            assert np.abs(ro.C - c_want).max() <= 1e-10 * np.abs(c_want).max()
+
+
+class TestPosteriorMemory:
+    def test_frozen_covariances_bound_em_step_peak(self):
+        # at n = 32, T = 10^4 the four full covariance arrays alone would take
+        # 328 MB; the means, inputs and outputs take about 8 MB per posterior
+        n, p, horizon = 32, 2, 10_000
+        a, b, c = random_stable_system(n, 1, p, seed=35, rho=0.8)
+        lti = LtiModel(A=a, B=b, C=c, D=np.zeros((p, 1)))
+        noise = NoiseModel(Q=0.05 * np.eye(n), R=0.05 * np.eye(p))
+        rng = np.random.default_rng(36)
+        args = (rng.standard_normal((horizon, 1)),
+                rng.standard_normal((horizon, p)), (np.zeros(n), np.eye(n)))
+
+        def pipeline():
+            post = rts_smoother(kalman_filter(lti, noise, *args), lti, noise)
+            return post, em_step(lti, noise, *args)
+
+        (post, _), peak = traced_peak_mib(pipeline)
+        assert post.steady_from is not None
+        assert peak <= 32.0
+
+
+class TestEmEvents:
+    def _events(self, caplog, name, level):
+        return [rec.getMessage() for rec in caplog.records
+                if rec.name == "esnkit.identify" and rec.levelno == level
+                and rec.getMessage().split()[0] == name]
+
+    def _run(self):
+        # noiseless decaying states with no input: the input block of the
+        # regression Gram is zero (ridge) and the Q, R updates are zero (floor)
+        n = 3
+        a, b, _ = random_stable_system(n, 1, 1, seed=21)
+        x = np.random.default_rng(7).standard_normal(n)
+        states = [x]
+        for _ in range(60):
+            x = a @ x
+            states.append(x)
+        states = np.array(states)
+        lti = LtiModel(A=a, B=b, C=np.eye(n), D=np.zeros((n, 1)))
+        noise = NoiseModel(Q=1e-16 * np.eye(n), R=1e-16 * np.eye(n))
+        return em_step(lti, noise, np.zeros((60, 1)), states[1:],
+                       (states[0], 1e-16 * np.eye(n)))
+
+    def test_ridge_reported_as_warning(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="esnkit.identify"):
+            self._run()
+        found = self._events(caplog, "em.ridge", logging.WARNING)
+        assert len(found) == 1
+        assert float(found[0].split()[1].removeprefix("ridge=")) > 0.0
+
+    def test_psd_floor_reported_as_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="esnkit.identify"):
+            self._run()
+        found = self._events(caplog, "em.psd_floor", logging.DEBUG)
+        assert len(found) == 2          # the Q and the R update
+        assert all(float(msg.split()[1].removeprefix("shift=")) > 0.0
+                   for msg in found)
+
+    def test_events_do_not_change_results(self, caplog):
+        runs = []
+        for level in (logging.ERROR, logging.DEBUG):
+            with caplog.at_level(level, logger="esnkit.identify"):
+                runs.append(self._run())
+        assert self._events(caplog, "em.ridge", logging.WARNING)
+        assert self._events(caplog, "em.psd_floor", logging.DEBUG)
+        quiet, loud = runs
+        assert quiet.loglik == loud.loglik
+        for name in ("A", "B"):
+            assert np.array_equal(getattr(quiet.lti, name), getattr(loud.lti, name))
+        for name in ("Q", "R"):
+            assert np.array_equal(getattr(quiet.noise, name),
+                                  getattr(loud.noise, name))
 
 
 class TestStructuredProjection:
