@@ -12,6 +12,8 @@ float64 arithmetic, no approximations, reproducible seeded noise.
 :func:`leaky_map` (the map and its slope) and :func:`leaky_jacobians` (its
 Jacobians) are the single definition of both.  They work over any leading
 axes and validate nothing: every caller checks its inputs once, up front.
+Loops over time form the drive ``U u_t + b`` for all t in one matmul first;
+:func:`_transition` builds the transition A alone.
 """
 
 from __future__ import annotations
@@ -95,19 +97,22 @@ class Activation:
         return None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[0]
+        """sigma(x) componentwise, without the slope and with no validation."""
+        if self.kind == "tanh":
+            return np.tanh(x)
+        if self.kind == "identity":
+            return x
+        return np.where(x >= 0.0, x, self.negative_slope * x)
 
     def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(sigma(x), sigma'(x))`` componentwise, with no validation."""
         x = np.asarray(x, dtype=np.float64)
+        value = self(x)
         if self.kind == "tanh":
-            t = np.tanh(x)
-            return t, 1.0 - t * t
+            return value, 1.0 - value * value
         if self.kind == "identity":
-            return x.copy(), np.ones_like(x)
-        positive = x >= 0.0
-        return (np.where(positive, x, self.negative_slope * x),
-                np.where(positive, 1.0, self.negative_slope))
+            return value.copy(), np.ones_like(x)
+        return value, np.where(x >= 0.0, 1.0, self.negative_slope)
 
 
 def activation_eval(activation: Activation, x) -> Tuple[np.ndarray, np.ndarray]:
@@ -239,8 +244,19 @@ def leaky_map(params: ReservoirParams, x: np.ndarray,
     no validation; callers check shapes and finiteness once, up front.
     """
     value, slope = params.activation.evaluate(params.preactivation(x, u))
-    lam = params.leak
-    return (1.0 - lam) * x + lam * value, slope
+    return _leak(params.leak, x, value), slope
+
+
+def _driven_map(params: ReservoirParams, x: np.ndarray,
+                drive: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`leaky_map` at a precomputed input drive ``U u + b``."""
+    value, slope = params.activation.evaluate(x @ params.W.T + drive)
+    return _leak(params.leak, x, value), slope
+
+
+def _leak(lam: float, x: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """The leaky update ``(1 - lam) x + lam sigma`` at ``value = sigma``."""
+    return (1.0 - lam) * x + lam * value
 
 
 def leaky_jacobians(params: ReservoirParams,
@@ -248,9 +264,18 @@ def leaky_jacobians(params: ReservoirParams,
     """Jacobians ``(A, B)`` of the leaky map at activation slope ``slope``:
     ``A = (1 - leak) I + leak diag(slope) W`` and ``B = leak diag(slope) U``,
     over the leading axes of ``slope (..., n)``."""
-    lam = params.leak
-    a = (1.0 - lam) * np.eye(params.n) + lam * (slope[..., :, None] * params.W)
-    return a, lam * (slope[..., :, None] * params.U)
+    return (_transition(params, slope),
+            params.leak * (slope[..., :, None] * params.U))
+
+
+def _transition(params: ReservoirParams, slope: np.ndarray) -> np.ndarray:
+    """The A of :func:`leaky_jacobians` alone, in one array: ``1 - leak`` is
+    added to the diagonal in place (the same sums, so the same bits)."""
+    a = slope[..., :, None] * params.W
+    a *= params.leak
+    diagonal = np.einsum("...ii->...i", a)
+    diagonal += 1.0 - params.leak
+    return a
 
 
 def reservoir_step(params: ReservoirParams, x, u) -> np.ndarray:
@@ -287,6 +312,9 @@ def simulate(params: ReservoirParams,
     Returns:
         Trajectory with states (T+1, n), the inputs, and outputs when a
         readout was supplied.
+
+    The drive ``U u_t + b`` is formed for all t in one matmul before the
+    loop, and each step evaluates sigma alone, not its slope.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -316,12 +344,16 @@ def simulate(params: ReservoirParams,
 
     states = np.empty((horizon + 1, params.n))
     states[0] = x0
+    # rows 1..T hold the drive until each is overwritten by its state
+    drive = np.matmul(inputs, params.U.T, out=states[1:])
+    drive += params.b
+    sigma, lam, w_t = params.activation, params.leak, params.W.T
     x = x0
-    for t in range(horizon):
-        x = leaky_map(params, x, inputs[t])[0]
+    for t in range(1, horizon + 1):
+        x = _leak(lam, x, sigma(x @ w_t + states[t]))
         if w_draws is not None:
-            x = x + w_draws[t]
-        states[t + 1] = x
+            x = x + w_draws[t - 1]
+        states[t] = x
 
     outputs = None
     if readout is not None:

@@ -18,6 +18,7 @@ each block covers the stability question.
 
 from __future__ import annotations
 
+import logging
 import math
 from typing import Sequence, Tuple
 
@@ -28,6 +29,8 @@ from ._linalg import check_psd, rng_from_seed, spectral_norm
 
 __all__ = ["target_radius", "gamma_for_radius",
            "make_normal_reservoir", "make_sparse_reservoir", "input_scaling"]
+
+logger = logging.getLogger(__name__)
 
 _GAMMA_EPS = 1e-9
 
@@ -48,7 +51,9 @@ def gamma_for_radius(r_star: float, leak: float, slope: float,
     clipped into (0, 1/L_sigma) to keep a contraction margin.
 
     Returns ``(gamma, clipped)``; raises when the target is unreachable at
-    this leak (r_star <= 1 - leak gives gamma <= 0).
+    this leak (r_star <= 1 - leak gives gamma <= 0).  A clip is reported as
+    the DEBUG event ``design.gamma_clip gamma=... bound=...`` (the unclipped
+    value and the bound it was clipped to).
     """
     if not (0.0 < r_star < 1.0):
         raise ValueError("r_star must be in (0, 1)")
@@ -62,14 +67,14 @@ def gamma_for_radius(r_star: float, leak: float, slope: float,
             "leak already decays slower (gamma would be <= 0)")
     gamma = (r_star - (1.0 - leak)) / (leak * slope)
     hi = 1.0 / l_sigma - _GAMMA_EPS
-    clipped = False
     if gamma >= hi:
-        gamma = hi
-        clipped = True
+        bound = hi
     elif gamma <= _GAMMA_EPS:
-        gamma = _GAMMA_EPS
-        clipped = True
-    return gamma, clipped
+        bound = _GAMMA_EPS
+    else:
+        return gamma, False
+    logger.debug("design.gamma_clip gamma=%.17g bound=%.17g", gamma, bound)
+    return bound, True
 
 
 def _orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

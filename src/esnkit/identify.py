@@ -28,10 +28,10 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from ._linalg import (as_float_array, check_finite, check_psd, spectral_norm,
-                      symmetrize)
-from .core import Readout, ReservoirParams, leaky_jacobians, leaky_map
+from ._linalg import as_float_array, check_psd, spectral_norm, symmetrize
+from .core import Readout, ReservoirParams, _driven_map, _transition
 from .linearize import LtiModel
 from .stability import Certificate, _small_gain
 
@@ -200,19 +200,24 @@ def _validate_io(n: int, m: int, p: int, inputs, outputs, prior):
     return inputs, outputs, mu0, p0
 
 
-def _innovation_chol(s: np.ndarray, t: int):
-    try:
-        return scipy.linalg.cho_factor(s, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        pass
+def _innovation_chol(s: np.ndarray, t: int) -> np.ndarray:
+    """Lower Cholesky factor of the innovation covariance at time index t,
+    retried once with diagonal jitter on a non-positive pivot."""
+    chol, info = dpotrf(s, lower=1, clean=0)
+    if info == 0:
+        return chol
     jitter = _JITTER * max(1.0, float(np.trace(s)) / s.shape[0])
     logger.debug("kalman.innovation_jitter time_index=%d jitter=%.3e", t, jitter)
-    try:
-        return scipy.linalg.cho_factor(s + jitter * np.eye(s.shape[0]),
-                                       lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    chol, info = dpotrf(s + jitter * np.eye(s.shape[0]), lower=1, clean=0)
+    if info != 0:
         raise ValueError(
-            f"innovation covariance not positive definite at time index {t}") from exc
+            f"innovation covariance not positive definite at time index {t}")
+    return chol
+
+
+def _diverged(t: int) -> ValueError:
+    return ValueError("filter diverged: non-finite mean, covariance or "
+                      f"log-likelihood at time index {t}")
 
 
 def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
@@ -233,26 +238,35 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     filtered matrices and the frozen pair once, so they take O(t n^2) memory
     rather than O(T n^2).  A run that never freezes returns full arrays, as
     does :func:`ekf_filter`, which never freezes.
+
+    The drive ``B u_t`` is formed for all t in one matmul before the loop.
+    Each step calls LAPACK ``dpotrf`` / ``dpotrs`` / ``dtrtrs`` directly: a
+    non-positive pivot (``info`` > 0) gets one jitter retry, the DEBUG event
+    ``kalman.innovation_jitter``, and a second one raises ValueError.  So
+    does a non-finite mean, covariance or log-likelihood term (a diverging
+    model), before and after the freeze; both errors name the time index.
     """
     if np.any(lti.D != 0.0):
         raise ValueError("kalman_filter requires D = 0")
     inputs, outputs, mu0, p0 = _validate_io(lti.n, lti.m, lti.p, inputs,
                                             outputs, prior)
-    return _filter_loop(lti.A, lti.B, lti.C, noise, inputs, outputs, mu0, p0,
-                        nonlinear=None)
+    return _filter_loop(lti.A, inputs @ lti.B.T, lti.C, noise, outputs, mu0,
+                        p0, nonlinear=None)
 
 
-def _filter_loop(a, b, c, noise, inputs, outputs, mu0, p0, nonlinear):
-    """Shared filter core.  ``nonlinear``, when given, is a callable
-    (mu, u) -> (next_mean, A_t) implementing EKF mean propagation; the
-    linear path uses the constant (a, b)."""
-    horizon, n = inputs.shape[0], mu0.shape[0]
+def _filter_loop(a, drive, c, noise, outputs, mu0, p0, nonlinear):
+    """Shared filter core.  Row t of ``drive`` (T, n), the input term of the
+    mean prediction, is overwritten by the predicted mean once used.
+    ``nonlinear``, when given, is ``(step, d)``: ``step(mu, drive_t) ->
+    (next_mean, A_t)`` propagates the EKF mean and d is the readout offset;
+    the linear path predicts ``a mu + drive_t``."""
+    horizon, n = drive.shape
     p_dim = outputs.shape[1]
     q, r = noise.Q, noise.R
     eye = np.eye(n)
 
     f_means = np.empty((horizon + 1, n))
-    p_means = np.empty((horizon, n))
+    p_means = drive
     if nonlinear is None:
         # LTI covariances are kept step by step only until they freeze
         f_covs, p_covs, a_seq = [None] * (horizon + 1), [None] * horizon, None
@@ -269,10 +283,10 @@ def _filter_loop(a, b, c, noise, inputs, outputs, mu0, p0, nonlinear):
     offset = nonlinear[1] if nonlinear is not None else np.zeros(p_dim)
     for t in range(horizon):
         if nonlinear is not None:
-            mu_pred, a_t = nonlinear[0](mu, inputs[t])
+            mu_pred, a_t = nonlinear[0](mu, p_means[t])
             a_seq[t] = a_t
         else:
-            mu_pred = a @ mu + b @ inputs[t]
+            mu_pred = a @ mu + p_means[t]
             a_t = a
         cov_pred = symmetrize(a_t @ cov @ a_t.T + q)
         p_means[t] = mu_pred
@@ -281,16 +295,18 @@ def _filter_loop(a, b, c, noise, inputs, outputs, mu0, p0, nonlinear):
         innov = outputs[t] - c @ mu_pred - offset
         s = symmetrize(c @ cov_pred @ c.T + r)
         chol = _innovation_chol(s, t + 1)
-        gain = scipy.linalg.cho_solve(chol, c @ cov_pred).T
+        gain = dpotrs(chol, c @ cov_pred, lower=1)[0].T
         mu = mu_pred + gain @ innov
         ikc = eye - gain @ c
         cov = symmetrize(ikc @ cov_pred @ ikc.T + gain @ r @ gain.T)
         f_means[t + 1] = mu
         f_covs[t + 1] = cov
 
-        white = scipy.linalg.solve_triangular(chol[0], innov, lower=True)
-        logdet = 2.0 * float(np.log(np.diag(chol[0])).sum())
+        white = dtrtrs(chol, innov, lower=1)[0]
+        logdet = 2.0 * float(np.log(chol.diagonal()).sum())
         loglik -= 0.5 * (p_dim * _LOG_2PI + logdet + float(white @ white))
+        if not math.isfinite(loglik):
+            raise _diverged(t + 1)
 
         if (nonlinear is None and t > 0 and _settled(cov_pred, p_covs[t - 1])
                 and _settled(cov, f_covs[t])):
@@ -299,21 +315,23 @@ def _filter_loop(a, b, c, noise, inputs, outputs, mu0, p0, nonlinear):
             break
 
     if steady_from is not None:
-        # frozen gain K: mu+ = (I - KC)(A mu + B u) + K y; B u and the affine
-        # terms are accumulated in place in p_means and f_means
+        # frozen gain K: mu+ = (I - KC)(A mu + B u) + K y; the affine terms
+        # are accumulated in place in p_means, which holds B u, and f_means
         start = steady_from + 1
         ikc = eye - gain @ c
         a_closed = ikc @ a
-        drive = np.matmul(inputs[start:], b.T, out=p_means[start:])
-        np.matmul(drive, ikc.T, out=f_means[start + 1:])
+        np.matmul(p_means[start:], ikc.T, out=f_means[start + 1:])
         f_means[start + 1:] += outputs[start:] @ gain.T
         for t in range(start + 1, horizon + 1):
             f_means[t] += a_closed @ f_means[t - 1]
         p_means[start:] += f_means[start:-1] @ a.T
         innov = outputs[start:] - p_means[start:] @ c.T
-        white = scipy.linalg.solve_triangular(chol[0], innov.T, lower=True)
+        quad = np.square(dtrtrs(chol, innov.T, lower=1)[0])
         loglik -= 0.5 * ((horizon - start) * (p_dim * _LOG_2PI + logdet)
-                         + float(np.square(white).sum()))
+                         + float(quad.sum()))
+        if not math.isfinite(loglik):
+            finite = np.isfinite(np.cumsum(quad.sum(axis=0)))
+            raise _diverged(start + 1 + int(np.argmin(finite)))
         repeat = horizon - steady_from
         f_covs = FrozenCovs(f_covs[:start], cov, repeat)
         p_covs = FrozenCovs(p_covs[:steady_from], cov_pred, repeat)
@@ -420,19 +438,20 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
 
     The mean is propagated through the full nonlinear update; covariances use
     the Jacobian linearization at the current filtered mean (so the recorded
-    transition sequence is time varying).  A mean or covariance that becomes
-    non-finite (a diverging reservoir) raises ValueError.
+    transition sequence is time varying).  The drive ``U u_t + b`` is formed
+    for all t in one matmul before the loop, and each step builds A_t alone,
+    not the input Jacobian.  The measurement update, its LAPACK calls and
+    its errors are those of :func:`kalman_filter`.
     """
     inputs, outputs, mu0, p0 = _validate_io(params.n, params.m, readout.p,
                                             inputs, outputs, prior)
 
-    def step(mu, u):
-        mean_next, slope = leaky_map(params, mu, u)
-        check_finite(mean_next, "EKF predicted mean")
-        return mean_next, leaky_jacobians(params, slope)[0]
+    def step(mu, drive):
+        mean_next, slope = _driven_map(params, mu, drive)
+        return mean_next, _transition(params, slope)
 
-    return _filter_loop(None, None, readout.C, noise, inputs, outputs, mu0,
-                        p0, nonlinear=(step, readout.d))
+    return _filter_loop(None, inputs @ params.U.T + params.b, readout.C, noise,
+                        outputs, mu0, p0, nonlinear=(step, readout.d))
 
 
 # ---------------------------------------------------------------------------

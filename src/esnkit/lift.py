@@ -91,19 +91,24 @@ class Dictionary:
         return 1 + n + self.count
 
     def eval_batch(self, states: np.ndarray) -> np.ndarray:
-        """Evaluate the dictionary on rows of ``states`` -> (S, N)."""
+        """Evaluate the dictionary on rows of ``states`` -> (S, N), filling
+        one preallocated array in place."""
         x = np.atleast_2d(np.asarray(states, dtype=np.float64))
         s, n = x.shape
-        cols = [np.ones((s, 1)), x]
+        out = np.empty((s, self.output_dim(n)))
+        out[:, 0] = 1.0
+        out[:, 1:1 + n] = x
+        extra = out[:, 1 + n:]
         if self.kind == "monomials":
-            expos = self._monomial_exponents(n)
-            for e in expos:
-                cols.append(np.prod(x ** e, axis=1, keepdims=True))
+            for j, e in enumerate(self._monomial_exponents(n)):
+                np.prod(x ** e, axis=1, out=extra[:, j])
         elif self.kind == "random_fourier":
             omega, phase = self._fourier_weights(n)
-            feats = np.sqrt(2.0 / self.count) * np.cos(x @ omega.T + phase)
-            cols.append(feats)
-        return np.hstack(cols)
+            np.matmul(x, omega.T, out=extra)
+            extra += phase
+            np.cos(extra, out=extra)
+            extra *= np.sqrt(2.0 / self.count)
+        return out
 
 
 @dataclass(frozen=True)

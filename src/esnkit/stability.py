@@ -41,7 +41,7 @@ import scipy.linalg
 from scipy.stats import qmc
 
 from ._linalg import solve_discrete_lyapunov, spectral_norm, symmetrize
-from .core import ReservoirParams, leaky_jacobians
+from .core import ReservoirParams, _transition
 
 __all__ = [
     "CertificateMethod",
@@ -165,7 +165,7 @@ def _vertex_stacks(params: ReservoirParams, diags: np.ndarray):
     """Vertex matrices M = (1-leak) I + leak D W, (k, n, n) stacks of at most
     ``_VERTEX_CHUNK``."""
     for start in range(0, len(diags), _VERTEX_CHUNK):
-        yield leaky_jacobians(params, diags[start:start + _VERTEX_CHUNK])[0]
+        yield _transition(params, diags[start:start + _VERTEX_CHUNK])
 
 
 def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Certificate:
@@ -185,7 +185,7 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     n = params.n
     lam = params.leak
     l_sigma = params.activation.lipschitz
-    a_plus = leaky_jacobians(params, np.full(n, l_sigma))[0]
+    a_plus = _transition(params, np.full(n, l_sigma))
     rho_plus = spectral_radius(a_plus)
     diags, exhaustive = _slope_vertices(n, l_sigma, vertex_budget)
 

@@ -173,3 +173,48 @@ def kalman_rts_reference(a, b, c, q, r, mu0, p0, inputs, outputs):
                 predicted_covs=np.array(p_covs),
                 smoothed_means=np.array(s_means), smoothed_covs=np.array(s_covs),
                 cross_covs=np.array(cross), loglik=loglik)
+
+
+def ekf_reference(w, u_mat, b, leak, kind, negative_slope, c, d, q, r, mu0,
+                  p0, inputs, outputs):
+    """Textbook extended Kalman filter on ``x+ = (1-leak) x + leak
+    sigma(W x + U u + b)``, ``y = C x + d``, one step at a time: sigma and its
+    slope written out for ``kind`` ("tanh" or "leaky_slope"), the gain from
+    ``np.linalg.inv`` of the innovation covariance, the update ``P - K S K'``
+    and the log-likelihood from ``slogdet``.
+
+    Returns a dict with the filtered and predicted means and covariances
+    (indexed as in ``SmoothedPosterior``), the transitions ``A_t`` (T, n, n)
+    and the log-likelihood.
+    """
+    def sigma(z):
+        if kind == "tanh":
+            return np.tanh(z), 1.0 - np.tanh(z) ** 2
+        return (np.where(z >= 0.0, z, negative_slope * z),
+                np.where(z >= 0.0, 1.0, negative_slope))
+
+    n = len(mu0)
+    f_means, f_covs = [np.asarray(mu0)], [np.asarray(p0)]
+    p_means, p_covs, transitions = [], [], []
+    loglik = 0.0
+    for u, y in zip(inputs, outputs):
+        value, slope = sigma(w @ f_means[-1] + u_mat @ u + b)
+        a = (1.0 - leak) * np.eye(n) + leak * np.diag(slope) @ w
+        m_pred = (1.0 - leak) * f_means[-1] + leak * value
+        c_pred = a @ f_covs[-1] @ a.T + q
+        s = c @ c_pred @ c.T + r
+        k = c_pred @ c.T @ np.linalg.inv(s)
+        e = y - c @ m_pred - d
+        transitions.append(a)
+        p_means.append(m_pred)
+        p_covs.append(c_pred)
+        f_means.append(m_pred + k @ e)
+        f_covs.append(c_pred - k @ s @ k.T)
+        loglik -= 0.5 * (len(y) * np.log(2.0 * np.pi)
+                         + np.linalg.slogdet(s)[1]
+                         + e @ np.linalg.inv(s) @ e)
+    return dict(filtered_means=np.array(f_means),
+                filtered_covs=np.array(f_covs),
+                predicted_means=np.array(p_means),
+                predicted_covs=np.array(p_covs),
+                transition_seq=np.array(transitions), loglik=loglik)

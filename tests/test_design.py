@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -31,6 +32,24 @@ def test_design_chain_hits_target_radius_at_origin():
                                  activation=Activation.tanh())
         lti = jacobians_at(params, np.zeros(n), np.zeros(1))
         assert abs(spectral_radius(lti.A) - r_star) <= 1e-12
+
+
+# leak 0.5, slope 1: gamma = 2 (r* - 0.5), clipped above to 1/L_sigma - 1e-9
+# and below to 1e-9
+@pytest.mark.parametrize("r_star, l_sigma, bound", [
+    pytest.param(0.99, 2.0, 0.5 - 1e-9, id="above"),
+    pytest.param(0.5 + 1e-12, 1.0, 1e-9, id="below")])
+def test_gamma_clip_reported_as_debug_event(caplog, r_star, l_sigma, bound):
+    runs = []
+    for level in (logging.WARNING, logging.DEBUG):
+        with caplog.at_level(level, logger="esnkit.design"):
+            runs.append(gamma_for_radius(r_star, 0.5, 1.0, l_sigma))
+            gamma_for_radius(0.6, 0.5, 1.0, l_sigma)      # not clipped
+    assert runs[0] == runs[1] == (bound, True)
+    gamma = (r_star - (1.0 - 0.5)) / (0.5 * 1.0)
+    assert [rec.getMessage() for rec in caplog.records
+            if rec.name == "esnkit.design" and rec.levelno == logging.DEBUG] \
+        == [f"design.gamma_clip gamma={gamma:.17g} bound={bound:.17g}"]
 
 
 @pytest.mark.parametrize("l_sigma", [1.0, 2.5])

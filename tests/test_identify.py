@@ -14,8 +14,9 @@ from esnkit import (Activation, FrozenCovs, LtiModel, NoiseModel, Readout,
                     rts_smoother, simulate, subspace_shape)
 
 from conftest import make_reservoir, traced_peak_mib
-from oracles import joint_gaussian_posterior, kalman_rts_reference, \
-    m_step_reference, posterior_blocks, random_stable_system
+from oracles import ekf_reference, joint_gaussian_posterior, \
+    kalman_rts_reference, m_step_reference, posterior_blocks, \
+    random_stable_system
 
 POSTERIOR_ARRAYS = ("filtered_means", "filtered_covs", "predicted_means",
                     "predicted_covs", "smoothed_means", "smoothed_covs",
@@ -133,6 +134,43 @@ class TestKalmanFilter:
             kalman_filter(lti, NoiseModel(Q=[[0.1]], R=[[0.1]]),
                           np.zeros((2, 1)), np.zeros((2, 1)),
                           (np.zeros(1), np.eye(1)))
+
+    def test_innovation_not_positive_definite_after_jitter(self):
+        # no state uncertainty, so S = R, whose eigenvalue -9e-7 passes the
+        # PSD check (floor -1e-12 * 1e6) but stays negative after the jitter
+        # 1e-12 * trace(R) / 2 = 5e-7
+        lti = LtiModel(A=[[0.5]], B=[[0.0]], C=[[1.0], [1.0]],
+                       D=[[0.0], [0.0]])
+        noise = NoiseModel(Q=[[0.0]], R=np.diag([1e6, -9e-7]))
+        with pytest.raises(ValueError,
+                           match="not positive definite at time index 1$"):
+            kalman_filter(lti, noise, np.zeros((3, 1)), np.ones((3, 2)),
+                          (np.zeros(1), np.zeros((1, 1))))
+
+    # A = 3 I with the second coordinate unobserved and Q = 0: its mean
+    # grows as 3^t.  From mu0 = (0, 1) with P0 = 0 the covariances stay 0
+    # and freeze at t = 1, and the mean overflows at t = 647 (3^647 >
+    # 1.8e308); from mu0 = (0, 1e300) with P0 = I the unobserved variance
+    # grows as 9^t, so the covariances never freeze, and the mean overflows
+    # at t = 18.
+    @pytest.mark.parametrize("mu0, p0, frozen, index", [
+        pytest.param(1.0, 0.0, True, 647, id="frozen"),
+        pytest.param(1e300, 1.0, False, 18, id="per-step")])
+    def test_diverging_model_raises_with_time_index(self, mu0, p0, frozen,
+                                                    index):
+        lti = LtiModel(A=3.0 * np.eye(2), B=np.zeros((2, 1)),
+                       C=[[1.0, 0.0]], D=[[0.0]])
+        noise = NoiseModel(Q=np.zeros((2, 2)), R=np.eye(1))
+        rng = np.random.default_rng(9)
+        args = (noise, np.zeros((1000, 1)), rng.standard_normal((1000, 1)),
+                (np.array([0.0, mu0]), p0 * np.eye(2)))
+        short = kalman_filter(lti, *args[:1], args[1][:index - 1],
+                              args[2][:index - 1], args[3])
+        assert (short.steady_from is not None) == frozen
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError,
+                               match=f"non-finite .* time index {index}$"):
+                kalman_filter(lti, *args)
 
 
 class TestRtsSmoother:
@@ -384,6 +422,38 @@ class TestEkf:
         steps = np.abs(np.diff(post.transition_seq, axis=0))
         assert steps.max(axis=(1, 2)).min() > 0.0
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 8), p=st.integers(1, 3),
+           horizon=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["tanh", "leaky_slope"]),
+           negative_slope=st.floats(0.0, 2.0), leak=st.floats(0.1, 1.0))
+    def test_matches_per_step_reference(self, n, p, horizon, seed, kind,
+                                        negative_slope, leak):
+        # ||W|| L_sigma = 0.9 keeps the reservoir contracting
+        act = Activation(kind, negative_slope=negative_slope)
+        res = make_reservoir(n=n, m=2, seed=seed % 2 ** 31, leak=leak,
+                             w_scale=0.9 / act.lipschitz, activation=act,
+                             bias_scale=0.5)
+        rng = np.random.default_rng(seed)
+        ro = Readout(C=rng.standard_normal((p, n)), d=rng.standard_normal(p))
+        root_q = rng.standard_normal((n, n)) * 0.3
+        q = root_q @ root_q.T + 0.05 * np.eye(n)
+        root_r = rng.standard_normal((p, p)) * 0.3
+        r = root_r @ root_r.T + 0.05 * np.eye(p)
+        mu0 = rng.standard_normal(n)
+        inputs = rng.standard_normal((horizon, 2))
+        outputs = rng.standard_normal((horizon, p))
+        post = ekf_filter(res, ro, NoiseModel(Q=q, R=r), inputs, outputs,
+                          (mu0, np.eye(n)))
+        ref = ekf_reference(res.W, res.U, res.b, leak, kind, negative_slope,
+                            ro.C, ro.d, q, r, mu0, np.eye(n), inputs, outputs)
+        for name in ("filtered_means", "filtered_covs", "predicted_means",
+                     "predicted_covs", "transition_seq"):
+            got, want = getattr(post, name), ref[name]
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+        assert post.loglik == pytest.approx(ref["loglik"], rel=1e-10)
+        assert post.steady_from is None
+
     def test_diverging_reservoir_raises(self):
         # A = 3 I with no covariance to correct it: the unobserved mean
         # coordinate overflows near step 650, which must raise, not yield NaN
@@ -394,7 +464,7 @@ class TestEkf:
         noise = NoiseModel(Q=np.zeros((2, 2)), R=np.eye(1))
         rng = np.random.default_rng(8)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match="non-finite .* time index"):
                 ekf_filter(p, ro, noise, rng.standard_normal((1000, 1)),
                            rng.standard_normal((1000, 1)),
                            (np.ones(2), np.zeros((2, 2))))
