@@ -56,14 +56,6 @@ def check_psd(m: np.ndarray, name: str) -> np.ndarray:
     return ms
 
 
-def cholesky_psd(q: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a PSD matrix, retrying once with diagonal jitter 1e-12."""
-    try:
-        return np.linalg.cholesky(q)
-    except np.linalg.LinAlgError:
-        return np.linalg.cholesky(q + 1e-12 * np.eye(q.shape[0]))
-
-
 def solve_discrete_lyapunov(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Solve ``X = A X A^T + S`` by Bartels--Stewart (O(n^3), through
     ``scipy.linalg.solve_discrete_lyapunov``).

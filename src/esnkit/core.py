@@ -18,13 +18,13 @@ Loops over time form the drive ``U u_t + b`` for all t in one matmul first;
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ._linalg import (as_float_array, check_finite, check_psd, cholesky_psd,
-                      rng_from_seed)
+from ._linalg import as_float_array, check_finite, check_psd, rng_from_seed
 
 __all__ = [
     "Activation",
@@ -37,6 +37,8 @@ __all__ = [
     "reservoir_step",
     "simulate",
 ]
+
+logger = logging.getLogger(__name__)
 
 # sup |tanh''| attained at tanh(x) = 1/sqrt(3)
 _TANH_SECOND_DERIV_BOUND = 4.0 / (3.0 * np.sqrt(3.0))
@@ -168,10 +170,6 @@ class ReservoirParams:
     def m(self) -> int:
         return self.U.shape[1]
 
-    def preactivation(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """``W x + U u + b`` over the leading axes of ``x (..., n)``, ``u (..., m)``."""
-        return x @ self.W.T + u @ self.U.T + self.b
-
 
 @dataclass(frozen=True)
 class Readout:
@@ -243,8 +241,7 @@ def leaky_map(params: ReservoirParams, x: np.ndarray,
     Works over the leading axes of ``x (..., n)`` and ``u (..., m)`` and does
     no validation; callers check shapes and finiteness once, up front.
     """
-    value, slope = params.activation.evaluate(params.preactivation(x, u))
-    return _leak(params.leak, x, value), slope
+    return _driven_map(params, x, u @ params.U.T + params.b)
 
 
 def _driven_map(params: ReservoirParams, x: np.ndarray,
@@ -314,7 +311,9 @@ def simulate(params: ReservoirParams,
         readout was supplied.
 
     The drive ``U u_t + b`` is formed for all t in one matmul before the
-    loop, and each step evaluates sigma alone, not its slope.
+    loop, and each step evaluates sigma alone, not its slope.  A singular
+    noise covariance gets diagonal jitter 1e-12 (the DEBUG event
+    ``simulate.noise_jitter``), so ``Q = 0`` still adds noise of std 1e-6.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -325,22 +324,12 @@ def simulate(params: ReservoirParams,
     if inputs.shape[1] != params.m:
         raise ValueError(f"inputs must be (T, {params.m}), got {inputs.shape}")
     horizon = inputs.shape[0]
-
-    w_draws = None
-    if process_noise is not None:
-        q, seed = process_noise
-        q = check_psd(q, "Q")
-        chol = cholesky_psd(q)
-        w_draws = rng_from_seed(seed).standard_normal((horizon, params.n)) @ chol.T
-
-    v_draws = None
-    if measurement_noise is not None:
-        if readout is None:
-            raise ValueError("measurement noise requires a readout")
-        r, seed = measurement_noise
-        r = check_psd(r, "R")
-        chol = cholesky_psd(r)
-        v_draws = rng_from_seed(seed).standard_normal((horizon, readout.p)) @ chol.T
+    if measurement_noise is not None and readout is None:
+        raise ValueError("measurement noise requires a readout")
+    w_draws = (None if process_noise is None else
+               _noise_draws(process_noise, "Q", (horizon, params.n)))
+    v_draws = (None if measurement_noise is None else
+               _noise_draws(measurement_noise, "R", (horizon, readout.p)))
 
     states = np.empty((horizon + 1, params.n))
     states[0] = x0
@@ -361,3 +350,15 @@ def simulate(params: ReservoirParams,
         if v_draws is not None:
             outputs = outputs + v_draws
     return Trajectory(states=states, inputs=inputs, outputs=outputs)
+
+
+def _noise_draws(noise, name: str, shape) -> np.ndarray:
+    """``shape[0]`` seeded N(0, cov) draws for ``noise = (cov, seed)``; a
+    singular PSD ``cov`` is factored with diagonal jitter 1e-12."""
+    cov = check_psd(noise[0], name)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        logger.debug("simulate.noise_jitter covariance=%s jitter=1e-12", name)
+        chol = np.linalg.cholesky(cov + 1e-12 * np.eye(cov.shape[0]))
+    return rng_from_seed(noise[1]).standard_normal(shape) @ chol.T

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from ._linalg import as_float_array, check_psd, symmetrize
-from .core import ReservoirParams, leaky_map
+from .core import ReservoirParams
+from .linearize import _operating_slope
 
 __all__ = ["CtLinearModel", "euler_leak", "tustin_leak", "ct_jacobians",
            "zoh_discretize"]
@@ -98,11 +99,7 @@ def ct_jacobians(params: ReservoirParams, tau: float, x_bar, u_bar) -> CtLinearM
     A non-finite operating pair is rejected."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    x_bar = as_float_array(x_bar, "x_bar")
-    u_bar = as_float_array(u_bar, "u_bar")
-    if x_bar.shape != (params.n,) or u_bar.shape != (params.m,):
-        raise ValueError("operating pair has inconsistent dimensions")
-    _, slope = leaky_map(params, x_bar, u_bar)
+    slope = _operating_slope(params, x_bar, u_bar)
     a_c = ((slope[:, None] * params.W) - np.eye(params.n)) / tau
     b_c = (slope[:, None] * params.U) / tau
     return CtLinearModel(A_c=a_c, B_c=b_c, tau=tau)

@@ -242,10 +242,11 @@ def ctrb_obsv_rank(lti: LtiModel) -> RankReport:
             return 0
         return int(np.sum(s >= 1e-10 * s[0]))
 
-    if spectral_radius(lti.A) < 1.0:
-        pair = gramians(lti)
-        min_wc, min_wo = pair.min_eigs
-    else:
+    try:
+        min_wc, min_wo = gramians(lti).min_eigs
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError:                       # rho(A) >= 1
         min_wc = min_wo = float("nan")
     return RankReport(rank_c=_rank(ctrb), rank_o=_rank(obsv),
                       min_eig_wc=min_wc, min_eig_wo=min_wo)

@@ -251,15 +251,15 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     inputs, outputs, mu0, p0 = _validate_io(lti.n, lti.m, lti.p, inputs,
                                             outputs, prior)
     return _filter_loop(lti.A, inputs @ lti.B.T, lti.C, noise, outputs, mu0,
-                        p0, nonlinear=None)
+                        p0)
 
 
-def _filter_loop(a, drive, c, noise, outputs, mu0, p0, nonlinear):
+def _filter_loop(a, drive, c, noise, outputs, mu0, p0, step=None, offset=None):
     """Shared filter core.  Row t of ``drive`` (T, n), the input term of the
     mean prediction, is overwritten by the predicted mean once used.
-    ``nonlinear``, when given, is ``(step, d)``: ``step(mu, drive_t) ->
-    (next_mean, A_t)`` propagates the EKF mean and d is the readout offset;
-    the linear path predicts ``a mu + drive_t``."""
+    The LTI path (no ``step``) predicts ``a mu + drive_t`` and may freeze;
+    the EKF passes ``step(mu, drive_t) -> (next_mean, A_t)`` and the readout
+    ``offset``.  Covariances are kept in per-step lists until the end."""
     horizon, n = drive.shape
     p_dim = outputs.shape[1]
     q, r = noise.Q, noise.R
@@ -267,32 +267,24 @@ def _filter_loop(a, drive, c, noise, outputs, mu0, p0, nonlinear):
 
     f_means = np.empty((horizon + 1, n))
     p_means = drive
-    if nonlinear is None:
-        # LTI covariances are kept step by step only until they freeze
-        f_covs, p_covs, a_seq = [None] * (horizon + 1), [None] * horizon, None
-    else:
-        f_covs = np.empty((horizon + 1, n, n))
-        p_covs = np.empty((horizon, n, n))
-        a_seq = np.empty((horizon, n, n))
-
+    f_covs, p_covs, a_seq = [p0], [], []
     f_means[0] = mu0
-    f_covs[0] = p0
     mu, cov = mu0, p0
     loglik = 0.0
     steady_from = None
-    offset = nonlinear[1] if nonlinear is not None else np.zeros(p_dim)
     for t in range(horizon):
-        if nonlinear is not None:
-            mu_pred, a_t = nonlinear[0](mu, p_means[t])
-            a_seq[t] = a_t
+        if step is None:
+            mu_pred, a_t = a @ mu + p_means[t], a
         else:
-            mu_pred = a @ mu + p_means[t]
-            a_t = a
+            mu_pred, a_t = step(mu, p_means[t])
+            a_seq.append(a_t)
         cov_pred = symmetrize(a_t @ cov @ a_t.T + q)
         p_means[t] = mu_pred
-        p_covs[t] = cov_pred
+        p_covs.append(cov_pred)
 
-        innov = outputs[t] - c @ mu_pred - offset
+        innov = outputs[t] - c @ mu_pred
+        if offset is not None:
+            innov -= offset
         s = symmetrize(c @ cov_pred @ c.T + r)
         chol = _innovation_chol(s, t + 1)
         gain = dpotrs(chol, c @ cov_pred, lower=1)[0].T
@@ -300,7 +292,7 @@ def _filter_loop(a, drive, c, noise, outputs, mu0, p0, nonlinear):
         ikc = eye - gain @ c
         cov = symmetrize(ikc @ cov_pred @ ikc.T + gain @ r @ gain.T)
         f_means[t + 1] = mu
-        f_covs[t + 1] = cov
+        f_covs.append(cov)
 
         white = dtrtrs(chol, innov, lower=1)[0]
         logdet = 2.0 * float(np.log(chol.diagonal()).sum())
@@ -308,7 +300,7 @@ def _filter_loop(a, drive, c, noise, outputs, mu0, p0, nonlinear):
         if not math.isfinite(loglik):
             raise _diverged(t + 1)
 
-        if (nonlinear is None and t > 0 and _settled(cov_pred, p_covs[t - 1])
+        if (step is None and t > 0 and _settled(cov_pred, p_covs[t - 1])
                 and _settled(cov, f_covs[t])):
             steady_from = t
             logger.debug("kalman.steady_state steady_from=%d", t)
@@ -335,14 +327,15 @@ def _filter_loop(a, drive, c, noise, outputs, mu0, p0, nonlinear):
         repeat = horizon - steady_from
         f_covs = FrozenCovs(f_covs[:start], cov, repeat)
         p_covs = FrozenCovs(p_covs[:steady_from], cov_pred, repeat)
-    elif nonlinear is None:
+    else:
         f_covs = np.reshape(f_covs, (horizon + 1, n, n))
         p_covs = np.reshape(p_covs, (horizon, n, n))
 
-    return SmoothedPosterior(filtered_means=f_means, filtered_covs=f_covs,
-                             predicted_means=p_means, predicted_covs=p_covs,
-                             loglik=loglik, transition_seq=a_seq,
-                             steady_from=steady_from)
+    return SmoothedPosterior(
+        filtered_means=f_means, filtered_covs=f_covs, predicted_means=p_means,
+        predicted_covs=p_covs, loglik=loglik, steady_from=steady_from,
+        transition_seq=None if step is None else np.reshape(a_seq,
+                                                            (horizon, n, n)))
 
 
 def _settled(new: np.ndarray, old: np.ndarray) -> bool:
@@ -366,7 +359,8 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     the per-step head before t = ``steady_from + 1``, the settled matrix once
     with its repeat count, and the per-step tail from where the backward
     iteration settled to t = T.  Without ``steady_from`` they are full
-    arrays.
+    arrays.  ``noise`` is unused; it stays for the benchmark's positional
+    call until the next benchmark revision (ROADMAP item 5).
     """
     horizon = filtered.horizon
     n = filtered.filtered_means.shape[1]
@@ -417,19 +411,18 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
 
 
 def _smoother_gain(a_t, p_f, p_pred, t):
-    """RTS gain ``J = P_f A' P_pred^{-1}`` at time index t, retrying once with
-    diagonal jitter on a singular ``P_pred``; returns J and the P_pred used."""
-    try:
-        return np.linalg.solve(p_pred, a_t @ p_f).T, p_pred
-    except np.linalg.LinAlgError:
-        pass
-    logger.debug("rts.predicted_cov_jitter time_index=%d", t + 1)
-    p_pred = p_pred + _JITTER * np.eye(p_pred.shape[0])
-    try:
-        return np.linalg.solve(p_pred, a_t @ p_f).T, p_pred
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"singular predicted covariance at time index {t + 1}") from exc
+    """RTS gain ``J = P_f A' P_pred^{-1}`` at time index t by LAPACK Cholesky,
+    retried once with diagonal jitter 1e-12 on a non-positive pivot of
+    ``P_pred``; returns J and the P_pred used."""
+    chol, info = dpotrf(p_pred, lower=1, clean=0)
+    if info != 0:
+        logger.debug("rts.predicted_cov_jitter time_index=%d", t + 1)
+        p_pred = p_pred + _JITTER * np.eye(p_pred.shape[0])
+        chol, info = dpotrf(p_pred, lower=1, clean=0)
+        if info != 0:
+            raise ValueError(
+                f"singular predicted covariance at time index {t + 1}")
+    return dpotrs(chol, a_t @ p_f, lower=1)[0].T, p_pred
 
 
 def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
@@ -451,7 +444,7 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
         return mean_next, _transition(params, slope)
 
     return _filter_loop(None, inputs @ params.U.T + params.b, readout.C, noise,
-                        outputs, mu0, p0, nonlinear=(step, readout.d))
+                        outputs, mu0, p0, step=step, offset=readout.d)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +565,7 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     inputs = np.asarray(inputs, dtype=np.float64)
     outputs = np.asarray(outputs, dtype=np.float64)
     horizon = post.horizon
-    n, m = lti.n, lti.m
+    n = lti.n
     mu = post.smoothed_means
     covs = post.smoothed_covs
     cross = post.cross_covs
@@ -582,42 +575,33 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     s_11 = cov_next + mu[1:].T @ mu[1:]
     s_1x = cross.sum(axis=0).T + mu[1:].T @ mu[:-1]
     s_xu = mu[:-1].T @ inputs
-    s_1u = mu[1:].T @ inputs
-    s_uu = inputs.T @ inputs
 
-    gram = np.block([[s_xx, s_xu], [s_xu.T, s_uu]])
-    rhs = np.hstack([s_1x, s_1u])
+    # the Gram of the regressors [x_t, u_t] and their moments with x_{t+1}
+    gram = np.block([[s_xx, s_xu], [s_xu.T, inputs.T @ inputs]])
+    rhs = np.hstack([s_1x, mu[1:].T @ inputs])
     svals = np.linalg.svd(gram, compute_uv=False)
+    ridge = 0.0
     if svals[-1] <= 1e-13 * max(svals[0], 1.0):
         ridge = 1e-10 * float(np.trace(gram)) / gram.shape[0]
         logger.warning("em.ridge ridge=%.3e", ridge)
-        gram = gram + ridge * np.eye(gram.shape[0])
-    coeffs = np.linalg.solve(gram, rhs.T).T
-    a_ls = coeffs[:, :n]
-    b_new = coeffs[:, n:]
+    # coeffs is [A B]; the Q residual below uses the Gram without the ridge
+    coeffs = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs.T).T
 
     theta = None
     constrained = False
     if structure is not None:
-        theta = project_structured(a_ls, structure)
-        a_new = theta.A
+        theta = project_structured(coeffs[:, :n], structure)
+        coeffs[:, :n] = theta.A
         constrained = theta.clamped
-    else:
-        a_new = a_ls
 
-    resid = (s_11
-             - a_new @ s_1x.T - s_1x @ a_new.T
-             - b_new @ s_1u.T - s_1u @ b_new.T
-             + a_new @ s_xx @ a_new.T
-             + a_new @ s_xu @ b_new.T + b_new @ s_xu.T @ a_new.T
-             + b_new @ s_uu @ b_new.T)
+    resid = s_11 - coeffs @ rhs.T - rhs @ coeffs.T + coeffs @ gram @ coeffs.T
     q_new = _floor_psd(symmetrize(resid / horizon))
 
     y_resid = outputs - mu[1:] @ lti.C.T
     r_new = (y_resid.T @ y_resid + lti.C @ cov_next @ lti.C.T) / horizon
     r_new = _floor_psd(symmetrize(r_new))
 
-    new_lti = LtiModel(A=a_new, B=b_new, C=lti.C, D=lti.D)
+    new_lti = LtiModel(A=coeffs[:, :n], B=coeffs[:, n:], C=lti.C, D=lti.D)
     return EmStepResult(lti=new_lti, noise=NoiseModel(Q=q_new, R=r_new),
                         loglik=post.loglik, theta=theta,
                         constrained=constrained)

@@ -30,15 +30,12 @@ __all__ = ["LtiModel", "LtvModel", "jacobians_at", "remainder_bound",
 
 @dataclass(frozen=True)
 class LtiModel:
-    """Discrete-time linear system (A, B, C, D), optionally tagged with the
-    operating pair it was linearized at."""
+    """Discrete-time linear system (A, B, C, D)."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    x_bar: Optional[np.ndarray] = None
-    u_bar: Optional[np.ndarray] = None
 
     def __post_init__(self):
         a = as_float_array(self.A, "A")
@@ -58,10 +55,6 @@ class LtiModel:
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "D", d)
-        for name in ("x_bar", "u_bar"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, as_float_array(val, name))
 
     @property
     def n(self) -> int:
@@ -111,14 +104,19 @@ def jacobians_at(params: ReservoirParams, x_bar, u_bar,
     With no readout the state itself is observed (C = I).  D is always zero:
     the readout has no feedthrough.  A non-finite operating pair is rejected.
     """
+    a, b = leaky_jacobians(params, _operating_slope(params, x_bar, u_bar))
+    c = readout.C if readout is not None else np.eye(params.n)
+    d = np.zeros((c.shape[0], params.m))
+    return LtiModel(A=a, B=b, C=c, D=d)
+
+
+def _operating_slope(params: ReservoirParams, x_bar, u_bar) -> np.ndarray:
+    """Activation slope at an operating pair, checked first."""
     x_bar = as_float_array(x_bar, "x_bar")
     u_bar = as_float_array(u_bar, "u_bar")
     if x_bar.shape != (params.n,) or u_bar.shape != (params.m,):
         raise ValueError("operating pair has inconsistent dimensions")
-    a, b = leaky_jacobians(params, leaky_map(params, x_bar, u_bar)[1])
-    c = readout.C if readout is not None else np.eye(params.n)
-    d = np.zeros((c.shape[0], params.m))
-    return LtiModel(A=a, B=b, C=c, D=d, x_bar=x_bar, u_bar=u_bar)
+    return leaky_map(params, x_bar, u_bar)[1]
 
 
 def remainder_bound(params: ReservoirParams, radius: float) -> float:

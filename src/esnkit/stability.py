@@ -178,7 +178,9 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     ``tau = 1e-11 max(|kappa^2 P|, 1)``, tested per stack of vertices by a
     batched Cholesky factorization of ``tau I - (M' P M - kappa^2 P)`` (see
     the module docstring for why that is sound).  Sampled (non-exhaustive)
-    verification can at best report Unknown.
+    verification can at best report Unknown.  A Fail reports the largest
+    vertex gain in the norm of the P solved at kappa = 1 - 1e-9, or in the
+    Euclidean norm when that solve does not exist.
     """
     if vertex_budget < 1:
         raise ValueError("vertex_budget must be >= 1")
@@ -190,13 +192,15 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     diags, exhaustive = _slope_vertices(n, l_sigma, vertex_budget)
 
     def try_kappa(kappa: float):
+        """``(P, passed)``: the candidate P at kappa (None when no Lyapunov
+        solve exists) and whether every vertex accepted it."""
         # Lyapunov solve is only defined past the spectral radius of A+.
         if kappa <= rho_plus or kappa <= 0.0:
-            return None
+            return None, False
         try:
             p = solve_discrete_lyapunov(a_plus.T / kappa, np.eye(n) / kappa ** 2)
         except np.linalg.LinAlgError:
-            return None
+            return None, False
         k2p = kappa ** 2 * p
         slack = _VERTEX_SLACK * max(float(np.abs(k2p).max()), 1.0)
         for m in _vertex_stacks(params, diags):
@@ -205,21 +209,21 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
             try:
                 np.linalg.cholesky(slack * np.eye(n) - gap)
             except np.linalg.LinAlgError:
-                return None
-        return p
+                return p, False
+        return p, True
 
     lo = max(0.0, 1.0 - lam)
     hi = 1.0 - 1e-9
-    best = try_kappa(hi)
-    if best is None:
-        return _weighted_failure(params, a_plus, rho_plus, diags)
+    best, passed = try_kappa(hi)
+    if not passed:
+        return _weighted_failure(params, best, diags)
     best_kappa = hi
     for _ in range(_BISECT_ITERS):
         if hi - lo <= _BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        p = try_kappa(mid)
-        if p is not None:
+        p, passed = try_kappa(mid)
+        if passed:
             hi, best, best_kappa = mid, p, mid
         else:
             lo = mid
@@ -228,15 +232,12 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
                        weight_P=best)
 
 
-def _weighted_failure(params: ReservoirParams, a_plus: np.ndarray,
-                      rho_plus: float, diags: np.ndarray) -> Certificate:
-    """No kappa < 1 was certifiable: report the actual bound in the best
-    available weighted norm (>= 1 by construction)."""
+def _weighted_failure(params: ReservoirParams, p: Optional[np.ndarray],
+                      diags: np.ndarray) -> Certificate:
+    """No kappa < 1 was certifiable: report the actual bound in the P-norm,
+    or the Euclidean norm when ``p`` is None (>= 1 by construction)."""
     n = params.n
-    if rho_plus < 1.0 - 1e-9:
-        p = solve_discrete_lyapunov(a_plus.T / (1.0 - 1e-9), np.eye(n))
-    else:
-        p = np.eye(n)
+    p = np.eye(n) if p is None else p
     chol = np.linalg.cholesky(symmetrize(p) + 1e-12 * np.eye(n))
     # the P-norm gain of M is ||L' M L'^{-1}||_2 with P = L L'
     chol_inv_t = scipy.linalg.solve_triangular(chol, np.eye(n), lower=True).T

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,40 @@ class TestSimulate:
         with pytest.raises(ValueError, match="readout"):
             simulate(p, np.zeros(p.n), np.zeros((3, p.m)),
                      measurement_noise=(np.eye(1), 0))
+
+
+class TestNoiseJitterEvent:
+    def _run(self, q_scale, caplog, level=logging.DEBUG):
+        p = make_reservoir()
+        with caplog.at_level(level, logger="esnkit.core"):
+            return simulate(p, np.zeros(p.n), np.zeros((5, p.m)),
+                            readout=Readout(C=np.eye(p.n)),
+                            process_noise=(q_scale * np.eye(p.n), 3),
+                            measurement_noise=(0.1 * np.eye(p.n), 4))
+
+    def _events(self, caplog):
+        return [rec.getMessage() for rec in caplog.records
+                if rec.name == "esnkit.core" and rec.levelno == logging.DEBUG
+                and rec.getMessage().split()[0] == "simulate.noise_jitter"]
+
+    def test_singular_q_reported_once(self, caplog):
+        # Q = 0 is valid, but its Cholesky factorization needs the jitter,
+        # which adds noise of standard deviation 1e-6 to the states
+        traj = self._run(0.0, caplog)
+        assert self._events(caplog) == [
+            "simulate.noise_jitter covariance=Q jitter=1e-12"]
+        assert 0.0 < np.abs(traj.states).max() <= 1e-4
+
+    def test_definite_q_reports_nothing(self, caplog):
+        self._run(0.01, caplog)
+        assert self._events(caplog) == []
+
+    def test_logging_does_not_change_results(self, caplog):
+        quiet = self._run(0.0, caplog, logging.WARNING)
+        loud = self._run(0.0, caplog, logging.DEBUG)
+        assert len(self._events(caplog)) == 1
+        assert np.array_equal(quiet.states, loud.states)
+        assert np.array_equal(quiet.outputs, loud.outputs)
 
 
 class TestLipschitzProperties:

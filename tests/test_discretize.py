@@ -84,7 +84,7 @@ class TestCtJacobians:
         assert np.abs(ct.B_c).max() <= 1e-6
 
         def field(x, u):
-            return (-x + p.activation(p.preactivation(x, u))) / tau
+            return (-x + p.activation(x @ p.W.T + u @ p.U.T + p.b)) / tau
 
         step = 1e-6
         x_bar = rng.standard_normal(n) * 0.5

@@ -703,6 +703,41 @@ class TestEmRun:
         rel_ll = abs(np.diff(result.loglik_trace)[0] / result.loglik_trace[0])
         assert rel_ll <= 1e-3
 
+    def test_unconstrained_run_reports_no_repair(self):
+        lti, noise, inputs, outputs = self._make_dataset(seed=1)
+        result = em_run(lti, noise, inputs, outputs,
+                        (np.zeros(lti.n), np.eye(lti.n)), max_iters=4,
+                        rel_tol=0.0)
+        assert result.constrained_steps == (False,) * 4
+
+    def test_structured_run_reports_clamped_steps(self):
+        # data from A = 0.1 I + 0.88 W_bar; from A = 0.2 I the first
+        # least-squares step breaks the small-gain margin, so alpha is
+        # clamped, the later steps are not, and the likelihood increases
+        w_bar = np.diag([1.0, -1.0])
+        b, c = np.array([[1.0], [0.5]]), np.array([[1.0, 0.3], [0.2, 1.0]])
+        rng = np.random.default_rng(503)
+        inputs = rng.standard_normal((300, 1))
+        x, outputs = rng.standard_normal(2), np.empty((300, 2))
+        for t in range(300):
+            x = (0.1 * np.eye(2) + 0.88 * w_bar) @ x + b @ inputs[t] \
+                + np.sqrt(0.05) * rng.standard_normal(2)
+            outputs[t] = c @ x + np.sqrt(0.05) * rng.standard_normal(2)
+        basis = StructuredBasis(W_bar=w_bar)
+        model = LtiModel(A=0.2 * np.eye(2), B=b, C=c, D=np.zeros((2, 1)))
+        noise = NoiseModel(Q=0.05 * np.eye(2), R=0.05 * np.eye(2))
+        prior = (np.zeros(2), np.eye(2))
+        result = em_run(model, noise, inputs, outputs, prior,
+                        structure=basis, max_iters=4, rel_tol=0.0)
+        flags = []
+        for _ in range(4):
+            step = em_step(model, noise, inputs, outputs, prior, basis)
+            flags.append(step.constrained)
+            model, noise = step.lti, step.noise
+        assert flags == [True, False, False, False]
+        assert np.all(np.diff(result.loglik_trace) > 0.0)
+        assert result.constrained_steps == tuple(flags)
+
     def test_structured_recovery_single_seed(self):
         rng = np.random.default_rng(30)
         n, m, p = 4, 1, 3

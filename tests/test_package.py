@@ -63,3 +63,35 @@ def test_every_public_function_is_called_by_a_test():
                 if inspect.isfunction(getattr(esnkit, name))
                 and not re.search(rf"\b{name}\(", tests)]
     assert uncalled == []
+
+
+def _logged_events():
+    """``(module, event)`` for every ``logger.debug`` / ``logger.warning``
+    call in the package; the event is the first word of the message, or
+    None when the message is not a string literal."""
+    package = Path(esnkit.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("debug", "warning")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "logger"):
+                message = node.args[0] if node.args else None
+                literal = (isinstance(message, ast.Constant)
+                           and isinstance(message.value, str))
+                yield path.stem, message.value.split()[0] if literal else None
+
+
+def test_every_logged_event_is_named_in_a_test():
+    # event names are a stable interface: each one must keep a test that
+    # reads it, and a name built at run time could not be checked
+    tests = "\n".join(path.read_text()
+                      for path in Path(__file__).parent.glob("*.py"))
+    events = list(_logged_events())
+    assert events
+    untested = [f"{module}: {event}" for module, event in events
+                if event is None
+                or not re.search(rf"(?<![\w.]){re.escape(event)}(?![\w.])",
+                                 tests)]
+    assert untested == []

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import esnkit
 from esnkit import (Activation, CertificateMethod, ReservoirParams, Verdict,
                     certify_lipschitz, certify_weighted, memory_horizon,
                     reservoir_step, simulate, spectral_radius)
@@ -136,6 +138,39 @@ class TestWeightedCertificate:
         cert = certify_weighted(p, vertex_budget=16)
         assert cert.verdict is Verdict.FAIL
         assert cert.kappa >= 1.0
+
+    def test_fail_bound_is_measured_in_the_solved_weight(self):
+        # rho(W) = 0.9 < 1, so a P exists at kappa = 1 - 1e-9, but a vertex
+        # breaks it: the Fail reports the vertex gains in that P's norm
+        rng = np.random.default_rng(6)
+        w = np.triu(rng.standard_normal((3, 3)))
+        w *= 0.9 / spectral_radius(w)
+        p = ReservoirParams(W=w, U=np.zeros((3, 1)), b=np.zeros(3), leak=1.0)
+        cert = certify_weighted(p, vertex_budget=8)
+        kappa = 1.0 - 1e-9
+        chol = np.linalg.cholesky(scipy.linalg.solve_discrete_lyapunov(
+            w.T / kappa, np.eye(3) / kappa ** 2))
+        vertices = [np.diag(d) @ w for d in itertools.product((0.0, 1.0),
+                                                              repeat=3)]
+        weighted = max(np.linalg.norm(chol.T @ m @ np.linalg.inv(chol.T), 2)
+                       for m in vertices)
+        assert cert.verdict is Verdict.FAIL
+        assert cert.kappa == pytest.approx(weighted, rel=1e-9)
+        assert cert.kappa < max(np.linalg.norm(m, 2) for m in vertices)
+
+    def test_failed_lyapunov_solve_gives_euclidean_fail(self, monkeypatch):
+        # with no candidate P at kappa = 1 - 1e-9 the Fail reports the
+        # largest vertex gain in the Euclidean norm: ||W|| for leak = 1
+        def no_solution(a, s):
+            raise np.linalg.LinAlgError("no solution")
+
+        monkeypatch.setattr(esnkit.stability, "solve_discrete_lyapunov",
+                            no_solution)
+        p = ReservoirParams(W=[[0.0, 1.5], [0.0, 0.0]], U=np.zeros((2, 1)),
+                            b=np.zeros(2), leak=1.0)
+        cert = certify_weighted(p, vertex_budget=16)
+        assert cert.verdict is Verdict.FAIL
+        assert cert.kappa == pytest.approx(1.5, rel=1e-9)
 
     def test_sampled_verification_reports_unknown(self):
         p = make_reservoir(n=8, m=1, leak=0.8, w_scale=0.7, seed=3)
