@@ -311,9 +311,8 @@ def simulate(params: ReservoirParams,
         readout was supplied.
 
     The drive ``U u_t + b`` is formed for all t in one matmul before the
-    loop, and each step evaluates sigma alone, not its slope.  A singular
-    noise covariance gets diagonal jitter 1e-12 (the DEBUG event
-    ``simulate.noise_jitter``), so ``Q = 0`` still adds noise of std 1e-6.
+    loop, and each step evaluates sigma alone, not its slope.  Noise is
+    drawn exactly from the PSD covariance, so ``Q = 0`` adds none.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -353,12 +352,16 @@ def simulate(params: ReservoirParams,
 
 
 def _noise_draws(noise, name: str, shape) -> np.ndarray:
-    """``shape[0]`` seeded N(0, cov) draws for ``noise = (cov, seed)``; a
-    singular PSD ``cov`` is factored with diagonal jitter 1e-12."""
+    """``shape[0]`` seeded N(0, cov) draws for ``noise = (cov, seed)``: a
+    definite ``cov`` is factored by Cholesky, any other by ``eigh`` with the
+    eigenvalues below 0 clipped (the DEBUG event ``simulate.noise_clip``)."""
     cov = check_psd(noise[0], name)
     try:
-        chol = np.linalg.cholesky(cov)
+        factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        logger.debug("simulate.noise_jitter covariance=%s jitter=1e-12", name)
-        chol = np.linalg.cholesky(cov + 1e-12 * np.eye(cov.shape[0]))
-    return rng_from_seed(noise[1]).standard_normal(shape) @ chol.T
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        if eigvals[0] < 0.0:
+            logger.debug("simulate.noise_clip covariance=%s eigenvalue=%.3e",
+                         name, eigvals[0])
+        factor = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
+    return rng_from_seed(noise[1]).standard_normal(shape) @ factor.T

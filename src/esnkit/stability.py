@@ -5,9 +5,9 @@ what guarantees unique input-driven trajectories and fading memory):
 
 * ``certify_lipschitz`` -- the global small-gain bound
   kappa = (1 - leak) + leak * ||W||_2 * L_sigma.
-* ``certify_weighted`` -- a quadratic (weighted-norm) certificate obtained by
-  solving a discrete Lyapunov equation for a candidate weight P and then
-  verifying the slope-vertex matrix inequalities.
+* ``certify_weighted`` -- a quadratic (weighted-norm) certificate: the rate
+  kappa at which a weight P satisfies the slope-vertex matrix inequalities
+  M' P M <= kappa^2 P.  Its kappa is never worse than the Lipschitz one.
 * spectral radius of a small-signal Jacobian (via :func:`spectral_radius`),
   a local condition composed by callers.
 
@@ -26,7 +26,12 @@ The vertices are checked in stacks of ``_VERTEX_CHUNK``, each accepted when
 one batched Cholesky factorization of ``tau I - G``, G = M' P M - kappa^2 P,
 succeeds.  That proves lambda_max(G) <= tau up to the backward error
 O(n eps ||G||), far below the slack tau, so it is as sound as an eigenvalue
-test; a failed factorization only rejects that kappa.
+test.  At a fixed P = L L' the test only gets easier as kappa grows (G
+falls, tau grows), so :func:`_weighted_gain` finds the P-norm gain
+max_v ||L' M_v L'^{-1}||_2 in one pass: a failing stack raises kappa to its
+SVD gain and is tested again, and the stacks already passed stay proved.
+No P gives a rate below rho(A+) or 1 - leak, as A+ = (1-leak) I + leak
+L_sigma W and (1-leak) I are vertices.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import numpy as np
 import scipy.linalg
 from scipy.stats import qmc
 
-from ._linalg import solve_discrete_lyapunov, spectral_norm, symmetrize
+from ._linalg import solve_discrete_lyapunov, spectral_norm
 from .core import ReservoirParams, _transition
 
 __all__ = [
@@ -55,9 +60,10 @@ __all__ = [
 ]
 
 # Bisection controls for the weighted certificate.
-_BISECT_ITERS = 60
 _BISECT_TOL = 1e-6
 _VERTEX_SLACK = 1e-11
+# Cholesky tests of one stack, each after raising kappa to its SVD gain.
+_GAIN_TRIES = 4
 # Slope vertices per batched matrix stack.
 _VERTEX_CHUNK = 128
 # Multiple of n eps ||W||_2 that bounds the error of the LAPACK SVD norm
@@ -126,13 +132,18 @@ def _small_gain(lam: float, l_sigma: float, w: np.ndarray,
                 feasible: bool = True) -> Certificate:
     """The ``certify_lipschitz`` test of (1 - lam) I + lam l_sigma w, failed
     outright when the parameters are not ``feasible``."""
+    kappa, upper = _small_gain_bound(lam, l_sigma, w)
+    return Certificate(CertificateMethod.LIPSCHITZ_C1, kappa,
+                       Verdict.PASS if feasible and upper < 1.0 else Verdict.FAIL)
+
+
+def _small_gain_bound(lam: float, l_sigma: float, w: np.ndarray):
+    """(1 - lam) + lam l_sigma ||w||_2, and that plus its SVD error bound."""
     gain = lam * l_sigma
     norm = spectral_norm(w)
     kappa = (1.0 - lam) + gain * norm
     error = _SVD_ERROR * max(w.shape) * np.finfo(np.float64).eps * gain * norm
-    passed = feasible and kappa + error < 1.0
-    return Certificate(CertificateMethod.LIPSCHITZ_C1, kappa,
-                       Verdict.PASS if passed else Verdict.FAIL)
+    return kappa, kappa + error
 
 
 def spectral_radius(a) -> float:
@@ -161,92 +172,81 @@ def _slope_vertices(n: int, l_sigma: float, budget: int):
     return np.vstack([np.zeros(n), np.full(n, l_sigma), samples]), False
 
 
-def _vertex_stacks(params: ReservoirParams, diags: np.ndarray):
-    """Vertex matrices M = (1-leak) I + leak D W, (k, n, n) stacks of at most
-    ``_VERTEX_CHUNK``."""
+def _weighted_gain(params: ReservoirParams, p: np.ndarray, diags: np.ndarray,
+                   a_plus: np.ndarray, kappa: Optional[float] = None) -> float:
+    """Verified P-norm gain max_v ||L' M_v L'^{-1}||_2 (P = L L'), raised from
+    that of ``a_plus`` as stacks fail their Cholesky test (inf after
+    ``_GAIN_TRIES`` fails); a given ``kappa`` is only tested (inf on a fail)."""
+    n = params.n
+    fixed = kappa is not None
+    chol = np.linalg.cholesky(p)
+    chol_inv_t = scipy.linalg.solve_triangular(chol, np.eye(n), lower=True).T
+    kappa = kappa if fixed else spectral_norm(chol.T @ a_plus @ chol_inv_t)
     for start in range(0, len(diags), _VERTEX_CHUNK):
-        yield _transition(params, diags[start:start + _VERTEX_CHUNK])
+        m = _transition(params, diags[start:start + _VERTEX_CHUNK])
+        mpm = np.swapaxes(m, 1, 2) @ p @ m
+        mpm = 0.5 * (mpm + np.swapaxes(mpm, 1, 2))
+        for attempt in range(_GAIN_TRIES):
+            k2p = kappa ** 2 * p
+            slack = _VERTEX_SLACK * max(float(np.abs(k2p).max()), 1.0)
+            try:
+                np.linalg.cholesky(slack * np.eye(n) - (mpm - k2p))
+                break
+            except np.linalg.LinAlgError:
+                if fixed:
+                    return math.inf
+                gains = np.linalg.norm(chol.T @ m @ chol_inv_t, 2, axis=(1, 2))
+                kappa = max(kappa, float(gains.max())) * (1 + 1e-12 * 1e3 ** attempt)
+        else:
+            return math.inf
+    return kappa
 
 
 def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Certificate:
     """Weighted quadratic contraction certificate over the slope box.
 
-    Candidate weights come from the Lyapunov equation
-    ``A+' P A+ - kappa^2 P = -I`` at ``A+ = (1-leak) I + leak L_sigma W``,
-    with kappa bisected over [max(0, 1-leak), 1].  Each candidate is accepted
-    only if every slope vertex satisfies ``M' P M <= kappa^2 P`` up to a slack
-    ``tau = 1e-11 max(|kappa^2 P|, 1)``, tested per stack of vertices by a
-    batched Cholesky factorization of ``tau I - (M' P M - kappa^2 P)`` (see
-    the module docstring for why that is sound).  Sampled (non-exhaustive)
-    verification can at best report Unknown.  A Fail reports the largest
-    vertex gain in the norm of the P solved at kappa = 1 - 1e-9, or in the
-    Euclidean norm when that solve does not exist.
+    ``kappa`` is the verified P-norm gain of ``weight_P`` (see the module
+    docstring).  P first solves ``A+' P A+ - k^2 P = -I`` at k = 1 - 1e-9;
+    P = I is tried too when no solve exists or the gain exceeds the
+    ``certify_lipschitz`` kappa plus its SVD error, and the smaller gain is
+    kept, so kappa is never worse than the Lipschitz one.  kappa >= 1 is a
+    Fail; otherwise the Lyapunov P at kappas bisected over
+    [max(1-leak, rho(A+)), kappa] replace it wherever they pass.  Sampled
+    (non-exhaustive) verification can at best report Unknown.
     """
     if vertex_budget < 1:
         raise ValueError("vertex_budget must be >= 1")
     n = params.n
-    lam = params.leak
     l_sigma = params.activation.lipschitz
     a_plus = _transition(params, np.full(n, l_sigma))
-    rho_plus = spectral_radius(a_plus)
     diags, exhaustive = _slope_vertices(n, l_sigma, vertex_budget)
 
-    def try_kappa(kappa: float):
-        """``(P, passed)``: the candidate P at kappa (None when no Lyapunov
-        solve exists) and whether every vertex accepted it."""
-        # Lyapunov solve is only defined past the spectral radius of A+.
-        if kappa <= rho_plus or kappa <= 0.0:
-            return None, False
+    def lyapunov(kappa: float, test: Optional[float] = None):
+        """``(P, gain or test result)`` at kappa; ``(None, inf)`` if no PD P."""
         try:
             p = solve_discrete_lyapunov(a_plus.T / kappa, np.eye(n) / kappa ** 2)
+            return p, _weighted_gain(params, p, diags, a_plus, test)
         except np.linalg.LinAlgError:
-            return None, False
-        k2p = kappa ** 2 * p
-        slack = _VERTEX_SLACK * max(float(np.abs(k2p).max()), 1.0)
-        for m in _vertex_stacks(params, diags):
-            mpm = np.swapaxes(m, 1, 2) @ p @ m
-            gap = 0.5 * (mpm + np.swapaxes(mpm, 1, 2)) - k2p
-            try:
-                np.linalg.cholesky(slack * np.eye(n) - gap)
-            except np.linalg.LinAlgError:
-                return p, False
-        return p, True
+            return None, math.inf
 
-    lo = max(0.0, 1.0 - lam)
-    hi = 1.0 - 1e-9
-    best, passed = try_kappa(hi)
-    if not passed:
-        return _weighted_failure(params, best, diags)
-    best_kappa = hi
-    for _ in range(_BISECT_ITERS):
-        if hi - lo <= _BISECT_TOL:
-            break
+    best, hi = lyapunov(1.0 - 1e-9)
+    if hi > _small_gain_bound(params.leak, l_sigma, params.W)[1]:
+        eye_gain = _weighted_gain(params, np.eye(n), diags, a_plus)
+        if eye_gain < hi:
+            best, hi = np.eye(n), eye_gain
+    if hi >= 1.0:
+        return Certificate(CertificateMethod.WEIGHTED_C2, hi, Verdict.FAIL)
+    lo = max(1.0 - params.leak, spectral_radius(a_plus))
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        p, passed = try_kappa(mid)
-        if passed:
-            hi, best, best_kappa = mid, p, mid
+        p, gain = lyapunov(mid, mid)
+        if gain <= mid:
+            hi, best = gain, p
         else:
             lo = mid
     verdict = Verdict.PASS if exhaustive else Verdict.UNKNOWN
-    return Certificate(CertificateMethod.WEIGHTED_C2, best_kappa, verdict,
+    return Certificate(CertificateMethod.WEIGHTED_C2, hi, verdict,
                        weight_P=best)
-
-
-def _weighted_failure(params: ReservoirParams, p: Optional[np.ndarray],
-                      diags: np.ndarray) -> Certificate:
-    """No kappa < 1 was certifiable: report the actual bound in the P-norm,
-    or the Euclidean norm when ``p`` is None (>= 1 by construction)."""
-    n = params.n
-    p = np.eye(n) if p is None else p
-    chol = np.linalg.cholesky(symmetrize(p) + 1e-12 * np.eye(n))
-    # the P-norm gain of M is ||L' M L'^{-1}||_2 with P = L L'
-    chol_inv_t = scipy.linalg.solve_triangular(chol, np.eye(n), lower=True).T
-    bound = 0.0
-    for m in _vertex_stacks(params, diags):
-        gains = np.linalg.norm(chol.T @ m @ chol_inv_t, 2, axis=(1, 2))
-        bound = max(bound, float(gains.max()))
-    return Certificate(CertificateMethod.WEIGHTED_C2, max(bound, 1.0),
-                       Verdict.FAIL)
 
 
 def memory_horizon(kappa: float, input_gain: float, amplitude: float,

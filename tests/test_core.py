@@ -147,34 +147,42 @@ class TestSimulate:
 
 
 class TestNoiseJitterEvent:
-    def _run(self, q_scale, caplog, level=logging.DEBUG):
+    # singular, with an eigenvalue below 0 by less than check_psd's floor
+    _CLIPPED_Q = np.diag([1e3, -5e-10, 0.0, 0.0])
+
+    def _run(self, q, caplog, level=logging.DEBUG):
         p = make_reservoir()
         with caplog.at_level(level, logger="esnkit.core"):
             return simulate(p, np.zeros(p.n), np.zeros((5, p.m)),
                             readout=Readout(C=np.eye(p.n)),
-                            process_noise=(q_scale * np.eye(p.n), 3),
+                            process_noise=(q, 3),
                             measurement_noise=(0.1 * np.eye(p.n), 4))
 
     def _events(self, caplog):
         return [rec.getMessage() for rec in caplog.records
                 if rec.name == "esnkit.core" and rec.levelno == logging.DEBUG
-                and rec.getMessage().split()[0] == "simulate.noise_jitter"]
+                and rec.getMessage().split()[0] == "simulate.noise_clip"]
 
     def test_singular_q_reported_once(self, caplog):
-        # Q = 0 is valid, but its Cholesky factorization needs the jitter,
-        # which adds noise of standard deviation 1e-6 to the states
-        traj = self._run(0.0, caplog)
+        # Q = 0 is drawn exactly: no noise at all and nothing to report; a
+        # clipped eigenvalue is reported once and the draw stays finite
+        p = make_reservoir()
+        clean = simulate(p, np.zeros(p.n), np.zeros((5, p.m)))
+        traj = self._run(np.zeros((p.n, p.n)), caplog)
+        assert self._events(caplog) == []
+        assert np.array_equal(traj.states, clean.states)
+        traj = self._run(self._CLIPPED_Q, caplog)
         assert self._events(caplog) == [
-            "simulate.noise_jitter covariance=Q jitter=1e-12"]
-        assert 0.0 < np.abs(traj.states).max() <= 1e-4
+            "simulate.noise_clip covariance=Q eigenvalue=-5.000e-10"]
+        assert np.all(np.isfinite(traj.states))
 
     def test_definite_q_reports_nothing(self, caplog):
-        self._run(0.01, caplog)
+        self._run(0.01 * np.eye(4), caplog)
         assert self._events(caplog) == []
 
     def test_logging_does_not_change_results(self, caplog):
-        quiet = self._run(0.0, caplog, logging.WARNING)
-        loud = self._run(0.0, caplog, logging.DEBUG)
+        quiet = self._run(self._CLIPPED_Q, caplog, logging.WARNING)
+        loud = self._run(self._CLIPPED_Q, caplog, logging.DEBUG)
         assert len(self._events(caplog)) == 1
         assert np.array_equal(quiet.states, loud.states)
         assert np.array_equal(quiet.outputs, loud.outputs)

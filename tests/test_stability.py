@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import esnkit
 from esnkit import (Activation, CertificateMethod, ReservoirParams, Verdict,
-                    certify_lipschitz, certify_weighted, memory_horizon,
-                    reservoir_step, simulate, spectral_radius)
+                    certify_lipschitz, certify_weighted, gamma_for_radius,
+                    make_normal_reservoir, memory_horizon, reservoir_step,
+                    simulate, spectral_radius, target_radius)
 
 from conftest import make_reservoir
 from oracles import vertex_margin_min
@@ -20,6 +22,29 @@ def reservoir_with_norm(norm, leak, n=3, seed=0, activation=None):
     w *= norm / np.linalg.norm(w, 2)
     return ReservoirParams(W=w, U=rng.standard_normal((n, 1)), b=np.zeros(n),
                            leak=leak, activation=activation or Activation.tanh())
+
+
+def designed_normal_reservoir(n, seed, memory_range):
+    """A normal W designed for a memory horizon H drawn from ``memory_range``:
+    the dominant real pole at the design radius gamma, a second real pole,
+    then conjugate pairs with radii log-uniform in [0.25, 0.9] * gamma."""
+    rng = np.random.default_rng(seed)
+    leak = rng.uniform(0.3, 0.7)
+    memory = rng.uniform(*memory_range)
+    pairs = (n - 2) // 2
+    radii = np.concatenate([[1.0], np.exp(rng.uniform(
+        math.log(0.25), math.log(0.9), pairs + 1))])
+    angles = np.concatenate([[0.0, math.pi],
+                             rng.uniform(0.1, math.pi - 0.1, pairs)])
+    gamma, _ = gamma_for_radius(target_radius(horizon=memory), leak, 1.0)
+    w = make_normal_reservoir(n, gamma * radii, angles,
+                              seed=int(rng.integers(2 ** 31)))
+    return ReservoirParams(W=w, U=np.zeros((n, 1)), b=np.zeros(n), leak=leak)
+
+
+def full_slope_radius(p):
+    """rho(A+) with A+ = (1 - leak) I + leak W (unit slope)."""
+    return spectral_radius((1.0 - p.leak) * np.eye(p.n) + p.leak * p.W)
 
 
 class TestLipschitzCertificate:
@@ -184,7 +209,8 @@ class TestWeightedCertificate:
            nonnormal=st.booleans())
     def test_exhaustive_verdict_is_sound(self, n, seed, norm, leak, nonnormal):
         # 2^n vertices span several stacks; every Pass is re-checked vertex by
-        # vertex, and every Fail must report a bound of at least one
+        # vertex, and every Fail must report a bound of at least one; the
+        # hierarchy rho(A+) <= kappa_weighted <= kappa_Lipschitz holds
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((n, n))
         if nonnormal:
@@ -192,8 +218,12 @@ class TestWeightedCertificate:
         w *= norm / np.linalg.norm(w, 2)
         p = ReservoirParams(W=w, U=np.zeros((n, 1)), b=np.zeros(n), leak=leak)
         cert = certify_weighted(p, vertex_budget=2 ** n)
+        lipschitz = certify_lipschitz(p)
+        if lipschitz.passed:
+            assert cert.verdict is Verdict.PASS
+            assert cert.kappa <= lipschitz.kappa * (1 + 1e-9)
         if cert.verdict is Verdict.PASS:
-            assert cert.kappa < 1.0
+            assert full_slope_radius(p) * (1 - 1e-12) <= cert.kappa < 1.0
             p_mat = cert.weight_P
             scale = cert.kappa ** 2 * np.abs(p_mat).max()
             assert np.linalg.eigvalsh(p_mat).min() > 0.0
@@ -205,6 +235,43 @@ class TestWeightedCertificate:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             certify_weighted(make_reservoir(), vertex_budget=0)
+
+    def test_designed_normal_reservoirs_pass_where_lipschitz_passes(self):
+        # the Lyapunov weight alone failed 15 of these 30 designs (H in
+        # [20, 60]) that certify_lipschitz passes; the P = I candidate makes
+        # the weighted kappa no worse than the Lipschitz one
+        for k in range(30):
+            p = designed_normal_reservoir(10, 900 + k, (20.0, 60.0))
+            lipschitz = certify_lipschitz(p)
+            assert lipschitz.passed
+            cert = certify_weighted(p, vertex_budget=1024)
+            assert cert.verdict is Verdict.PASS
+            assert cert.kappa <= lipschitz.kappa * (1 + 1e-9)
+
+    def test_sampled_design_takes_one_vertex_sweep(self, monkeypatch):
+        # a designed n=32 reservoir is certified at rho(A+) by the first
+        # Lyapunov weight: one solve, A+ plus one build of each vertex
+        # stack, no bisection step and no second candidate
+        calls = {"_transition": 0, "solve_discrete_lyapunov": 0}
+
+        def counted(name):
+            inner = getattr(esnkit.stability, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(esnkit.stability, name, counted(name))
+        p = designed_normal_reservoir(32, 7, (10.0, 40.0))
+        cert = certify_weighted(p, vertex_budget=1024)
+        chunk = esnkit.stability._VERTEX_CHUNK
+        assert calls["_transition"] <= 1 + math.ceil(1026 / chunk)
+        assert calls["solve_discrete_lyapunov"] == 1
+        assert cert.verdict is Verdict.UNKNOWN
+        rho = full_slope_radius(p)
+        assert rho * (1 - 1e-12) <= cert.kappa <= rho * (1 + 1e-9)
 
 
 class TestMemoryHorizon:
