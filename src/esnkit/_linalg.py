@@ -8,8 +8,16 @@ which module asks for them.
 
 from __future__ import annotations
 
+import logging
+import math
+import re
+import warnings
+
 import numpy as np
 import scipy.linalg
+
+logger = logging.getLogger(__name__)
+
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) so draws are reproducible across platforms."""
@@ -63,17 +71,70 @@ def solve_discrete_lyapunov(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     Requires rho(A) < 1 and raises ``LinAlgError`` otherwise: there the
     solver can return a huge "solution" that still meets a relative residual
     test.  Also raises if the residual exceeds 1e-10 relative to the
-    solution scale.
+    solution scale.  SciPy's ``LinAlgWarning`` for an ill-conditioned
+    system (rho(A) within about 1e-15 of 1) does not escape: it becomes the
+    DEBUG event ``lyapunov.ill_conditioned rcond=...`` and the residual
+    test decides.
     """
     a = np.asarray(a, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if float(np.abs(np.linalg.eigvals(a)).max()) >= 1.0:
         raise np.linalg.LinAlgError(
             "discrete Lyapunov solve needs rho(A) < 1")
-    x = symmetrize(scipy.linalg.solve_discrete_lyapunov(a, s))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", scipy.linalg.LinAlgWarning)
+        x = symmetrize(scipy.linalg.solve_discrete_lyapunov(a, s))
+    for warning in caught:
+        if issubclass(warning.category, scipy.linalg.LinAlgWarning):
+            found = re.search(r"rcond\s*=\s*([-+0-9.eE]*\d)",
+                              str(warning.message))
+            logger.debug("lyapunov.ill_conditioned rcond=%s",
+                         found.group(1) if found else "unknown")
+        else:
+            warnings.warn_explicit(warning.message, warning.category,
+                                   warning.filename, warning.lineno)
     scale = max(1.0, float(np.abs(x).max()))
     residual = np.abs(a @ x @ a.T + s - x).max()
     if not np.isfinite(residual) or residual > 1e-10 * scale:
         raise np.linalg.LinAlgError(
             f"discrete Lyapunov residual {residual:.3e} exceeds tolerance")
     return x
+
+
+def linear_scan(m: np.ndarray, rows: np.ndarray) -> None:
+    """Run the affine recursion ``rows[t] += m @ rows[t - 1]`` for t = 1..T-1
+    in place on ``rows`` (T, n), which may be any view, reversed or strided
+    ones included.
+
+    The T - 1 steps are split into chunks of k = isqrt(T - 1) steps.  All
+    chunks are stepped together from a zero start, k - 1 ``(chunks, n) @
+    (n, n)`` products; the chunk ends are then carried with ``m^k``, one
+    matvec per chunk; and ``m^(r+1)`` times its true start is added to row r
+    of every chunk, k more products.  That is O(T n^2) work in about 3
+    sqrt(T) small products instead of T matvecs, with no temporary larger
+    than (chunks, n).  The sums are regrouped, so the result matches the
+    step loop up to rounding, not bit for bit.  Fewer than 9 steps run that
+    loop.
+    """
+    steps = len(rows) - 1
+    k = math.isqrt(max(steps, 0))
+    if k < 3:
+        for t in range(1, steps + 1):
+            rows[t] += m @ rows[t - 1]
+        return
+    m_t = m.T
+    # row r of chunk i is rows[1 + i k + r], so rows[1 + r::k] is that row of
+    # every chunk; only the last chunk may be short
+    for r in range(1, k):
+        block = rows[1 + r::k]
+        block += rows[r::k][:len(block)] @ m_t
+    chunks = len(rows[1::k])
+    power_t = np.linalg.matrix_power(m, k).T
+    starts = np.empty((chunks, rows.shape[1]))
+    starts[0] = rows[0]
+    for i in range(1, chunks):
+        starts[i] = rows[i * k] + starts[i - 1] @ power_t
+    for r in range(k):
+        block = rows[1 + r::k]
+        starts = starts[:len(block)] @ m_t
+        block += starts

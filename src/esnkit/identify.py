@@ -30,7 +30,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from ._linalg import as_float_array, check_psd, spectral_norm, symmetrize
+from ._linalg import (as_float_array, check_psd, linear_scan, spectral_norm,
+                      symmetrize)
 from .core import Readout, ReservoirParams, _driven_map, _transition
 from .linearize import LtiModel
 from .stability import Certificate, _small_gain
@@ -233,7 +234,9 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     the filtered covariance each moved by at most ``_STEADY_TOL`` (4 eps)
     times their largest entry since step t-1, the gain, the covariances and
     the innovation Cholesky factor are frozen and ``steady_from`` is set to
-    t; later steps update only the means.  The covariances are then returned
+    t; the later means are one affine recursion in the closed-loop matrix
+    (I - KC) A, run by the blocked scan :func:`linear_scan` (equal to the
+    step loop up to rounding).  The covariances are then returned
     as :class:`FrozenCovs` that store the t per-step predicted and t + 1
     filtered matrices and the frozen pair once, so they take O(t n^2) memory
     rather than O(T n^2).  A run that never freezes returns full arrays, as
@@ -314,8 +317,7 @@ def _filter_loop(a, drive, c, noise, outputs, mu0, p0, step=None, offset=None):
         a_closed = ikc @ a
         np.matmul(p_means[start:], ikc.T, out=f_means[start + 1:])
         f_means[start + 1:] += outputs[start:] @ gain.T
-        for t in range(start + 1, horizon + 1):
-            f_means[t] += a_closed @ f_means[t - 1]
+        linear_scan(a_closed, f_means[start:])
         p_means[start:] += f_means[start:-1] @ a.T
         innov = outputs[start:] - p_means[start:] @ c.T
         quad = np.square(dtrtrs(chol, innov.T, lower=1)[0])
@@ -353,8 +355,10 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
 
     Past ``filtered.steady_from`` the gain J is computed once, and the
     covariances are iterated back from t = T only until a step moves them by
-    at most ``_STEADY_TOL`` times their largest entry; then only the means
-    are updated.  Earlier steps, and every EKF step, are computed one by one.
+    at most ``_STEADY_TOL`` times their largest entry; the means over that
+    stretch are one backward affine recursion in J, run by the blocked scan
+    :func:`linear_scan`.  Earlier steps, and every EKF step, are computed one
+    by one.
     The smoothed and cross covariances of such a run are :class:`FrozenCovs`:
     the per-step head before t = ``steady_from + 1``, the settled matrix once
     with its repeat count, and the per-step tail from where the backward
@@ -388,8 +392,7 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
         offsets = np.matmul(p_means[start:horizon], -gain.T,
                             out=s_means[start:horizon])
         offsets += f_means[start:horizon]
-        for t in range(horizon - 1, start - 1, -1):
-            s_means[t] += gain @ s_means[t + 1]
+        linear_scan(gain, s_means[start:][::-1])
 
     s_covs = np.empty((start + 1, n, n))
     cross = np.empty((start, n, n))

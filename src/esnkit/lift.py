@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import rng_from_seed
+from ._linalg import linear_scan, rng_from_seed
 from .core import Readout, ReservoirParams, Trajectory, leaky_map
 from .stability import Certificate, CertificateMethod, Verdict, spectral_radius
 
@@ -213,16 +213,18 @@ def lifted_rollout_error(model: LiftedModel,
     matching analytic bound epsilon * sum_{j<t} rho^j.
 
     The bound quoted uses rho = rho(A_phi); it is only a guaranteed envelope
-    when rho < 1 (geometric accumulation of the one-step residual).
+    when rho < 1 (geometric accumulation of the one-step residual).  The
+    rollout ``z_{t+1} = A_phi z_t + B_phi u_t`` from ``z_0 = phi(x_0)`` is one
+    blocked scan (``_linalg.linear_scan``).
     """
     if horizon < 1 or horizon > traj.horizon:
         raise ValueError("horizon must be in 1..len(inputs)")
     phi_true = model.dictionary.eval_batch(traj.states[:horizon + 1])
-    z = phi_true[0].copy()
-    discrepancy = np.empty(horizon)
-    for t in range(horizon):
-        z = model.A_phi @ z + model.B_phi @ traj.inputs[t]
-        discrepancy[t] = np.linalg.norm(z - phi_true[t + 1])
+    z = np.empty_like(phi_true)
+    z[0] = phi_true[0]
+    np.matmul(traj.inputs[:horizon], model.B_phi.T, out=z[1:])
+    linear_scan(model.A_phi, z)
+    discrepancy = np.linalg.norm(z[1:] - phi_true[1:], axis=1)
     rho = spectral_radius(model.A_phi)
     powers = np.cumsum(rho ** np.arange(horizon))
     bound = model.epsilon * powers

@@ -5,6 +5,7 @@ import pytest
 
 from esnkit import (Activation, Readout, ReservoirParams, Trajectory,
                     activation_eval, reservoir_step, simulate)
+from esnkit.core import _noise_draws
 
 from conftest import make_reservoir
 
@@ -101,6 +102,26 @@ class TestSimulate:
         for t in range(50):
             x = p.W @ x + p.U @ inputs[t]
             assert np.abs(traj.states[t + 1] - x).max() <= 1e-12
+
+    @pytest.mark.parametrize("q_scale", [0.0, 0.01], ids=["q0", "noisy"])
+    def test_identity_activation_matches_step_loop(self, q_scale):
+        # the identity map runs as one affine scan: the step loop up to
+        # rounding, and with Q = 0 exactly the noise-free run
+        p = make_reservoir(n=6, m=2, seed=8, leak=0.7, w_scale=0.95,
+                           activation=Activation.identity(), bias_scale=0.5)
+        rng = np.random.default_rng(12)
+        x0 = rng.standard_normal(p.n)
+        inputs = rng.standard_normal((700, p.m))
+        q = q_scale * np.eye(p.n)
+        traj = simulate(p, x0, inputs, process_noise=(q, 5))
+        draws = _noise_draws((q, 5), "Q", (700, p.n))
+        want = [x0]
+        for u, w in zip(inputs, draws):
+            want.append(reservoir_step(p, want[-1], u) + w)
+        want = np.array(want)
+        assert np.abs(traj.states - want).max() <= 1e-12 * np.abs(want).max()
+        if q_scale == 0.0:
+            assert np.array_equal(traj.states, simulate(p, x0, inputs).states)
 
     def test_seeded_noise_is_bit_reproducible(self):
         p = make_reservoir()

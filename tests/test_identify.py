@@ -3,7 +3,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from esnkit import (Activation, FrozenCovs, LtiModel, NoiseModel, Readout,
@@ -247,6 +247,8 @@ class TestRtsSmoother:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(1, 16), p=st.integers(1, 3),
            horizon=st.integers(2, 400), seed=st.integers(0, 2 ** 32 - 1))
+    # a long frozen run: its means come from the blocked scan
+    @example(n=16, p=2, horizon=5000, seed=10)
     def test_matches_per_step_reference(self, n, p, horizon, seed):
         rng = np.random.default_rng(seed)
         a, b, c = random_stable_system(n, 1, p, seed=seed,

@@ -150,6 +150,22 @@ class TestRolloutError:
         disc, _ = lifted_rollout_error(lm, p, test, horizon=40)
         assert disc.max() <= 1e-9
 
+    def test_matches_step_loop(self):
+        p = make_reservoir(n=3, m=1, seed=10, w_scale=0.5, leak=0.8)
+        rng = np.random.default_rng(7)
+        train = [simulate(p, 0.1 * rng.standard_normal(3),
+                          rng.uniform(-1, 1, (200, 1))) for _ in range(3)]
+        lm = edmd_fit(p, train, Dictionary.monomials(2), ridge=1e-10)
+        held_out = simulate(p, 0.1 * rng.standard_normal(3),
+                            rng.uniform(-1, 1, (200, 1)))
+        disc, _ = lifted_rollout_error(lm, p, held_out, horizon=150)
+        phi = lm.dictionary.eval_batch(held_out.states)
+        z, want = phi[0], []
+        for t in range(150):
+            z = lm.A_phi @ z + lm.B_phi @ held_out.inputs[t]
+            want.append(np.linalg.norm(z - phi[t + 1]))
+        assert np.abs(disc - want).max() <= 1e-12 * max(want)
+
     def test_one_step_discrepancy_bounded_by_epsilon(self):
         p = make_reservoir(n=3, m=1, seed=9, w_scale=0.6)
         rng = np.random.default_rng(6)

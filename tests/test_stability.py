@@ -183,6 +183,20 @@ class TestWeightedCertificate:
         assert cert.kappa == pytest.approx(weighted, rel=1e-9)
         assert cert.kappa < max(np.linalg.norm(m, 2) for m in vertices)
 
+    @pytest.mark.parametrize("w0", [
+        np.random.default_rng(2).standard_normal((6, 6)),
+        np.triu(np.random.default_rng(0).standard_normal((6, 6)))],
+        ids=["gaussian", "triangular"])
+    def test_ill_conditioned_lyapunov_solve_gives_fail(self, w0):
+        # rho(W) = 1 - 1e-9 - 1e-15: the solve at kappa = 1 - 1e-9 is
+        # ill-conditioned, which is a Fail (an event), not a warning
+        w = (1.0 - 1e-9 - 1e-15) * w0 / spectral_radius(w0)
+        p = ReservoirParams(W=w, U=np.ones((6, 1)), b=np.zeros(6), leak=1.0,
+                            activation=Activation.identity())
+        cert = certify_weighted(p)
+        assert cert.verdict is Verdict.FAIL
+        assert cert.kappa >= 1.0
+
     def test_failed_lyapunov_solve_gives_euclidean_fail(self, monkeypatch):
         # with no candidate P at kappa = 1 - 1e-9 the Fail reports the
         # largest vertex gain in the Euclidean norm: ||W|| for leak = 1
