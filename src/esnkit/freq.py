@@ -12,22 +12,21 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from ._linalg import solve_discrete_lyapunov
 from .linearize import LtiModel
-from .stability import spectral_radius
+from .stability import _decay_envelope, spectral_radius
 
 __all__ = ["ImpulseKernel", "ModalDecomposition", "GramianPair", "RankReport",
            "HinfEstimate", "transfer_eval", "impulse_kernel", "modal",
            "gramians", "ctrb_obsv_rank", "h2_norm", "hinf_norm_grid",
            "output_psd"]
 
-# Window for the empirical transient-growth constant c in ||A^k|| <= c rho^k.
-_GROWTH_WINDOW = 30
+_MAX_TRUNCATION = 200_000
 # Frequencies per batched solve; bounds the (k, n, n) complex stack in memory.
 _FREQ_CHUNK = 64
 
@@ -36,14 +35,14 @@ _FREQ_CHUNK = 64
 class ImpulseKernel:
     """Finite kernel h_0..h_K with a geometric bound on the discarded tail.
 
-    ``growth_constant`` is the measured sup of ||A^k|| / rho^k over a finite
-    window; for non-normal A it is empirical, not a proof.
+    ``envelope`` is a proven ``(c, kappa)`` with ||A^k||_2 <= c kappa^k for
+    all k; without one (None) ``tail_bound`` is inf.
     """
 
     blocks: np.ndarray            # (K+1, p, m)
     truncation: int
     tail_bound: float
-    growth_constant: float
+    envelope: Optional[Tuple[float, float]]
 
     def __len__(self) -> int:
         return self.blocks.shape[0]
@@ -142,23 +141,25 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
                    tail_tol: float = 1e-9) -> ImpulseKernel:
     """Kernel blocks h_k = C A^k B for k = 0..K by repeated multiplication.
 
-    If ``truncation`` is omitted, K is chosen so the geometric tail bound
-    c ||C|| ||B|| rho^{K+1} / (1 - rho) drops below ``tail_tol`` (requires
-    rho(A) < 1).
+    The tail bound c ||C|| ||B|| kappa^{K+1} / (1 - kappa) sums the envelope
+    ||A^k|| <= c kappa^k past K.  If ``truncation`` is omitted, K is chosen
+    so that it drops below ``tail_tol``; there must be an envelope, and K at
+    most ``_MAX_TRUNCATION``.
     """
     a, b, c_mat = lti.A, lti.B, lti.C
-    rho = spectral_radius(a)
-    growth = _transient_growth(a, rho)
+    envelope = _decay_envelope(a)
     norm_cb = np.linalg.norm(c_mat, 2) * np.linalg.norm(b, 2)
 
     if truncation is None:
-        if rho >= 1.0:
-            raise ValueError("automatic truncation needs rho(A) < 1")
-        target = tail_tol * (1.0 - rho) / max(growth * norm_cb, 1e-300)
-        if target >= 1.0:
-            truncation = 0
-        else:
-            truncation = min(int(math.ceil(math.log(target) / math.log(rho))), 200_000)
+        if envelope is None:
+            raise ValueError("automatic truncation needs a proven envelope ||A^k||"
+                             " <= c kappa^k: none at rho(A) >= 1 or ill-conditioned P")
+        growth, kappa = envelope
+        target = tail_tol * (1.0 - kappa) / max(growth * norm_cb, 1e-300)
+        truncation = max(math.ceil(math.log(target) / math.log(kappa)), 0)
+        if truncation > _MAX_TRUNCATION:
+            raise ValueError(f"tail_tol {tail_tol:g} needs K = {truncation}, "
+                             f"above the cap of {_MAX_TRUNCATION}")
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
 
@@ -168,24 +169,13 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
         blocks[k] = c_mat @ x
         if k < truncation:
             x = a @ x
-    if rho < 1.0:
-        tail = growth * norm_cb * rho ** (truncation + 1) / (1.0 - rho)
+    if envelope is None:
+        tail = math.inf
     else:
-        tail = np.inf
+        growth, kappa = envelope
+        tail = growth * norm_cb * kappa ** (truncation + 1) / (1.0 - kappa)
     return ImpulseKernel(blocks=blocks, truncation=truncation,
-                         tail_bound=float(tail), growth_constant=growth)
-
-
-def _transient_growth(a: np.ndarray, rho: float) -> float:
-    """Empirical c = max_{k <= window} ||A^k||_2 / rho^k (c = 1 at k = 0)."""
-    if rho == 0.0:
-        return 1.0
-    growth = 1.0
-    power = np.eye(a.shape[0])
-    for k in range(1, _GROWTH_WINDOW + 1):
-        power = a @ power
-        growth = max(growth, np.linalg.norm(power, 2) / rho ** k)
-    return float(growth)
+                         tail_bound=float(tail), envelope=envelope)
 
 
 def modal(lti: LtiModel) -> ModalDecomposition:
@@ -242,11 +232,9 @@ def ctrb_obsv_rank(lti: LtiModel) -> RankReport:
             return 0
         return int(np.sum(s >= 1e-10 * s[0]))
 
-    try:
+    if spectral_radius(lti.A) < 1.0:
         min_wc, min_wo = gramians(lti).min_eigs
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError:                       # rho(A) >= 1
+    else:
         min_wc = min_wo = float("nan")
     return RankReport(rank_c=_rank(ctrb), rank_o=_rank(obsv),
                       min_eig_wc=min_wc, min_eig_wo=min_wo)

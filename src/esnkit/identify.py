@@ -364,7 +364,7 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     with its repeat count, and the per-step tail from where the backward
     iteration settled to t = T.  Without ``steady_from`` they are full
     arrays.  ``noise`` is unused; it stays for the benchmark's positional
-    call until the next benchmark revision (ROADMAP item 5).
+    call until the next benchmark revision.
     """
     horizon = filtered.horizon
     n = filtered.filtered_means.shape[1]

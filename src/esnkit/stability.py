@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -109,13 +109,15 @@ class Certificate:
 
 @dataclass(frozen=True)
 class HorizonEstimate:
-    """Effective memory horizon: lags beyond ``horizon`` move the state by < tolerance."""
+    """Effective memory horizon: lags beyond ``horizon`` move the state by <
+    tolerance, as constant * input_gain * amplitude * kappa^horizon <= tolerance."""
 
     kappa: float
     input_gain: float
     amplitude: float
     tolerance: float
     horizon: int
+    constant: float
 
 
 def certify_lipschitz(params: ReservoirParams) -> Certificate:
@@ -163,27 +165,28 @@ def spectral_radius(a) -> float:
 
 
 def _slope_vertices(n: int, l_sigma: float, budget: int):
-    """(V, n) slope diagonals to check: exhaustive if 2^n fits the budget,
-    otherwise the two extreme vertices plus Halton samples of the box."""
+    """(V, n) slope diagonals to check, A+ first: exhaustive if 2^n fits the
+    budget, otherwise the two extreme vertices plus Halton samples of the box."""
     if n <= 60 and 2 ** n <= budget:
-        bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        bits = (np.arange(2 ** n)[::-1, None] >> np.arange(n - 1, -1, -1)) & 1
         return bits * l_sigma, True
     samples = qmc.Halton(d=n, scramble=False).random(budget) * l_sigma
-    return np.vstack([np.zeros(n), np.full(n, l_sigma), samples]), False
+    return np.vstack([np.full(n, l_sigma), np.zeros(n), samples]), False
 
 
-def _weighted_gain(params: ReservoirParams, p: np.ndarray, diags: np.ndarray,
-                   a_plus: np.ndarray, kappa: Optional[float] = None) -> float:
-    """Verified P-norm gain max_v ||L' M_v L'^{-1}||_2 (P = L L'), raised from
-    that of ``a_plus`` as stacks fail their Cholesky test (inf after
-    ``_GAIN_TRIES`` fails); a given ``kappa`` is only tested (inf on a fail)."""
-    n = params.n
+def _weighted_gain(p: np.ndarray, stacks: Iterable[np.ndarray],
+                   kappa: Optional[float] = None) -> float:
+    """Verified P-norm gain max ||L' M L'^{-1}||_2 (P = L L') over the M of
+    the (k, n, n) ``stacks``, raised from that of the first M as stacks fail
+    their Cholesky test (inf after ``_GAIN_TRIES`` fails); a given ``kappa``
+    is only tested (inf on a fail)."""
+    n = len(p)
     fixed = kappa is not None
     chol = np.linalg.cholesky(p)
     chol_inv_t = scipy.linalg.solve_triangular(chol, np.eye(n), lower=True).T
-    kappa = kappa if fixed else spectral_norm(chol.T @ a_plus @ chol_inv_t)
-    for start in range(0, len(diags), _VERTEX_CHUNK):
-        m = _transition(params, diags[start:start + _VERTEX_CHUNK])
+    for m in stacks:
+        if kappa is None:
+            kappa = spectral_norm(chol.T @ m[0] @ chol_inv_t)
         mpm = np.swapaxes(m, 1, 2) @ p @ m
         mpm = 0.5 * (mpm + np.swapaxes(mpm, 1, 2))
         for attempt in range(_GAIN_TRIES):
@@ -200,6 +203,37 @@ def _weighted_gain(params: ReservoirParams, p: np.ndarray, diags: np.ndarray,
         else:
             return math.inf
     return kappa
+
+
+def _eig_bounds(p: np.ndarray) -> Tuple[float, float]:
+    """Bounds 0 < lo <= lambda_min(P), hi >= lambda_max(P) of a symmetric P:
+    the LAPACK values widened by the SVD error bound; LinAlgError if lo <= 0."""
+    eigs = np.linalg.eigvalsh(p)
+    error = _SVD_ERROR * len(p) * np.finfo(np.float64).eps * float(np.abs(eigs).max())
+    if eigs[0] <= error:
+        raise np.linalg.LinAlgError("weight is not provably positive definite")
+    return float(eigs[0]) - error, float(eigs[-1]) + error
+
+
+def _decay_envelope(a: np.ndarray) -> Optional[Tuple[float, float]]:
+    """A proven ``(c, kappa)``, kappa < 1, with ||A^j||_2 <= c kappa^j for
+    every j, or None (always when rho(A) >= 1).
+
+    P solves A' P A - k0^2 P = -I at k0 = (1 + rho(A)) / 2.  kappa is the
+    verified P-norm gain k of A, widened by the slack tau of its Cholesky
+    test (A' P A <= k^2 P + tau I); c = sqrt(cond P) changes norms.
+    """
+    if not a.size:
+        return 1.0, 0.5                      # no state: every A^j is empty
+    k0 = 0.5 * (1.0 + spectral_radius(a))
+    try:
+        p = solve_discrete_lyapunov(a.T / k0, np.eye(len(a)) / k0 ** 2)
+        gain = _weighted_gain(p, [a[None]])
+        lo, hi = _eig_bounds(p)
+    except np.linalg.LinAlgError:
+        return None
+    kappa = math.sqrt(gain ** 2 + _VERTEX_SLACK * max(gain ** 2 * hi, 1.0) / lo)
+    return (math.sqrt(hi / lo), kappa) if kappa < 1.0 else None
 
 
 def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Certificate:
@@ -220,18 +254,19 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     l_sigma = params.activation.lipschitz
     a_plus = _transition(params, np.full(n, l_sigma))
     diags, exhaustive = _slope_vertices(n, l_sigma, vertex_budget)
+    chunks = [diags[i:i + _VERTEX_CHUNK] for i in range(0, len(diags), _VERTEX_CHUNK)]
 
     def lyapunov(kappa: float, test: Optional[float] = None):
         """``(P, gain or test result)`` at kappa; ``(None, inf)`` if no PD P."""
         try:
             p = solve_discrete_lyapunov(a_plus.T / kappa, np.eye(n) / kappa ** 2)
-            return p, _weighted_gain(params, p, diags, a_plus, test)
+            return p, _weighted_gain(p, (_transition(params, d) for d in chunks), test)
         except np.linalg.LinAlgError:
             return None, math.inf
 
     best, hi = lyapunov(1.0 - 1e-9)
     if hi > _small_gain_bound(params.leak, l_sigma, params.W)[1]:
-        eye_gain = _weighted_gain(params, np.eye(n), diags, a_plus)
+        eye_gain = _weighted_gain(np.eye(n), (_transition(params, d) for d in chunks))
         if eye_gain < hi:
             best, hi = np.eye(n), eye_gain
     if hi >= 1.0:
@@ -249,24 +284,33 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
                        weight_P=best)
 
 
-def memory_horizon(kappa: float, input_gain: float, amplitude: float,
-                   tolerance: float) -> HorizonEstimate:
-    """Smallest lag H with input_gain * amplitude * kappa^H <= tolerance.
+def memory_horizon(kappa: Union[float, Certificate], input_gain: float,
+                   amplitude: float, tolerance: float) -> HorizonEstimate:
+    """Smallest lag H with c * input_gain * amplitude * kappa^H <= tolerance.
 
-    Raises if kappa >= 1 (no fading-memory certificate, the horizon is
-    undefined).
+    A float ``kappa`` is a Euclidean rate, c = 1.  A passed ``Certificate``
+    gives c = 1 without ``weight_P`` and c = sqrt(cond weight_P) with it, its
+    kappa being a rate in that norm.  Raises if kappa >= 1 (no fading-memory
+    certificate, the horizon is undefined).
     """
+    constant = 1.0
+    if isinstance(kappa, Certificate):
+        if not kappa.passed:
+            raise ValueError(f"no fading-memory certificate: {kappa.verdict}")
+        if kappa.weight_P is not None:
+            lo, hi = _eig_bounds(kappa.weight_P)
+            constant = math.sqrt(hi / lo)
+        kappa = kappa.kappa
     if not (0.0 < kappa < 1.0):
         raise ValueError(
             f"no fading-memory certificate: kappa must be in (0, 1), got {kappa}")
     if input_gain <= 0.0 or amplitude <= 0.0 or tolerance <= 0.0:
         raise ValueError("input_gain, amplitude, and tolerance must be positive")
-    ratio = input_gain * amplitude / tolerance
+    ratio = constant * input_gain * amplitude / tolerance
     if ratio <= 1.0:
         horizon = 0
     else:
         horizon = int(math.ceil(math.log(ratio) / (-math.log(kappa))))
     return HorizonEstimate(kappa=kappa, input_gain=input_gain,
                            amplitude=amplitude, tolerance=tolerance,
-                           horizon=horizon)
-
+                           horizon=horizon, constant=constant)

@@ -2,8 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from esnkit import Activation, Readout, ReservoirParams
+
+# Every property test runs the same examples on every run and has no
+# per-example deadline; each test sets only its own ``max_examples``.
+settings.register_profile("esnkit", deadline=None, derandomize=True)
+settings.load_profile("esnkit")
 
 
 def make_reservoir(n=4, m=2, seed=0, leak=0.7, w_scale=0.8,

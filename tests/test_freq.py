@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import esnkit.freq
 from esnkit import (LtiModel, ctrb_obsv_rank, gramians, h2_norm,
@@ -81,19 +82,81 @@ class TestImpulseKernel:
         kern = impulse_kernel(lti, truncation=6)
         assert np.all(kern.blocks[3:] == 0.0)
 
+    def test_stateless_model_has_zero_tail(self):
+        lti = LtiModel(A=np.zeros((0, 0)), B=np.zeros((0, 1)),
+                       C=np.zeros((1, 0)), D=np.zeros((1, 1)))
+        kern = impulse_kernel(lti)
+        assert kern.truncation == 0 and kern.tail_bound == 0.0
+        assert np.all(kern.blocks == 0.0)
+
     def test_decay_envelope(self):
         lti = stable_random_lti(seed=2, rho=0.85)
         kern = impulse_kernel(lti, truncation=60)
-        envelope = (kern.growth_constant * np.linalg.norm(lti.C, 2)
-                    * np.linalg.norm(lti.B, 2)
-                    * 0.85 ** np.arange(61))
+        c, kappa = kern.envelope
+        assert 0.85 * (1 - 1e-12) <= kappa < 1.0
+        envelope = (c * np.linalg.norm(lti.C, 2) * np.linalg.norm(lti.B, 2)
+                    * kappa ** np.arange(61))
         norms = np.array([np.linalg.norm(b, 2) for b in kern.blocks])
         assert np.all(norms <= envelope * (1 + 1e-9))
+        assert kern.tail_bound == pytest.approx(
+            envelope[-1] * kappa / (1 - kappa), rel=1e-12)
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           rho=st.floats(0.0, 0.97), shear=st.floats(0.0, 2.0),
+           rotate=st.booleans())
+    def test_envelope_bounds_every_power(self, n, seed, rho, shear, rotate):
+        # with B = C = I the blocks are the powers A^j of a non-normal A
+        # (triangular, optionally rotated); the proven envelope must hold at
+        # every one of them, far past any finite window
+        rng = np.random.default_rng(seed)
+        a = (np.triu(rng.standard_normal((n, n)), 1) * shear
+             + np.diag(rng.uniform(-rho, rho, n)))
+        if rotate:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = q @ a @ q.T
+        lti = LtiModel(A=a, B=np.eye(n), C=np.eye(n), D=np.zeros((n, n)))
+        kern = impulse_kernel(lti, truncation=500)
+        c, kappa = kern.envelope
+        norms = np.linalg.norm(kern.blocks, 2, axis=(1, 2))
+        assert np.all(norms <= c * kappa ** np.arange(501) * (1 + 1e-9))
+
+    def test_tail_bound_dominates_nonnormal_tail(self):
+        # A = 0.9 I + 0.5 N (n = 40) grows for hundreds of steps before it
+        # decays: the tail past K = 60 sums to about 1.8e28, far above any
+        # growth measured over a short window
+        n = 40
+        a = 0.9 * np.eye(n) + 0.5 * np.eye(n, k=1)
+        b = np.zeros((n, 1))
+        b[-1] = 1.0
+        lti = LtiModel(A=a, B=b, C=b[::-1].T, D=np.zeros((1, 1)))
+        kern = impulse_kernel(lti, truncation=60)
+        x, tail = b, 0.0
+        for k in range(5000):
+            if k > 60:
+                tail += abs(x[0, 0])
+            x = a @ x
+        assert tail > 1e28
+        assert kern.tail_bound >= tail
+        with pytest.raises(ValueError, match="envelope"):
+            impulse_kernel(lti)
 
     def test_automatic_truncation_meets_tolerance(self):
         lti = stable_random_lti(seed=3, rho=0.7)
         kern = impulse_kernel(lti, tail_tol=1e-9)
         assert kern.tail_bound <= 1e-9
+
+    def test_automatic_truncation_names_its_cap(self):
+        # kappa >= 0.99999 needs about 3.2e6 blocks for the 1e-9 tail
+        with pytest.raises(ValueError, match="cap of 200000"):
+            impulse_kernel(scalar_lti(0.99999, 1.0, 1.0))
+
+    def test_no_envelope_without_stability(self):
+        lti = scalar_lti(1.0, 1.0, 1.0)
+        kern = impulse_kernel(lti, truncation=5)
+        assert kern.envelope is None and kern.tail_bound == np.inf
+        with pytest.raises(ValueError, match="envelope"):
+            impulse_kernel(lti)
 
     def test_fft_of_kernel_matches_transfer(self):
         # transfer_eval expands as sum_k z^{-k} h_k, so the zero-padded DFT of
@@ -216,6 +279,21 @@ class TestRankTests:
         report = ctrb_obsv_rank(lti)
         assert report.rank_c == 2
         assert report.min_eig_wc > 0.0
+
+    def test_unstable_gives_nan_gramian_eigenvalues(self):
+        report = ctrb_obsv_rank(scalar_lti(1.1, 1.0, 1.0))
+        assert (report.rank_c, report.rank_o) == (1, 1)
+        assert np.isnan(report.min_eig_wc) and np.isnan(report.min_eig_wo)
+
+    def test_failed_gramian_solve_raises(self, monkeypatch):
+        # LinAlgError subclasses ValueError; a failed solve of a stable A
+        # must still raise, not read as rho(A) >= 1
+        def no_solution(a, s):
+            raise np.linalg.LinAlgError("no solution")
+
+        monkeypatch.setattr(esnkit.freq, "solve_discrete_lyapunov", no_solution)
+        with pytest.raises(np.linalg.LinAlgError):
+            ctrb_obsv_rank(scalar_lti(0.5, 1.0, 1.0))
 
 
 class TestNorms:

@@ -244,7 +244,7 @@ class TestRtsSmoother:
                                        atol=1e-7)
 
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(n=st.integers(1, 16), p=st.integers(1, 3),
            horizon=st.integers(2, 400), seed=st.integers(0, 2 ** 32 - 1))
     # a long frozen run: its means come from the blocked scan
@@ -424,7 +424,7 @@ class TestEkf:
         steps = np.abs(np.diff(post.transition_seq, axis=0))
         assert steps.max(axis=(1, 2)).min() > 0.0
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(n=st.integers(2, 8), p=st.integers(1, 3),
            horizon=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
            kind=st.sampled_from(["tanh", "leaky_slope"]),

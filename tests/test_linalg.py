@@ -28,7 +28,7 @@ class TestDiscreteLyapunov:
         with pytest.raises(np.linalg.LinAlgError):
             solve_discrete_lyapunov(np.eye(n), np.eye(n))
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(n=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1),
            rho=st.floats(0.0, 0.95), nonnormal=st.booleans())
     def test_residual_and_kronecker_oracle(self, n, seed, rho, nonnormal):
@@ -63,7 +63,7 @@ def scan_loop(m, rows):
 
 
 class TestLinearScan:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(n=st.integers(1, 16), steps=st.integers(0, 600),
            seed=st.integers(0, 2 ** 32 - 1), rho=st.floats(0.0, 0.99),
            nonnormal=st.booleans())

@@ -190,7 +190,7 @@ def _close(got, want, rtol):
 
 
 class TestLeakyKernel:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(n=st.integers(1, 8), m=st.integers(1, 3), steps=st.integers(1, 12),
            seed=st.integers(0, 2 ** 31 - 1), leak=st.floats(0.1, 1.0),
            kind=st.sampled_from(["tanh", "identity", "leaky_slope"]),

@@ -217,7 +217,7 @@ class TestWeightedCertificate:
         assert cert.verdict is Verdict.UNKNOWN
         assert cert.kappa < 1.0
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(n=st.sampled_from([8, 9]), seed=st.integers(0, 2 ** 32 - 1),
            norm=st.floats(0.3, 2.0), leak=st.floats(0.2, 1.0),
            nonnormal=st.booleans())
@@ -304,6 +304,40 @@ class TestMemoryHorizon:
             memory_horizon(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="fading-memory"):
             memory_horizon(1.3, 1.0, 1.0, 1.0)
+        failed = certify_lipschitz(make_reservoir(leak=1.0, w_scale=1.2))
+        with pytest.raises(ValueError, match="fading-memory"):
+            memory_horizon(failed, 1.0, 1.0, 1.0)
+
+    def test_lipschitz_certificate_is_its_euclidean_rate(self):
+        cert = certify_lipschitz(make_reservoir(leak=0.7, w_scale=0.8))
+        est = memory_horizon(cert, 0.7, 3.0, 1e-3)
+        assert est.constant == 1.0
+        assert est == memory_horizon(cert.kappa, 0.7, 3.0, 1e-3)
+
+    def test_weighted_certificate_horizon_is_sound(self):
+        # kappa is a P-norm rate here, so the Euclidean horizon carries
+        # c = sqrt(cond P), about 8.6 for this reservoir; an input perturbed
+        # at lag H, then kept H + 40 steps away, moves the state by <= eps
+        w = np.array([[0.5, 1.0], [0.0, 0.5]])
+        w *= 1.9 / np.linalg.norm(w, 2)
+        p = ReservoirParams(W=w, U=np.ones((2, 1)), b=np.zeros(2), leak=0.5)
+        cert = certify_weighted(p, vertex_budget=16)
+        gain = p.leak * np.linalg.norm(p.U, 2)
+        amplitude, eps = 0.5, 0.02
+        est = memory_horizon(cert, gain, amplitude, eps)
+        assert est.constant == pytest.approx(
+            np.sqrt(np.linalg.cond(cert.weight_P)), rel=1e-9)
+        assert est.horizon > memory_horizon(cert.kappa, gain, amplitude,
+                                            eps).horizon
+        rng = np.random.default_rng(5)
+        for lag in (est.horizon, est.horizon + 40):
+            for trial in range(10):
+                inputs = rng.uniform(-1, 1, (lag + 1, p.m))
+                pert = inputs.copy()
+                pert[0] += amplitude * rng.choice([-1.0, 1.0])
+                xa = simulate(p, np.zeros(p.n), inputs).states[-1]
+                xb = simulate(p, np.zeros(p.n), pert).states[-1]
+                assert np.linalg.norm(xa - xb) <= eps * (1 + 1e-9)
 
 
 class TestContractionProperties:
