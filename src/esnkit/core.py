@@ -271,12 +271,12 @@ def leaky_jacobians(params: ReservoirParams,
 
 
 def _transition(params: ReservoirParams, slope: np.ndarray) -> np.ndarray:
-    """The A of :func:`leaky_jacobians` alone, in one array: ``1 - leak`` is
-    added to the diagonal in place (the same sums, so the same bits)."""
-    a = slope[..., :, None] * params.W
+    """The A of :func:`leaky_jacobians` alone, in one C-ordered array: ``1 -
+    leak`` is added in place to its diagonal, a strided view (the same sums
+    as adding ``(1 - leak) I``, so the same bits)."""
+    a = np.multiply(slope[..., :, None], params.W, order="C")
     a *= params.leak
-    diagonal = np.einsum("...ii->...i", a)
-    diagonal += 1.0 - params.leak
+    a.reshape(*a.shape[:-2], -1)[..., ::params.n + 1] += 1.0 - params.leak
     return a
 
 

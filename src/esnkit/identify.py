@@ -225,9 +225,9 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
                   prior: Tuple[np.ndarray, np.ndarray]) -> SmoothedPosterior:
     """Forward Kalman pass with innovations log-likelihood.
 
-    Covariance updates use the Joseph form and are re-symmetrized each step.
-    The model must be strictly proper (D = 0); observations are ``y_t = C x_t
-    + v_t``.
+    Covariance updates use the Joseph form, written from the step's C P and
+    innovation covariance S so that it is exactly symmetric.  The model must
+    be strictly proper (D = 0); observations are ``y_t = C x_t + v_t``.
 
     The covariance recursion does not depend on the data and converges to the
     DARE fixed point.  At the first step t >= 1 at which the predicted and
@@ -257,16 +257,19 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
                         p0)
 
 
-def _filter_loop(a, drive, c, noise, outputs, mu0, p0, step=None, offset=None):
+def _filter_loop(a, drive, c, noise, outputs, mu0, p0, step=None):
     """Shared filter core.  Row t of ``drive`` (T, n), the input term of the
     mean prediction, is overwritten by the predicted mean once used.
     The LTI path (no ``step``) predicts ``a mu + drive_t`` and may freeze;
-    the EKF passes ``step(mu, drive_t) -> (next_mean, A_t)`` and the readout
-    ``offset``.  Covariances are kept in per-step lists until the end."""
+    the EKF passes ``step(mu, drive_t) -> (next_mean, A_t)``.  Covariances
+    are kept in per-step lists until the end.
+
+    The update is the Joseph form (I - KC) P (I - KC)' + K R K', written
+    from the C P and S the step already has as P + M + M' with
+    M = K (S K' / 2 - C P): equal for any K, and exactly symmetric."""
     horizon, n = drive.shape
     p_dim = outputs.shape[1]
     q, r = noise.Q, noise.R
-    eye = np.eye(n)
 
     f_means = np.empty((horizon + 1, n))
     p_means = drive
@@ -281,19 +284,20 @@ def _filter_loop(a, drive, c, noise, outputs, mu0, p0, step=None, offset=None):
         else:
             mu_pred, a_t = step(mu, p_means[t])
             a_seq.append(a_t)
-        cov_pred = symmetrize(a_t @ cov @ a_t.T + q)
+        cov_pred = a_t @ cov @ a_t.T + q
+        cov_pred += cov_pred.T
+        cov_pred *= 0.5
         p_means[t] = mu_pred
         p_covs.append(cov_pred)
 
         innov = outputs[t] - c @ mu_pred
-        if offset is not None:
-            innov -= offset
-        s = symmetrize(c @ cov_pred @ c.T + r)
+        cp = c @ cov_pred
+        s = symmetrize(cp @ c.T + r)
         chol = _innovation_chol(s, t + 1)
-        gain = dpotrs(chol, c @ cov_pred, lower=1)[0].T
+        gain = dpotrs(chol, cp, lower=1)[0].T
         mu = mu_pred + gain @ innov
-        ikc = eye - gain @ c
-        cov = symmetrize(ikc @ cov_pred @ ikc.T + gain @ r @ gain.T)
+        cp = gain @ (0.5 * s @ gain.T - cp)  # M, in cp: no extra array alive
+        cov = cov_pred + (cp + cp.T)
         f_means[t + 1] = mu
         f_covs.append(cov)
 
@@ -313,7 +317,7 @@ def _filter_loop(a, drive, c, noise, outputs, mu0, p0, step=None, offset=None):
         # frozen gain K: mu+ = (I - KC)(A mu + B u) + K y; the affine terms
         # are accumulated in place in p_means, which holds B u, and f_means
         start = steady_from + 1
-        ikc = eye - gain @ c
+        ikc = np.eye(n) - gain @ c
         a_closed = ikc @ a
         np.matmul(p_means[start:], ikc.T, out=f_means[start + 1:])
         f_means[start + 1:] += outputs[start:] @ gain.T
@@ -435,9 +439,9 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     The mean is propagated through the full nonlinear update; covariances use
     the Jacobian linearization at the current filtered mean (so the recorded
     transition sequence is time varying).  The drive ``U u_t + b`` is formed
-    for all t in one matmul before the loop, and each step builds A_t alone,
-    not the input Jacobian.  The measurement update, its LAPACK calls and
-    its errors are those of :func:`kalman_filter`.
+    for all t in one matmul before the loop, as is ``y_t - d``, and each step
+    builds A_t alone, not the input Jacobian.  The measurement update, its
+    LAPACK calls and its errors are those of :func:`kalman_filter`.
     """
     inputs, outputs, mu0, p0 = _validate_io(params.n, params.m, readout.p,
                                             inputs, outputs, prior)
@@ -447,7 +451,7 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
         return mean_next, _transition(params, slope)
 
     return _filter_loop(None, inputs @ params.U.T + params.b, readout.C, noise,
-                        outputs, mu0, p0, step=step, offset=readout.d)
+                        outputs - readout.d, mu0, p0, step=step)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ Fourier features).  Fitting regresses the lifted one-step image
 constant feature absorbs the affine offset, so no separate offset vector is
 fit.  The uniform training residual ``epsilon = max_t ||e_t||`` is the
 quantity the rollout bound ``epsilon * (1 - rho^t) / (1 - rho)`` is built
-from.  Baseline (``nonlinear`` benchmark inputs of ``instance_seed(11, 0..5)``,
-ridge 1e-6, a held-out noiseless 1000-step run): the RMS one-step state error
-is 0.3587 affine, 0.3595 ``monomials(2)``, 0.3591 with 128 Fourier features;
-u enters the lift only linearly, so richer state features do not help.
+from; :func:`edmd_fit` evaluates phi once per state and keeps epsilon such a
+bound.  Baseline (``nonlinear`` benchmark inputs of ``instance_seed(11,
+0..5)``, ridge 1e-6, a held-out noiseless 1000-step run): the RMS one-step
+state error is 0.3587 affine, 0.3595 ``monomials(2)``, 0.3591 with 128
+Fourier features; u enters the lift only linearly, so richer state features
+do not help.
 """
 
 from __future__ import annotations
@@ -91,6 +93,17 @@ class Dictionary:
             return 1 + n + len(self._monomial_exponents(n))
         return 1 + n + self.count
 
+    def _lipschitz(self, n: int, radius: float) -> float:
+        """Bound on ||J_phi||_2 on the inf-ball of ``radius`` R, by the
+        Frobenius norm of the extra features' Jacobian: sqrt(1 + (2/D)
+        ||omega||_F^2) (Fourier), sqrt(1 + sum_e |e|^2 R^(2|e|-2)) (monomials)."""
+        if self.kind == "random_fourier":
+            omega = self._fourier_weights(n)[0]
+            return float(np.sqrt(1.0 + 2.0 / self.count * np.sum(omega * omega)))
+        degrees = self._monomial_exponents(n).sum(axis=1)
+        return float(np.sqrt(1.0 + np.sum(
+            degrees ** 2 * radius ** (2.0 * (degrees - 1)))))
+
     def eval_batch(self, states: np.ndarray) -> np.ndarray:
         """Evaluate the dictionary on rows of ``states`` -> (S, N), filling
         one preallocated array in place."""
@@ -134,17 +147,6 @@ class LiftedModel:
         return self.A_phi.shape[0]
 
 
-def _stack_snapshots(params: ReservoirParams,
-                     trajectories: Sequence[Trajectory]):
-    xs, us = [], []
-    for traj in trajectories:
-        if traj.states.shape[1] != params.n or traj.inputs.shape[1] != params.m:
-            raise ValueError("trajectory dimensions do not match the reservoir")
-        xs.append(traj.states[:-1])
-        us.append(traj.inputs)
-    return np.vstack(xs), np.vstack(us)
-
-
 def edmd_fit(params: ReservoirParams,
              trajectories: Sequence[Trajectory],
              dictionary: Dictionary,
@@ -157,41 +159,75 @@ def edmd_fit(params: ReservoirParams,
     data noise).  ``C_phi`` selects the identity block, composed with the
     readout when one is supplied.
 
+    phi is evaluated once, on the stacked states; each trajectory's
+    regressors and targets are views of it, summed into the normal equations
+    and residual norms one trajectory at a time.  phi(x_{t+1}) is the target
+    only where ``delta_t = ||f(x_t, u_t) - x_{t+1}||`` is at most ``16 n eps
+    (1 + ||x_t|| + ||x_{t+1}||)`` (noiseless ``simulate`` rows differ by about
+    1e-16: it rounds differently); other rows (process noise, data from
+    elsewhere) get phi(f(x_t, u_t)) evaluated.  ``epsilon`` adds L_phi times
+    the largest reused delta_t, L_phi >= ||J_phi||_2 from
+    ``Dictionary._lipschitz``, so it bounds the residuals at the exact images.
+
     Raises:
         ValueError: too few snapshots, or rank-deficient normal equations
             with ridge = 0 (the message says to set ridge > 0).
     """
     if ridge < 0.0:
         raise ValueError("ridge must be >= 0")
-    x, u = _stack_snapshots(params, trajectories)
     n, m = params.n, params.m
+    for traj in trajectories:
+        if traj.states.shape[1] != n or traj.inputs.shape[1] != m:
+            raise ValueError("trajectory dimensions do not match the reservoir")
     big_n = dictionary.output_dim(n)
-    snapshots = x.shape[0]
+    horizons = [traj.horizon for traj in trajectories]
+    snapshots = sum(horizons)
     if snapshots < big_n + m + 1:
         raise ValueError(
             f"need at least N + m + 1 = {big_n + m + 1} snapshots, got {snapshots}")
 
-    phi_x = dictionary.eval_batch(x)
-    targets = dictionary.eval_batch(leaky_map(params, x, u)[0])
+    states = np.vstack([traj.states for traj in trajectories])
+    u = np.vstack([traj.inputs for traj in trajectories])
+    has_next = np.ones(len(states), dtype=bool)     # rows x_t with t < T_i
+    has_next[np.cumsum(horizons) + np.arange(len(horizons))] = False
+    x, x_next = states[has_next], states[1:][has_next[:-1]]
+    images = leaky_map(params, x, u)[0]
+    delta = np.linalg.norm(images - x_next, axis=1)
+    reuse = delta <= 16.0 * n * np.finfo(float).eps * (
+        1.0 + np.linalg.norm(x, axis=1) + np.linalg.norm(x_next, axis=1))
+
+    phi = dictionary.eval_batch(states)
+    pieces, row, snap = [], 0, 0        # (phi(x_t), u_t, target) per trajectory
+    for h in horizons:
+        target = phi[row + 1:row + h + 1]
+        redo = ~reuse[snap:snap + h]
+        if redo.any():
+            target = target.copy()
+            target[redo] = dictionary.eval_batch(images[snap:snap + h][redo])
+        pieces.append((phi[row:row + h], u[snap:snap + h], target))
+        row, snap = row + h + 1, snap + h
 
     # normal equations of the regressors [phi(x), u], built block by block
-    gram = np.block([[phi_x.T @ phi_x, phi_x.T @ u], [u.T @ phi_x, u.T @ u]])
+    gram = sum(np.block([[phi_x.T @ phi_x, phi_x.T @ u_t],
+                         [u_t.T @ phi_x, u_t.T @ u_t]]) for phi_x, u_t, _ in pieces)
+    rhs = sum(np.vstack([phi_x.T @ target, u_t.T @ target])
+              for phi_x, u_t, target in pieces)
     if ridge == 0.0:
         svals = np.linalg.svd(gram, compute_uv=False)
         if svals[-1] <= 1e-13 * svals[0]:
             raise ValueError(
                 "normal equations are rank deficient with ridge = 0; "
                 "set ridge > 0")
-    coeffs = np.linalg.solve(gram + ridge * np.eye(big_n + m),
-                             np.vstack([phi_x.T @ targets, u.T @ targets]))
+    coeffs = np.linalg.solve(gram + ridge * np.eye(big_n + m), rhs)
     a_phi, b_phi = coeffs[:big_n].T, coeffs[big_n:].T
 
-    residuals = targets                     # reuses the targets array
-    residuals -= phi_x @ coeffs[:big_n]
-    residuals -= u @ coeffs[big_n:]
-    per_snapshot = np.linalg.norm(residuals, axis=1)
+    per_snapshot = np.concatenate([np.linalg.norm(
+        phi_x @ coeffs[:big_n] + u_t @ coeffs[big_n:] - target, axis=1)
+        for phi_x, u_t, target in pieces])
     epsilon = float(per_snapshot.max())
     rms = float(np.sqrt(np.mean(per_snapshot ** 2)))
+    shift = float(delta[reuse].max(initial=0.0))
+    epsilon += shift * dictionary._lipschitz(n, np.abs(x_next).max() + shift)
 
     if readout is not None:
         c_phi = np.zeros((readout.p, big_n))

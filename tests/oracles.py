@@ -218,3 +218,29 @@ def ekf_reference(w, u_mat, b, leak, kind, negative_slope, c, d, q, r, mu0,
                 predicted_means=np.array(p_means),
                 predicted_covs=np.array(p_covs),
                 transition_seq=np.array(transitions), loglik=loglik)
+
+
+def edmd_reference(params, trajectories, dictionary, ridge):
+    """EDMD fit written out row by row: each target is phi of the per-step
+    ``reservoir_step`` image f(x_t, u_t), each regressor row [phi(x_t), u_t]
+    is stacked within its own trajectory, and the ridge normal equations are
+    solved densely.
+
+    Returns a dict with the regressors (S, N + m), the exact targets (S, N),
+    ``A_phi`` and ``B_phi``.
+    """
+    from esnkit import reservoir_step
+
+    rows, targets = [], []
+    for traj in trajectories:
+        for x, u in zip(traj.states[:-1], traj.inputs):
+            phi_x = dictionary.eval_batch(x[None])[0]
+            rows.append(np.concatenate([phi_x, u]))
+            image = reservoir_step(params, x, u)
+            targets.append(dictionary.eval_batch(image[None])[0])
+    reg, targets = np.array(rows), np.array(targets)
+    coeffs = np.linalg.solve(reg.T @ reg + ridge * np.eye(reg.shape[1]),
+                             reg.T @ targets)
+    big_n = targets.shape[1]
+    return dict(regressors=reg, targets=targets, A_phi=coeffs[:big_n].T,
+                B_phi=coeffs[big_n:].T)

@@ -456,6 +456,26 @@ class TestEkf:
         assert post.loglik == pytest.approx(ref["loglik"], rel=1e-10)
         assert post.steady_from is None
 
+    def test_high_snr_covariances_exactly_symmetric_and_psd(self):
+        # R = 1e-12 I: each update removes almost all variance along the rows
+        # of C, where the covariance update cancels the most
+        n = 6
+        p = make_reservoir(n=n, m=1, seed=21, w_scale=0.8, bias_scale=0.3)
+        rng = np.random.default_rng(21)
+        ro = Readout(C=rng.standard_normal((2, n)))
+        noise = NoiseModel(Q=1e-3 * np.eye(n), R=1e-12 * np.eye(2))
+        inputs = rng.uniform(-1, 1, (300, 1))
+        traj = simulate(p, np.zeros(n), inputs, readout=ro,
+                        process_noise=(noise.Q, 22),
+                        measurement_noise=(noise.R, 23))
+        post = ekf_filter(p, ro, noise, inputs, traj.outputs,
+                          (np.zeros(n), np.eye(n)))
+        eps = np.finfo(float).eps
+        for cov in np.concatenate([post.filtered_covs, post.predicted_covs]):
+            assert np.array_equal(cov, cov.T)
+            floor = -4 * n * eps * np.abs(cov).max()
+            assert np.linalg.eigvalsh(cov)[0] >= floor
+
     def test_diverging_reservoir_raises(self):
         # A = 3 I with no covariance to correct it: the unobserved mean
         # coordinate overflows near step 650, which must raise, not yield NaN

@@ -1,11 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esnkit import (Activation, CertificateMethod, Dictionary, ReservoirParams,
                     Verdict, edmd_fit, lifted_rollout_error, reservoir_step,
                     rf_smallgain, simulate, spectral_radius)
 
 from conftest import make_readout, make_reservoir
+from oracles import edmd_reference
+
+
+def exact_residual_bounds(lm, ref):
+    """Max row residual norm of ``lm``'s coefficients at the oracle's exact
+    images phi(f(x_t, u_t)), and twice the standard bound on the rounding
+    of one evaluation of it, gamma_K (||reg_t|| ||coeffs||_F + ||target_t||)
+    with K = N + m + 1: the fit and the oracle each evaluate the residuals
+    once, in different summation orders."""
+    coeffs = np.vstack([lm.A_phi.T, lm.B_phi.T])
+    reg, targets = ref["regressors"], ref["targets"]
+    exact = np.linalg.norm(targets - reg @ coeffs, axis=1).max()
+    k = reg.shape[1] + 1
+    gamma = k * np.finfo(float).eps / (1.0 - k * np.finfo(float).eps)
+    rounding = gamma * (np.linalg.norm(reg, axis=1) * np.linalg.norm(coeffs)
+                        + np.linalg.norm(targets, axis=1)).max()
+    return exact, 2.0 * rounding
 
 
 class TestDictionary:
@@ -48,6 +67,21 @@ class TestDictionary:
         narrow = Dictionary.random_fourier(2000, 2.0, 0)._fourier_weights(1)[0]
         assert np.std(wide) == pytest.approx(2.0, rel=0.1)
         assert np.std(narrow) == pytest.approx(0.5, rel=0.1)
+
+    @pytest.mark.parametrize("dictionary", [
+        Dictionary.monomials(1), Dictionary.monomials(2),
+        Dictionary.monomials(3), Dictionary.random_fourier(16, 0.5, 3)])
+    def test_lipschitz_bound_holds_on_sampled_pairs(self, dictionary):
+        n, radius = 3, 1.5
+        rng = np.random.default_rng(0)
+        a = rng.uniform(-radius, radius, (2000, n))
+        b = np.clip(a + rng.normal(0.0, 0.3, a.shape), -radius, radius)
+        gain = (np.linalg.norm(dictionary.eval_batch(a)
+                               - dictionary.eval_batch(b), axis=1)
+                / np.linalg.norm(a - b, axis=1))
+        bound = dictionary._lipschitz(n, radius)
+        assert gain.max() <= bound
+        assert gain.max() >= bound / 10.0
 
 
 class TestEdmdFit:
@@ -110,6 +144,55 @@ class TestEdmdFit:
         pred = phi @ lm.A_phi.T + traj.inputs @ lm.B_phi.T
         eps = np.linalg.norm(targets - pred, axis=1).max()
         assert eps == pytest.approx(lm.epsilon, rel=1e-12, abs=1e-15)
+
+    def test_mixed_ensemble_matches_row_by_row_reference(self):
+        # a noiseless run, a process-noise run, unequal lengths and a 1-step
+        # run: no (x_t, x_t+1) pair may cross a trajectory boundary, and the
+        # noisy rows must still target phi(f(x_t, u_t)), not phi(x_t+1)
+        p = make_reservoir(n=3, m=1, seed=5, w_scale=0.7, bias_scale=0.3)
+        rng = np.random.default_rng(11)
+        trajs = [
+            simulate(p, 0.1 * rng.standard_normal(3), rng.uniform(-1, 1, (70, 1))),
+            simulate(p, np.zeros(3), rng.uniform(-1, 1, (45, 1)),
+                     process_noise=(1e-3 * np.eye(3), 4)),
+            simulate(p, rng.standard_normal(3), rng.uniform(-1, 1, (1, 1))),
+            simulate(p, 0.1 * rng.standard_normal(3), rng.uniform(-1, 1, (30, 1))),
+        ]
+        d = Dictionary.monomials(2)
+        lm = edmd_fit(p, trajs, d, ridge=1e-8)
+        ref = edmd_reference(p, trajs, d, 1e-8)
+        scale = np.abs(ref["A_phi"]).max()
+        assert np.abs(lm.A_phi - ref["A_phi"]).max() <= 1e-10 * scale
+        assert np.abs(lm.B_phi - ref["B_phi"]).max() <= 1e-10 * scale
+        exact, rounding = exact_residual_bounds(lm, ref)
+        assert exact - rounding <= lm.epsilon <= exact * (1 + 1e-12) + 1e-14
+        # the check has teeth: targeting phi(x_t+1) on the noisy run moves
+        # the fit far outside the tolerance above
+        reg = ref["regressors"]
+        naive = ref["targets"].copy()
+        naive[70:115] = d.eval_batch(trajs[1].states[1:])
+        coeffs = np.linalg.solve(reg.T @ reg + 1e-8 * np.eye(reg.shape[1]),
+                                 reg.T @ naive)
+        assert np.abs(coeffs[:10].T - ref["A_phi"]).max() > 1e-6 * scale
+
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 4), m=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 31 - 1), leak=st.floats(0.2, 1.0),
+           w_scale=st.floats(0.1, 0.95),
+           kind=st.sampled_from([1, 2, 3, "fourier"]))
+    def test_epsilon_bounds_residuals_at_exact_images(self, n, m, seed, leak,
+                                                      w_scale, kind):
+        p = make_reservoir(n=n, m=m, seed=seed, leak=leak, w_scale=w_scale,
+                           bias_scale=0.3)
+        rng = np.random.default_rng(seed)
+        d = (Dictionary.random_fourier(12, 1.0, seed) if kind == "fourier"
+             else Dictionary.monomials(kind))
+        trajs = [simulate(p, 0.5 * rng.standard_normal(n),
+                          rng.uniform(-1, 1, (h, m))) for h in (40, 25)]
+        lm = edmd_fit(p, trajs, d, ridge=1e-8)
+        exact, rounding = exact_residual_bounds(
+            lm, edmd_reference(p, trajs, d, 1e-8))
+        assert exact - rounding <= lm.epsilon <= exact * (1 + 1e-12) + 1e-14
 
     def test_readout_composition(self):
         p = make_reservoir(n=3, m=1, seed=6)
