@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemv
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +41,19 @@ def as_float_array(a, name: str) -> np.ndarray:
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+def _gemv_into(alpha: float, a: np.ndarray, x: np.ndarray, beta: float,
+              y: np.ndarray) -> np.ndarray:
+    """``y = alpha a @ x + beta y`` in place by one BLAS ``dgemv``; returns y.
+
+    ``a`` must be C-ordered and ``y`` a contiguous float64 vector, or f2py
+    copies them: ``a`` goes in as its F-ordered transpose with trans=1
+    (faster than an F-ordered copy of ``a`` at n = 256).  The arguments
+    after ``y`` (offx, incx, offy, incy, trans, overwrite_y) are positional
+    because f2py's keyword parsing costs more than the product at n = 16.
+    """
+    return dgemv(alpha, a.T, x, beta, y, 0, 1, 0, 1, 1, 1)
 
 
 def spectral_norm(w: np.ndarray) -> float:
@@ -101,10 +115,11 @@ def solve_discrete_lyapunov(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     return x
 
 
-def linear_scan(m: np.ndarray, rows: np.ndarray) -> None:
+def linear_scan(m, rows: np.ndarray) -> None:
     """Run the affine recursion ``rows[t] += m @ rows[t - 1]`` for t = 1..T-1
     in place on ``rows`` (T, n), which may be any view, reversed or strided
-    ones included.
+    ones included.  ``m`` is an (n, n) matrix or a scalar; a scalar step is
+    ``rows[t] += m * rows[t - 1]``, O(n) instead of O(n^2).
 
     The T - 1 steps are split into chunks of k = isqrt(T - 1) steps.  All
     chunks are stepped together from a zero start, k - 1 ``(chunks, n) @
@@ -116,25 +131,27 @@ def linear_scan(m: np.ndarray, rows: np.ndarray) -> None:
     step loop up to rounding, not bit for bit.  Fewer than 9 steps run that
     loop.
     """
+    scalar = np.ndim(m) == 0
+    apply = np.multiply if scalar else np.matmul
+    m_t = m if scalar else m.T
     steps = len(rows) - 1
     k = math.isqrt(max(steps, 0))
     if k < 3:
         for t in range(1, steps + 1):
-            rows[t] += m @ rows[t - 1]
+            rows[t] += apply(m, rows[t - 1])
         return
-    m_t = m.T
     # row r of chunk i is rows[1 + i k + r], so rows[1 + r::k] is that row of
     # every chunk; only the last chunk may be short
     for r in range(1, k):
         block = rows[1 + r::k]
-        block += rows[r::k][:len(block)] @ m_t
+        block += apply(rows[r::k][:len(block)], m_t)
     chunks = len(rows[1::k])
-    power_t = np.linalg.matrix_power(m, k).T
+    power_t = m ** k if scalar else np.linalg.matrix_power(m, k).T
     starts = np.empty((chunks, rows.shape[1]))
     starts[0] = rows[0]
     for i in range(1, chunks):
-        starts[i] = rows[i * k] + starts[i - 1] @ power_t
+        starts[i] = rows[i * k] + apply(starts[i - 1], power_t)
     for r in range(k):
         block = rows[1 + r::k]
-        starts = starts[:len(block)] @ m_t
+        starts = apply(starts[:len(block)], m_t)
         block += starts

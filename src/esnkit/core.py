@@ -13,11 +13,18 @@ float64 arithmetic, no approximations, reproducible seeded noise.
 Jacobians) are the single definition of both.  They work over any leading
 axes and validate nothing: every caller checks its inputs once, up front.
 Loops over time form the drive ``U u_t + b`` for all t in one matmul first;
-:func:`_transition` builds the transition A alone.  With the identity
-activation the map is affine, ``x_{t+1} = A x_t + leak (U u_t + b)``, so
-:func:`simulate` runs it as one blocked scan (``_linalg.linear_scan``): exact
-up to rounding (about 1e-15 relative), but no longer bit-identical to the
-step loop.
+:func:`_transition` builds the transition A alone, into a given array if
+asked, and ``Activation.__call__`` writes sigma into one.
+
+:func:`simulate` never steps the state itself.  With the identity
+activation the map is affine, ``x_{t+1} = A x_t + leak (U u_t + b)``, and
+runs as one blocked scan (``_linalg.linear_scan``) in A.  Otherwise it steps
+the preactivation ``a_t = W x_t + U u_t + b``, whose recursion
+``a_{t+1} = (1 - leak) a_t + leak W sigma(a_t) + e_{t+1}`` costs one BLAS
+matvec, one add and sigma per step, and then recovers the states from the
+scalar leaky filter ``x_{t+1} = (1 - leak) x_t + leak sigma(a_t) + w_t``, one
+scan in the scalar ``1 - leak``.  Both match the step loop up to rounding
+(about 1e-15 relative), not bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._linalg import (as_float_array, check_finite, check_psd, linear_scan,
-                      rng_from_seed)
+from ._linalg import (_gemv_into, as_float_array, check_finite, check_psd,
+                      linear_scan, rng_from_seed)
 
 __all__ = [
     "Activation",
@@ -103,13 +110,16 @@ class Activation:
             return 0.0
         return None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """sigma(x) componentwise, without the slope and with no validation."""
+    def __call__(self, x: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """sigma(x) componentwise into a new array or into ``out``, without
+        the slope and with no validation."""
         if self.kind == "tanh":
-            return np.tanh(x)
+            return np.tanh(x, out=out)
         if self.kind == "identity":
-            return x
-        return np.where(x >= 0.0, x, self.negative_slope * x)
+            return np.positive(x, out=out)
+        return np.multiply(x, np.where(x >= 0.0, 1.0, self.negative_slope),
+                           out=out)
 
     def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(sigma(x), sigma'(x))`` componentwise, with no validation."""
@@ -118,7 +128,7 @@ class Activation:
         if self.kind == "tanh":
             return value, 1.0 - value * value
         if self.kind == "identity":
-            return value.copy(), np.ones_like(x)
+            return value, np.ones_like(x)
         return value, np.where(x >= 0.0, 1.0, self.negative_slope)
 
 
@@ -246,19 +256,9 @@ def leaky_map(params: ReservoirParams, x: np.ndarray,
     Works over the leading axes of ``x (..., n)`` and ``u (..., m)`` and does
     no validation; callers check shapes and finiteness once, up front.
     """
-    return _driven_map(params, x, u @ params.U.T + params.b)
-
-
-def _driven_map(params: ReservoirParams, x: np.ndarray,
-                drive: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`leaky_map` at a precomputed input drive ``U u + b``."""
-    value, slope = params.activation.evaluate(x @ params.W.T + drive)
-    return _leak(params.leak, x, value), slope
-
-
-def _leak(lam: float, x: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """The leaky update ``(1 - lam) x + lam sigma`` at ``value = sigma``."""
-    return (1.0 - lam) * x + lam * value
+    value, slope = params.activation.evaluate(
+        x @ params.W.T + (u @ params.U.T + params.b))
+    return (1.0 - params.leak) * x + params.leak * value, slope
 
 
 def leaky_jacobians(params: ReservoirParams,
@@ -270,13 +270,14 @@ def leaky_jacobians(params: ReservoirParams,
             params.leak * (slope[..., :, None] * params.U))
 
 
-def _transition(params: ReservoirParams, slope: np.ndarray) -> np.ndarray:
-    """The A of :func:`leaky_jacobians` alone, in one C-ordered array: ``1 -
-    leak`` is added in place to its diagonal, a strided view (the same sums
-    as adding ``(1 - leak) I``, so the same bits)."""
-    a = np.multiply(slope[..., :, None], params.W, order="C")
+def _transition(params: ReservoirParams, slope: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The A of :func:`leaky_jacobians` alone, in one C-ordered array (new,
+    or ``out``): ``1 - leak`` is added in place to its diagonal, a strided
+    view (the same sums as adding ``(1 - leak) I``, so the same bits)."""
+    a = np.multiply(slope[..., :, None], params.W, out=out, order="C")
     a *= params.leak
-    a.reshape(*a.shape[:-2], -1)[..., ::params.n + 1] += 1.0 - params.leak
+    a.reshape(a.shape[:-2] + (-1,))[..., ::params.n + 1] += 1.0 - params.leak
     return a
 
 
@@ -315,11 +316,14 @@ def simulate(params: ReservoirParams,
         Trajectory with states (T+1, n), the inputs, and outputs when a
         readout was supplied.
 
-    The drive ``U u_t + b`` is formed for all t in one matmul before the
-    loop, and each step evaluates sigma alone, not its slope.  The identity
-    activation has no loop: its affine recursion is one blocked scan, equal
-    to the step loop up to rounding (about 1e-15 relative).  Noise is drawn
-    exactly from the PSD covariance, so ``Q = 0`` adds none.
+    The input terms (the drive ``U u_t + b``, or the ``e_t`` of
+    :func:`_preactivation_steps`) are formed for all t in one matmul before
+    the loop.  The identity activation has no loop: its affine recursion is
+    one blocked scan.  Any other activation steps the preactivation a_t (see
+    :func:`_preactivation_steps`), each step evaluating sigma alone, not its
+    slope, and the states follow from one scan of the scalar leaky filter.
+    Both equal the step loop up to rounding (about 1e-15 relative).  Noise
+    is drawn exactly from the PSD covariance, so ``Q = 0`` adds none.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -337,25 +341,23 @@ def simulate(params: ReservoirParams,
     v_draws = (None if measurement_noise is None else
                _noise_draws(measurement_noise, "R", (horizon, readout.p)))
 
+    lam = params.leak
     states = np.empty((horizon + 1, params.n))
     states[0] = x0
-    # rows 1..T hold the drive until each is overwritten by its state
-    drive = np.matmul(inputs, params.U.T, out=states[1:])
-    drive += params.b
     if params.activation.kind == "identity":
-        # x_t = A x_{t-1} + leak (U u + b) + w: one affine scan
-        drive *= params.leak
-        if w_draws is not None:
-            drive += w_draws
-        linear_scan(_transition(params, np.ones(params.n)), states)
+        # x_{t+1} = A x_t + leak (U u_t + b) + w_t: one affine scan in A
+        drive = np.matmul(inputs, params.U.T, out=states[1:])
+        drive += params.b
+        multiplier = _transition(params, np.ones(params.n))
     else:
-        sigma, lam, w_t = params.activation, params.leak, params.W.T
-        x = x0
-        for t in range(1, horizon + 1):
-            x = _leak(lam, x, sigma(x @ w_t + states[t]))
-            if w_draws is not None:
-                x = x + w_draws[t - 1]
-            states[t] = x
+        # rows 1..T get sigma(a_t); then x_{t+1} = (1 - leak) x_t
+        # + leak sigma(a_t) + w_t is one scan in the scalar 1 - leak
+        _preactivation_steps(params, x0, inputs, w_draws, states[1:])
+        multiplier = 1.0 - lam
+    states[1:] *= lam
+    if w_draws is not None:
+        states[1:] += w_draws
+    linear_scan(multiplier, states)
 
     outputs = None
     if readout is not None:
@@ -363,6 +365,39 @@ def simulate(params: ReservoirParams,
         if v_draws is not None:
             outputs = outputs + v_draws
     return Trajectory(states=states, inputs=inputs, outputs=outputs)
+
+
+def _preactivation_steps(params: ReservoirParams, x0: np.ndarray,
+                         inputs: np.ndarray, w_draws: Optional[np.ndarray],
+                         out: np.ndarray) -> None:
+    """Write sigma(a_t) into row t of ``out`` (T, n) for the preactivations
+    ``a_t = W x_t + U u_t + b`` of the leaky map started at ``x0`` with
+    process noise ``w_t``.  They follow their own recursion,
+
+        a_{t+1} = (1 - leak) a_t + leak W sigma(a_t) + e_{t+1},
+        e_{t+1} = U (u_{t+1} - (1 - leak) u_t) + leak b + W w_t,
+
+    so each step is one BLAS ``dgemv`` that updates ``a`` in place, one add
+    and sigma written in place.  All of ``e`` is formed before the loop in
+    ``out`` itself (no other (T, n) array): step t reads e_{t+1} from row
+    t + 1 before the next step writes sigma(a_{t+1}) there.
+    """
+    if not len(out):
+        return
+    lam, sigma = params.leak, params.activation
+    w = np.ascontiguousarray(params.W)
+    shifted = inputs.copy()
+    shifted[1:] -= (1.0 - lam) * inputs[:-1]
+    np.matmul(shifted, params.U.T, out=out)
+    out[1:] += lam * params.b
+    if w_draws is not None:
+        out[1:] += w_draws[:-1] @ w.T
+    a = out[0] + params.b + w @ x0
+    for row, e in zip(out, out[1:]):
+        sigma(a, out=row)
+        a = _gemv_into(lam, w, row, 1.0 - lam, a)
+        a += e
+    sigma(a, out=out[-1])
 
 
 def _noise_draws(noise, name: str, shape) -> np.ndarray:

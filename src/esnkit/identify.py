@@ -30,9 +30,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from ._linalg import (as_float_array, check_psd, linear_scan, spectral_norm,
-                      symmetrize)
-from .core import Readout, ReservoirParams, _driven_map, _transition
+from ._linalg import (_gemv_into, as_float_array, check_psd, linear_scan,
+                      spectral_norm, symmetrize)
+from .core import Readout, ReservoirParams, _transition
 from .linearize import LtiModel
 from .stability import Certificate, _small_gain
 
@@ -257,61 +257,44 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
                         p0)
 
 
-def _filter_loop(a, drive, c, noise, outputs, mu0, p0, step=None):
-    """Shared filter core.  Row t of ``drive`` (T, n), the input term of the
-    mean prediction, is overwritten by the predicted mean once used.
-    The LTI path (no ``step``) predicts ``a mu + drive_t`` and may freeze;
-    the EKF passes ``step(mu, drive_t) -> (next_mean, A_t)``.  Covariances
-    are kept in per-step lists until the end.
-
-    The update is the Joseph form (I - KC) P (I - KC)' + K R K', written
-    from the C P and S the step already has as P + M + M' with
-    M = K (S K' / 2 - C P): equal for any K, and exactly symmetric."""
+def _filter_loop(a, drive, c, noise, outputs, mu0, p0):
+    """LTI filter core.  Row t of ``drive`` (T, n), the input term ``B u_t``
+    of the mean prediction, is overwritten by the predicted mean once used.
+    Covariances are kept in per-step lists until the end, or until the
+    recursion freezes (see :func:`kalman_filter`).  Each step keeps its
+    innovation Cholesky diagonal and whitened innovation, and
+    :func:`_loglik` sums them after the loop (and again over the frozen
+    stretch); it raises at the first non-finite step, also when a later
+    step's factorization failed first."""
     horizon, n = drive.shape
     p_dim = outputs.shape[1]
     q, r = noise.Q, noise.R
 
     f_means = np.empty((horizon + 1, n))
     p_means = drive
-    f_covs, p_covs, a_seq = [p0], [], []
+    f_covs, p_covs, diags, whites = [p0], [], [], []
     f_means[0] = mu0
-    mu, cov = mu0, p0
-    loglik = 0.0
+    cov = p0
     steady_from = None
-    for t in range(horizon):
-        if step is None:
-            mu_pred, a_t = a @ mu + p_means[t], a
-        else:
-            mu_pred, a_t = step(mu, p_means[t])
-            a_seq.append(a_t)
-        cov_pred = a_t @ cov @ a_t.T + q
-        cov_pred += cov_pred.T
-        cov_pred *= 0.5
-        p_means[t] = mu_pred
-        p_covs.append(cov_pred)
-
-        innov = outputs[t] - c @ mu_pred
-        cp = c @ cov_pred
-        s = symmetrize(cp @ c.T + r)
-        chol = _innovation_chol(s, t + 1)
-        gain = dpotrs(chol, cp, lower=1)[0].T
-        mu = mu_pred + gain @ innov
-        cp = gain @ (0.5 * s @ gain.T - cp)  # M, in cp: no extra array alive
-        cov = cov_pred + (cp + cp.T)
-        f_means[t + 1] = mu
-        f_covs.append(cov)
-
-        white = dtrtrs(chol, innov, lower=1)[0]
-        logdet = 2.0 * float(np.log(chol.diagonal()).sum())
-        loglik -= 0.5 * (p_dim * _LOG_2PI + logdet + float(white @ white))
-        if not math.isfinite(loglik):
-            raise _diverged(t + 1)
-
-        if (step is None and t > 0 and _settled(cov_pred, p_covs[t - 1])
-                and _settled(cov, f_covs[t])):
-            steady_from = t
-            logger.debug("kalman.steady_state steady_from=%d", t)
-            break
+    try:
+        for t in range(horizon):
+            mu_pred = np.add(a @ f_means[t], p_means[t], out=p_means[t])
+            cov_pred = _predict_cov(a, cov, q)
+            p_covs.append(cov_pred)
+            cov, chol, white, gain = _measure(mu_pred, cov_pred, outputs[t], c,
+                                              r, t + 1, f_means[t + 1])
+            f_covs.append(cov)
+            diags.append(chol.diagonal())
+            whites.append(white)
+            if (t > 0 and _settled(cov_pred, p_covs[t - 1])
+                    and _settled(cov, f_covs[t])):
+                steady_from = t
+                logger.debug("kalman.steady_state steady_from=%d", t)
+                break
+    except ValueError:
+        _loglik(p_dim, diags, whites)  # an earlier non-finite step comes first
+        raise
+    loglik = _loglik(p_dim, diags, whites)
 
     if steady_from is not None:
         # frozen gain K: mu+ = (I - KC)(A mu + B u) + K y; the affine terms
@@ -324,12 +307,8 @@ def _filter_loop(a, drive, c, noise, outputs, mu0, p0, step=None):
         linear_scan(a_closed, f_means[start:])
         p_means[start:] += f_means[start:-1] @ a.T
         innov = outputs[start:] - p_means[start:] @ c.T
-        quad = np.square(dtrtrs(chol, innov.T, lower=1)[0])
-        loglik -= 0.5 * ((horizon - start) * (p_dim * _LOG_2PI + logdet)
-                         + float(quad.sum()))
-        if not math.isfinite(loglik):
-            finite = np.isfinite(np.cumsum(quad.sum(axis=0)))
-            raise _diverged(start + 1 + int(np.argmin(finite)))
+        loglik = _loglik(p_dim, chol.diagonal(),
+                         dtrtrs(chol, innov.T, lower=1)[0].T, start, loglik)
         repeat = horizon - steady_from
         f_covs = FrozenCovs(f_covs[:start], cov, repeat)
         p_covs = FrozenCovs(p_covs[:steady_from], cov_pred, repeat)
@@ -339,9 +318,57 @@ def _filter_loop(a, drive, c, noise, outputs, mu0, p0, step=None):
 
     return SmoothedPosterior(
         filtered_means=f_means, filtered_covs=f_covs, predicted_means=p_means,
-        predicted_covs=p_covs, loglik=loglik, steady_from=steady_from,
-        transition_seq=None if step is None else np.reshape(a_seq,
-                                                            (horizon, n, n)))
+        predicted_covs=p_covs, loglik=loglik, steady_from=steady_from)
+
+
+def _predict_cov(a, cov, q, out=None):
+    """The predicted covariance A P A' + Q, made exactly symmetric as the
+    mean of it and its transpose (into ``out`` if given: a sum into a
+    separate array, which is cheaper than adding the transpose in place)."""
+    raw = a @ cov @ a.T
+    raw += q
+    out = np.add(raw, raw.T, out=out)
+    out *= 0.5
+    return out
+
+
+def _measure(mu_pred, cov_pred, y, c, r, t, mu_out, cov_out=None):
+    """The measurement update at time index t of both filters: the filtered
+    mean goes into ``mu_out``; returns the filtered covariance (into
+    ``cov_out`` if given), the innovation Cholesky factor, the whitened
+    innovation and the gain.
+
+    The update is the Joseph form (I - KC) P (I - KC)' + K R K', written
+    from C P and S = C P C' + R as P + M + M' with M = K (S K' / 2 - C P):
+    equal for any K, exactly symmetric, and it sees only sym(S), so S is
+    not symmetrized first (``dpotrf`` reads its lower triangle)."""
+    innov = y - c @ mu_pred
+    cp = c @ cov_pred
+    s = cp @ c.T + r
+    chol = _innovation_chol(s, t)
+    gain = dpotrs(chol, cp, lower=1)[0].T
+    np.add(mu_pred, gain @ innov, out=mu_out)
+    cp = gain @ (0.5 * s @ gain.T - cp)  # M, in cp: no extra array alive
+    cov = np.add(cov_pred, cp + cp.T, out=cov_out)
+    return cov, chol, dtrtrs(chol, innov, lower=1)[0], gain
+
+
+def _loglik(p_dim, chol_diags, whites, start=0, loglik=0.0):
+    """``loglik`` plus the innovations log-likelihood of the steps at time
+    indices start + 1, start + 2, ..., from the diagonals of their
+    innovation Cholesky factors and their whitened innovations, rows of
+    length p (one diagonal row stands for every step), accumulated in step
+    order.  Raises the divergence error at the first step whose partial sum
+    is not finite."""
+    logdets = 2.0 * np.log(np.reshape(chol_diags, (-1, p_dim))).sum(axis=1)
+    whites = np.reshape(whites, (-1, p_dim))
+    terms = 0.5 * (p_dim * _LOG_2PI + logdets
+                   + np.einsum("ij,ij->i", whites, whites))
+    partial = np.cumsum(np.concatenate([[loglik], -terms]))
+    finite = np.isfinite(partial)
+    if not finite.all():
+        raise _diverged(start + int(np.argmin(finite)))
+    return float(partial[-1])
 
 
 def _settled(new: np.ndarray, old: np.ndarray) -> bool:
@@ -439,19 +466,54 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     The mean is propagated through the full nonlinear update; covariances use
     the Jacobian linearization at the current filtered mean (so the recorded
     transition sequence is time varying).  The drive ``U u_t + b`` is formed
-    for all t in one matmul before the loop, as is ``y_t - d``, and each step
-    builds A_t alone, not the input Jacobian.  The measurement update, its
-    LAPACK calls and its errors are those of :func:`kalman_filter`.
+    for all t in one matmul before the loop, as is ``y_t - d``; each step
+    evaluates sigma and its slope once, writes the mean, A_t and both
+    covariances into the returned (T+1, n) / (T, n, n) arrays, and keeps the
+    Cholesky diagonal and the whitened innovation, from which the
+    log-likelihood is formed in one pass after the loop.  The measurement
+    update, its LAPACK calls and its errors are those of
+    :func:`kalman_filter`; a non-finite step raises with its time index, as
+    there, even when a later step fails first.
     """
     inputs, outputs, mu0, p0 = _validate_io(params.n, params.m, readout.p,
                                             inputs, outputs, prior)
+    drive = inputs @ params.U.T + params.b
+    outputs = outputs - readout.d
+    horizon, n = drive.shape
+    p_dim = outputs.shape[1]
+    lam, sigma = params.leak, params.activation
+    w = np.ascontiguousarray(params.W)
+    c, q, r = readout.C, noise.Q, noise.R
 
-    def step(mu, drive):
-        mean_next, slope = _driven_map(params, mu, drive)
-        return mean_next, _transition(params, slope)
+    f_means = np.empty((horizon + 1, n))
+    f_covs = np.empty((horizon + 1, n, n))
+    p_means = drive  # row t holds the drive until its prediction is made
+    p_covs = np.empty((horizon, n, n))
+    a_seq = np.empty((horizon, n, n))
+    f_means[0], f_covs[0] = mu0, p0
+    diags, whites = [], []
+    try:
+        for t in range(horizon):
+            # W mu + drive_t, in row t of drive, which the prediction
+            # overwrites once sigma has read it
+            value, slope = sigma.evaluate(
+                _gemv_into(1.0, w, f_means[t], 1.0, drive[t]))
+            mu_pred = np.multiply(f_means[t], 1.0 - lam, out=p_means[t])
+            mu_pred += lam * value
+            a_t = _transition(params, slope, out=a_seq[t])
+            cov_pred = _predict_cov(a_t, f_covs[t], q, out=p_covs[t])
+            _, chol, white, _ = _measure(mu_pred, cov_pred, outputs[t], c, r,
+                                         t + 1, f_means[t + 1], f_covs[t + 1])
+            diags.append(chol.diagonal())
+            whites.append(white)
+    except ValueError:
+        _loglik(p_dim, diags, whites)  # an earlier non-finite step comes first
+        raise
+    loglik = _loglik(p_dim, diags, whites)
 
-    return _filter_loop(None, inputs @ params.U.T + params.b, readout.C, noise,
-                        outputs - readout.d, mu0, p0, step=step)
+    return SmoothedPosterior(
+        filtered_means=f_means, filtered_covs=f_covs, predicted_means=p_means,
+        predicted_covs=p_covs, loglik=loglik, transition_seq=a_seq)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ L_sigma W and (1-leak) I are vertices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +44,6 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import qmc
 
 from ._linalg import solve_discrete_lyapunov, spectral_norm
 from .core import ReservoirParams, _transition
@@ -170,8 +170,40 @@ def _slope_vertices(n: int, l_sigma: float, budget: int):
     if n <= 60 and 2 ** n <= budget:
         bits = (np.arange(2 ** n)[::-1, None] >> np.arange(n - 1, -1, -1)) & 1
         return bits * l_sigma, True
-    samples = qmc.Halton(d=n, scramble=False).random(budget) * l_sigma
+    samples = _halton(n, budget) * l_sigma
     return np.vstack([np.full(n, l_sigma), np.zeros(n), samples]), False
+
+
+@functools.lru_cache(maxsize=16)
+def _halton(d: int, count: int) -> np.ndarray:
+    """The first ``count`` points (count, d) of the unscrambled Halton
+    sequence, read-only and cached per (d, count): column j holds the
+    radical inverses of 0..count-1 in the j-th prime base b, summed digit by
+    digit from the least significant one with the weights 1/b, 1/b^2, ...
+    (repeated division), which gives the same bits as
+    ``scipy.stats.qmc.Halton(d, scramble=False).random(count)``."""
+    points = np.zeros((d, count))
+    for row, base in zip(points, _first_primes(d)):
+        index, weight = np.arange(count), 1.0 / base
+        while index.any():
+            index, digit = np.divmod(index, base)
+            row += digit * weight
+            weight /= base
+    points.flags.writeable = False
+    return points.T
+
+
+def _first_primes(count: int) -> np.ndarray:
+    """The first ``count`` primes, sieved up to the bound
+    count (ln count + ln ln count) on the count-th prime (count >= 6)."""
+    limit = 13 if count < 6 else int(
+        count * (math.log(count) + math.log(math.log(count))))
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    return np.flatnonzero(sieve)[:count]
 
 
 def _weighted_gain(p: np.ndarray, stacks: Iterable[np.ndarray],

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from esnkit import (Activation, Readout, ReservoirParams, Trajectory,
                     activation_eval, reservoir_step, simulate)
@@ -122,6 +124,41 @@ class TestSimulate:
         assert np.abs(traj.states - want).max() <= 1e-12 * np.abs(want).max()
         if q_scale == 0.0:
             assert np.array_equal(traj.states, simulate(p, x0, inputs).states)
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 12), horizon=st.integers(0, 60),
+           seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["tanh", "leaky_slope"]),
+           negative_slope=st.floats(0.0, 2.0), leak=st.floats(0.05, 1.0),
+           noisy=st.booleans())
+    @example(n=3, horizon=0, seed=1, kind="tanh", negative_slope=1.0,
+             leak=0.5, noisy=True)
+    @example(n=3, horizon=1, seed=2, kind="tanh", negative_slope=1.0,
+             leak=0.5, noisy=True)
+    @example(n=1, horizon=1, seed=3, kind="leaky_slope", negative_slope=0.2,
+             leak=1.0, noisy=False)
+    def test_nonlinear_matches_step_loop(self, n, horizon, seed, kind,
+                                         negative_slope, leak, noisy):
+        # the preactivation recursion and the scan that recovers the states
+        # regroup the sums of the map; ||W|| L_sigma = 0.9 keeps the
+        # rounding from growing
+        act = Activation(kind, negative_slope=negative_slope)
+        p = make_reservoir(n=n, m=2, seed=seed % 2 ** 31, leak=leak,
+                           w_scale=0.9 / act.lipschitz, activation=act,
+                           bias_scale=0.5)
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal(n)
+        inputs = rng.standard_normal((horizon, 2))
+        noise = (0.01 * np.eye(n), seed) if noisy else None
+        traj = simulate(p, x0, inputs, process_noise=noise)
+        draws = (_noise_draws(noise, "Q", (horizon, n)) if noisy
+                 else np.zeros((horizon, n)))
+        want = [x0]
+        for u, w in zip(inputs, draws):
+            want.append(reservoir_step(p, want[-1], u) + w)
+        want = np.array(want)
+        assert traj.states.shape == (horizon + 1, n)
+        assert np.abs(traj.states - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_seeded_noise_is_bit_reproducible(self):
         p = make_reservoir()

@@ -12,6 +12,7 @@ from esnkit import (Activation, FrozenCovs, LtiModel, NoiseModel, Readout,
                     excitation_sigma_min, jacobians_at, kalman_filter,
                     project_structured, readout_bayes, readout_ml,
                     rts_smoother, simulate, subspace_shape)
+from esnkit import identify
 
 from conftest import make_reservoir, traced_peak_mib
 from oracles import ekf_reference, joint_gaussian_posterior, \
@@ -478,7 +479,7 @@ class TestEkf:
 
     def test_diverging_reservoir_raises(self):
         # A = 3 I with no covariance to correct it: the unobserved mean
-        # coordinate overflows near step 650, which must raise, not yield NaN
+        # coordinate overflows at step 325, which must raise, not yield NaN
         p = ReservoirParams(W=3.0 * np.eye(2), U=np.ones((2, 1)),
                             b=np.zeros(2), leak=1.0,
                             activation=Activation.identity())
@@ -486,10 +487,54 @@ class TestEkf:
         noise = NoiseModel(Q=np.zeros((2, 2)), R=np.eye(1))
         rng = np.random.default_rng(8)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite .* time index"):
+            with pytest.raises(ValueError,
+                               match="non-finite .* time index 325$"):
                 ekf_filter(p, ro, noise, rng.standard_normal((1000, 1)),
                            rng.standard_normal((1000, 1)),
                            (np.ones(2), np.zeros((2, 2))))
+
+    def test_diverging_mean_raises_at_its_first_step(self):
+        # the per-step kalman_filter case on the reservoir: from mu0 =
+        # (0, 1e300) the unobserved mean overflows at t = 18; the filter is
+        # not stopped there, and the error still names t = 18
+        p = ReservoirParams(W=3.0 * np.eye(2), U=np.zeros((2, 1)),
+                            b=np.zeros(2), leak=1.0,
+                            activation=Activation.identity())
+        ro = Readout(C=np.array([[1.0, 0.0]]))
+        noise = NoiseModel(Q=np.zeros((2, 2)), R=np.eye(1))
+        rng = np.random.default_rng(9)
+        outputs = rng.standard_normal((1000, 1))
+        prior = (np.array([0.0, 1e300]), np.eye(2))
+        ekf_filter(p, ro, noise, np.zeros((17, 1)), outputs[:17], prior)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError,
+                               match="non-finite .* time index 18$"):
+                ekf_filter(p, ro, noise, np.zeros((1000, 1)), outputs, prior)
+
+    def test_divergence_reported_before_a_later_failure(self, monkeypatch):
+        # C x_1 overflows, so the log-likelihood is not finite at t = 1; the
+        # NaN mean then makes A_2 and the innovation covariance at t = 2 NaN.
+        # LAPACK builds that report a NaN pivot fail there (this one is made
+        # to): the filter runs on past t = 1, and t = 1 must still be the error
+        factor = identify._innovation_chol
+
+        def nan_pivot_fails(s, t):
+            if np.isnan(s).any():
+                raise ValueError("innovation covariance not positive "
+                                 f"definite at time index {t}")
+            return factor(s, t)
+
+        monkeypatch.setattr(identify, "_innovation_chol", nan_pivot_fails)
+        p = ReservoirParams(W=0.5 * np.eye(2), U=np.zeros((2, 1)),
+                            b=np.zeros(2), leak=0.5)
+        ro = Readout(C=np.array([[4.0, 0.0]]))
+        noise = NoiseModel(Q=0.01 * np.eye(2), R=np.eye(1))
+        prior = (np.array([1e308, 0.0]), 0.01 * np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError,
+                               match="non-finite .* time index 1$"):
+                ekf_filter(p, ro, noise, np.zeros((5, 1)), np.zeros((5, 1)),
+                           prior)
 
 
 class TestEmStep:

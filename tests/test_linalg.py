@@ -58,7 +58,7 @@ class TestDiscreteLyapunov:
 
 def scan_loop(m, rows):
     for t in range(1, len(rows)):
-        rows[t] += m @ rows[t - 1]
+        rows[t] += np.dot(m, rows[t - 1])
     return rows
 
 
@@ -66,13 +66,17 @@ class TestLinearScan:
     @settings(max_examples=60)
     @given(n=st.integers(1, 16), steps=st.integers(0, 600),
            seed=st.integers(0, 2 ** 32 - 1), rho=st.floats(0.0, 0.99),
-           nonnormal=st.booleans())
-    @example(n=3, steps=0, seed=0, rho=0.9, nonnormal=True)
-    @example(n=3, steps=1, seed=1, rho=0.9, nonnormal=True)
-    @example(n=3, steps=2, seed=2, rho=0.9, nonnormal=True)
-    @example(n=3, steps=3, seed=3, rho=0.9, nonnormal=True)
-    def test_matches_step_loop_on_views(self, n, steps, seed, rho, nonnormal):
-        m = stable_matrix(n, seed, rho, nonnormal)
+           nonnormal=st.booleans(), scalar=st.booleans())
+    @example(n=3, steps=0, seed=0, rho=0.9, nonnormal=True, scalar=False)
+    @example(n=3, steps=1, seed=1, rho=0.9, nonnormal=True, scalar=False)
+    @example(n=3, steps=2, seed=2, rho=0.9, nonnormal=True, scalar=False)
+    @example(n=3, steps=3, seed=3, rho=0.9, nonnormal=True, scalar=False)
+    @example(n=3, steps=2, seed=4, rho=0.5, nonnormal=False, scalar=True)
+    @example(n=3, steps=600, seed=5, rho=0.9, nonnormal=False, scalar=True)
+    @example(n=3, steps=50, seed=6, rho=0.0, nonnormal=False, scalar=True)
+    def test_matches_step_loop_on_views(self, n, steps, seed, rho, nonnormal,
+                                        scalar):
+        m = rho if scalar else stable_matrix(n, seed, rho, nonnormal)
         rows = np.random.default_rng(seed + 1).standard_normal((steps + 1, n))
         want = scan_loop(m, rows.copy())
         scale = np.abs(want).max()

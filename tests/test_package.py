@@ -1,6 +1,8 @@
 import ast
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import esnkit
@@ -95,3 +97,19 @@ def test_every_logged_event_is_named_in_a_test():
                 or not re.search(rf"(?<![\w.]){re.escape(event)}(?![\w.])",
                                  tests)]
     assert untested == []
+
+
+def test_import_loads_no_scipy_subpackage_but_linalg():
+    # every scipy subpackage imported at start-up costs set-up time in every
+    # process; only scipy.linalg is used, besides scipy's private modules
+    # (a leading underscore, the build config and the version)
+    script = ("import sys, esnkit; print(sorted({name.split('.')[1] for name "
+              "in sys.modules if name.startswith('scipy.')}))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True,
+                          cwd=Path(esnkit.__file__).parent.parent)
+    loaded = ast.literal_eval(done.stdout.strip())
+    assert "linalg" in loaded
+    assert [name for name in loaded
+            if name not in ("linalg", "version", "__config__")
+            and not name.startswith("_")] == []

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.stats import qmc
 
 import esnkit
 from esnkit import (Activation, CertificateMethod, ReservoirParams, Verdict,
                     certify_lipschitz, certify_weighted, gamma_for_radius,
                     make_normal_reservoir, memory_horizon, reservoir_step,
                     simulate, spectral_radius, target_radius)
+from esnkit.stability import _halton
 
 from conftest import make_reservoir
 from oracles import vertex_margin_min
@@ -286,6 +288,17 @@ class TestWeightedCertificate:
         assert cert.verdict is Verdict.UNKNOWN
         rho = full_slope_radius(p)
         assert rho * (1 - 1e-12) <= cert.kappa <= rho * (1 + 1e-9)
+
+
+class TestHaltonSamples:
+    @pytest.mark.parametrize("d, count", [(1, 10), (12, 5000), (32, 1024),
+                                          (70, 1024), (256, 1024)])
+    def test_equals_scipy_unscrambled_halton(self, d, count):
+        want = qmc.Halton(d=d, scramble=False).random(count)
+        got = _halton(d, count)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 class TestMemoryHorizon:
