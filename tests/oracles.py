@@ -110,6 +110,13 @@ def kronecker_lyapunov(a, s):
     return vec.reshape((n, n), order="F")
 
 
+def transfer_dense(a, b, c, d, zs):
+    """H(z) = C (I - A/z)^{-1} B + D for every z of ``zs``, shape
+    (len(zs), p, m), one dense LU solve per point."""
+    eye = np.eye(a.shape[0])
+    return np.array([c @ np.linalg.solve(eye - a / z, b) + d for z in zs])
+
+
 def vertex_margin_min(w, leak, l_sigma, p, kappa):
     """Smallest eigenvalue of ``kappa^2 P - M' P M`` over every slope vertex
     ``M = (1-leak) I + leak D W``, ``D`` in {0, l_sigma}^n, one vertex at a

@@ -7,6 +7,8 @@ from esnkit import (LtiModel, ctrb_obsv_rank, gramians, h2_norm,
                     hinf_norm_grid, impulse_kernel, modal, output_psd,
                     spectral_radius, transfer_eval)
 
+from oracles import transfer_dense
+
 
 def scalar_lti(a, b, c, d=0.0):
     return LtiModel(A=[[a]], B=[[b]], C=[[c]], D=[[d]])
@@ -18,6 +20,25 @@ def stable_random_lti(n=5, m=2, p=2, seed=0, rho=0.8):
     a *= rho / spectral_radius(a)
     return LtiModel(A=a, B=rng.standard_normal((n, m)),
                     C=rng.standard_normal((p, n)), D=np.zeros((p, m)))
+
+
+def kind_of_state_matrix(kind, n, rng):
+    """An n x n A of one ``kind``: Gaussian, upper-triangular non-normal,
+    real with conjugate eigenvalue pairs (rotated blocks), or a Jordan block."""
+    if kind == "gaussian":
+        return rng.standard_normal((n, n)) / np.sqrt(max(n, 1))
+    if kind == "triangular":
+        return (np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(max(n, 1))
+                + np.diag(rng.uniform(-1.5, 1.5, n)))
+    if kind == "jordan":
+        return rng.uniform(-1.5, 1.5) * np.eye(n) + np.eye(n, k=1)
+    a = np.diag(rng.uniform(-1.5, 1.5, n))
+    for k in range(0, n - 1, 2):
+        r, th = rng.uniform(0.1, 1.5), rng.uniform(0.0, np.pi)
+        a[k:k + 2, k:k + 2] = r * np.array([[np.cos(th), -np.sin(th)],
+                                            [np.sin(th), np.cos(th)]])
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ a @ q.T
 
 
 class TestTransferEval:
@@ -62,6 +83,33 @@ class TestTransferEval:
     def test_rejects_origin(self):
         with pytest.raises(ValueError, match="z = 0"):
             transfer_eval(scalar_lti(0.5, 1, 1), 0.0)
+
+    @settings(max_examples=80)
+    @given(n=st.integers(0, 24), p=st.integers(1, 3), m=st.integers(1, 3),
+           kind=st.sampled_from(["gaussian", "triangular", "pairs", "jordan"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.filterwarnings("ignore:.*region of convergence:UserWarning")
+    def test_matches_dense_oracle(self, n, p, m, kind, seed):
+        # transfer_eval at |z| in {0.5, 1, 2} and output_psd on the unit
+        # circle against one dense solve per point, for every z relative
+        # to the norm of the oracle's value; |z| = 0.5 is inside the region
+        # of convergence of many of these A, whose warning is tested above
+        rng = np.random.default_rng(seed)
+        lti = LtiModel(A=kind_of_state_matrix(kind, n, rng),
+                       B=rng.standard_normal((n, m)),
+                       C=rng.standard_normal((p, n)),
+                       D=rng.standard_normal((p, m)))
+        zs = np.array([0.5, 1.0, 2.0]) * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
+        want = transfer_dense(lti.A, lti.B, lti.C, lti.D, zs)
+        got = np.array([transfer_eval(lti, z) for z in zs])
+        root = rng.standard_normal((m, m))
+        s_u = root @ root.T
+        h = want[1:2]
+        want_psd = h @ s_u @ h.conj().transpose(0, 2, 1)
+        got_psd = output_psd(lti, s_u, np.angle(zs[1:2]))
+        for value, reference in ((got, want), (got_psd, want_psd)):
+            error = np.linalg.norm(value - reference, axis=(1, 2))
+            assert np.all(error <= 1e-10 * np.linalg.norm(reference, axis=(1, 2)))
 
 
 class TestImpulseKernel:
@@ -323,6 +371,7 @@ class TestNorms:
 
     def test_hinf_scalar_peak_at_dc(self):
         est = hinf_norm_grid(scalar_lti(0.9, 1.0, 1.0), grid_points=128)
+        assert type(est.value) is float
         assert est.value == pytest.approx(10.0, rel=1e-9)
         assert est.omega_peak == 0.0
 
@@ -330,6 +379,7 @@ class TestNorms:
         lti = LtiModel(A=np.zeros((1, 1)), B=np.zeros((1, 2)),
                        C=np.zeros((1, 1)), D=[[3.0, 4.0]])
         est = hinf_norm_grid(lti, grid_points=64)
+        assert type(est.value) is float
         assert est.value == pytest.approx(5.0, rel=1e-12)
 
     def test_hinf_resonance_location(self):
@@ -355,6 +405,7 @@ class TestNorms:
 
         grid_points = 512
         est = hinf_norm_grid(lti, grid_points=grid_points)
+        assert type(est.value) is float
         assert abs(est.omega_peak - oracle_peak) <= 2 * np.pi / grid_points
         assert est.value <= mags.max() * (1 + 1e-9)   # certified lower bound
         assert est.value >= mags.max() * 0.999
@@ -378,11 +429,12 @@ class TestNorms:
         grid = np.linalg.svd(batches[0], compute_uv=False)[:, 0]
 
         def sigma_max(omega):
-            return np.linalg.svd(transfer_eval(lti, np.exp(1j * omega)),
-                                 compute_uv=False)[0]
+            h = transfer_dense(lti.A, lti.B, lti.C, lti.D, [np.exp(1j * omega)])
+            return np.linalg.svd(h[0], compute_uv=False)[0]
 
         expect = [sigma_max(w) for w in np.linspace(0.0, np.pi, 513)]
         np.testing.assert_allclose(grid, expect, rtol=1e-12, atol=0)
+        assert type(est.value) is float
         assert est.value == pytest.approx(sigma_max(est.omega_peak), rel=1e-12)
         assert est.value >= max(expect) * (1 - 1e-12)
 

@@ -58,6 +58,31 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def _private_constants(tree):
+    """Names of the module-level ``_UPPER_CASE`` assignments of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        else:
+            targets = [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            if (isinstance(target, ast.Name)
+                    and re.fullmatch(r"_[A-Z][A-Z0-9_]*", target.id)):
+                yield target.id
+
+
+def test_every_private_constant_is_read():
+    # a module-level _UPPER_CASE constant that no module of the package
+    # reads is a leftover of deleted code
+    package = Path(esnkit.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in package.glob("*.py")]
+    constants = {name for tree in trees for name in _private_constants(tree)}
+    read = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert constants
+    assert sorted(constants - read) == []
+
+
 def test_every_public_function_is_called_by_a_test():
     tests = "\n".join(path.read_text()
                       for path in Path(__file__).parent.glob("*.py"))

@@ -248,6 +248,35 @@ class TestWeightedCertificate:
             assert cert.verdict is Verdict.FAIL
             assert cert.kappa >= 1.0
 
+    @pytest.mark.parametrize("n", [2, 5, 8, 14])
+    @settings(max_examples=3)
+    @given(seed=st.integers(0, 2 ** 32 - 1), norm=st.floats(0.3, 1.5),
+           leak=st.floats(0.2, 1.0), nonnormal=st.booleans())
+    def test_certificate_does_not_depend_on_stack_size(self, n, seed, norm,
+                                                       leak, nonnormal):
+        # stacks of 1, 5, 64 and 4096 vertices give the same verdict, kappa
+        # and weight: 2^n vertices are exhaustive for n <= 8, and n = 14
+        # samples 258; stacks of 5 always and of 64 at n = 14 leave a
+        # partial last stack
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((n, n))
+        if nonnormal:
+            w = np.triu(w)
+        w *= norm / np.linalg.norm(w, 2)
+        p = ReservoirParams(W=w, U=np.zeros((n, 1)), b=np.zeros(n), leak=leak)
+        certs = []
+        with pytest.MonkeyPatch.context() as patch:
+            for chunk in (1, 5, 64, 4096):
+                patch.setattr(esnkit.stability, "_VERTEX_CHUNK", chunk)
+                certs.append(certify_weighted(p, vertex_budget=256))
+        for cert in certs[1:]:
+            assert cert.verdict is certs[0].verdict
+            assert cert.kappa == certs[0].kappa
+            if certs[0].weight_P is None:
+                assert cert.weight_P is None
+            else:
+                assert np.array_equal(cert.weight_P, certs[0].weight_P)
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             certify_weighted(make_reservoir(), vertex_budget=0)
