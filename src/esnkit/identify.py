@@ -185,7 +185,11 @@ class SmoothedPosterior:
         return self.predicted_means.shape[0]
 
 
-def _validate_io(n: int, m: int, p: int, inputs, outputs, prior):
+def _validate_io(n: int, m: int, p: int, noise: NoiseModel, inputs, outputs,
+                 prior):
+    if noise.Q.shape != (n, n) or noise.R.shape != (p, p):
+        raise ValueError(f"noise Q must be ({n}, {n}) and R ({p}, {p}), got "
+                         f"{noise.Q.shape} and {noise.R.shape}")
     inputs = as_float_array(inputs, "inputs")
     outputs = as_float_array(outputs, "outputs")
     if inputs.ndim != 2 or inputs.shape[1] != m:
@@ -242,36 +246,28 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     rather than O(T n^2).  A run that never freezes returns full arrays, as
     does :func:`ekf_filter`, which never freezes.
 
-    The drive ``B u_t`` is formed for all t in one matmul before the loop.
+    The drive ``B u_t`` is formed for all t in one matmul before the loop,
+    and its row t is overwritten by the predicted mean once used; the
+    covariances are kept in per-step lists until the end or the freeze.
     Each step calls LAPACK ``dpotrf`` / ``dpotrs`` / ``dtrtrs`` directly: a
     non-positive pivot (``info`` > 0) gets one jitter retry, the DEBUG event
-    ``kalman.innovation_jitter``, and a second one raises ValueError.  So
-    does a non-finite mean, covariance or log-likelihood term (a diverging
-    model), before and after the freeze; both errors name the time index.
+    ``kalman.innovation_jitter``, and a second one raises ValueError.  Each
+    step keeps its innovation Cholesky diagonal and whitened innovation, and
+    :func:`_loglik` sums them after the loop (and again over the frozen
+    stretch).  A non-finite mean, covariance or log-likelihood term (a
+    diverging model) raises ValueError at its step, before and after the
+    freeze, also when a later step's factorization failed first; both errors
+    name the time index.  Q must be n x n and R p x p.
     """
     if np.any(lti.D != 0.0):
         raise ValueError("kalman_filter requires D = 0")
-    inputs, outputs, mu0, p0 = _validate_io(lti.n, lti.m, lti.p, inputs,
-                                            outputs, prior)
-    return _filter_loop(lti.A, inputs @ lti.B.T, lti.C, noise, outputs, mu0,
-                        p0)
-
-
-def _filter_loop(a, drive, c, noise, outputs, mu0, p0):
-    """LTI filter core.  Row t of ``drive`` (T, n), the input term ``B u_t``
-    of the mean prediction, is overwritten by the predicted mean once used.
-    Covariances are kept in per-step lists until the end, or until the
-    recursion freezes (see :func:`kalman_filter`).  Each step keeps its
-    innovation Cholesky diagonal and whitened innovation, and
-    :func:`_loglik` sums them after the loop (and again over the frozen
-    stretch); it raises at the first non-finite step, also when a later
-    step's factorization failed first."""
-    horizon, n = drive.shape
-    p_dim = outputs.shape[1]
-    q, r = noise.Q, noise.R
+    inputs, outputs, mu0, p0 = _validate_io(lti.n, lti.m, lti.p, noise,
+                                            inputs, outputs, prior)
+    a, c, q, r = lti.A, lti.C, noise.Q, noise.R
+    horizon, n, p_dim = inputs.shape[0], lti.n, lti.p
 
     f_means = np.empty((horizon + 1, n))
-    p_means = drive
+    p_means = inputs @ lti.B.T
     f_covs, p_covs, diags, whites = [p0], [], [], []
     f_means[0] = mu0
     cov = p0
@@ -476,7 +472,7 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     there, even when a later step fails first.
     """
     inputs, outputs, mu0, p0 = _validate_io(params.n, params.m, readout.p,
-                                            inputs, outputs, prior)
+                                            noise, inputs, outputs, prior)
     drive = inputs @ params.U.T + params.b
     outputs = outputs - readout.d
     horizon, n = drive.shape

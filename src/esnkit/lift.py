@@ -1,23 +1,22 @@
 """Dictionary lifting to a linear surrogate in feature space.
 
-A dictionary phi always starts with the constant 1 and the raw state
-coordinates, optionally followed by extra observables (monomials or random
-Fourier features).  Fitting regresses the lifted one-step image
-``phi(f(x_t, u_t))`` on ``[phi(x_t); u_t]`` in ridge least squares; the
-constant feature absorbs the affine offset, so no separate offset vector is
-fit.  The uniform training residual ``epsilon = max_t ||e_t||`` is the
-quantity the rollout bound ``epsilon * (1 - rho^t) / (1 - rho)`` is built
-from; :func:`edmd_fit` evaluates phi once per state and keeps epsilon such a
-bound.  Baseline (``nonlinear`` benchmark inputs of ``instance_seed(11,
-0..5)``, ridge 1e-6, a held-out noiseless 1000-step run): the RMS one-step
-state error is 0.3587 affine, 0.3595 ``monomials(2)``, 0.3591 with 128
-Fourier features; u enters the lift only linearly, so richer state features
-do not help.
+The dictionary phi is the constant 1 and the raw state coordinates, followed
+by ``count`` random Fourier features (none: the affine dictionary).  Fitting
+regresses the lifted one-step image ``phi(f(x_t, u_t))`` on
+``[phi(x_t); u_t]`` in ridge least squares; the constant feature absorbs the
+affine offset, so no separate offset vector is fit.  The uniform training
+residual ``epsilon = max_t ||e_t||`` is the quantity the rollout bound
+``epsilon * (1 - rho^t) / (1 - rho)`` is built from; :func:`edmd_fit`
+evaluates phi once per state and keeps epsilon such a bound.  Baseline
+(``nonlinear`` benchmark inputs of ``instance_seed(11, 0..5)``, ridge 1e-6,
+a held-out noiseless 1000-step run): the RMS one-step state error is 0.3587
+affine and 0.3591 with 128 Fourier features (0.3595 with every product of
+two state coordinates added, a dictionary since removed); u enters the lift
+only linearly, so richer state features do not help.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -33,54 +32,27 @@ __all__ = ["Dictionary", "LiftedModel", "edmd_fit", "lifted_rollout_error",
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Feature map descriptor; use the constructors rather than the raw init.
+    """Feature map (1, x, sqrt(2/count) * cos(omega_i . x + phase_i)), with
+    omega_i ~ N(0, bandwidth^-2 I) and phase_i ~ U[0, 2 pi) drawn once from
+    the seed; ``count = 0`` is the affine dictionary (1, x)."""
 
-    Kinds:
-        monomials       -- (1, x, all monomials of degree 2..max_degree);
-                           max_degree = 1 is the affine dictionary (1, x)
-        random_fourier  -- (1, x, sqrt(2/count) * cos(omega_i . x + phase_i))
-                           with omega_i ~ N(0, bandwidth^-2 I) drawn once
-                           from the seed.
-    """
-
-    kind: str
-    max_degree: int = 1
     count: int = 0
     bandwidth: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("monomials", "random_fourier"):
-            raise ValueError(f"unknown dictionary kind {self.kind!r}")
-        if self.kind == "monomials" and self.max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
-        if self.kind == "random_fourier":
-            if self.count < 1:
-                raise ValueError("random_fourier needs count >= 1")
-            if not self.bandwidth > 0.0:
-                raise ValueError("bandwidth must be positive")
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
+        if not self.bandwidth > 0.0:
+            raise ValueError("bandwidth must be positive")
 
     @classmethod
     def identity_plus_constant(cls) -> "Dictionary":
-        return cls.monomials(1)
-
-    @classmethod
-    def monomials(cls, max_degree: int) -> "Dictionary":
-        return cls("monomials", max_degree=max_degree)
+        return cls()
 
     @classmethod
     def random_fourier(cls, count: int, bandwidth: float, seed: int) -> "Dictionary":
-        return cls("random_fourier", count=count, bandwidth=bandwidth, seed=seed)
-
-    def _monomial_exponents(self, n: int):
-        expos = []
-        for degree in range(2, self.max_degree + 1):
-            for combo in itertools.combinations_with_replacement(range(n), degree):
-                e = np.zeros(n, dtype=np.int64)
-                for i in combo:
-                    e[i] += 1
-                expos.append(e)
-        return np.array(expos) if expos else np.zeros((0, n), dtype=np.int64)
+        return cls(count=count, bandwidth=bandwidth, seed=seed)
 
     def _fourier_weights(self, n: int):
         rng = rng_from_seed(self.seed)
@@ -89,20 +61,15 @@ class Dictionary:
         return omega, phase
 
     def output_dim(self, n: int) -> int:
-        if self.kind == "monomials":
-            return 1 + n + len(self._monomial_exponents(n))
         return 1 + n + self.count
 
-    def _lipschitz(self, n: int, radius: float) -> float:
-        """Bound on ||J_phi||_2 on the inf-ball of ``radius`` R, by the
-        Frobenius norm of the extra features' Jacobian: sqrt(1 + (2/D)
-        ||omega||_F^2) (Fourier), sqrt(1 + sum_e |e|^2 R^(2|e|-2)) (monomials)."""
-        if self.kind == "random_fourier":
-            omega = self._fourier_weights(n)[0]
-            return float(np.sqrt(1.0 + 2.0 / self.count * np.sum(omega * omega)))
-        degrees = self._monomial_exponents(n).sum(axis=1)
-        return float(np.sqrt(1.0 + np.sum(
-            degrees ** 2 * radius ** (2.0 * (degrees - 1)))))
+    def _lipschitz(self, n: int) -> float:
+        """Bound on ||J_phi||_2 by the Frobenius norm of the Fourier
+        features' Jacobian: sqrt(1 + (2/count) ||omega||_F^2), 1 if affine."""
+        if self.count == 0:
+            return 1.0
+        omega = self._fourier_weights(n)[0]
+        return float(np.sqrt(1.0 + 2.0 / self.count * np.sum(omega * omega)))
 
     def eval_batch(self, states: np.ndarray) -> np.ndarray:
         """Evaluate the dictionary on rows of ``states`` -> (S, N), filling
@@ -112,11 +79,8 @@ class Dictionary:
         out = np.empty((s, self.output_dim(n)))
         out[:, 0] = 1.0
         out[:, 1:1 + n] = x
-        extra = out[:, 1 + n:]
-        if self.kind == "monomials":
-            for j, e in enumerate(self._monomial_exponents(n)):
-                np.prod(x ** e, axis=1, out=extra[:, j])
-        elif self.kind == "random_fourier":
+        if self.count:
+            extra = out[:, 1 + n:]
             omega, phase = self._fourier_weights(n)
             np.matmul(x, omega.T, out=extra)
             extra += phase
@@ -130,8 +94,7 @@ class LiftedModel:
     """Linear dynamics on dictionary features z = phi(x).
 
     ``epsilon`` is the max one-step training residual (the uniform bound the
-    rollout analysis uses); ``residual_rms`` is reported for diagnostics.
-    The offset is carried by the constant feature.
+    rollout analysis uses).  The offset is carried by the constant feature.
     """
 
     dictionary: Dictionary
@@ -139,12 +102,6 @@ class LiftedModel:
     B_phi: np.ndarray
     C_phi: np.ndarray
     epsilon: float
-    ridge: float
-    residual_rms: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.A_phi.shape[0]
 
 
 def edmd_fit(params: ReservoirParams,
@@ -166,8 +123,10 @@ def edmd_fit(params: ReservoirParams,
     (1 + ||x_t|| + ||x_{t+1}||)`` (noiseless ``simulate`` rows differ by about
     1e-16: it rounds differently); other rows (process noise, data from
     elsewhere) get phi(f(x_t, u_t)) evaluated.  ``epsilon`` adds L_phi times
-    the largest reused delta_t, L_phi >= ||J_phi||_2 from
-    ``Dictionary._lipschitz``, so it bounds the residuals at the exact images.
+    the largest reused delta_t, where L_phi >= ||J_phi||_2 holds everywhere
+    (``Dictionary._lipschitz``: 1 for the affine dictionary, the Frobenius
+    norm bound of the Fourier block otherwise), so it bounds the residuals
+    at the exact images.
 
     Raises:
         ValueError: too few snapshots, or rank-deficient normal equations
@@ -225,9 +184,7 @@ def edmd_fit(params: ReservoirParams,
         phi_x @ coeffs[:big_n] + u_t @ coeffs[big_n:] - target, axis=1)
         for phi_x, u_t, target in pieces])
     epsilon = float(per_snapshot.max())
-    rms = float(np.sqrt(np.mean(per_snapshot ** 2)))
-    shift = float(delta[reuse].max(initial=0.0))
-    epsilon += shift * dictionary._lipschitz(n, np.abs(x_next).max() + shift)
+    epsilon += float(delta[reuse].max(initial=0.0)) * dictionary._lipschitz(n)
 
     if readout is not None:
         c_phi = np.zeros((readout.p, big_n))
@@ -237,8 +194,7 @@ def edmd_fit(params: ReservoirParams,
         c_phi = np.zeros((n, big_n))
         c_phi[:, 1:1 + n] = np.eye(n)
     return LiftedModel(dictionary=dictionary, A_phi=a_phi, B_phi=b_phi,
-                       C_phi=c_phi, epsilon=epsilon, ridge=float(ridge),
-                       residual_rms=rms)
+                       C_phi=c_phi, epsilon=epsilon)
 
 
 def lifted_rollout_error(model: LiftedModel,
@@ -255,7 +211,8 @@ def lifted_rollout_error(model: LiftedModel,
     ms per call on a 145-feature lift, against 7-12 ms for
     :func:`spectral_radius` (2-core Xeon, OpenBLAS on 1 thread).  The
     rollout ``z_{t+1} = A_phi z_t + B_phi u_t`` from ``z_0 = phi(x_0)`` is one
-    blocked scan (``_linalg.linear_scan``).
+    blocked scan (``_linalg.linear_scan``).  ``params`` is unused; it stays
+    for the benchmark's positional call until the next benchmark revision.
     """
     if horizon < 1 or horizon > traj.horizon:
         raise ValueError("horizon must be in 1..len(inputs)")

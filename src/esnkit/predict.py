@@ -50,6 +50,8 @@ def predictive(lti: LtiModel, noise: NoiseModel,
     inputs = np.atleast_2d(as_float_array(future_inputs, "future_inputs"))
     if mu.shape != (lti.n,) or cov.shape != (lti.n, lti.n):
         raise ValueError("belief dimensions do not match the model")
+    if noise.Q.shape != (lti.n, lti.n) or noise.R.shape != (lti.p, lti.p):
+        raise ValueError("noise dimensions do not match the model")
     if inputs.shape[1] != lti.m:
         raise ValueError(f"future inputs must be (h, {lti.m}), got {inputs.shape}")
     horizon = inputs.shape[0]

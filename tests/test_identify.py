@@ -12,7 +12,7 @@ from esnkit import (Activation, FrozenCovs, LtiModel, NoiseModel, Readout,
                     excitation_sigma_min, jacobians_at, kalman_filter,
                     project_structured, readout_bayes, readout_ml,
                     rts_smoother, simulate, subspace_shape)
-from esnkit import identify
+from esnkit import identify, predictive
 
 from conftest import make_reservoir, traced_peak_mib
 from oracles import ekf_reference, joint_gaussian_posterior, \
@@ -172,6 +172,34 @@ class TestKalmanFilter:
             with pytest.raises(ValueError,
                                match=f"non-finite .* time index {index}$"):
                 kalman_filter(lti, *args)
+
+
+class TestNoiseDimensions:
+    # numpy broadcasts a 1 x 1 Q or R against the n x n or p x p
+    # covariances without an error; each entry point must refuse it
+    @pytest.mark.parametrize("bad", ["Q", "R"])
+    @pytest.mark.parametrize("call", ["kalman_filter", "ekf_filter",
+                                      "em_step", "predictive"])
+    def test_mismatched_noise_raises(self, call, bad):
+        n, p = 3, 2
+        params = make_reservoir(n=n, m=1, seed=3)
+        readout = Readout(C=np.ones((p, n)))
+        lti = jacobians_at(params, np.zeros(n), np.zeros(1), readout)
+        covs = {"Q": 0.1 * np.eye(n), "R": 0.1 * np.eye(p), bad: [[0.1]]}
+        noise = NoiseModel(**covs)
+        rng = np.random.default_rng(0)
+        inputs = rng.standard_normal((10, 1))
+        outputs = rng.standard_normal((10, p))
+        prior = (np.zeros(n), np.eye(n))
+        with pytest.raises(ValueError, match="noise"):
+            if call == "kalman_filter":
+                kalman_filter(lti, noise, inputs, outputs, prior)
+            elif call == "ekf_filter":
+                ekf_filter(params, readout, noise, inputs, outputs, prior)
+            elif call == "em_step":
+                em_step(lti, noise, inputs, outputs, prior)
+            else:
+                predictive(lti, noise, prior, inputs)
 
 
 class TestRtsSmoother:

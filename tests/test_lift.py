@@ -34,18 +34,17 @@ class TestDictionary:
                                       [1.0, 2.0, 3.0])
         assert d.output_dim(2) == 3
 
-    def test_monomials_scalar(self):
-        d = Dictionary.monomials(2)
-        np.testing.assert_array_equal(d.eval_batch([[2.0]])[0],
-                                      [1.0, 2.0, 4.0])
-
-    def test_monomials_cross_terms(self):
-        d = Dictionary.monomials(2)
-        x = np.array([2.0, 3.0])
-        feats = d.eval_batch(x[None])[0]
-        # 1, x1, x2, x1^2, x1 x2, x2^2
-        np.testing.assert_array_equal(feats, [1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
-        assert d.output_dim(2) == 6
+    def test_zero_fourier_features_is_affine(self):
+        d = Dictionary.random_fourier(0, 2.0, 5)
+        x = np.array([[2.0, 3.0], [-1.0, 0.5]])
+        np.testing.assert_array_equal(
+            d.eval_batch(x), Dictionary.identity_plus_constant().eval_batch(x))
+        assert d.output_dim(2) == 3
+        assert d._lipschitz(2) == 1.0
+        with pytest.raises(ValueError, match="count"):
+            Dictionary.random_fourier(-1, 2.0, 5)
+        with pytest.raises(ValueError, match="bandwidth"):
+            Dictionary.random_fourier(4, 0.0, 5)
 
     def test_random_fourier_formula_and_reproducibility(self):
         count, bw, seed = 8, 1.5, 42
@@ -69,8 +68,12 @@ class TestDictionary:
         assert np.std(narrow) == pytest.approx(0.5, rel=0.1)
 
     @pytest.mark.parametrize("dictionary", [
-        Dictionary.monomials(1), Dictionary.monomials(2),
-        Dictionary.monomials(3), Dictionary.random_fourier(16, 0.5, 3)])
+        Dictionary.identity_plus_constant(),
+        Dictionary.random_fourier(4, 2.0, 1),
+        Dictionary.random_fourier(128, 2.0, 2),
+        Dictionary.random_fourier(16, 0.5, 3),
+        Dictionary.random_fourier(64, 1.0, 4),
+        Dictionary.random_fourier(1, 0.25, 5)])
     def test_lipschitz_bound_holds_on_sampled_pairs(self, dictionary):
         n, radius = 3, 1.5
         rng = np.random.default_rng(0)
@@ -79,7 +82,7 @@ class TestDictionary:
         gain = (np.linalg.norm(dictionary.eval_batch(a)
                                - dictionary.eval_batch(b), axis=1)
                 / np.linalg.norm(a - b, axis=1))
-        bound = dictionary._lipschitz(n, radius)
+        bound = dictionary._lipschitz(n)
         assert gain.max() <= bound
         assert gain.max() >= bound / 10.0
 
@@ -113,18 +116,21 @@ class TestEdmdFit:
         np.testing.assert_allclose(lm.A_phi[1:, 1:], (1 - 0.4) * np.eye(n),
                                    atol=1e-9)
 
-    def test_shared_target_residual_weakly_decreasing_in_degree(self):
+    def test_shared_target_residual_weakly_decreasing_in_features(self):
         # richer nested dictionaries cannot increase the least-squares
         # residual on the targets they share (the state block); verified with
-        # direct solves at each degree
+        # direct solves on affine, affine + 8 Fourier features, and those
+        # plus 16 more from another seed
         p = ReservoirParams(W=[[0.8]], U=[[0.5]], b=[0.0], leak=0.9)
         rng = np.random.default_rng(0)
         traj = simulate(p, np.zeros(1), rng.uniform(-1, 1, (400, 1)))
         fx = np.array([reservoir_step(p, traj.states[t], traj.inputs[t])
                        for t in range(traj.horizon)])
+        x = traj.states[:-1]
+        richer = Dictionary.random_fourier(8, 1.0, 1).eval_batch(x)
+        extra = Dictionary.random_fourier(16, 1.0, 2).eval_batch(x)[:, 2:]
         residuals = []
-        for degree in (1, 2, 3):
-            phi = Dictionary.monomials(degree).eval_batch(traj.states[:-1])
+        for phi in (richer[:, :2], richer, np.hstack([richer, extra])):
             reg = np.hstack([phi, traj.inputs])
             coef, *_ = np.linalg.lstsq(reg, fx, rcond=None)
             residuals.append(np.linalg.norm(fx - reg @ coef, axis=1).max())
@@ -135,7 +141,7 @@ class TestEdmdFit:
         p = make_reservoir(n=3, m=1, seed=5, w_scale=0.7)
         rng = np.random.default_rng(3)
         traj = simulate(p, np.zeros(p.n), rng.uniform(-1, 1, (80, 1)))
-        d = Dictionary.monomials(2)
+        d = Dictionary.random_fourier(6, 1.0, 5)
         lm = edmd_fit(p, [traj], d, ridge=1e-10)
         phi = d.eval_batch(traj.states[:-1])
         fx = np.array([reservoir_step(p, traj.states[t], traj.inputs[t])
@@ -158,7 +164,7 @@ class TestEdmdFit:
             simulate(p, rng.standard_normal(3), rng.uniform(-1, 1, (1, 1))),
             simulate(p, 0.1 * rng.standard_normal(3), rng.uniform(-1, 1, (30, 1))),
         ]
-        d = Dictionary.monomials(2)
+        d = Dictionary.random_fourier(6, 1.0, 5)
         lm = edmd_fit(p, trajs, d, ridge=1e-8)
         ref = edmd_reference(p, trajs, d, 1e-8)
         scale = np.abs(ref["A_phi"]).max()
@@ -179,14 +185,15 @@ class TestEdmdFit:
     @given(n=st.integers(1, 4), m=st.integers(1, 2),
            seed=st.integers(0, 2 ** 31 - 1), leak=st.floats(0.2, 1.0),
            w_scale=st.floats(0.1, 0.95),
-           kind=st.sampled_from([1, 2, 3, "fourier"]))
+           count=st.sampled_from([0, 4, 12, 32]),
+           bandwidth=st.sampled_from([0.5, 1.0, 2.0]))
     def test_epsilon_bounds_residuals_at_exact_images(self, n, m, seed, leak,
-                                                      w_scale, kind):
+                                                      w_scale, count,
+                                                      bandwidth):
         p = make_reservoir(n=n, m=m, seed=seed, leak=leak, w_scale=w_scale,
                            bias_scale=0.3)
         rng = np.random.default_rng(seed)
-        d = (Dictionary.random_fourier(12, 1.0, seed) if kind == "fourier"
-             else Dictionary.monomials(kind))
+        d = Dictionary.random_fourier(count, bandwidth, seed)
         trajs = [simulate(p, 0.5 * rng.standard_normal(n),
                           rng.uniform(-1, 1, (h, m))) for h in (40, 25)]
         lm = edmd_fit(p, trajs, d, ridge=1e-8)
@@ -238,7 +245,8 @@ class TestRolloutError:
         rng = np.random.default_rng(7)
         train = [simulate(p, 0.1 * rng.standard_normal(3),
                           rng.uniform(-1, 1, (200, 1))) for _ in range(3)]
-        lm = edmd_fit(p, train, Dictionary.monomials(2), ridge=1e-10)
+        lm = edmd_fit(p, train, Dictionary.random_fourier(6, 1.0, 5),
+                      ridge=1e-10)
         held_out = simulate(p, 0.1 * rng.standard_normal(3),
                             rng.uniform(-1, 1, (200, 1)))
         disc, _ = lifted_rollout_error(lm, p, held_out, horizon=150)
@@ -253,7 +261,8 @@ class TestRolloutError:
         p = make_reservoir(n=3, m=1, seed=9, w_scale=0.6)
         rng = np.random.default_rng(6)
         train = simulate(p, np.zeros(3), rng.uniform(-1, 1, (120, 1)))
-        lm = edmd_fit(p, [train], Dictionary.monomials(2), ridge=1e-10)
+        lm = edmd_fit(p, [train], Dictionary.random_fourier(6, 1.0, 5),
+                      ridge=1e-10)
         disc, bound = lifted_rollout_error(lm, p, train, horizon=1)
         assert disc[0] <= lm.epsilon * (1 + 1e-9)
         assert bound[0] == pytest.approx(lm.epsilon, rel=1e-12)
@@ -265,7 +274,8 @@ class TestRolloutError:
         rng = np.random.default_rng(7)
         train = [simulate(p, 0.1 * rng.standard_normal(3),
                           rng.uniform(-1, 1, (200, 1))) for _ in range(3)]
-        lm = edmd_fit(p, train, Dictionary.monomials(2), ridge=1e-10)
+        lm = edmd_fit(p, train, Dictionary.random_fourier(6, 1.0, 5),
+                      ridge=1e-10)
         assert spectral_radius(lm.A_phi) < 1.0
         held_out = simulate(p, 0.1 * rng.standard_normal(3),
                             rng.uniform(-1, 1, (200, 1)))
