@@ -22,8 +22,7 @@ from .identify import (BayesReadoutPosterior, EmResult, EmStepResult,
                        ekf_filter, em_run, em_step, excitation_sigma_min,
                        kalman_filter, project_structured, readout_bayes,
                        readout_ml, rts_smoother, subspace_shape)
-from .lift import (Dictionary, LiftedModel, edmd_fit, lifted_rollout_error,
-                   rf_smallgain)
+from .lift import Dictionary, LiftedModel, edmd_fit, lifted_rollout_error
 from .linearize import (LtiModel, LtvModel, jacobians_at,
                         linearize_trajectory, remainder_bound)
 from .predict import PredictiveDistribution, predictive
@@ -47,7 +46,6 @@ __all__ = [
     "linearize_trajectory",
     # lift
     "Dictionary", "LiftedModel", "edmd_fit", "lifted_rollout_error",
-    "rf_smallgain",
     # discretize
     "CtLinearModel", "euler_leak", "tustin_leak", "ct_jacobians",
     "zoh_discretize",

@@ -29,12 +29,11 @@ _MAX_SCALED_NORM = 1e3
 
 @dataclass(frozen=True)
 class CtLinearModel:
-    """Linearized continuous-time model: dx/dt = A_c x + B_c u + noise(Q_c)."""
+    """Linearized continuous-time model ``CtLinearModel(A_c, B_c, Q_c=None)``:
+    dx/dt = A_c x + B_c u + noise(Q_c); ``zoh_discretize(ct, dt)`` steps it."""
 
     A_c: np.ndarray
     B_c: np.ndarray
-    tau: float
-    dt: Optional[float] = None
     Q_c: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -44,25 +43,10 @@ class CtLinearModel:
             raise ValueError(f"A_c must be square, got shape {a.shape}")
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise ValueError(f"B_c must be {a.shape[0]} x m, got shape {b.shape}")
-        if not float(self.tau) > 0.0:
-            raise ValueError("tau must be positive")
         object.__setattr__(self, "A_c", a)
         object.__setattr__(self, "B_c", b)
-        object.__setattr__(self, "tau", float(self.tau))
-        if self.dt is not None:
-            if not float(self.dt) > 0.0:
-                raise ValueError("dt must be positive")
-            object.__setattr__(self, "dt", float(self.dt))
         if self.Q_c is not None:
             object.__setattr__(self, "Q_c", check_psd(self.Q_c, "Q_c"))
-
-    @property
-    def n(self) -> int:
-        return self.A_c.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B_c.shape[1]
 
 
 def euler_leak(dt: float, tau: float) -> float:
@@ -102,11 +86,13 @@ def ct_jacobians(params: ReservoirParams, tau: float, x_bar, u_bar) -> CtLinearM
     slope = _operating_slope(params, x_bar, u_bar)
     a_c = ((slope[:, None] * params.W) - np.eye(params.n)) / tau
     b_c = (slope[:, None] * params.U) / tau
-    return CtLinearModel(A_c=a_c, B_c=b_c, tau=tau)
+    return CtLinearModel(A_c=a_c, B_c=b_c)
 
 
-def zoh_discretize(ct: CtLinearModel) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization (A_d, B_d, Q_d).
+def zoh_discretize(ct: CtLinearModel,
+                   dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact zero-order-hold discretization (A_d, B_d, Q_d) of ``ct`` over a
+    step ``dt > 0``.
 
     A single augmented matrix exponential yields all three blocks:
 
@@ -121,10 +107,9 @@ def zoh_discretize(ct: CtLinearModel) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     Pade approximant; for ||A_c dt|| <= 10 the relative accuracy is well below
     1e-12.
     """
-    if ct.dt is None:
-        raise ValueError("CtLinearModel.dt must be set for discretization")
-    n, m = ct.n, ct.m
-    dt = ct.dt
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    n, m = ct.B_c.shape
     q_c = ct.Q_c if ct.Q_c is not None else np.zeros((n, n))
     scaled_norm = np.linalg.norm(ct.A_c * dt, 2)
     if scaled_norm > _MAX_SCALED_NORM:

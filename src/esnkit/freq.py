@@ -61,7 +61,6 @@ class ModalDecomposition:
 
     eigenvalues: np.ndarray       # (n,) complex
     residues: np.ndarray          # (n, p, m) complex
-    feedthrough: np.ndarray
     eigvec_cond: float
 
     def reconstruct(self, k: int) -> np.ndarray:
@@ -210,15 +209,13 @@ def modal(lti: LtiModel) -> ModalDecomposition:
     wb = w @ lti.B.astype(complex)           # (n, m)
     residues = cv.T[:, :, None] * wb[:, None, :]
     return ModalDecomposition(eigenvalues=eigvals, residues=residues,
-                              feedthrough=lti.D.copy(), eigvec_cond=cond_v)
+                              eigvec_cond=cond_v)
 
 
 def gramians(lti: LtiModel) -> GramianPair:
     """Reachability / observability Gramians from the two discrete Lyapunov
-    equations; requires rho(A) < 1."""
-    rho = spectral_radius(lti.A)
-    if rho >= 1.0:
-        raise ValueError(f"Gramians need rho(A) < 1, got {rho:.6g}")
+    equations; rho(A) >= 1 raises the solver's ``LinAlgError`` (a
+    ``ValueError``)."""
     w_c = solve_discrete_lyapunov(lti.A, lti.B @ lti.B.T)
     w_o = solve_discrete_lyapunov(lti.A.T, lti.C.T @ lti.C)
     min_c = float(np.linalg.eigvalsh(w_c).min()) if lti.n else 0.0

@@ -17,6 +17,7 @@ only linearly, so richer state features do not help.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -24,10 +25,9 @@ import numpy as np
 
 from ._linalg import linear_scan, rng_from_seed
 from .core import Readout, ReservoirParams, Trajectory, leaky_map
-from .stability import Certificate, CertificateMethod, Verdict, spectral_radius
+from .stability import spectral_radius
 
-__all__ = ["Dictionary", "LiftedModel", "edmd_fit", "lifted_rollout_error",
-           "rf_smallgain"]
+__all__ = ["Dictionary", "LiftedModel", "edmd_fit", "lifted_rollout_error"]
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,13 @@ class Dictionary:
     seed: int = 0
 
     def __post_init__(self):
+        if (isinstance(self.count, bool)
+                or not isinstance(self.count, numbers.Integral)):
+            raise TypeError(f"count must be an integer, got {self.count!r}")
         if self.count < 0:
             raise ValueError("count must be >= 0")
         if not self.bandwidth > 0.0:
             raise ValueError("bandwidth must be positive")
-
-    @classmethod
-    def identity_plus_constant(cls) -> "Dictionary":
-        return cls()
 
     @classmethod
     def random_fourier(cls, count: int, bandwidth: float, seed: int) -> "Dictionary":
@@ -227,15 +226,3 @@ def lifted_rollout_error(model: LiftedModel,
     bound = model.epsilon * powers
     return discrepancy, bound
 
-
-def rf_smallgain(leak: float, v_norm: float, phi_lipschitz: float,
-                 w_norm: float) -> Certificate:
-    """Small-gain contraction test for the random-feature loop:
-    kappa = (1 - leak) + leak * ||V|| * L_Phi * ||W||, Pass iff kappa < 1."""
-    if not (0.0 < leak <= 1.0):
-        raise ValueError("leak must be in (0, 1]")
-    if min(v_norm, phi_lipschitz, w_norm) < 0.0:
-        raise ValueError("norms must be nonnegative")
-    kappa = (1.0 - leak) + leak * v_norm * phi_lipschitz * w_norm
-    verdict = Verdict.PASS if kappa < 1.0 else Verdict.FAIL
-    return Certificate(CertificateMethod.RF_SMALL_GAIN, kappa, verdict)

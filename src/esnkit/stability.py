@@ -17,10 +17,10 @@ For any vector v, the quadratic form v' M(D)' P M(D) v is convex in the
 entries of D (affine map composed with a squared seminorm), so its maximum
 over the slope box is attained at a vertex of {0, L_sigma}^n.  Checking all
 2^n vertices is therefore exact; when the budget forbids enumeration we fall
-back to deterministic low-discrepancy samples, which can only ever report
-"Unknown" on success.  Slopes are taken in [0, L_sigma], which is correct
-for the closed activation table (tanh/identity/leaky all have nonnegative
-slopes).
+back to uniform samples of the box, seeded with the budget, which can only
+ever report "Unknown" on success.  Slopes are taken in [0, L_sigma], which
+is correct for the closed activation table (tanh/identity/leaky all have
+nonnegative slopes).
 
 The vertices are checked in stacks of ``_VERTEX_CHUNK``, each accepted when
 one batched Cholesky factorization of ``tau I - G``, G = M' P M - kappa^2 P,
@@ -40,7 +40,6 @@ L_sigma W and (1-leak) I are vertices.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,7 +48,7 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 import scipy.linalg
 
-from ._linalg import solve_discrete_lyapunov, spectral_norm
+from ._linalg import rng_from_seed, solve_discrete_lyapunov, spectral_norm
 from .core import ReservoirParams, _transition
 
 __all__ = [
@@ -78,7 +77,6 @@ _SVD_ERROR = 4.0
 class CertificateMethod(str, Enum):
     LIPSCHITZ_C1 = "LipschitzC1"
     WEIGHTED_C2 = "WeightedC2"
-    RF_SMALL_GAIN = "RfSmallGain"
 
 
 class Verdict(str, Enum):
@@ -170,44 +168,13 @@ def spectral_radius(a) -> float:
 
 def _slope_vertices(n: int, l_sigma: float, budget: int):
     """(V, n) slope diagonals to check, A+ first: exhaustive if 2^n fits the
-    budget, otherwise the two extreme vertices plus Halton samples of the box."""
+    budget, otherwise the two extreme vertices plus ``budget`` uniform
+    points of the box from the generator seeded with the budget."""
     if n <= 60 and 2 ** n <= budget:
         bits = (np.arange(2 ** n)[::-1, None] >> np.arange(n - 1, -1, -1)) & 1
         return bits * l_sigma, True
-    samples = _halton(n, budget) * l_sigma
+    samples = rng_from_seed(budget).random((budget, n)) * l_sigma
     return np.vstack([np.full(n, l_sigma), np.zeros(n), samples]), False
-
-
-@functools.lru_cache(maxsize=16)
-def _halton(d: int, count: int) -> np.ndarray:
-    """The first ``count`` points (count, d) of the unscrambled Halton
-    sequence, read-only and cached per (d, count): column j holds the
-    radical inverses of 0..count-1 in the j-th prime base b, summed digit by
-    digit from the least significant one with the weights 1/b, 1/b^2, ...
-    (repeated division), which gives the same bits as
-    ``scipy.stats.qmc.Halton(d, scramble=False).random(count)``."""
-    points = np.zeros((d, count))
-    for row, base in zip(points, _first_primes(d)):
-        index, weight = np.arange(count), 1.0 / base
-        while index.any():
-            index, digit = np.divmod(index, base)
-            row += digit * weight
-            weight /= base
-    points.flags.writeable = False
-    return points.T
-
-
-def _first_primes(count: int) -> np.ndarray:
-    """The first ``count`` primes, sieved up to the bound
-    count (ln count + ln ln count) on the count-th prime (count >= 6)."""
-    limit = 13 if count < 6 else int(
-        count * (math.log(count) + math.log(math.log(count))))
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = False
-    return np.flatnonzero(sieve)[:count]
 
 
 def _weighted_gain(p: np.ndarray, stacks: Iterable[np.ndarray],
@@ -280,8 +247,9 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     ``certify_lipschitz`` kappa plus its SVD error, and the smaller gain is
     kept, so kappa is never worse than the Lipschitz one.  kappa >= 1 is a
     Fail; otherwise the Lyapunov P at kappas bisected over
-    [max(1-leak, rho(A+)), kappa] replace it wherever they pass.  Sampled
-    (non-exhaustive) verification can at best report Unknown.
+    [max(1-leak, rho(A+)), kappa] replace it wherever they pass.  Above
+    2^n > ``vertex_budget`` the vertices are sampled (``_slope_vertices``),
+    which gives the same result on every call but at best Unknown.
     """
     if vertex_budget < 1:
         raise ValueError("vertex_budget must be >= 1")

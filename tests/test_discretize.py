@@ -100,8 +100,8 @@ class TestZohDiscretize:
     def test_scalar_closed_form(self):
         tau, dt = 2.0, 0.3
         ct = CtLinearModel(A_c=np.array([[-1.0 / tau]]),
-                           B_c=np.array([[1.5]]), tau=tau, dt=dt)
-        a_d, b_d, q_d = zoh_discretize(ct)
+                           B_c=np.array([[1.5]]))
+        a_d, b_d, q_d = zoh_discretize(ct, dt)
         assert a_d[0, 0] == pytest.approx(np.exp(-dt / tau), rel=1e-14)
         assert b_d[0, 0] == pytest.approx(tau * (1 - np.exp(-dt / tau)) * 1.5,
                                           rel=1e-12)
@@ -112,17 +112,16 @@ class TestZohDiscretize:
         rng = np.random.default_rng(2)
         b_c = rng.standard_normal((n, m))
         q_c = np.eye(n) * 0.4
-        ct = CtLinearModel(A_c=np.zeros((n, n)), B_c=b_c, tau=1.0, dt=0.25,
-                           Q_c=q_c)
-        a_d, b_d, q_d = zoh_discretize(ct)
+        ct = CtLinearModel(A_c=np.zeros((n, n)), B_c=b_c, Q_c=q_c)
+        a_d, b_d, q_d = zoh_discretize(ct, 0.25)
         np.testing.assert_allclose(a_d, np.eye(n), atol=1e-14)
         np.testing.assert_allclose(b_d, 0.25 * b_c, atol=1e-14)
         np.testing.assert_allclose(q_d, 0.25 * q_c, atol=1e-14)
 
     def test_matches_taylor_oracle(self):
         a_c = random_hurwitz(4, seed=3)
-        ct = CtLinearModel(A_c=a_c, B_c=np.zeros((4, 1)), tau=1.0, dt=0.2)
-        a_d, _, _ = zoh_discretize(ct)
+        ct = CtLinearModel(A_c=a_c, B_c=np.zeros((4, 1)))
+        a_d, _, _ = zoh_discretize(ct, 0.2)
         np.testing.assert_allclose(a_d, expm_taylor(a_c * 0.2), rtol=1e-12,
                                    atol=1e-14)
 
@@ -131,19 +130,17 @@ class TestZohDiscretize:
         a_c = random_hurwitz(4, seed=7)
         dt = 0.05 / np.linalg.norm(a_c, 2)
         gaps = []
+        ct = CtLinearModel(A_c=a_c, B_c=np.zeros((4, 1)))
         for d in (dt, dt / 2):
-            ct = CtLinearModel(A_c=a_c, B_c=np.zeros((4, 1)), tau=1.0, dt=d)
-            a_d, _, _ = zoh_discretize(ct)
+            a_d, _, _ = zoh_discretize(ct, d)
             gaps.append(np.linalg.norm(a_d - np.eye(4) - d * a_c))
         assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
     def test_semigroup_property(self):
         a_c = random_hurwitz(5, seed=11)
-        b_c = np.zeros((5, 1))
-        half = CtLinearModel(A_c=a_c, B_c=b_c, tau=1.0, dt=0.1)
-        full = CtLinearModel(A_c=a_c, B_c=b_c, tau=1.0, dt=0.2)
-        a_half, _, _ = zoh_discretize(half)
-        a_full, _, _ = zoh_discretize(full)
+        ct = CtLinearModel(A_c=a_c, B_c=np.zeros((5, 1)))
+        a_half, _, _ = zoh_discretize(ct, 0.1)
+        a_full, _, _ = zoh_discretize(ct, 0.2)
         assert np.linalg.norm(a_half @ a_half - a_full) <= 1e-10
 
     def test_eigenvalue_mapping_and_stability_transfer(self):
@@ -151,8 +148,8 @@ class TestZohDiscretize:
             a_c = random_hurwitz(4, seed=20 + seed)
             assert np.linalg.eigvals(a_c).real.max() < 0
             dt = 0.3
-            ct = CtLinearModel(A_c=a_c, B_c=np.zeros((4, 1)), tau=1.0, dt=dt)
-            a_d, _, _ = zoh_discretize(ct)
+            ct = CtLinearModel(A_c=a_c, B_c=np.zeros((4, 1)))
+            a_d, _, _ = zoh_discretize(ct, dt)
             ev_c = np.sort_complex(np.linalg.eigvals(a_c))
             ev_d = np.sort_complex(np.linalg.eigvals(a_d))
             mapped = np.sort_complex(np.exp(ev_c * dt))
@@ -167,9 +164,8 @@ class TestZohDiscretize:
         root = rng.standard_normal((n, n))
         q_c = root @ root.T
         dt = 0.4
-        ct = CtLinearModel(A_c=a_c, B_c=np.zeros((n, 1)), tau=1.0, dt=dt,
-                           Q_c=q_c)
-        _, _, q_d = zoh_discretize(ct)
+        ct = CtLinearModel(A_c=a_c, B_c=np.zeros((n, 1)), Q_c=q_c)
+        _, _, q_d = zoh_discretize(ct, dt)
         ts = np.linspace(0.0, dt, 4001)
         acc = np.zeros((n, n))
         for i, t in enumerate(ts):
@@ -190,12 +186,12 @@ class TestZohDiscretize:
         assert kappa < 1.0
 
     def test_rejects_ill_conditioned_request(self):
-        ct = CtLinearModel(A_c=-2000.0 * np.eye(2), B_c=np.zeros((2, 1)),
-                           tau=1.0, dt=1.0)
+        ct = CtLinearModel(A_c=-2000.0 * np.eye(2), B_c=np.zeros((2, 1)))
         with pytest.raises(ValueError, match="ill-conditioned"):
-            zoh_discretize(ct)
+            zoh_discretize(ct, 1.0)
 
     def test_requires_dt(self):
-        ct = CtLinearModel(A_c=-np.eye(2), B_c=np.zeros((2, 1)), tau=1.0)
-        with pytest.raises(ValueError, match="dt"):
-            zoh_discretize(ct)
+        ct = CtLinearModel(A_c=-np.eye(2), B_c=np.zeros((2, 1)))
+        for dt in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                zoh_discretize(ct, dt)

@@ -980,6 +980,7 @@ class TestSubspace:
         blocks = np.array(blocks)
         basis = StructuredBasis(W_bar=np.eye(n))
         res = subspace_shape(n, basis, impulse=blocks)
+        np.testing.assert_array_equal(res.markov, blocks)
         x = res.B.copy()
         for k in range(51):
             true_h = c @ np.linalg.matrix_power(a, k) @ b
@@ -1001,6 +1002,12 @@ class TestSubspace:
         basis = StructuredBasis(W_bar=np.eye(n))
         res = subspace_shape(n, basis, inputs=inputs, outputs=outputs,
                              n_markov=30)
+        # noiseless data: the least-squares Markov blocks are C A^k B up to
+        # the kernel truncated after 30 lags (rho(A)^30 ~ 2e-7)
+        assert res.markov.shape == (30, p, m)
+        for k in range(30):
+            true_h = c @ np.linalg.matrix_power(a, k) @ b
+            assert np.abs(res.markov[k] - true_h).max() <= 1e-5
         xb = res.B.copy()
         for k in range(20):
             true_h = c @ np.linalg.matrix_power(a, k) @ b

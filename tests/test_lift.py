@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esnkit import (Activation, CertificateMethod, Dictionary, ReservoirParams,
-                    Verdict, edmd_fit, lifted_rollout_error, reservoir_step,
-                    rf_smallgain, simulate, spectral_radius)
+from esnkit import (Activation, Dictionary, ReservoirParams, edmd_fit,
+                    lifted_rollout_error, reservoir_step, simulate,
+                    spectral_radius)
 
 from conftest import make_readout, make_reservoir
 from oracles import edmd_reference
@@ -29,7 +29,7 @@ def exact_residual_bounds(lm, ref):
 
 class TestDictionary:
     def test_identity_plus_constant(self):
-        d = Dictionary.identity_plus_constant()
+        d = Dictionary()
         np.testing.assert_array_equal(d.eval_batch([[2.0, 3.0]])[0],
                                       [1.0, 2.0, 3.0])
         assert d.output_dim(2) == 3
@@ -38,13 +38,24 @@ class TestDictionary:
         d = Dictionary.random_fourier(0, 2.0, 5)
         x = np.array([[2.0, 3.0], [-1.0, 0.5]])
         np.testing.assert_array_equal(
-            d.eval_batch(x), Dictionary.identity_plus_constant().eval_batch(x))
+            d.eval_batch(x), Dictionary().eval_batch(x))
         assert d.output_dim(2) == 3
         assert d._lipschitz(2) == 1.0
         with pytest.raises(ValueError, match="count"):
             Dictionary.random_fourier(-1, 2.0, 5)
         with pytest.raises(ValueError, match="bandwidth"):
             Dictionary.random_fourier(4, 0.0, 5)
+
+    @pytest.mark.parametrize("count", [2.0, True, "2", np.float64(3.0)])
+    def test_rejects_non_integer_count(self, count):
+        # output_dim and eval_batch size arrays by the count
+        with pytest.raises(TypeError, match="count must be an integer"):
+            Dictionary(count=count)
+
+    def test_numpy_integer_count(self):
+        d = Dictionary(count=np.int64(2))
+        assert d.output_dim(2) == 5
+        assert d.eval_batch(np.zeros((1, 2))).shape == (1, 5)
 
     def test_random_fourier_formula_and_reproducibility(self):
         count, bw, seed = 8, 1.5, 42
@@ -68,7 +79,7 @@ class TestDictionary:
         assert np.std(narrow) == pytest.approx(0.5, rel=0.1)
 
     @pytest.mark.parametrize("dictionary", [
-        Dictionary.identity_plus_constant(),
+        Dictionary(),
         Dictionary.random_fourier(4, 2.0, 1),
         Dictionary.random_fourier(128, 2.0, 2),
         Dictionary.random_fourier(16, 0.5, 3),
@@ -94,7 +105,7 @@ class TestEdmdFit:
         rng = np.random.default_rng(0)
         traj = simulate(p, rng.standard_normal(p.n),
                         rng.standard_normal((60, p.m)))
-        lm = edmd_fit(p, [traj], Dictionary.identity_plus_constant(), ridge=0.0)
+        lm = edmd_fit(p, [traj], Dictionary(), ridge=0.0)
         assert lm.epsilon <= 1e-10
         expect_a = np.zeros((4, 4))
         expect_a[0, 0] = 1.0
@@ -111,7 +122,7 @@ class TestEdmdFit:
         states = rng.standard_normal((30, n))
         # stitch independent one-step trajectories through random states
         trajs = [simulate(p, s, rng.standard_normal((2, 1))) for s in states]
-        lm = edmd_fit(p, trajs, Dictionary.identity_plus_constant(), ridge=0.0)
+        lm = edmd_fit(p, trajs, Dictionary(), ridge=0.0)
         assert lm.epsilon <= 1e-10
         np.testing.assert_allclose(lm.A_phi[1:, 1:], (1 - 0.4) * np.eye(n),
                                    atol=1e-9)
@@ -206,7 +217,7 @@ class TestEdmdFit:
         ro = make_readout(n=3, p=2)
         rng = np.random.default_rng(4)
         traj = simulate(p, np.zeros(3), rng.uniform(-1, 1, (40, 1)))
-        lm = edmd_fit(p, [traj], Dictionary.identity_plus_constant(),
+        lm = edmd_fit(p, [traj], Dictionary(),
                       ridge=1e-12, readout=ro)
         z = lm.dictionary.eval_batch(traj.states[5][None])[0]
         np.testing.assert_allclose(lm.C_phi @ z, ro(traj.states[5]), atol=1e-12)
@@ -215,15 +226,15 @@ class TestEdmdFit:
         p = make_reservoir(n=3, m=1)
         traj = simulate(p, np.zeros(3), np.zeros((3, 1)))
         with pytest.raises(ValueError, match="snapshots"):
-            edmd_fit(p, [traj], Dictionary.identity_plus_constant())
+            edmd_fit(p, [traj], Dictionary())
 
     def test_rank_deficient_needs_ridge(self):
         p = make_reservoir(n=2, m=1, seed=7)
         # constant zero data makes the state block degenerate
         traj = simulate(p, np.zeros(2), np.zeros((20, 1)))
         with pytest.raises(ValueError, match="ridge > 0"):
-            edmd_fit(p, [traj], Dictionary.identity_plus_constant(), ridge=0.0)
-        edmd_fit(p, [traj], Dictionary.identity_plus_constant(), ridge=1e-8)
+            edmd_fit(p, [traj], Dictionary(), ridge=0.0)
+        edmd_fit(p, [traj], Dictionary(), ridge=1e-8)
 
 
 class TestRolloutError:
@@ -233,7 +244,7 @@ class TestRolloutError:
         rng = np.random.default_rng(5)
         train = simulate(p, rng.standard_normal(3),
                          rng.standard_normal((60, 2)))
-        lm = edmd_fit(p, [train], Dictionary.identity_plus_constant(),
+        lm = edmd_fit(p, [train], Dictionary(),
                       ridge=0.0)
         test = simulate(p, rng.standard_normal(3),
                         rng.standard_normal((40, 2)))
@@ -283,27 +294,3 @@ class TestRolloutError:
         violation_rate = np.mean(disc > bound)
         assert violation_rate <= 0.05
 
-
-class TestRfSmallGain:
-    def test_pass(self):
-        cert = rf_smallgain(1.0, 0.5, 1.0, 1.8)
-        assert cert.kappa == pytest.approx(0.9, rel=1e-12)
-        assert cert.verdict is Verdict.PASS
-        assert cert.method is CertificateMethod.RF_SMALL_GAIN
-
-    def test_boundary_fails(self):
-        cert = rf_smallgain(0.2, 1.0, 1.0, 1.0)
-        assert cert.kappa == 1.0
-        assert cert.verdict is Verdict.FAIL
-
-    def test_zero_combiner(self):
-        for leak in (0.3, 1.0):
-            cert = rf_smallgain(leak, 0.0, 2.0, 3.0)
-            assert cert.kappa == pytest.approx(1.0 - leak, rel=1e-12)
-            assert cert.verdict is Verdict.PASS
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            rf_smallgain(0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            rf_smallgain(0.5, -1.0, 1.0, 1.0)

@@ -216,7 +216,6 @@ class TestLeakyKernel:
         assert _close(simulate(p, states[0], inputs).states, np.array(walk),
                       1e-12)
         # A alone is built in place, so check a stack that is not C-ordered
-        # (as certify_weighted's sampled vertices are)
         slopes = np.asfortranarray(
             rng.uniform(0.0, act.lipschitz, (steps, n)))
         a, _ = leaky_jacobians(p, slopes)

@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import inspect
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
 
 import esnkit
 
@@ -90,6 +92,52 @@ def test_every_public_function_is_called_by_a_test():
                 if inspect.isfunction(getattr(esnkit, name))
                 and not re.search(rf"\b{name}\(", tests)]
     assert uncalled == []
+
+
+def _attribute_reads(paths):
+    """``(name, owner)`` for every ``obj.name`` read in the files, where
+    ``owner`` is the class whose ``__post_init__`` holds the read, or None."""
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        inside = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for item in cls.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and item.name == "__post_init__"):
+                        inside.update((id(n), cls.name) for n in ast.walk(item))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                yield node.attr, inside.get(id(node))
+
+
+def _public_members(cls):
+    """Fields, properties and public methods a class defines itself."""
+    if dataclasses.is_dataclass(cls):
+        yield from (field.name for field in dataclasses.fields(cls))
+    yield from getattr(cls, "_fields", ())        # NamedTuple
+    for name, value in vars(cls).items():
+        if not name.startswith("_") and isinstance(
+                value, (property, classmethod, staticmethod, FunctionType)):
+            yield name
+
+
+def test_every_public_member_is_read():
+    # a field, property or method that no code or test reads is surface
+    # that does nothing; a read in the class's own __post_init__ (its
+    # validation) does not count
+    package = Path(esnkit.__file__).parent
+    root = Path(__file__).parent.parent
+    paths = [*package.glob("*.py"), *Path(__file__).parent.glob("*.py"),
+             *(root / "bench").glob("*.py")]
+    reads = set(_attribute_reads(paths))
+    unread = [f"{name}.{member}" for name in esnkit.__all__
+              if inspect.isclass(cls := getattr(esnkit, name))
+              for member in dict.fromkeys(_public_members(cls))
+              if not any(attr == member and owner != name
+                         for attr, owner in reads)]
+    assert unread == []
 
 
 # parameters that nothing reads but that bench/workloads.py still passes

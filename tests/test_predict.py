@@ -1,4 +1,7 @@
+from statistics import NormalDist
+
 import numpy as np
+import pytest
 
 from esnkit import LtiModel, NoiseModel, predictive
 
@@ -24,3 +27,22 @@ def test_predictive_matches_monte_carlo_rollouts():
     cov_se = np.sqrt((np.outer(var, var) + dist.covariance ** 2) / samples)
     assert np.all(np.abs(cov - dist.covariance) <= 5.0 * cov_se)
     assert dist.horizon == 6
+
+
+def test_scalar_forecast_closed_form():
+    # Sigma_h = a^2h P + q (1 - a^2h) / (1 - a^2); the 95% half-width is the
+    # 0.975 normal quantile times the output standard deviation
+    a, b, c, q, r, p0, h = 0.8, 0.5, 2.0, 0.1, 0.05, 0.3, 4
+    lti = LtiModel(A=[[a]], B=[[b]], C=[[c]], D=[[0.0]])
+    dist = predictive(lti, NoiseModel(Q=[[q]], R=[[r]]),
+                      (np.array([1.0]), np.array([[p0]])), np.ones((h, 1)))
+    sigma = a ** (2 * h) * p0 + q * (1 - a ** (2 * h)) / (1 - a ** 2)
+    var = c ** 2 * sigma + r
+    assert dist.mean[0] == pytest.approx(
+        c * (a ** h + b * (1 - a ** h) / (1 - a)), rel=1e-12)
+    assert dist.state_cov.shape == (1, 1)
+    assert dist.state_cov[0, 0] == pytest.approx(sigma, rel=1e-12)
+    assert dist.covariance[0, 0] == pytest.approx(var, rel=1e-12)
+    quantile = NormalDist().inv_cdf(0.975)
+    np.testing.assert_allclose(dist.interval_half_widths(),
+                               [quantile * np.sqrt(var)], rtol=1e-12)

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from scipy.stats import qmc
 
 import esnkit
 from esnkit import (Activation, CertificateMethod, ReservoirParams, Verdict,
                     certify_lipschitz, certify_weighted, gamma_for_radius,
                     make_normal_reservoir, memory_horizon, reservoir_step,
                     simulate, spectral_radius, target_radius)
-from esnkit.stability import _halton
 
 from conftest import make_reservoir
 from oracles import vertex_margin_min
@@ -55,6 +53,7 @@ class TestLipschitzCertificate:
         assert cert.kappa == pytest.approx(0.9, abs=1e-9)
         assert cert.verdict is Verdict.PASS
         assert cert.margin == pytest.approx(0.1, abs=1e-9)
+        assert cert.method is CertificateMethod.LIPSCHITZ_C1
 
     def test_fail_case(self):
         cert = certify_lipschitz(reservoir_with_norm(1.5, leak=0.5))
@@ -128,6 +127,7 @@ class TestWeightedCertificate:
         assert cert.verdict is Verdict.PASS
         assert cert.kappa <= 0.8 + 1e-5
         assert cert.weight_P is not None
+        assert cert.method is CertificateMethod.WEIGHTED_C2
 
     def test_pure_leak(self):
         for leak in (0.3, 0.7):
@@ -218,6 +218,34 @@ class TestWeightedCertificate:
         cert = certify_weighted(p, vertex_budget=64)  # 2^8 = 256 > budget
         assert cert.verdict is Verdict.UNKNOWN
         assert cert.kappa < 1.0
+
+    def test_sampled_check_is_deterministic(self):
+        # the sampled slopes come from a generator seeded with the budget,
+        # so repeated calls agree bit for bit
+        p = make_reservoir(n=14, m=1, leak=0.6, w_scale=0.9, seed=5)
+        first, second = (certify_weighted(p, vertex_budget=128) for _ in range(2))
+        assert first.verdict is second.verdict is Verdict.UNKNOWN
+        assert first.kappa == second.kappa
+        assert np.array_equal(first.weight_P, second.weight_P)
+
+    def test_sampled_slopes_lie_in_the_box(self, monkeypatch):
+        # every slope diagonal the sampled check builds a transition from is
+        # in [0, L_sigma]^n: A+, the zero vertex and ``budget`` samples
+        n, budget = 20, 100
+        seen = []
+        inner = esnkit.stability._transition
+
+        def recording(params, slopes):
+            seen.append(np.atleast_2d(slopes).copy())
+            return inner(params, slopes)
+
+        monkeypatch.setattr(esnkit.stability, "_transition", recording)
+        p = make_reservoir(n=n, m=1, leak=0.5, w_scale=0.9, seed=2)
+        assert certify_weighted(p, vertex_budget=budget).verdict is Verdict.UNKNOWN
+        assert np.array_equal(seen[1][:2], [np.ones(n), np.zeros(n)])
+        diags = np.unique(np.vstack(seen), axis=0)
+        assert len(diags) == budget + 2
+        assert diags.min() >= 0.0 and diags.max() <= 1.0
 
     @settings(max_examples=25)
     @given(n=st.sampled_from([8, 9]), seed=st.integers(0, 2 ** 32 - 1),
@@ -317,17 +345,6 @@ class TestWeightedCertificate:
         assert cert.verdict is Verdict.UNKNOWN
         rho = full_slope_radius(p)
         assert rho * (1 - 1e-12) <= cert.kappa <= rho * (1 + 1e-9)
-
-
-class TestHaltonSamples:
-    @pytest.mark.parametrize("d, count", [(1, 10), (12, 5000), (32, 1024),
-                                          (70, 1024), (256, 1024)])
-    def test_equals_scipy_unscrambled_halton(self, d, count):
-        want = qmc.Halton(d=d, scramble=False).random(count)
-        got = _halton(d, count)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-        assert not got.flags.writeable
 
 
 class TestMemoryHorizon:
