@@ -92,7 +92,7 @@ def solve_discrete_lyapunov(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    if float(np.abs(np.linalg.eigvals(a)).max()) >= 1.0:
+    if np.abs(np.linalg.eigvals(a)).max(initial=0.0) >= 1.0:
         raise np.linalg.LinAlgError(
             "discrete Lyapunov solve needs rho(A) < 1")
     with warnings.catch_warnings(record=True) as caught:
@@ -107,8 +107,8 @@ def solve_discrete_lyapunov(a: np.ndarray, s: np.ndarray) -> np.ndarray:
         else:
             warnings.warn_explicit(warning.message, warning.category,
                                    warning.filename, warning.lineno)
-    scale = max(1.0, float(np.abs(x).max()))
-    residual = np.abs(a @ x @ a.T + s - x).max()
+    scale = max(1.0, float(np.abs(x).max(initial=0.0)))
+    residual = np.abs(a @ x @ a.T + s - x).max(initial=0.0)
     if not np.isfinite(residual) or residual > 1e-10 * scale:
         raise np.linalg.LinAlgError(
             f"discrete Lyapunov residual {residual:.3e} exceeds tolerance")

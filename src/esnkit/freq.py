@@ -39,11 +39,10 @@ class ImpulseKernel:
     """Finite kernel h_0..h_K with a geometric bound on the discarded tail.
 
     ``envelope`` is a proven ``(c, kappa)`` with ||A^k||_2 <= c kappa^k for
-    all k; without one (None) ``tail_bound`` is inf.
+    all k; without one (None) ``tail_bound`` is inf.  K is ``len(kernel) - 1``.
     """
 
     blocks: np.ndarray            # (K+1, p, m)
-    truncation: int
     tail_bound: float
     envelope: Optional[Tuple[float, float]]
 
@@ -71,9 +70,10 @@ class ModalDecomposition:
 
 @dataclass(frozen=True)
 class GramianPair:
+    """Gramians W_c = sum_k A^k B B' A'^k and W_o = sum_k A'^k C' C A^k."""
+
     W_c: np.ndarray
     W_o: np.ndarray
-    min_eigs: tuple
 
 
 class RankReport(NamedTuple):
@@ -84,8 +84,9 @@ class RankReport(NamedTuple):
 
 
 class HinfEstimate(NamedTuple):
-    """Grid + golden-section lower bound on the Hinf norm; the true peak lies
-    within ``interval_width`` of ``omega_peak``."""
+    """Grid + golden-section lower bound ``value`` on the Hinf norm, the gain
+    at ``omega_peak``; ``interval_width`` is the final search bracket around
+    the grid maximum, and a resonance between grid points can peak outside."""
     value: float
     omega_peak: float
     interval_width: float
@@ -188,8 +189,8 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
     else:
         growth, kappa = envelope
         tail = growth * norm_cb * kappa ** (truncation + 1) / (1.0 - kappa)
-    return ImpulseKernel(blocks=blocks, truncation=truncation,
-                         tail_bound=float(tail), envelope=envelope)
+    return ImpulseKernel(blocks=blocks, tail_bound=float(tail),
+                         envelope=envelope)
 
 
 def modal(lti: LtiModel) -> ModalDecomposition:
@@ -199,7 +200,7 @@ def modal(lti: LtiModel) -> ModalDecomposition:
     kernel-domain analysis is the robust alternative there.
     """
     eigvals, v = scipy.linalg.eig(lti.A)
-    cond_v = float(np.linalg.cond(v))
+    cond_v = float(np.linalg.cond(v)) if lti.n else 1.0
     if not np.isfinite(cond_v) or cond_v > 1e8:
         raise ValueError(
             f"A is near-defective (eigenvector condition {cond_v:.3e}); "
@@ -216,17 +217,14 @@ def gramians(lti: LtiModel) -> GramianPair:
     """Reachability / observability Gramians from the two discrete Lyapunov
     equations; rho(A) >= 1 raises the solver's ``LinAlgError`` (a
     ``ValueError``)."""
-    w_c = solve_discrete_lyapunov(lti.A, lti.B @ lti.B.T)
-    w_o = solve_discrete_lyapunov(lti.A.T, lti.C.T @ lti.C)
-    min_c = float(np.linalg.eigvalsh(w_c).min()) if lti.n else 0.0
-    min_o = float(np.linalg.eigvalsh(w_o).min()) if lti.n else 0.0
-    return GramianPair(W_c=w_c, W_o=w_o, min_eigs=(min_c, min_o))
+    return GramianPair(W_c=solve_discrete_lyapunov(lti.A, lti.B @ lti.B.T),
+                       W_o=solve_discrete_lyapunov(lti.A.T, lti.C.T @ lti.C))
 
 
 def ctrb_obsv_rank(lti: LtiModel) -> RankReport:
     """Numerical ranks of the controllability/observability matrices (singular
     values at least 1e-10 times the largest) plus the Gramian minimum
-    eigenvalues (NaN when rho(A) >= 1)."""
+    eigenvalues (NaN when rho(A) >= 1, 0 for a model with no state)."""
     n = lti.n
     if n > 512:
         raise ValueError("rank tests are limited to n <= 512")
@@ -245,7 +243,9 @@ def ctrb_obsv_rank(lti: LtiModel) -> RankReport:
         return int(np.sum(s >= 1e-10 * s[0]))
 
     if spectral_radius(lti.A) < 1.0:
-        min_wc, min_wo = gramians(lti).min_eigs
+        pair = gramians(lti)
+        min_wc, min_wo = (float(np.linalg.eigvalsh(w).min()) if n else 0.0
+                          for w in (pair.W_c, pair.W_o))
     else:
         min_wc = min_wo = float("nan")
     return RankReport(rank_c=_rank(ctrb), rank_o=_rank(obsv),

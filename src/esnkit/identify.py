@@ -8,13 +8,13 @@ Conventions (shared with :mod:`esnkit.core`):
   update happens at t = 1 after one prediction.
 
 The EM machinery estimates (A, B, Q, R) -- optionally with A constrained to
-the structured span ``theta1 * I + theta2 * W_bar`` so that leak and spectral
-scaling are recovered as ``lam = 1 - theta1``, ``alpha = theta2 / lam``.  The
-structured M-step projects the unconstrained transition estimate onto the
-span in Frobenius norm and then rescales ``alpha`` until the small-gain
-margin ``(1 - lam) + lam * L_sigma * ||alpha * W_bar|| <= 1 - 1e-6`` holds;
-because that projection is not exact coordinate ascent, a structured step is
-allowed to decrease the likelihood and is flagged instead of failing.
+``(1 - lam) I + lam * alpha * W_bar``, the leak ``lam`` and spectral scaling
+``alpha`` read off the Frobenius projection of the unconstrained transition
+estimate onto span{I, W_bar}.  ``alpha`` is then rescaled until the
+small-gain margin ``(1 - lam) + lam * L_sigma * alpha * ||W_bar|| <= 1 - 1e-6``
+holds (||W_bar|| is taken once per :class:`StructuredBasis`); because that
+projection is not exact coordinate ascent, a structured step is allowed to
+decrease the likelihood and is flagged instead of failing.
 """
 
 from __future__ import annotations
@@ -519,10 +519,12 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
 @dataclass(frozen=True)
 class StructuredBasis:
     """Span basis {I, W_bar} with the activation slope bound used by the
-    feasibility constraint."""
+    feasibility constraint; ``w_norm``, ||W_bar||_2 by the LAPACK SVD, is
+    computed once on construction for every projection and certificate."""
 
     W_bar: np.ndarray
     l_sigma: float = 1.0
+    w_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         w = as_float_array(self.W_bar, "W_bar")
@@ -531,19 +533,18 @@ class StructuredBasis:
         if not self.l_sigma > 0.0:
             raise ValueError("l_sigma must be positive")
         object.__setattr__(self, "W_bar", w)
+        object.__setattr__(self, "w_norm", spectral_norm(w))
 
 
 @dataclass(frozen=True)
 class StructuredTheta:
-    """Structured transition coordinates after feasibility projection.
+    """Leak ``lam`` and spectral scaling ``alpha`` of the structured transition
+    ``A = (1 - lam) I + lam * alpha * W_bar`` after feasibility projection.
 
-    Invariants: theta1 = 1 - lam and theta2 = lam * alpha exactly, and the
-    small-gain margin holds whenever ``feasible`` is True.  ``clamped``
+    The small-gain margin holds whenever ``feasible`` is True.  ``clamped``
     records that the raw least-squares coordinates were moved.
     """
 
-    theta1: float
-    theta2: float
     lam: float
     alpha: float
     basis: StructuredBasis
@@ -552,8 +553,8 @@ class StructuredTheta:
 
     @property
     def A(self) -> np.ndarray:
-        n = self.basis.W_bar.shape[0]
-        return self.theta1 * np.eye(n) + self.theta2 * self.basis.W_bar
+        return ((1.0 - self.lam) * np.eye(len(self.basis.W_bar))
+                + (self.lam * self.alpha) * self.basis.W_bar)
 
 
 def project_structured(a_matrix: np.ndarray,
@@ -562,9 +563,9 @@ def project_structured(a_matrix: np.ndarray,
     followed by the nearest-feasible rescaling of (lam, alpha).
 
     The projection solves the 2x2 normal equations of
-    ``min || theta1 I + theta2 W_bar - A ||_F``; leak is clamped to
-    (1e-6, 1], alpha floored positive, then alpha shrunk until
-    ``(1 - lam) + lam * L_sigma * alpha * ||W_bar|| <= 1 - 1e-6``.
+    ``min || c1 I + c2 W_bar - A ||_F``, and lam = 1 - c1, alpha = c2 / lam;
+    leak is clamped to (1e-6, 1], alpha floored positive, then alpha shrunk
+    until ``(1 - lam) + lam * L_sigma * alpha * ||W_bar|| <= 1 - 1e-6``.
     """
     a_matrix = np.asarray(a_matrix, dtype=np.float64)
     w_bar = basis.W_bar
@@ -591,16 +592,15 @@ def project_structured(a_matrix: np.ndarray,
         clamped = True
 
     feasible = True
-    w_norm = spectral_norm(w_bar)
-    if w_norm > 0.0:
-        alpha_max = (lam - _FEASIBILITY_MARGIN) / (lam * basis.l_sigma * w_norm)
+    if basis.w_norm > 0.0:
+        alpha_max = ((lam - _FEASIBILITY_MARGIN)
+                     / (lam * basis.l_sigma * basis.w_norm))
         if alpha_max <= 0.0:
             feasible = False
         elif alpha > alpha_max:
             alpha = alpha_max
             clamped = True
-    return StructuredTheta(theta1=1.0 - lam, theta2=lam * alpha, lam=lam,
-                           alpha=alpha, basis=basis, clamped=clamped,
+    return StructuredTheta(lam=lam, alpha=alpha, basis=basis, clamped=clamped,
                            feasible=feasible)
 
 
@@ -610,7 +610,6 @@ class EmStepResult:
     noise: NoiseModel
     loglik: float
     theta: Optional[StructuredTheta] = None
-    constrained: bool = False
 
 
 def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
@@ -653,11 +652,9 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     coeffs = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs.T).T
 
     theta = None
-    constrained = False
     if structure is not None:
         theta = project_structured(coeffs[:, :n], structure)
         coeffs[:, :n] = theta.A
-        constrained = theta.clamped
 
     resid = s_11 - coeffs @ rhs.T - rhs @ coeffs.T + coeffs @ gram @ coeffs.T
     q_new = _floor_psd(symmetrize(resid / horizon))
@@ -668,8 +665,7 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
 
     new_lti = LtiModel(A=coeffs[:, :n], B=coeffs[:, n:], C=lti.C, D=lti.D)
     return EmStepResult(lti=new_lti, noise=NoiseModel(Q=q_new, R=r_new),
-                        loglik=post.loglik, theta=theta,
-                        constrained=constrained)
+                        loglik=post.loglik, theta=theta)
 
 
 def _floor_psd(mat: np.ndarray) -> np.ndarray:
@@ -714,22 +710,20 @@ def em_run(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     theta = None
     for _ in range(max_iters):
         step = em_step(lti, noise, inputs, outputs, prior, structure)
-        constrained = step.constrained
-        if trace:
-            delta = step.loglik - trace[-1]
-            if delta < -1e-9:
-                if structure is None:
-                    raise RuntimeError(
-                        f"EM log-likelihood decreased by {-delta:.3e} on an "
-                        "unconstrained run; this indicates a bug")
-                constrained = True
-        trace.append(step.loglik)
-        flags.append(constrained)
         lti, noise, theta = step.lti, step.noise, step.theta
-        if len(trace) >= 2:
-            improvement = trace[-1] - trace[-2]
-            if abs(improvement) < rel_tol * max(abs(trace[-2]), 1.0):
-                break
+        trace.append(step.loglik)
+        flags.append(theta is not None and theta.clamped)
+        if len(trace) < 2:
+            continue
+        delta = trace[-1] - trace[-2]
+        if delta < -1e-9:
+            if structure is None:
+                raise RuntimeError(
+                    f"EM log-likelihood decreased by {-delta:.3e} on an "
+                    "unconstrained run; this indicates a bug")
+            flags[-1] = True
+        if abs(delta) < rel_tol * max(abs(trace[-2]), 1.0):
+            break
     return EmResult(lti=lti, noise=noise, loglik_trace=np.array(trace),
                     theta=theta, constrained_steps=tuple(flags))
 
@@ -912,10 +906,10 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     p, m = markov.shape[1], markov.shape[2]
     q_blocks = (count + 1) // 2
     s_blocks = count - q_blocks          # q + s - 1 <= count - 1 for the shift
-    hankel0 = np.block([[markov[i + j] for j in range(s_blocks)]
-                        for i in range(q_blocks)])
-    hankel1 = np.block([[markov[i + j + 1] for j in range(s_blocks)]
-                        for i in range(q_blocks)])
+    # q + 1 block rows: the Hankel matrix is the first q, its shift the last q
+    hankel = np.block([[markov[i + j] for j in range(s_blocks)]
+                       for i in range(q_blocks + 1)])
+    hankel0, hankel1 = hankel[:-p], hankel[p:]
     u_svd, svals, vt = np.linalg.svd(hankel0, full_matrices=False)
     effective = int(np.sum(svals >= 1e-8 * svals[0]))
     if effective < order:
@@ -930,7 +924,8 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     b_ssi = ctr[:, :m]
 
     theta = project_structured(a_ssi, basis)
-    cert = _small_gain(theta.lam, basis.l_sigma, theta.alpha * basis.W_bar,
-                       theta.feasible)
+    # alpha ||W_bar|| adds one rounding to the SVD norm, inside its error bound
+    cert = _small_gain(theta.lam, basis.l_sigma, theta.alpha * basis.w_norm,
+                       len(basis.W_bar), theta.feasible)
     return SubspaceResult(A=a_ssi, B=b_ssi, C=c_ssi, markov=markov,
                           theta=theta, certificate=cert)

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from ._linalg import as_float_array, check_psd, symmetrize
-from .identify import NoiseModel
+from .identify import NoiseModel, _predict_cov
 from .linearize import LtiModel
 
 __all__ = ["PredictiveDistribution", "predictive"]
@@ -62,7 +62,7 @@ def predictive(lti: LtiModel, noise: NoiseModel,
     sigma = cov.copy()
     for j in range(horizon):
         mean = lti.A @ mean + lti.B @ inputs[j]
-        sigma = symmetrize(lti.A @ sigma @ lti.A.T + noise.Q)
+        sigma = _predict_cov(lti.A, sigma, noise.Q)
     out_mean = lti.C @ mean
     out_cov = symmetrize(lti.C @ sigma @ lti.C.T + noise.R)
     return PredictiveDistribution(horizon=horizon, mean=out_mean,

@@ -129,24 +129,24 @@ def certify_lipschitz(params: ReservoirParams) -> Certificate:
     after adding the SVD's error bound on ||W||, so a Pass never rests on an
     undershoot; the boundary kappa = 1 fails.
     """
-    return _small_gain(params.leak, params.activation.lipschitz, params.W)
+    return _small_gain(params.leak, params.activation.lipschitz,
+                       spectral_norm(params.W), params.n)
 
 
-def _small_gain(lam: float, l_sigma: float, w: np.ndarray,
+def _small_gain(lam: float, l_sigma: float, norm: float, n: int,
                 feasible: bool = True) -> Certificate:
-    """The ``certify_lipschitz`` test of (1 - lam) I + lam l_sigma w, failed
-    outright when the parameters are not ``feasible``."""
-    kappa, upper = _small_gain_bound(lam, l_sigma, w)
+    """The ``certify_lipschitz`` test of (1 - lam) I + lam l_sigma W, n x n,
+    ||W||_2 = ``norm``, failed outright when the parameters are not ``feasible``."""
+    kappa, upper = _small_gain_bound(lam, l_sigma, norm, n)
     return Certificate(CertificateMethod.LIPSCHITZ_C1, kappa,
                        Verdict.PASS if feasible and upper < 1.0 else Verdict.FAIL)
 
 
-def _small_gain_bound(lam: float, l_sigma: float, w: np.ndarray):
-    """(1 - lam) + lam l_sigma ||w||_2, and that plus its SVD error bound."""
+def _small_gain_bound(lam: float, l_sigma: float, norm: float, n: int):
+    """(1 - lam) + lam l_sigma norm, and that plus the SVD error bound at n."""
     gain = lam * l_sigma
-    norm = spectral_norm(w)
     kappa = (1.0 - lam) + gain * norm
-    error = _SVD_ERROR * max(w.shape) * np.finfo(np.float64).eps * gain * norm
+    error = _SVD_ERROR * n * np.finfo(np.float64).eps * gain * norm
     return kappa, kappa + error
 
 
@@ -268,7 +268,7 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
             return None, math.inf
 
     best, hi = lyapunov(1.0 - 1e-9)
-    if hi > _small_gain_bound(params.leak, l_sigma, params.W)[1]:
+    if hi > _small_gain_bound(params.leak, l_sigma, spectral_norm(params.W), n)[1]:
         eye_gain = _weighted_gain(np.eye(n), (_transition(params, d) for d in chunks))
         if eye_gain < hi:
             best, hi = np.eye(n), eye_gain

@@ -134,7 +134,7 @@ class TestImpulseKernel:
         lti = LtiModel(A=np.zeros((0, 0)), B=np.zeros((0, 1)),
                        C=np.zeros((1, 0)), D=np.zeros((1, 1)))
         kern = impulse_kernel(lti)
-        assert kern.truncation == 0 and kern.tail_bound == 0.0
+        assert len(kern) == 1 and kern.tail_bound == 0.0
         assert np.all(kern.blocks == 0.0)
 
     def test_decay_envelope(self):
@@ -443,6 +443,33 @@ class TestNorms:
         assert est.value == pytest.approx(sigma_max(est.omega_peak), rel=1e-12)
         assert est.value >= max(expect) * (1 - 1e-12)
 
+    def test_hinf_misses_a_resonance_between_grid_points(self):
+        # a sharp pole pair half a grid step past omega_325 of the 512-point
+        # grid peaks far above the grid maximum, which sits at the broad
+        # pair near omega = 1: the estimate is only a lower bound, and its
+        # bracket need not hold the true peak
+        def block(r, th):
+            return r * np.array([[np.cos(th), -np.sin(th)],
+                                 [np.sin(th), np.cos(th)]])
+
+        grid = np.linspace(0.0, np.pi, 512)
+        sharp = grid[325] + 0.5 * (grid[1] - grid[0])
+        a = np.zeros((4, 4))
+        a[:2, :2], a[2:, 2:] = block(0.9, 1.0), block(0.99995, sharp)
+        b = np.array([[1.0], [0.0], [0.001], [0.0]])
+        c = np.array([[1.0, 0.0, 1.0, 0.0]])
+        est = hinf_norm_grid(LtiModel(A=a, B=b, C=c, D=np.zeros((1, 1))))
+
+        # the 4097-point grid plus 4001 points across the sharp peak
+        omegas = np.concatenate([np.linspace(0.0, np.pi, 4097),
+                                 np.linspace(grid[324], grid[327], 4001)])
+        gains = np.abs(transfer_dense(a, b, c, np.zeros((1, 1)),
+                                      np.exp(1j * omegas))[:, 0, 0])
+        peak = omegas[np.argmax(gains)]
+        assert est.value < 0.6 * gains.max()
+        assert abs(peak - est.omega_peak) > est.interval_width
+        assert abs(peak - sharp) < grid[1] - grid[0]
+
     def test_grid_floor(self):
         with pytest.raises(ValueError, match="64"):
             hinf_norm_grid(scalar_lti(0.5, 1, 1), grid_points=32)
@@ -495,3 +522,23 @@ class TestOutputPsd:
             output_psd(lti, np.array([[1.0, 1.0], [0.0, 1.0]]), 0.1)
         with pytest.raises(ValueError, match="positive"):
             output_psd(lti, np.array([[-1.0, 0.0], [0.0, 1.0]]), 0.1)
+
+
+STATELESS = LtiModel(A=np.zeros((0, 0)), B=np.zeros((0, 1)),
+                     C=np.zeros((1, 0)), D=np.zeros((1, 1)))
+STATELESS_RESULTS = {
+    "gramians": lambda pair: pair.W_c.shape == pair.W_o.shape == (0, 0),
+    "h2_norm": lambda norm: norm == 0.0,
+    "ctrb_obsv_rank": lambda report: tuple(report) == (0, 0, 0.0, 0.0),
+    "modal": lambda decomp: (decomp.eigenvalues.size == 0
+                             and np.all(decomp.reconstruct(3) == 0.0)),
+    "impulse_kernel": lambda kern: len(kern) == 1 and kern.tail_bound == 0.0,
+    "hinf_norm_grid": lambda est: est.value == 0.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATELESS_RESULTS))
+def test_stateless_model(name):
+    # n = 0: no state, so every response is the zero feedthrough
+    result = getattr(esnkit.freq, name)(STATELESS)
+    assert STATELESS_RESULTS[name](result)

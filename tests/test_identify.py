@@ -729,8 +729,6 @@ class TestStructuredProjection:
         basis = StructuredBasis(W_bar=w_bar, l_sigma=1.0)
         a_ls = 0.3 * np.eye(4) + 0.4 * w_bar
         theta = project_structured(a_ls, basis)
-        assert theta.theta1 == pytest.approx(0.3, abs=1e-12)
-        assert theta.theta2 == pytest.approx(0.4, abs=1e-12)
         assert theta.lam == pytest.approx(0.7, abs=1e-12)
         assert theta.alpha == pytest.approx(0.4 / 0.7, abs=1e-12)
         assert not theta.clamped
@@ -827,11 +825,62 @@ class TestEmRun:
         flags = []
         for _ in range(4):
             step = em_step(model, noise, inputs, outputs, prior, basis)
-            flags.append(step.constrained)
+            flags.append(step.theta.clamped)
             model, noise = step.lti, step.noise
         assert flags == [True, False, False, False]
         assert np.all(np.diff(result.loglik_trace) > 0.0)
         assert result.constrained_steps == tuple(flags)
+
+    def test_loose_tolerance_stops_early(self):
+        lti, noise, inputs, outputs = self._make_dataset(seed=1)
+        start = LtiModel(A=0.2 * np.eye(lti.n), B=np.zeros_like(lti.B),
+                         C=lti.C, D=lti.D)
+        rel_tol = 1e-3
+        result = em_run(start, NoiseModel(Q=np.eye(lti.n), R=np.eye(lti.p)),
+                        inputs, outputs, (np.zeros(lti.n), np.eye(lti.n)),
+                        max_iters=40, rel_tol=rel_tol)
+        trace = result.loglik_trace
+        small = np.abs(np.diff(trace)) < rel_tol * np.maximum(
+            np.abs(trace[:-1]), 1.0)
+        # it stops at the first step whose improvement is below the tolerance
+        assert 2 <= result.iterations < 40
+        assert small[-1] and not small[:-1].any()
+
+    @staticmethod
+    def _scripted_steps(monkeypatch, steps):
+        """Make em_step return the scripted ``(loglik, theta)`` pairs in
+        turn, leaving the model unchanged."""
+        script = iter(steps)
+
+        def em_step(lti, noise, inputs, outputs, prior, structure=None):
+            loglik, theta = next(script)
+            return identify.EmStepResult(lti=lti, noise=noise, loglik=loglik,
+                                         theta=theta)
+
+        monkeypatch.setattr(identify, "em_step", em_step)
+
+    def test_unconstrained_decrease_raises(self, monkeypatch):
+        lti, noise = scalar_system()
+        self._scripted_steps(monkeypatch, [(-10.0, None), (-10.5, None)])
+        with pytest.raises(RuntimeError, match="decreased by 5.000e-01"):
+            em_run(lti, noise, np.zeros((3, 1)), np.zeros((3, 1)),
+                   (np.zeros(1), np.eye(1)), max_iters=4, rel_tol=0.0)
+
+    def test_structured_decrease_is_flagged(self, monkeypatch):
+        lti, noise = scalar_system()
+        basis = StructuredBasis(W_bar=np.eye(1))
+        thetas = [identify.StructuredTheta(lam=0.5, alpha=0.5, basis=basis,
+                                           clamped=clamped)
+                  for clamped in (True, False, False, False)]
+        logliks = [-10.0, -9.0, -9.5, -9.2]
+        self._scripted_steps(monkeypatch, list(zip(logliks, thetas)))
+        result = em_run(lti, noise, np.zeros((3, 1)), np.zeros((3, 1)),
+                        (np.zeros(1), np.eye(1)), structure=basis,
+                        max_iters=4, rel_tol=0.0)
+        # step 0 is clamped, step 2 lowers the likelihood
+        assert result.constrained_steps == (True, False, True, False)
+        assert result.loglik_trace.tolist() == logliks
+        assert result.theta is thetas[-1]
 
     def test_structured_recovery_single_seed(self):
         rng = np.random.default_rng(30)

@@ -145,21 +145,40 @@ def test_every_public_member_is_read():
 UNREAD_KEPT = {"rts_smoother.noise", "lifted_rollout_error.params"}
 
 
+def _functions(tree, prefix=""):
+    """``(qualified name, node)`` for every function, method and nested
+    function a module defines; a method is ``Class.name``, a nested
+    function ``outer.name``."""
+    for node in ast.iter_child_nodes(tree):
+        function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if function:
+            yield prefix + node.name, node
+        scope = function or isinstance(node, ast.ClassDef)
+        yield from _functions(node, f"{prefix}{node.name}." if scope else prefix)
+
+
+def _unread_parameters(paths):
+    """``function.parameter`` for every parameter that its function's body
+    never reads."""
+    for path in paths:
+        for name, node in _functions(ast.parse(path.read_text())):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            read = {n.id for statement in node.body
+                    for n in ast.walk(statement)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            yield from (f"{name}.{param.arg}" for param in params
+                        if param.arg not in read)
+
+
 def test_every_public_parameter_is_read():
-    # a parameter that the body of a public function never reads is an
-    # option that does nothing
-    unread = []
-    for name in esnkit.__all__:
-        func = getattr(esnkit, name)
-        if not inspect.isfunction(func):
-            continue
-        node = ast.parse(inspect.getsource(func)).body[0]
-        read = {n.id for statement in node.body for n in ast.walk(statement)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        unread += [f"{name}.{parameter}"
-                   for parameter in inspect.signature(func).parameters
-                   if parameter not in read]
-    assert sorted(set(unread) - UNREAD_KEPT) == []
+    # a parameter that the body of a function, method or nested function of
+    # the package (public or not) never reads is an option or an argument
+    # that does nothing
+    package = Path(esnkit.__file__).parent
+    unread = set(_unread_parameters(sorted(package.glob("*.py"))))
+    assert sorted(unread - UNREAD_KEPT) == []
 
 
 def _logged_events():
