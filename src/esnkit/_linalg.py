@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import logging
 import math
-import re
-import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemv
+from scipy.linalg.lapack import dtrsyl
 
 logger = logging.getLogger(__name__)
 
@@ -78,35 +78,93 @@ def check_psd(m: np.ndarray, name: str) -> np.ndarray:
     return ms
 
 
-def solve_discrete_lyapunov(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Solve ``X = A X A^T + S`` by Bartels--Stewart (O(n^3), through
-    ``scipy.linalg.solve_discrete_lyapunov``).
+@dataclass(frozen=True)
+class SchurForm:
+    """Real Schur form ``a = z @ t @ z.T`` of a square matrix ``a``: ``t``
+    upper quasi-triangular (1 x 1 blocks for real eigenvalues, 2 x 2 blocks
+    for complex pairs), ``z`` orthogonal, and ``rho`` = rho(a), read off the
+    diagonal blocks of ``t``.  :func:`solve_discrete_lyapunov` solves in it,
+    so a caller that solves several equations in ``a``, ``a / c`` or ``a'``
+    pays for one Schur decomposition."""
 
-    Requires rho(A) < 1 and raises ``LinAlgError`` otherwise: there the
-    solver can return a huge "solution" that still meets a relative residual
-    test.  Also raises if the residual exceeds 1e-10 relative to the
-    solution scale.  SciPy's ``LinAlgWarning`` for an ill-conditioned
-    system (rho(A) within about 1e-15 of 1) does not escape: it becomes the
-    DEBUG event ``lyapunov.ill_conditioned rcond=...`` and the residual
-    test decides.
-    """
+    a: np.ndarray
+    t: np.ndarray
+    z: np.ndarray
+    rho: float
+
+    def scaled(self, c: float) -> "SchurForm":
+        """The form of ``a / c``: the same ``z``, ``t / c``."""
+        return SchurForm(self.a / c, self.t / c, self.z, self.rho / c)
+
+    def transposed(self) -> "SchurForm":
+        """The form of ``a'`` = (Z J)(J T' J)(Z J)', J the reversal
+        permutation: J T' J is upper quasi-triangular again."""
+        return SchurForm(self.a.T, self.t.T[::-1, ::-1], self.z[:, ::-1], self.rho)
+
+
+def real_schur(a: np.ndarray) -> SchurForm:
+    """The :class:`SchurForm` of ``a`` from one LAPACK real Schur
+    decomposition; rho(a) is max |t_ii| over 1 x 1 blocks and sqrt(det)
+    over 2 x 2 blocks, whose eigenvalues are a conjugate pair."""
     a = np.asarray(a, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    if np.abs(np.linalg.eigvals(a)).max(initial=0.0) >= 1.0:
+    t, z = scipy.linalg.schur(a)
+    modulus2 = np.diag(t) ** 2
+    k = np.flatnonzero(np.diag(t, -1))          # a 2 x 2 block in rows k, k + 1
+    modulus2[k] = modulus2[k + 1] = (t[k, k] * t[k + 1, k + 1]
+                                     - t[k, k + 1] * t[k + 1, k])
+    return SchurForm(a, t, z, math.sqrt(modulus2.max(initial=0.0)))
+
+
+def solve_discrete_lyapunov(a: np.ndarray | SchurForm, s: np.ndarray) -> np.ndarray:
+    """Solve ``X = A X A' + S`` in the real Schur form A = Z T Z' (Bartels &
+    Stewart, CACM 15(9), 1972; Barraud, IEEE TAC 22(5), 1977), O(n^3).
+
+    ``a`` is a matrix or its :func:`real_schur` form, which may be
+    ``scaled`` or ``transposed``; a form is not recomputed.  In the form the
+    equation is Y = T Y T' + Z' S Z with X = Z Y Z'.  The Cayley transform
+    B = (T - I) M, M = (T + I)^{-1} (one inverse; M and B keep the block
+    pattern of T, and an eigenvalue of T near 1 keeps its relative accuracy
+    in T - I), turns it into B Y + Y B' = -2 M Z' S Z M', which LAPACK
+    ``dtrsyl`` solves by back substitution, so no second Schur form is
+    needed.
+
+    Requires rho(A) < 1 and raises ``LinAlgError`` otherwise: there a solver
+    can return a huge "solution" that still meets a relative residual test.
+    Also raises if the residual in the original coordinates exceeds 1e-10
+    relative to the solution scale.  With DEBUG logging on, the solve
+    reports the a-posteriori bound
+
+        rcond <= ||vec S||_1 / (||K||_1 ||vec X||_1),   K = I - A kron A,
+
+    on the 1-norm reciprocal condition number of K (vec X = K^{-1} vec S,
+    so ||K^{-1}||_1 >= ||vec X||_1 / ||vec S||_1), where the column (j, l)
+    of K sums to c_j c_l - |a_jj a_ll| + |1 - a_jj a_ll|, c_j the 1-norm
+    of column j of A, so ||K||_1 is exact in O(n^2).  A bound below eps
+    (rho(A) within about 1e-15 of 1) is the DEBUG event
+    ``lyapunov.ill_conditioned rcond=...``; the residual test decides.
+    """
+    form = a if isinstance(a, SchurForm) else real_schur(a)
+    if form.rho >= 1.0:
         raise np.linalg.LinAlgError(
             "discrete Lyapunov solve needs rho(A) < 1")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", scipy.linalg.LinAlgWarning)
-        x = symmetrize(scipy.linalg.solve_discrete_lyapunov(a, s))
-    for warning in caught:
-        if issubclass(warning.category, scipy.linalg.LinAlgWarning):
-            found = re.search(r"rcond\s*=\s*([-+0-9.eE]*\d)",
-                              str(warning.message))
-            logger.debug("lyapunov.ill_conditioned rcond=%s",
-                         found.group(1) if found else "unknown")
-        else:
-            warnings.warn_explicit(warning.message, warning.category,
-                                   warning.filename, warning.lineno)
+    s = np.asarray(s, dtype=np.float64)
+    n = len(form.t)
+    if not n:
+        return np.zeros((0, 0))
+    z = form.z
+    eye = np.eye(n)
+    m = np.linalg.inv(form.t + eye)
+    b = (form.t - eye) @ m
+    y, factor, _ = dtrsyl(b, b, -2.0 * (m @ (z.T @ s @ z) @ m.T), tranb="T")
+    x = symmetrize(z @ (y / factor) @ z.T)
+    a = form.a
+    if logger.isEnabledFor(logging.DEBUG) and x.any():
+        col = np.abs(a).sum(axis=0)
+        diag = np.outer(np.diag(a), np.diag(a))
+        norm_k = (np.outer(col, col) - np.abs(diag) + np.abs(1.0 - diag)).max()
+        rcond = np.abs(s).sum() / (norm_k * np.abs(x).sum())
+        if rcond < np.finfo(np.float64).eps:
+            logger.debug("lyapunov.ill_conditioned rcond=%.3e", rcond)
     scale = max(1.0, float(np.abs(x).max(initial=0.0)))
     residual = np.abs(a @ x @ a.T + s - x).max(initial=0.0)
     if not np.isfinite(residual) or residual > 1e-10 * scale:

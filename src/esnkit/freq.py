@@ -22,9 +22,9 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from ._linalg import solve_discrete_lyapunov
+from ._linalg import SchurForm, real_schur, solve_discrete_lyapunov
 from .linearize import LtiModel
-from .stability import _decay_envelope, spectral_radius
+from .stability import _decay_envelope
 
 __all__ = ["ImpulseKernel", "ModalDecomposition", "GramianPair", "RankReport",
            "HinfEstimate", "transfer_eval", "impulse_kernel", "modal",
@@ -215,16 +215,24 @@ def modal(lti: LtiModel) -> ModalDecomposition:
 
 def gramians(lti: LtiModel) -> GramianPair:
     """Reachability / observability Gramians from the two discrete Lyapunov
-    equations; rho(A) >= 1 raises the solver's ``LinAlgError`` (a
-    ``ValueError``)."""
-    return GramianPair(W_c=solve_discrete_lyapunov(lti.A, lti.B @ lti.B.T),
-                       W_o=solve_discrete_lyapunov(lti.A.T, lti.C.T @ lti.C))
+    equations, both solved in one real Schur form A = Z T Z' (W_o in that of
+    A' = (Z J)(J T' J)(Z J)', J the reversal permutation); rho(A) >= 1
+    raises the solver's ``LinAlgError`` (a ``ValueError``)."""
+    return _gramians(lti, real_schur(lti.A))
+
+
+def _gramians(lti: LtiModel, form: SchurForm) -> GramianPair:
+    """:func:`gramians` from the real Schur ``form`` of A."""
+    return GramianPair(W_c=solve_discrete_lyapunov(form, lti.B @ lti.B.T),
+                       W_o=solve_discrete_lyapunov(form.transposed(), lti.C.T @ lti.C))
 
 
 def ctrb_obsv_rank(lti: LtiModel) -> RankReport:
     """Numerical ranks of the controllability/observability matrices (singular
     values at least 1e-10 times the largest) plus the Gramian minimum
-    eigenvalues (NaN when rho(A) >= 1, 0 for a model with no state)."""
+    eigenvalues (NaN when rho(A) >= 1, 0 for a model with no state).  One
+    real Schur form of A gives rho(A) and both Gramians; a failed solve at
+    rho(A) < 1 raises."""
     n = lti.n
     if n > 512:
         raise ValueError("rank tests are limited to n <= 512")
@@ -242,8 +250,9 @@ def ctrb_obsv_rank(lti: LtiModel) -> RankReport:
             return 0
         return int(np.sum(s >= 1e-10 * s[0]))
 
-    if spectral_radius(lti.A) < 1.0:
-        pair = gramians(lti)
+    form = real_schur(lti.A)
+    if form.rho < 1.0:
+        pair = _gramians(lti, form)
         min_wc, min_wo = (float(np.linalg.eigvalsh(w).min()) if n else 0.0
                           for w in (pair.W_c, pair.W_o))
     else:

@@ -206,8 +206,8 @@ def lifted_rollout_error(model: LiftedModel,
     The bound is a heuristic, not a proof: it takes ||A_phi^j|| <= rho^j
     with rho = rho(A_phi), which non-normal lifts break (the ratio has
     reached 33), and the constant feature pins rho at 1.  A proven envelope
-    (``stability._decay_envelope``) finds none at rho = 1 and costs 40-60
-    ms per call on a 145-feature lift, against 7-12 ms for
+    (``stability._decay_envelope``) finds none at rho = 1 and costs 22-33
+    ms per call on a 145-feature lift, against 9-11 ms for
     :func:`spectral_radius` (2-core Xeon, OpenBLAS on 1 thread).  The
     rollout ``z_{t+1} = A_phi z_t + B_phi u_t`` from ``z_0 = phi(x_0)`` is one
     blocked scan (``_linalg.linear_scan``).  ``params`` is unused; it stays

@@ -48,7 +48,8 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 import scipy.linalg
 
-from ._linalg import rng_from_seed, solve_discrete_lyapunov, spectral_norm
+from ._linalg import (real_schur, rng_from_seed, solve_discrete_lyapunov,
+                      spectral_norm)
 from .core import ReservoirParams, _transition
 
 __all__ = [
@@ -190,21 +191,29 @@ def _weighted_gain(p: np.ndarray, stacks: Iterable[np.ndarray],
     for m in stacks:
         if kappa is None:
             kappa = spectral_norm(chol.T @ m[0] @ chol_inv_t)
-        mpm = np.swapaxes(m, 1, 2) @ p @ m
         for attempt in range(_GAIN_TRIES):
             k2p = kappa ** 2 * p
             k2p.flat[::n + 1] += _VERTEX_SLACK * max(float(np.abs(k2p).max()), 1.0)
-            try:
-                np.linalg.cholesky(k2p - mpm)
+            if _cholesky_passes(k2p, p, m):
                 break
-            except np.linalg.LinAlgError:
-                if fixed:
-                    return math.inf
-                gains = np.linalg.norm(chol.T @ m @ chol_inv_t, 2, axis=(1, 2))
-                kappa = max(kappa, float(gains.max())) * (1 + 1e-12 * 1e3 ** attempt)
+            if fixed:
+                return math.inf
+            gains = np.linalg.norm(chol.T @ m @ chol_inv_t, 2, axis=(1, 2))
+            kappa = max(kappa, float(gains.max())) * (1 + 1e-12 * 1e3 ** attempt)
         else:
             return math.inf
     return kappa
+
+
+def _cholesky_passes(k2p: np.ndarray, p: np.ndarray, m: np.ndarray) -> bool:
+    """Whether ``k2p - M' P M`` has a Cholesky factor for every M of the
+    (k, n, n) stack ``m``; the difference overwrites M' P M, one buffer."""
+    gap = np.swapaxes(m, 1, 2) @ p @ m
+    try:
+        np.linalg.cholesky(np.subtract(k2p, gap, out=gap))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _eig_bounds(p: np.ndarray) -> Tuple[float, float]:
@@ -221,15 +230,17 @@ def _decay_envelope(a: np.ndarray) -> Optional[Tuple[float, float]]:
     """A proven ``(c, kappa)``, kappa < 1, with ||A^j||_2 <= c kappa^j for
     every j, or None (always when rho(A) >= 1).
 
-    P solves A' P A - k0^2 P = -I at k0 = (1 + rho(A)) / 2.  kappa is the
-    verified P-norm gain k of A, widened by the slack tau of its Cholesky
-    test (A' P A <= k^2 P + tau I); c = sqrt(cond P) changes norms.
+    P solves A' P A - k0^2 P = -I at k0 = (1 + rho(A)) / 2, in the real
+    Schur form of A', which also gives rho(A).  kappa is the verified
+    P-norm gain k of A, widened by the slack tau of its Cholesky test
+    (A' P A <= k^2 P + tau I); c = sqrt(cond P) changes norms.
     """
     if not a.size:
         return 1.0, 0.5                      # no state: every A^j is empty
-    k0 = 0.5 * (1.0 + spectral_radius(a))
+    form = real_schur(a.T)
+    k0 = 0.5 * (1.0 + form.rho)
     try:
-        p = solve_discrete_lyapunov(a.T / k0, np.eye(len(a)) / k0 ** 2)
+        p = solve_discrete_lyapunov(form.scaled(k0), np.eye(len(a)) / k0 ** 2)
         gain = _weighted_gain(p, [a[None]])
         lo, hi = _eig_bounds(p)
     except np.linalg.LinAlgError:
@@ -250,22 +261,45 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     [max(1-leak, rho(A+)), kappa] replace it wherever they pass.  Above
     2^n > ``vertex_budget`` the vertices are sampled (``_slope_vertices``),
     which gives the same result on every call but at best Unknown.
+
+    Every solve is in the one real Schur form of A+', scaled by each k, and
+    that form gives rho(A+).  The gain sweeps, which come before any
+    bisection step, take the vertex stacks in their natural order, A+
+    first.  A bisection step is a fixed-kappa test, which passes only if
+    every stack does, so its result is the same in any order; it takes
+    first the stacks that failed such a test, the most recent failure
+    first, and a failing step then usually stops at its first stack.
     """
     if vertex_budget < 1:
         raise ValueError("vertex_budget must be >= 1")
     n = params.n
     l_sigma = params.activation.lipschitz
     a_plus = _transition(params, np.full(n, l_sigma))
+    form = real_schur(a_plus.T)
     diags, exhaustive = _slope_vertices(n, l_sigma, vertex_budget)
     chunks = [diags[i:i + _VERTEX_CHUNK] for i in range(0, len(diags), _VERTEX_CHUNK)]
+    order = list(range(len(chunks)))
 
     def lyapunov(kappa: float, test: Optional[float] = None):
-        """``(P, gain or test result)`` at kappa; ``(None, inf)`` if no PD P."""
+        """``(P, gain or test result)`` at kappa; ``(None, inf)`` if no PD P.
+        The stacks go in ``order``, and a failed ``test`` moves the stack
+        that failed to its front."""
+        built = []
+
+        def stacks():
+            for i in order:
+                built.append(i)
+                yield _transition(params, chunks[i])
+
         try:
-            p = solve_discrete_lyapunov(a_plus.T / kappa, np.eye(n) / kappa ** 2)
-            return p, _weighted_gain(p, (_transition(params, d) for d in chunks), test)
+            p = solve_discrete_lyapunov(form.scaled(kappa), np.eye(n) / kappa ** 2)
+            gain = _weighted_gain(p, stacks(), test)
         except np.linalg.LinAlgError:
             return None, math.inf
+        if test is not None and gain > test:
+            order.remove(built[-1])
+            order.insert(0, built[-1])
+        return p, gain
 
     best, hi = lyapunov(1.0 - 1e-9)
     if hi > _small_gain_bound(params.leak, l_sigma, spectral_norm(params.W), n)[1]:
@@ -274,7 +308,7 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
             best, hi = np.eye(n), eye_gain
     if hi >= 1.0:
         return Certificate(CertificateMethod.WEIGHTED_C2, hi, Verdict.FAIL)
-    lo = max(1.0 - params.leak, spectral_radius(a_plus))
+    lo = max(1.0 - params.leak, form.rho)
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         p, gain = lyapunov(mid, mid)

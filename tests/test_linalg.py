@@ -2,9 +2,11 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from esnkit._linalg import linear_scan, solve_discrete_lyapunov
+import esnkit
+from esnkit._linalg import linear_scan, real_schur, solve_discrete_lyapunov
 
 from oracles import kronecker_lyapunov
 
@@ -54,6 +56,89 @@ class TestDiscreteLyapunov:
         assert [event[0] for event in events] == ["lyapunov.ill_conditioned"]
         assert 0.0 < float(events[0][1].removeprefix("rcond=")) < 1e-15
         assert np.abs(a @ x @ a.T + np.eye(6) - x).max() <= 1e-10 * np.abs(x).max()
+
+
+def matrix_with_spectrum(n, seed, rho, pairs):
+    """V D V^{-1} with spectral radius ``rho``: D diagonal with real entries,
+    or (``pairs``) with 2 x 2 blocks r R(theta), each a conjugate pair, and
+    one real entry when n is odd; the largest modulus is set to ``rho``."""
+    rng = np.random.default_rng(seed)
+    d = np.diag(rng.uniform(-rho, rho, n))
+    if pairs:
+        for k in range(0, n - 1, 2):
+            r, th = rng.uniform(0.2, 1.0) * rho, rng.uniform(0.1, np.pi - 0.1)
+            d[k:k + 2, k:k + 2] = r * np.array([[np.cos(th), -np.sin(th)],
+                                                [np.sin(th), np.cos(th)]])
+    d *= rho / np.abs(np.linalg.eigvals(d)).max()
+    v = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return v @ d @ np.linalg.inv(v)
+
+
+class TestSchurFormSolve:
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           rho=st.floats(0.1, 0.9), pairs=st.booleans(),
+           kappa=st.floats(0.95, 2.0), transposed=st.booleans())
+    def test_form_solve_matches_kronecker_oracle(self, n, seed, rho, pairs,
+                                                 kappa, transposed):
+        # the form of A / kappa (scaled) and of (A / kappa)' (transposed) is
+        # a real Schur form of that matrix, and the solve in it matches the
+        # Kronecker oracle; complex pairs give 2 x 2 blocks
+        a = matrix_with_spectrum(n, seed, rho, pairs)
+        form = real_schur(a)
+        assert np.diag(form.t, -1).any() == (pairs and n >= 2)
+        assert form.rho == pytest.approx(rho, rel=1e-10)
+        form, a = form.scaled(kappa), a / kappa
+        if transposed:
+            form, a = form.transposed(), a.T
+        assert form.rho == pytest.approx(rho / kappa, rel=1e-10)
+        assert not np.tril(form.t, -2).any()
+        np.testing.assert_allclose(form.z.T @ form.z, np.eye(n), atol=1e-14)
+        np.testing.assert_allclose(form.z @ form.t @ form.z.T, a, atol=1e-13)
+        b = np.random.default_rng(seed + 1).standard_normal((n, 2))
+        x = solve_discrete_lyapunov(form, b @ b.T)
+        want = kronecker_lyapunov(a, b @ b.T)
+        np.testing.assert_allclose(x, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_empty_matrix(self):
+        assert solve_discrete_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+        assert real_schur(np.zeros((0, 0))).rho == 0.0
+
+
+@pytest.mark.parametrize("call", ["certify_weighted", "gramians", "h2_norm",
+                                  "ctrb_obsv_rank"])
+def test_one_schur_form_per_call(monkeypatch, call):
+    # every Lyapunov solve of one call (a bisection, or W_c and W_o) reads
+    # the same real Schur form, and no solve runs an eigensolver
+    rng = np.random.default_rng(4)
+    if call == "certify_weighted":
+        w = rng.standard_normal((8, 8))
+        args = (esnkit.ReservoirParams(W=0.8 * w / np.linalg.norm(w, 2),
+                                       U=np.zeros((8, 1)), b=np.zeros(8),
+                                       leak=0.6), 256)
+    else:
+        a = matrix_with_spectrum(6, 4, 0.9, True)
+        args = (esnkit.LtiModel(A=a, B=rng.standard_normal((6, 2)),
+                                C=rng.standard_normal((2, 6)),
+                                D=np.zeros((2, 2))),)
+    counts = {"schur": 0, "eigvals": 0, "solve_discrete_lyapunov": 0}
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*wrapped_args, **kwargs):
+            counts[name] += 1
+            return inner(*wrapped_args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(scipy.linalg, "schur")
+    count(np.linalg, "eigvals")
+    count(esnkit.stability if call == "certify_weighted" else esnkit.freq,
+          "solve_discrete_lyapunov")
+    getattr(esnkit, call)(*args)
+    assert counts["solve_discrete_lyapunov"] >= 2
+    assert (counts["schur"], counts["eigvals"]) == (1, 0)
 
 
 def scan_loop(m, rows):

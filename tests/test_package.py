@@ -227,3 +227,21 @@ def test_import_loads_no_scipy_subpackage_but_linalg():
     assert [name for name in loaded
             if name not in ("linalg", "version", "__config__")
             and not name.startswith("_")] == []
+
+
+def test_no_module_calls_a_scipy_lyapunov_solver():
+    # every Lyapunov solve goes through _linalg.solve_discrete_lyapunov, in
+    # a real Schur form that its caller can share
+    solvers = {"solve_discrete_lyapunov", "solve_continuous_lyapunov",
+               "solve_lyapunov"}
+    package = Path(esnkit.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in solvers:
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").startswith("scipy")):
+                found += [f"{path.stem}: from {node.module} import {alias.name}"
+                          for alias in node.names if alias.name in solvers]
+    assert found == []

@@ -346,6 +346,54 @@ class TestWeightedCertificate:
         rho = full_slope_radius(p)
         assert rho * (1 - 1e-12) <= cert.kappa <= rho * (1 + 1e-9)
 
+    def test_bisection_tests_the_last_failing_stack_first(self, monkeypatch):
+        # an exhaustive n = 10 reservoir (16 stacks of 64 vertices) whose
+        # fixed-kappa tests fail at stack 12 in the natural order: taking the
+        # stack that failed last first builds far fewer stacks, each test
+        # still gives the verdict of all its stacks, and kappa and P equal
+        # those of one stack of all 1024 vertices, where order cannot matter
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal((10, 10))
+        w *= rng.uniform(0.6, 0.9) / np.linalg.norm(w, 2)
+        p = ReservoirParams(W=w, U=np.zeros((10, 1)), b=np.zeros(10),
+                            leak=rng.uniform(0.3, 0.7))
+        stability = esnkit.stability
+        gain = stability._weighted_gain
+        tests = []
+
+        def recording(p_mat, stacks, kappa=None):
+            built = []
+
+            def counted():
+                for m in stacks:
+                    built.append(m)
+                    yield m
+            result = gain(p_mat, counted(), kappa)
+            if kappa is not None:
+                tests.append((p_mat, kappa, result, len(built)))
+            return result
+
+        monkeypatch.setattr(stability, "_weighted_gain", recording)
+        cert = certify_weighted(p, vertex_budget=1024)
+        monkeypatch.undo()
+        chunk = stability._VERTEX_CHUNK
+        diags, _ = stability._slope_vertices(10, 1.0, 1024)
+        stacks = [stability._transition(p, diags[i:i + chunk])
+                  for i in range(0, len(diags), chunk)]
+        natural = 0
+        for p_mat, kappa, result, _ in tests:
+            passed = [gain(p_mat, [m], kappa) <= kappa for m in stacks]
+            assert (result <= kappa) == all(passed)
+            natural += passed.index(False) + 1 if not all(passed) else len(stacks)
+        assert len(stacks) == 16 and natural > 150
+        assert sum(built for *_, built in tests) < natural / 4
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stability, "_VERTEX_CHUNK", len(diags))
+            one = certify_weighted(p, vertex_budget=1024)
+        assert cert.verdict is one.verdict is Verdict.PASS
+        assert cert.kappa == one.kappa
+        assert np.array_equal(cert.weight_P, one.weight_P)
+
 
 class TestMemoryHorizon:
     def test_ratio_100(self):
