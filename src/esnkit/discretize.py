@@ -10,14 +10,14 @@ linearized model including the process-noise integral.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
 
 from ._linalg import as_float_array, check_psd, symmetrize
-from .core import ReservoirParams
+from .core import ReservoirParams, leaky_jacobians
 from .linearize import _operating_slope
 
 __all__ = ["CtLinearModel", "euler_leak", "tustin_leak", "ct_jacobians",
@@ -79,14 +79,14 @@ def tustin_leak(dt: float, tau: float) -> float:
 
 def ct_jacobians(params: ReservoirParams, tau: float, x_bar, u_bar) -> CtLinearModel:
     """Continuous-time Jacobians of the lag at an operating pair:
-    A_c = (diag(sigma'(xi)) W - I) / tau, B_c = diag(sigma'(xi)) U / tau.
-    A non-finite operating pair is rejected."""
+    A_c = (diag(sigma'(xi)) W - I) / tau, B_c = diag(sigma'(xi)) U / tau,
+    from the leaky map's Jacobians (A, B) at leak 1 as (A - I) / tau and
+    B / tau.  A non-finite operating pair is rejected."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    slope = _operating_slope(params, x_bar, u_bar)
-    a_c = ((slope[:, None] * params.W) - np.eye(params.n)) / tau
-    b_c = (slope[:, None] * params.U) / tau
-    return CtLinearModel(A_c=a_c, B_c=b_c)
+    a, b = leaky_jacobians(replace(params, leak=1.0),
+                           _operating_slope(params, x_bar, u_bar))
+    return CtLinearModel(A_c=(a - np.eye(params.n)) / tau, B_c=b / tau)
 
 
 def zoh_discretize(ct: CtLinearModel,

@@ -6,10 +6,10 @@ Lyapunov equations, H2/Hinf norms, and output spectra.  All of it assumes the
 dense desk-scale regime (n <= 512); Gramian-based quantities additionally
 require rho(A) < 1.
 
-Every H(z) comes from one path: the complex Schur form A = Q T Q*, computed
-once per public call, turns (I - A/z) X = B into a back substitution over
-the n rows for all z at once, O(n^2) per z instead of O(n^3) (Laub, IEEE TAC
-26(2), 1981); diag(T) gives rho(A) and the poles.
+Every public call decomposes A once, in the real Schur form A = Z T Z' of
+the Lyapunov solves; H(z) is then a back substitution over the diagonal
+blocks of T for all z at once, O(n^2) per z instead of O(n^3) (Laub, IEEE
+TAC 26(2), 1981), and rho(A) is read off those blocks.
 """
 
 from __future__ import annotations
@@ -92,34 +92,36 @@ class HinfEstimate(NamedTuple):
     interval_width: float
 
 
-def _schur_form(lti: LtiModel):
-    """``(T, C Q, Q* B, D)`` from the complex Schur form A = Q T Q*."""
-    t, q = scipy.linalg.schur(lti.A, output="complex")
-    return t, lti.C @ q, q.conj().T @ lti.B, lti.D
-
-
-def _transfer_batch(form, zs: np.ndarray) -> np.ndarray:
-    """H(z) for every z of ``zs``, shape (len(zs), p, m), from a
-    :func:`_schur_form` by back substitution of (I - T/z) X = Q* B for all z
-    at once; a zero pivot 1 - t_ii/z (a pole) raises ``LinAlgError``."""
-    t, cq, qb, d = form
-    n, m = qb.shape
-    zs = np.asarray(zs, dtype=complex)
+def _transfer_batch(lti: LtiModel, form: SchurForm, zs: np.ndarray) -> np.ndarray:
+    """H(z) for every z of ``zs``, shape (len(zs), p, m), from the real Schur
+    ``form`` by back substitution of (z I - T) X = z Z' B over the 1 x 1 and
+    2 x 2 diagonal blocks of T for all z at once (a 2 x 2 block by its
+    adjugate); a zero pivot or determinant (a pole) raises ``LinAlgError``."""
+    t, count = form.t, np.size(zs)
+    zs = np.repeat(np.asarray(zs, dtype=complex), lti.m)
     # row i of x holds X_i for every z, laid out (len(zs), m)
-    zinv = np.repeat(1.0 / zs, m)
-    pivots = 1.0 - np.repeat(np.diag(t)[:, None] / zs, m, axis=1)
-    if not pivots.all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    x = np.tile(qb, (1, zs.size))
-    for i in range(n - 1, -1, -1):
-        x[i] += zinv * (t[i, i + 1:] @ x[i + 1:])
-        x[i] /= pivots[i]
-    h = (cq @ x).reshape(len(cq), zs.size, m).transpose(1, 0, 2)
-    return h + d
+    x = np.tile(form.z.T @ lti.B, (1, count)) * zs
+    parts = x.view(np.float64)      # T is real: it acts on re and im alike
+    i = len(t)
+    while i:
+        k = i - 2 if i > 1 and t[i - 1, i - 2] else i - 1
+        parts[k:i] += t[k:i, i:] @ parts[i:]
+        det = zs - t[k, k]
+        if k < i - 1:
+            d22 = zs - t[i - 1, i - 1]
+            x[k], x[i - 1] = (d22 * x[k] + t[k, i - 1] * x[i - 1],
+                              det * x[i - 1] + t[i - 1, k] * x[k])
+            det = det * d22 - t[k, i - 1] * t[i - 1, k]
+        if not det.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        x[k:i] /= det
+        i = k
+    h = (lti.C @ form.z @ x).reshape(lti.p, count, lti.m).transpose(1, 0, 2)
+    return h + lti.D
 
 
 def transfer_eval(lti: LtiModel, z: complex) -> np.ndarray:
-    """H(z) from the complex Schur form of A (no series summation).
+    """H(z) from the real Schur form of A (no series summation).
 
     Warns when |z| <= rho(A), which is outside the region of convergence
     |z| > rho(A) of this causal system; raises when z hits a pole, reporting
@@ -132,20 +134,19 @@ def transfer_eval(lti: LtiModel, z: complex) -> np.ndarray:
 
 
 def _transfer_checked(lti: LtiModel, zs: np.ndarray) -> np.ndarray:
-    """:func:`_transfer_batch` from one Schur form, whose diagonal gives
-    rho(A): warns once when some |z| <= rho(A), and turns a pole hit into a
+    """:func:`_transfer_batch` from one real Schur form, which gives rho(A):
+    warns once when some |z| <= rho(A), and turns a pole hit into a
     ValueError that names the offending z and the eigenvalue nearest to it."""
-    form = _schur_form(lti)
-    eigs = np.diag(form[0])
-    rho = float(np.abs(eigs).max(initial=0.0))
+    form = real_schur(lti.A)
     radius = float(np.abs(zs).min()) if zs.size else math.inf
-    if radius <= rho:
+    if radius <= form.rho:
         warnings.warn(
             f"|z| = {radius:.6g} is outside the region of convergence "
-            f"|z| > rho(A) = {rho:.6g}", stacklevel=3)
+            f"|z| > rho(A) = {form.rho:.6g}", stacklevel=3)
     try:
-        return _transfer_batch(form, zs)
+        return _transfer_batch(lti, form, zs)
     except np.linalg.LinAlgError:
+        eigs = np.linalg.eigvals(form.t)
         gaps = np.abs(zs[:, None] - eigs[None, :])
         i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
         raise ValueError(
@@ -162,7 +163,7 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
     most ``_MAX_TRUNCATION``.
     """
     a, b, c_mat = lti.A, lti.B, lti.C
-    envelope = _decay_envelope(a)
+    envelope = _decay_envelope(real_schur(a))
     norm_cb = np.linalg.norm(c_mat, 2) * np.linalg.norm(b, 2)
 
     if truncation is None:
@@ -184,9 +185,8 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
         blocks[k] = c_mat @ x
         if k < truncation:
             x = a @ x
-    if envelope is None:
-        tail = math.inf
-    else:
+    tail = math.inf
+    if envelope is not None:
         growth, kappa = envelope
         tail = growth * norm_cb * kappa ** (truncation + 1) / (1.0 - kappa)
     return ImpulseKernel(blocks=blocks, tail_bound=float(tail),
@@ -273,31 +273,29 @@ def h2_norm(lti: LtiModel) -> float:
 def hinf_norm_grid(lti: LtiModel, grid_points: int = 512) -> HinfEstimate:
     """Lower bound on sup_omega sigma_max(H(e^{j omega})) over [0, pi].
 
-    One complex Schur form of A serves every frequency: its diagonal checks
-    rho(A) < 1, a uniform grid (one back substitution) locates the peak, and
-    three golden-section contractions refine the bracket around the grid
-    argmax.  Ties break toward the lowest frequency.
+    One real Schur form of A serves every frequency: it checks rho(A) < 1,
+    a uniform grid (one back substitution) locates the peak, and three
+    golden-section contractions refine the bracket around the grid argmax.
+    Ties break toward the lowest frequency.
     """
     if grid_points < 64:
         raise ValueError("grid_points must be >= 64")
-    form = _schur_form(lti)
-    if np.abs(np.diag(form[0])).max(initial=0.0) >= 1.0:
+    form = real_schur(lti.A)
+    if form.rho >= 1.0:
         raise ValueError("Hinf evaluation on the unit circle needs rho(A) < 1")
     omegas = np.linspace(0.0, np.pi, grid_points)
 
     def gains(omega) -> np.ndarray:
-        h = _transfer_batch(form, np.exp(1j * np.atleast_1d(omega)))
+        h = _transfer_batch(lti, form, np.exp(1j * np.atleast_1d(omega)))
         return np.linalg.svd(h, compute_uv=False)[:, 0] if h.size else np.zeros(len(h))
 
     values = gains(omegas)
     best = int(np.argmax(values))            # argmax returns the first (lowest omega)
-    lo = omegas[max(best - 1, 0)]
-    hi = omegas[min(best + 1, grid_points - 1)]
+    a = omegas[max(best - 1, 0)]
+    b = omegas[min(best + 1, grid_points - 1)]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = gains([c, d])
     for _ in range(3):
         if fc >= fd:
@@ -320,8 +318,8 @@ def output_psd(lti: LtiModel, input_psd: np.ndarray, omega) -> np.ndarray:
 
     ``omega`` is a scalar, giving a (p, p) result, or an array of
     frequencies, giving ``omega.shape + (p, p)``; every frequency is
-    evaluated from one Schur form of A, as in :func:`hinf_norm_grid`, and the
-    region-of-convergence warning (rho(A) >= 1) fires once per call.
+    evaluated from one real Schur form of A, as in :func:`hinf_norm_grid`,
+    and the region-of-convergence warning (rho(A) >= 1) fires once per call.
     """
     s_u = np.asarray(input_psd, dtype=complex)
     if s_u.shape != (lti.m, lti.m):

@@ -205,19 +205,29 @@ def _validate_io(n: int, m: int, p: int, noise: NoiseModel, inputs, outputs,
     return inputs, outputs, mu0, p0
 
 
-def _innovation_chol(s: np.ndarray, t: int) -> np.ndarray:
-    """Lower Cholesky factor of the innovation covariance at time index t,
-    retried once with diagonal jitter on a non-positive pivot."""
+def _jittered_chol(s: np.ndarray, t: int, smoother: bool = False):
+    """Lower Cholesky factor of ``s`` and the matrix factored: ``s``, or after
+    a non-positive pivot ``s`` plus the relative jitter 1e-12 max(1, tr s / n),
+    a DEBUG event at time index t; a second failure raises ValueError.  The
+    event and message are the smoother's (P_pred) or the filter's (S)."""
     chol, info = dpotrf(s, lower=1, clean=0)
-    if info == 0:
-        return chol
-    jitter = _JITTER * max(1.0, float(np.trace(s)) / s.shape[0])
-    logger.debug("kalman.innovation_jitter time_index=%d jitter=%.3e", t, jitter)
-    chol, info = dpotrf(s + jitter * np.eye(s.shape[0]), lower=1, clean=0)
     if info != 0:
-        raise ValueError(
-            f"innovation covariance not positive definite at time index {t}")
-    return chol
+        jitter = _JITTER * max(1.0, float(np.trace(s)) / s.shape[0])
+        if smoother:
+            logger.debug("rts.predicted_cov_jitter time_index=%d jitter=%.3e", t, jitter)
+        else:
+            logger.debug("kalman.innovation_jitter time_index=%d jitter=%.3e", t, jitter)
+        s = s + jitter * np.eye(s.shape[0])
+        chol, info = dpotrf(s, lower=1, clean=0)
+        if info != 0:
+            raise ValueError(("singular predicted covariance" if smoother else
+                              "innovation covariance not positive definite")
+                             + f" at time index {t}")
+    return chol, s
+
+
+def _innovation_chol(s: np.ndarray, t: int) -> np.ndarray:
+    return _jittered_chol(s, t)[0]
 
 
 def _diverged(t: int) -> ValueError:
@@ -441,17 +451,9 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
 
 
 def _smoother_gain(a_t, p_f, p_pred, t):
-    """RTS gain ``J = P_f A' P_pred^{-1}`` at time index t by LAPACK Cholesky,
-    retried once with diagonal jitter 1e-12 on a non-positive pivot of
-    ``P_pred``; returns J and the P_pred used."""
-    chol, info = dpotrf(p_pred, lower=1, clean=0)
-    if info != 0:
-        logger.debug("rts.predicted_cov_jitter time_index=%d", t + 1)
-        p_pred = p_pred + _JITTER * np.eye(p_pred.shape[0])
-        chol, info = dpotrf(p_pred, lower=1, clean=0)
-        if info != 0:
-            raise ValueError(
-                f"singular predicted covariance at time index {t + 1}")
+    """RTS gain ``J = P_f A' P_pred^{-1}`` at time index t and the P_pred it
+    used, by the Cholesky factor of :func:`_jittered_chol` at index t + 1."""
+    chol, p_pred = _jittered_chol(p_pred, t + 1, smoother=True)
     return dpotrs(chol, a_t @ p_f, lower=1)[0].T, p_pred
 
 

@@ -48,8 +48,8 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 import scipy.linalg
 
-from ._linalg import (real_schur, rng_from_seed, solve_discrete_lyapunov,
-                      spectral_norm)
+from ._linalg import (SchurForm, real_schur, rng_from_seed,
+                      solve_discrete_lyapunov, spectral_norm)
 from .core import ReservoirParams, _transition
 
 __all__ = [
@@ -226,21 +226,21 @@ def _eig_bounds(p: np.ndarray) -> Tuple[float, float]:
     return float(eigs[0]) - error, float(eigs[-1]) + error
 
 
-def _decay_envelope(a: np.ndarray) -> Optional[Tuple[float, float]]:
+def _decay_envelope(form: SchurForm) -> Optional[Tuple[float, float]]:
     """A proven ``(c, kappa)``, kappa < 1, with ||A^j||_2 <= c kappa^j for
-    every j, or None (always when rho(A) >= 1).
+    every j, or None (always when rho(A) >= 1), from the real Schur ``form``
+    of A.
 
-    P solves A' P A - k0^2 P = -I at k0 = (1 + rho(A)) / 2, in the real
-    Schur form of A', which also gives rho(A).  kappa is the verified
-    P-norm gain k of A, widened by the slack tau of its Cholesky test
-    (A' P A <= k^2 P + tau I); c = sqrt(cond P) changes norms.
+    P solves A' P A - k0^2 P = -I at k0 = (1 + rho(A)) / 2 in the transposed
+    ``form``.  kappa is the verified P-norm gain k of A, widened by the slack
+    tau of its Cholesky test (A' P A <= k^2 P + tau I); c = sqrt(cond P).
     """
+    a = form.a
     if not a.size:
         return 1.0, 0.5                      # no state: every A^j is empty
-    form = real_schur(a.T)
     k0 = 0.5 * (1.0 + form.rho)
     try:
-        p = solve_discrete_lyapunov(form.scaled(k0), np.eye(len(a)) / k0 ** 2)
+        p = solve_discrete_lyapunov(form.transposed().scaled(k0), np.eye(len(a)) / k0 ** 2)
         gain = _weighted_gain(p, [a[None]])
         lo, hi = _eig_bounds(p)
     except np.linalg.LinAlgError:

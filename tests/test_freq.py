@@ -80,6 +80,17 @@ class TestTransferEval:
                 pytest.warns(UserWarning, match="region of convergence"):
             transfer_eval(lti, 0.5)
 
+    def test_hit_on_a_complex_pole_reports_it(self):
+        # A is its own standardized 2 x 2 Schur block, poles 0.5 +- 0.5j;
+        # at z = 0.5 + 0.5j the block's determinant is exactly zero
+        lti = LtiModel(A=[[0.5, -0.5], [0.5, 0.5]], B=np.eye(2), C=np.eye(2),
+                       D=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="hits a pole") as caught, \
+                pytest.warns(UserWarning, match="region of convergence"):
+            transfer_eval(lti, 0.5 + 0.5j)
+        named = complex(str(caught.value).split("nearest eigenvalue ")[1])
+        assert abs(named - (0.5 + 0.5j)) <= 1e-15
+
     def test_rejects_origin(self):
         with pytest.raises(ValueError, match="z = 0"):
             transfer_eval(scalar_lti(0.5, 1, 1), 0.0)
@@ -415,11 +426,21 @@ class TestNorms:
         assert est.value <= mags.max() * (1 + 1e-9)   # certified lower bound
         assert est.value >= mags.max() * 0.999
 
-    def test_hinf_grid_gains_match_per_frequency(self, monkeypatch):
-        # MIMO, non-normal A; 513 points leave a partial last batch
+    @pytest.mark.parametrize("kind", ["triangular", "pairs"])
+    def test_hinf_grid_gains_match_per_frequency(self, monkeypatch, kind):
+        # MIMO, non-normal A, real poles (1 x 1 Schur blocks) or three
+        # complex pole pairs (2 x 2 blocks); 513 points leave a partial last
+        # batch
         rng = np.random.default_rng(21)
         a = np.triu(rng.standard_normal((6, 6)), 1)
         a[np.diag_indices(6)] = [0.9, -0.8, 0.7, 0.5, -0.3, 0.1]
+        if kind == "pairs":
+            for k, (r, th) in enumerate([(0.9, 0.4), (0.7, 1.9), (0.5, 2.8)]):
+                a[2 * k:2 * k + 2, 2 * k:2 * k + 2] = r * np.array(
+                    [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+            q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            a = q @ a @ q.T
+            assert np.iscomplex(np.linalg.eigvals(a)).all()
         lti = LtiModel(A=a, B=rng.standard_normal((6, 2)),
                        C=rng.standard_normal((3, 6)), D=np.zeros((3, 2)))
         batches = []

@@ -316,12 +316,27 @@ class TestRtsSmoother:
                              rng.standard_normal((100, 1)),
                              (np.zeros(2), np.eye(2)))
         assert filt.steady_from is not None and filt.steady_from > 3
-        # exactly singular even after the 1e-12 jitter retry
+        # indefinite: the eigenvalue -9e-7 stays negative after the relative
+        # jitter 1e-12 * trace / 2 = 5e-7
         p_covs = np.array(filt.predicted_covs)
-        p_covs[2] = np.full((2, 2), 1e6)
+        p_covs[2] = np.diag([1e6, -9e-7])
         broken = dataclasses.replace(filt, predicted_covs=p_covs)
         with pytest.raises(ValueError, match="time index 3$"):
             rts_smoother(broken, lti, noise)
+
+    def test_large_singular_prior_is_smoothed(self):
+        # the prior 1e6 * ones is exactly singular; its jitter must be
+        # relative to its scale, as an absolute 1e-12 is below one ulp
+        lti = LtiModel(A=np.eye(2), B=np.zeros((2, 1)), C=[[1.0, 0.0]],
+                       D=np.zeros((1, 1)))
+        noise = NoiseModel(Q=np.zeros((2, 2)), R=[[1.0]])
+        outputs = np.random.default_rng(31).standard_normal((5, 1))
+        post = rts_smoother(
+            kalman_filter(lti, noise, np.zeros((5, 1)), outputs,
+                          (np.zeros(2), 1e6 * np.ones((2, 2)))), lti, noise)
+        assert np.isfinite(post.smoothed_means).all()
+        assert np.isfinite(np.asarray(post.smoothed_covs)).all()
+        assert np.isfinite(np.asarray(post.cross_covs)).all()
 
 
 class TestFilterEvents:

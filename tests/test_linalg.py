@@ -107,10 +107,13 @@ class TestSchurFormSolve:
 
 
 @pytest.mark.parametrize("call", ["certify_weighted", "gramians", "h2_norm",
-                                  "ctrb_obsv_rank"])
+                                  "ctrb_obsv_rank", "impulse_kernel",
+                                  "hinf_norm_grid", "transfer_eval",
+                                  "output_psd"])
 def test_one_schur_form_per_call(monkeypatch, call):
-    # every Lyapunov solve of one call (a bisection, or W_c and W_o) reads
-    # the same real Schur form, and no solve runs an eigensolver
+    # every Lyapunov solve and H(z) of one call (a bisection, W_c and W_o, the
+    # decay envelope, or a frequency grid) reads the same real Schur form,
+    # and neither runs an eigensolver
     rng = np.random.default_rng(4)
     if call == "certify_weighted":
         w = rng.standard_normal((8, 8))
@@ -122,23 +125,33 @@ def test_one_schur_form_per_call(monkeypatch, call):
         args = (esnkit.LtiModel(A=a, B=rng.standard_normal((6, 2)),
                                 C=rng.standard_normal((2, 6)),
                                 D=np.zeros((2, 2))),)
+        args += {"transfer_eval": (np.exp(0.3j),),
+                 "output_psd": (np.eye(2), np.linspace(0.0, np.pi, 7))
+                 }.get(call, ())
     counts = {"schur": 0, "eigvals": 0, "solve_discrete_lyapunov": 0}
+    schur_outputs = []
 
     def count(owner, name):
         inner = getattr(owner, name)
 
         def wrapper(*wrapped_args, **kwargs):
             counts[name] += 1
+            if name == "schur":
+                positional = wrapped_args[1] if len(wrapped_args) > 1 else "real"
+                schur_outputs.append(kwargs.get("output", positional))
             return inner(*wrapped_args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
     count(scipy.linalg, "schur")
     count(np.linalg, "eigvals")
-    count(esnkit.stability if call == "certify_weighted" else esnkit.freq,
-          "solve_discrete_lyapunov")
+    count(esnkit.stability if call in ("certify_weighted", "impulse_kernel")
+          else esnkit.freq, "solve_discrete_lyapunov")
     getattr(esnkit, call)(*args)
-    assert counts["solve_discrete_lyapunov"] >= 2
+    solves = {"impulse_kernel": 1, "hinf_norm_grid": 0, "transfer_eval": 0,
+              "output_psd": 0}.get(call, 2)
+    assert counts["solve_discrete_lyapunov"] >= solves
     assert (counts["schur"], counts["eigvals"]) == (1, 0)
+    assert schur_outputs == ["real"]
 
 
 def scan_loop(m, rows):

@@ -245,3 +245,25 @@ def test_no_module_calls_a_scipy_lyapunov_solver():
                 found += [f"{path.stem}: from {node.module} import {alias.name}"
                           for alias in node.names if alias.name in solvers]
     assert found == []
+
+
+def test_only_linalg_calls_scipy_schur_and_none_asks_for_the_complex_form():
+    # every Lyapunov solve and every H(z) shares the one real Schur form of
+    # _linalg.real_schur
+    package = Path(esnkit.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "schur"
+                    and path.stem != "_linalg"):
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").startswith("scipy")):
+                found += [f"{path.stem}: from {node.module} import {alias.name}"
+                          for alias in node.names if alias.name == "schur"]
+            elif isinstance(node, ast.Call):
+                found += [f"{path.stem}: {ast.unparse(node)}"
+                          for kw in node.keywords if kw.arg == "output"
+                          and isinstance(kw.value, ast.Constant)
+                          and kw.value.value == "complex"]
+    assert found == []
