@@ -179,22 +179,24 @@ def linear_scan(m, rows: np.ndarray) -> None:
     ones included.  ``m`` is an (n, n) matrix or a scalar; a scalar step is
     ``rows[t] += m * rows[t - 1]``, O(n) instead of O(n^2).
 
-    The T - 1 steps are split into chunks of k = isqrt(T - 1) steps.  All
-    chunks are stepped together from a zero start, k - 1 ``(chunks, n) @
-    (n, n)`` products; the chunk ends are then carried with ``m^k``, one
-    matvec per chunk; and ``m^(r+1)`` times its true start is added to row r
-    of every chunk, k more products.  That is O(T n^2) work in about 3
-    sqrt(T) small products instead of T matvecs, with no temporary larger
-    than (chunks, n).  The sums are regrouped, so the result matches the
-    step loop up to rounding, not bit for bit.  Fewer than 9 steps run that
-    loop.
+    Chunks of k = max(6, ceil(T n / 2^15)) steps keep a (T/k, n) temporary
+    near 256 KB, an L2 cache.  k - 1 ``(T/k, n) @ (n, n)`` products step all
+    chunks from zero; the chunk ends ``rows[::k]`` then follow the same
+    recursion in ``m^k``, run by this function on that view; k - 1 more add
+    ``m^(r+1)`` times its true start to row r of every chunk.  A call is thus
+    about 2k products per level over log_k T levels and log2 T squarings for
+    the powers, with at most two (T/k, n) temporaries (a third of ``rows``)
+    alive.  A level under 2k steps, or under n for a matrix (whose power
+    costs more), runs the step loop.  The regrouped sums match that loop
+    within 1e-12 of its largest entry on 10^4 steps of a non-normal m of
+    spectral radius 0.99 (tested).
     """
     scalar = np.ndim(m) == 0
     apply = np.multiply if scalar else np.matmul
     m_t = m if scalar else m.T
     steps = len(rows) - 1
-    k = math.isqrt(max(steps, 0))
-    if k < 3:
+    k = max(6, -(-steps * rows.shape[1] // 2 ** 15))
+    if steps < max(2 * k, 0 if scalar else len(m)):
         for t in range(1, steps + 1):
             rows[t] += apply(m, rows[t - 1])
         return
@@ -203,13 +205,9 @@ def linear_scan(m, rows: np.ndarray) -> None:
     for r in range(1, k):
         block = rows[1 + r::k]
         block += apply(rows[r::k][:len(block)], m_t)
-    chunks = len(rows[1::k])
-    power_t = m ** k if scalar else np.linalg.matrix_power(m, k).T
-    starts = np.empty((chunks, rows.shape[1]))
-    starts[0] = rows[0]
-    for i in range(1, chunks):
-        starts[i] = rows[i * k] + apply(starts[i - 1], power_t)
-    for r in range(k):
+    linear_scan(m ** k if scalar else np.linalg.matrix_power(m, k), rows[::k])
+    starts = rows[:-1:k]
+    for r in range(k - 1):
         block = rows[1 + r::k]
         starts = apply(starts[:len(block)], m_t)
         block += starts

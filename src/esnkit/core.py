@@ -18,7 +18,7 @@ asked, and ``Activation.__call__`` writes sigma into one.
 
 :func:`simulate` never steps the state itself.  With the identity
 activation the map is affine, ``x_{t+1} = A x_t + leak (U u_t + b)``, and
-runs as one blocked scan (``_linalg.linear_scan``) in A.  Otherwise it steps
+runs as one chunked scan (``_linalg.linear_scan``) in A.  Otherwise it steps
 the preactivation ``a_t = W x_t + U u_t + b``, whose recursion
 ``a_{t+1} = (1 - leak) a_t + leak W sigma(a_t) + e_{t+1}`` costs one BLAS
 matvec, one add and sigma per step, and then recovers the states from the
@@ -319,7 +319,7 @@ def simulate(params: ReservoirParams,
     The input terms (the drive ``U u_t + b``, or the ``e_t`` of
     :func:`_preactivation_steps`) are formed for all t in one matmul before
     the loop.  The identity activation has no loop: its affine recursion is
-    one blocked scan.  Any other activation steps the preactivation a_t (see
+    one chunked scan.  Any other activation steps the preactivation a_t (see
     :func:`_preactivation_steps`), each step evaluating sigma alone, not its
     slope, and the states follow from one scan of the scalar leaky filter.
     Both equal the step loop up to rounding (about 1e-15 relative).  Noise

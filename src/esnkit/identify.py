@@ -249,7 +249,7 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     times their largest entry since step t-1, the gain, the covariances and
     the innovation Cholesky factor are frozen and ``steady_from`` is set to
     t; the later means are one affine recursion in the closed-loop matrix
-    (I - KC) A, run by the blocked scan :func:`linear_scan` (equal to the
+    (I - KC) A, run by the chunked scan :func:`linear_scan` (equal to the
     step loop up to rounding).  The covariances are then returned
     as :class:`FrozenCovs` that store the t per-step predicted and t + 1
     filtered matrices and the frozen pair once, so they take O(t n^2) memory
@@ -393,7 +393,7 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     Past ``filtered.steady_from`` the gain J is computed once, and the
     covariances are iterated back from t = T only until a step moves them by
     at most ``_STEADY_TOL`` times their largest entry; the means over that
-    stretch are one backward affine recursion in J, run by the blocked scan
+    stretch are one backward affine recursion in J, run by the chunked scan
     :func:`linear_scan`.  Earlier steps, and every EKF step, are computed one
     by one.
     The smoothed and cross covariances of such a run are :class:`FrozenCovs`:
@@ -403,20 +403,19 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     arrays.  ``noise`` is unused; it stays for the benchmark's positional
     call until the next benchmark revision.
     """
-    horizon = filtered.horizon
-    n = filtered.filtered_means.shape[1]
     f_means, p_means = filtered.filtered_means, filtered.predicted_means
+    f_covs, p_covs = filtered.filtered_covs, filtered.predicted_covs
+    horizon, n = filtered.horizon, f_means.shape[1]
     s_means = np.empty((horizon + 1, n))
     s_means[horizon] = f_means[horizon]
     # covariances from t = T backward, computed before the per-step pass
-    s_tail, cross_tail = [filtered.filtered_covs[horizon]], []
+    s_tail, cross_tail = [f_covs[horizon]], []
 
     start = horizon
     if filtered.steady_from is not None and filtered.steady_from + 1 < horizon:
         start = filtered.steady_from + 1
-        p_f = filtered.filtered_covs[horizon]
-        gain, p_pred = _smoother_gain(lti.A, p_f, filtered.predicted_covs[-1],
-                                      horizon - 1)
+        p_f = f_covs[horizon]
+        gain, p_pred = _smoother_gain(lti.A, p_f, p_covs[-1], horizon - 1)
         repeat = 0
         for t in range(horizon - 1, start - 1, -1):
             cross_tail.append(gain @ s_tail[-1])
@@ -434,11 +433,14 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     s_covs = np.empty((start + 1, n, n))
     cross = np.empty((start, n, n))
     s_covs[start] = s_tail[-1]
+    # FrozenCovs heads as views; predicted_covs' ends a step before filtered's
+    f_head, p_head = (getattr(c, "head", c) for c in (f_covs, p_covs))
+    a_seq = filtered.transition_seq
     for t in range(start - 1, -1, -1):
-        a_t = (filtered.transition_seq[t]
-               if filtered.transition_seq is not None else lti.A)
-        p_f = filtered.filtered_covs[t]
-        gain, p_pred = _smoother_gain(a_t, p_f, filtered.predicted_covs[t], t)
+        p_f = f_head[t] if t < len(f_head) else f_covs[t]
+        gain, p_pred = _smoother_gain(
+            lti.A if a_seq is None else a_seq[t], p_f,
+            p_head[t] if t < len(p_head) else p_covs[t], t)
         s_means[t] = f_means[t] + gain @ (s_means[t + 1] - p_means[t])
         s_covs[t] = symmetrize(p_f + gain @ (s_covs[t + 1] - p_pred) @ gain.T)
         cross[t] = gain @ s_covs[t + 1]

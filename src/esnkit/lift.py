@@ -210,7 +210,7 @@ def lifted_rollout_error(model: LiftedModel,
     ms per call on a 145-feature lift, against 9-11 ms for
     :func:`spectral_radius` (2-core Xeon, OpenBLAS on 1 thread).  The
     rollout ``z_{t+1} = A_phi z_t + B_phi u_t`` from ``z_0 = phi(x_0)`` is one
-    blocked scan (``_linalg.linear_scan``).  ``params`` is unused; it stays
+    chunked scan (``_linalg.linear_scan``).  ``params`` is unused; it stays
     for the benchmark's positional call until the next benchmark revision.
     """
     if horizon < 1 or horizon > traj.horizon:

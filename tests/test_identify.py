@@ -276,7 +276,7 @@ class TestRtsSmoother:
     @settings(max_examples=40)
     @given(n=st.integers(1, 16), p=st.integers(1, 3),
            horizon=st.integers(2, 400), seed=st.integers(0, 2 ** 32 - 1))
-    # a long frozen run: its means come from the blocked scan
+    # a long frozen run: its means come from the chunked scan
     @example(n=16, p=2, horizon=5000, seed=10)
     def test_matches_per_step_reference(self, n, p, horizon, seed):
         rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import esnkit
 from esnkit._linalg import linear_scan, real_schur, solve_discrete_lyapunov
 
+from conftest import traced_peak_mib
 from oracles import kronecker_lyapunov
 
 
@@ -176,19 +177,53 @@ class TestLinearScan:
                                         scalar):
         m = rho if scalar else stable_matrix(n, seed, rho, nonnormal)
         rows = np.random.default_rng(seed + 1).standard_normal((steps + 1, n))
-        want = scan_loop(m, rows.copy())
-        scale = np.abs(want).max()
+        check_scan_on_views(m, rows)
 
-        got = rows.copy()
-        linear_scan(m, got)
-        assert np.abs(got - want).max() <= 1e-12 * scale
+    # linear_scan's chunk length is k = 6 at these sizes; a level with 12 = 2k
+    # steps or more recurses, so depth changes at 2k, 2k^2 and 2k^3 steps
+    @pytest.mark.parametrize("scalar", [True, False])
+    @pytest.mark.parametrize("steps", [5, 6, 7, 11, 12, 13, 36, 37, 71, 72,
+                                       217, 431, 432])
+    def test_chunk_and_depth_boundaries(self, steps, scalar):
+        m = 0.95 if scalar else stable_matrix(3, steps, 0.95, True)
+        check_scan_on_views(
+            m, np.random.default_rng(steps).standard_normal((steps + 1, 3)))
 
-        backward = rows[::-1].copy()
-        linear_scan(m, backward[::-1])
-        assert np.abs(backward[::-1] - want).max() <= 1e-12 * scale
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_empty_rows(self, scalar):
+        check_scan_on_views(0.5 if scalar else np.eye(3), np.empty((0, 3)))
 
-        wide = np.zeros((steps + 1, 2 * n))
-        wide[:, 1::2] = rows
-        linear_scan(m, wide[:, 1::2])
-        assert np.abs(wide[:, 1::2] - want).max() <= 1e-12 * scale
-        assert not wide[:, ::2].any()
+    def test_long_nonnormal_run_keeps_powers_accurate(self):
+        # 10^4 steps reach m^(k^4) = m^1296 in the carry of the chunk ends
+        m = stable_matrix(16, 3, 0.99, True)
+        check_scan_on_views(
+            m, np.random.default_rng(4).standard_normal((10 ** 4 + 1, 16)))
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_temporaries_stay_below_half_the_rows(self, scalar):
+        m = 0.9 if scalar else stable_matrix(16, 5, 0.9, False)
+        rows = np.random.default_rng(6).standard_normal((10 ** 4, 16))
+        _, peak = traced_peak_mib(linear_scan, m, rows)
+        assert peak * 2 ** 20 <= rows.nbytes / 2
+
+
+def check_scan_on_views(m, rows):
+    """linear_scan on ``rows`` itself, on a reversed view and on a column-
+    strided view agrees with the step loop to 1e-12 times the largest entry,
+    and writes nothing outside the view."""
+    want = scan_loop(m, rows.copy())
+    scale = np.abs(want).max(initial=0.0)
+
+    got = rows.copy()
+    linear_scan(m, got)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+    backward = rows[::-1].copy()
+    linear_scan(m, backward[::-1])
+    assert np.abs(backward[::-1] - want).max(initial=0.0) <= 1e-12 * scale
+
+    wide = np.zeros((len(rows), 2 * rows.shape[1]))
+    wide[:, 1::2] = rows
+    linear_scan(m, wide[:, 1::2])
+    assert np.abs(wide[:, 1::2] - want).max(initial=0.0) <= 1e-12 * scale
+    assert not wide[:, ::2].any()
