@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemv
 from scipy.linalg.lapack import dtrsyl
 
 logger = logging.getLogger(__name__)
@@ -41,19 +40,6 @@ def as_float_array(a, name: str) -> np.ndarray:
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
-
-
-def _gemv_into(alpha: float, a: np.ndarray, x: np.ndarray, beta: float,
-              y: np.ndarray) -> np.ndarray:
-    """``y = alpha a @ x + beta y`` in place by one BLAS ``dgemv``; returns y.
-
-    ``a`` must be C-ordered and ``y`` a contiguous float64 vector, or f2py
-    copies them: ``a`` goes in as its F-ordered transpose with trans=1
-    (faster than an F-ordered copy of ``a`` at n = 256).  The arguments
-    after ``y`` (offx, incx, offy, incy, trans, overwrite_y) are positional
-    because f2py's keyword parsing costs more than the product at n = 16.
-    """
-    return dgemv(alpha, a.T, x, beta, y, 0, 1, 0, 1, 1, 1)
 
 
 def spectral_norm(w: np.ndarray) -> float:

@@ -14,7 +14,9 @@ Jacobians) are the single definition of both.  They work over any leading
 axes and validate nothing: every caller checks its inputs once, up front.
 Loops over time form the drive ``U u_t + b`` for all t in one matmul first;
 :func:`_transition` builds the transition A alone, into a given array if
-asked, and ``Activation.__call__`` writes sigma into one.
+asked, and ``Activation.__call__`` writes sigma into one.  The per-step
+loops of :func:`simulate` and ``identify.ekf_filter`` call neither: they
+take sigma from its ufuncs (:func:`_slope_table`) and BLAS directly.
 
 :func:`simulate` never steps the state itself.  With the identity
 activation the map is affine, ``x_{t+1} = A x_t + leak (U u_t + b)``, and
@@ -35,8 +37,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._linalg import (_gemv_into, as_float_array, check_finite, check_psd,
-                      linear_scan, rng_from_seed)
+from scipy.linalg.blas import dgemv
+
+from ._linalg import (as_float_array, check_finite, check_psd, linear_scan,
+                      rng_from_seed)
 
 __all__ = [
     "Activation",
@@ -114,22 +118,31 @@ class Activation:
                  out: Optional[np.ndarray] = None) -> np.ndarray:
         """sigma(x) componentwise into a new array or into ``out``, without
         the slope and with no validation."""
-        if self.kind == "tanh":
+        table = _slope_table(self)
+        if table is None:
             return np.tanh(x, out=out)
-        if self.kind == "identity":
-            return np.positive(x, out=out)
-        return np.multiply(x, np.where(x >= 0.0, 1.0, self.negative_slope),
-                           out=out)
+        return np.multiply(x, table.take(x >= 0.0), out=out)
 
     def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(sigma(x), sigma'(x))`` componentwise, with no validation."""
         x = np.asarray(x, dtype=np.float64)
-        value = self(x)
-        if self.kind == "tanh":
+        table = _slope_table(self)
+        if table is None:
+            value = np.tanh(x)
             return value, 1.0 - value * value
-        if self.kind == "identity":
-            return value, np.ones_like(x)
-        return value, np.where(x >= 0.0, 1.0, self.negative_slope)
+        slope = table.take(x >= 0.0)
+        return x * slope, slope
+
+
+def _slope_table(activation: Activation) -> Optional[np.ndarray]:
+    """``[sigma'(x < 0), sigma'(x >= 0)]`` of a piecewise-linear activation
+    (the identity's is [1, 1]), None for tanh: taken at the mask ``x >= 0``
+    it is the slope, and x times that the value, of every piecewise-linear
+    sigma in the package, the per-step loops' included."""
+    if activation.kind == "tanh":
+        return None
+    negative = 1.0 if activation.kind == "identity" else activation.negative_slope
+    return np.array([negative, 1.0])
 
 
 def activation_eval(activation: Activation, x) -> Tuple[np.ndarray, np.ndarray]:
@@ -303,7 +316,8 @@ def simulate(params: ReservoirParams,
     Args:
         params: the fixed reservoir.
         x0: initial state (length n).
-        inputs: (T, m) array of driving inputs.
+        inputs: (T, m) array of driving inputs; any other shape, a length-T
+            vector for m = 1 too, raises ValueError naming the shape given.
         readout: if given, outputs ``y_t = C x_t + d`` are recorded for
             t = 1..T (aligned as in :class:`Trajectory`).
         process_noise: optional ``(Q, seed)``; adds N(0, Q) to every state
@@ -320,18 +334,19 @@ def simulate(params: ReservoirParams,
     :func:`_preactivation_steps`) are formed for all t in one matmul before
     the loop.  The identity activation has no loop: its affine recursion is
     one chunked scan.  Any other activation steps the preactivation a_t (see
-    :func:`_preactivation_steps`), each step evaluating sigma alone, not its
-    slope, and the states follow from one scan of the scalar leaky filter.
+    :func:`_preactivation_steps`), each step one ``dgemv`` and sigma alone,
+    not its slope, written in place by ufuncs bound before the loop; the
+    states follow from one scan of the scalar leaky filter.
     Both equal the step loop up to rounding (about 1e-15 relative).  Noise
     is drawn exactly from the PSD covariance, so ``Q = 0`` adds none.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    inputs = np.asarray(inputs, dtype=np.float64)
     check_finite(x0, "x0")
     check_finite(inputs, "inputs")
     if x0.shape != (params.n,):
         raise ValueError(f"x0 must have shape ({params.n},), got {x0.shape}")
-    if inputs.shape[1] != params.m:
+    if inputs.ndim != 2 or inputs.shape[1] != params.m:
         raise ValueError(f"inputs must be (T, {params.m}), got {inputs.shape}")
     horizon = inputs.shape[0]
     if measurement_noise is not None and readout is None:
@@ -378,26 +393,39 @@ def _preactivation_steps(params: ReservoirParams, x0: np.ndarray,
         e_{t+1} = U (u_{t+1} - (1 - leak) u_t) + leak b + W w_t,
 
     so each step is one BLAS ``dgemv`` that updates ``a`` in place, one add
-    and sigma written in place.  All of ``e`` is formed before the loop in
+    and sigma written in place by its ufuncs (:func:`_slope_table`), all
+    bound before the loop.  All of ``e`` is formed before the loop in
     ``out`` itself (no other (T, n) array): step t reads e_{t+1} from row
     t + 1 before the next step writes sigma(a_{t+1}) there.
     """
     if not len(out):
         return
-    lam, sigma = params.leak, params.activation
+    lam, table = params.leak, _slope_table(params.activation)
     w = np.ascontiguousarray(params.W)
+    # W's F-ordered transpose, read by dgemv with trans = 1: f2py would
+    # copy a C-ordered W on every call
+    w_t = w.T
     shifted = inputs.copy()
     shifted[1:] -= (1.0 - lam) * inputs[:-1]
     np.matmul(shifted, params.U.T, out=out)
     out[1:] += lam * params.b
     if w_draws is not None:
-        out[1:] += w_draws[:-1] @ w.T
+        out[1:] += w_draws[:-1] @ w_t
     a = out[0] + params.b + w @ x0
+    keep, zero = 1.0 - lam, np.zeros(params.n)
+    mask, slope = np.empty(params.n, dtype=bool), np.empty(params.n)
     for row, e in zip(out, out[1:]):
-        sigma(a, out=row)
-        a = _gemv_into(lam, w, row, 1.0 - lam, a)
+        if table is None:
+            np.tanh(a, out=row)
+        else:
+            np.greater_equal(a, zero, out=mask)
+            np.multiply(a, table.take(mask, None, slope, "clip"), out=row)
+        # a = leak W sigma(a) + (1 - leak) a in place; the arguments after
+        # a (offx, incx, offy, incy, trans, overwrite_y) are positional
+        # because f2py's keyword parsing costs more than the product at n = 16
+        a = dgemv(lam, w_t, row, keep, a, 0, 1, 0, 1, 1, 1)
         a += e
-    sigma(a, out=out[-1])
+    params.activation(a, out=out[-1])
 
 
 def _noise_draws(noise, name: str, shape) -> np.ndarray:

@@ -28,11 +28,12 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm, dgemv
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from ._linalg import (_gemv_into, as_float_array, check_psd, linear_scan,
-                      spectral_norm, symmetrize)
-from .core import Readout, ReservoirParams, _transition
+from ._linalg import (as_float_array, check_psd, linear_scan, spectral_norm,
+                      symmetrize)
+from .core import Readout, ReservoirParams, _slope_table
 from .linearize import LtiModel
 from .stability import Certificate, _small_gain
 
@@ -210,7 +211,7 @@ def _jittered_chol(s: np.ndarray, t: int, smoother: bool = False):
     a non-positive pivot ``s`` plus the relative jitter 1e-12 max(1, tr s / n),
     a DEBUG event at time index t; a second failure raises ValueError.  The
     event and message are the smoother's (P_pred) or the filter's (S)."""
-    chol, info = dpotrf(s, lower=1, clean=0)
+    chol, info = dpotrf(s, 1, 0)        # lower = 1, clean = 0
     if info != 0:
         jitter = _JITTER * max(1.0, float(np.trace(s)) / s.shape[0])
         if smoother:
@@ -218,7 +219,7 @@ def _jittered_chol(s: np.ndarray, t: int, smoother: bool = False):
         else:
             logger.debug("kalman.innovation_jitter time_index=%d jitter=%.3e", t, jitter)
         s = s + jitter * np.eye(s.shape[0])
-        chol, info = dpotrf(s, lower=1, clean=0)
+        chol, info = dpotrf(s, 1, 0)
         if info != 0:
             raise ValueError(("singular predicted covariance" if smoother else
                               "innovation covariance not positive definite")
@@ -329,13 +330,15 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
 
 def _predict_cov(a, cov, q, out=None):
     """The predicted covariance A P A' + Q, made exactly symmetric as the
-    mean of it and its transpose (into ``out`` if given: a sum into a
-    separate array, which is cheaper than adding the transpose in place)."""
-    raw = a @ cov @ a.T
-    raw += q
-    out = np.add(raw, raw.T, out=out)
-    out *= 0.5
-    return out
+    mean of it and its transpose (into ``out`` if given): half = (A P) A' / 2
+    + Q / 2 is one ``dgemm`` with beta = 1/2 (halving is exact: the bits of
+    halving the sum), then half + half'.  C-ordered operands go to BLAS as
+    F-ordered transposes, which f2py does not copy, and the arguments after
+    alpha, a and b are positional, as f2py's keyword parsing costs more
+    than the product at n = 16 (so too in :func:`_measure`)."""
+    a_cov = dgemm(1.0, a.T, cov.T, 0.0, None, 1, 1)
+    half = dgemm(0.5, a_cov, a.T, 0.5, q)
+    return np.add(half, half.T, out=out)
 
 
 def _measure(mu_pred, cov_pred, y, c, r, t, mu_out, cov_out=None):
@@ -347,16 +350,22 @@ def _measure(mu_pred, cov_pred, y, c, r, t, mu_out, cov_out=None):
     The update is the Joseph form (I - KC) P (I - KC)' + K R K', written
     from C P and S = C P C' + R as P + M + M' with M = K (S K' / 2 - C P):
     equal for any K, exactly symmetric, and it sees only sym(S), so S is
-    not symmetrized first (``dpotrf`` reads its lower triangle)."""
-    innov = y - c @ mu_pred
-    cp = c @ cov_pred
-    s = cp @ c.T + r
+    not symmetrized first (``dpotrf`` reads its lower triangle).  Each
+    product is one BLAS call, R and the Joseph terms folded into its alpha
+    and beta: ``dgemv`` for y - C mu and K times it, ``dgemm`` for C P, S,
+    S K' / 2 - C P (written over C P) and M."""
+    innov = dgemv(-1.0, c.T, mu_pred, 1.0, y, 0, 1, 0, 1, 1)
+    cp = dgemm(1.0, c.T, cov_pred.T, 0.0, None, 1, 1)
+    s = dgemm(1.0, cp, c.T, 1.0, r)
     chol = _innovation_chol(s, t)
-    gain = dpotrs(chol, cp, lower=1)[0].T
-    np.add(mu_pred, gain @ innov, out=mu_out)
-    cp = gain @ (0.5 * s @ gain.T - cp)  # M, in cp: no extra array alive
-    cov = np.add(cov_pred, cp + cp.T, out=cov_out)
-    return cov, chol, dtrtrs(chol, innov, lower=1)[0], gain
+    k_t = dpotrs(chol, cp, 1)[0]
+    np.add(mu_pred, dgemv(1.0, k_t, innov, 0.0, None, 0, 1, 0, 1, 1),
+           out=mu_out)
+    joseph = dgemm(1.0, k_t, dgemm(0.5, s, k_t, -1.0, cp, 0, 0, 1), 0.0,
+                   None, 1)
+    cov = np.add(joseph, joseph.T, out=cov_out)
+    cov += cov_pred
+    return cov, chol, dtrtrs(chol, innov, 1)[0], k_t.T
 
 
 def _loglik(p_dim, chol_diags, whites, start=0, loglik=0.0):
@@ -466,12 +475,15 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     The mean is propagated through the full nonlinear update; covariances use
     the Jacobian linearization at the current filtered mean (so the recorded
     transition sequence is time varying).  The drive ``U u_t + b`` is formed
-    for all t in one matmul before the loop, as is ``y_t - d``; each step
-    evaluates sigma and its slope once, writes the mean, A_t and both
-    covariances into the returned (T+1, n) / (T, n, n) arrays, and keeps the
-    Cholesky diagonal and the whitened innovation, from which the
-    log-likelihood is formed in one pass after the loop.  The measurement
-    update, its LAPACK calls and its errors are those of
+    for all t in one matmul before the loop, as are ``y_t - d`` and leak * W.
+    Each step calls only ufuncs and BLAS / LAPACK routines: one ``dgemv``
+    for W mu + drive_t, sigma and its slope in place
+    (:func:`core._slope_table`), and A_t as leak * W times the slope plus
+    1 - leak on a strided view of its diagonal, made once for all t; the
+    mean, A_t and both covariances go into rows of the returned arrays.
+    Each step keeps the Cholesky diagonal and the whitened innovation, from
+    which the log-likelihood is formed in one pass after the loop.  The
+    measurement update, its LAPACK calls and its errors are those of
     :func:`kalman_filter`; a non-finite step raises with its time index, as
     there, even when a later step fails first.
     """
@@ -481,8 +493,10 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     outputs = outputs - readout.d
     horizon, n = drive.shape
     p_dim = outputs.shape[1]
-    lam, sigma = params.leak, params.activation
-    w = np.ascontiguousarray(params.W)
+    lam, table = params.leak, _slope_table(params.activation)
+    keep = 1.0 - lam
+    w_t = np.ascontiguousarray(params.W).T      # F-ordered, for dgemv
+    lam_w = np.multiply(lam, params.W, order="C")
     c, q, r = readout.C, noise.Q, noise.R
 
     f_means = np.empty((horizon + 1, n))
@@ -490,20 +504,35 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     p_means = drive  # row t holds the drive until its prediction is made
     p_covs = np.empty((horizon, n, n))
     a_seq = np.empty((horizon, n, n))
+    a_diags = a_seq.reshape(horizon, n * n)[:, ::n + 1]
     f_means[0], f_covs[0] = mu0, p0
+    zero, value, slope = np.zeros(n), np.empty(n), np.empty(n)
+    mask, column = np.empty(n, dtype=bool), slope[:, None]
     diags, whites = [], []
+    steps = zip(range(1, horizon + 1), f_means, f_covs, drive, a_seq, a_diags,
+                p_covs, outputs, f_means[1:], f_covs[1:])
     try:
-        for t in range(horizon):
+        for t, mu, cov, pre, a_t, a_diag, cov_pred, y, mu_out, cov_out in steps:
             # W mu + drive_t, in row t of drive, which the prediction
-            # overwrites once sigma has read it
-            value, slope = sigma.evaluate(
-                _gemv_into(1.0, w, f_means[t], 1.0, drive[t]))
-            mu_pred = np.multiply(f_means[t], 1.0 - lam, out=p_means[t])
-            mu_pred += lam * value
-            a_t = _transition(params, slope, out=a_seq[t])
-            cov_pred = _predict_cov(a_t, f_covs[t], q, out=p_covs[t])
-            _, chol, white, _ = _measure(mu_pred, cov_pred, outputs[t], c, r,
-                                         t + 1, f_means[t + 1], f_covs[t + 1])
+            # overwrites once sigma has read it; positional arguments as in
+            # core._preactivation_steps
+            dgemv(1.0, w_t, mu, 1.0, pre, 0, 1, 0, 1, 1, 1)
+            if table is None:
+                np.tanh(pre, out=value)
+                np.multiply(value, value, out=slope)
+                np.subtract(1.0, slope, out=slope)
+            else:
+                np.greater_equal(pre, zero, out=mask)
+                np.multiply(pre, table.take(mask, None, slope, "clip"),
+                            out=value)
+            value *= lam
+            mu_pred = np.multiply(mu, keep, out=pre)
+            mu_pred += value
+            np.multiply(column, lam_w, out=a_t)
+            a_diag += keep
+            _predict_cov(a_t, cov, q, out=cov_pred)
+            _, chol, white, _ = _measure(mu_pred, cov_pred, y, c, r, t,
+                                         mu_out, cov_out)
             diags.append(chol.diagonal())
             whites.append(white)
     except ValueError:

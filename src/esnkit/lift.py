@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from ._linalg import linear_scan, rng_from_seed
-from .core import Readout, ReservoirParams, Trajectory, leaky_map
+from .core import Readout, ReservoirParams, Trajectory
 from .stability import spectral_radius
 
 __all__ = ["Dictionary", "LiftedModel", "edmd_fit", "lifted_rollout_error"]
@@ -117,11 +118,15 @@ def edmd_fit(params: ReservoirParams,
 
     phi is evaluated once, on the stacked states; each trajectory's
     regressors and targets are views of it, summed into the normal equations
-    and residual norms one trajectory at a time.  phi(x_{t+1}) is the target
-    only where ``delta_t = ||f(x_t, u_t) - x_{t+1}||`` is at most ``16 n eps
-    (1 + ||x_t|| + ||x_{t+1}||)`` (noiseless ``simulate`` rows differ by about
-    1e-16: it rounds differently); other rows (process noise, data from
-    elsewhere) get phi(f(x_t, u_t)) evaluated.  ``epsilon`` adds L_phi times
+    and residual norms one trajectory at a time, the residuals in one reused
+    (max T_i, N) buffer.  The images f(x_t, u_t) are formed value only (the
+    sums of ``core.leaky_map``, without its slope), and the copies x_t and
+    x_{t+1} they are compared with are freed before phi is evaluated.
+    phi(x_{t+1}) is the target only where ``delta_t = ||f(x_t, u_t) -
+    x_{t+1}||`` is at most ``16 n eps (1 + ||x_t|| + ||x_{t+1}||)``
+    (noiseless ``simulate`` rows differ by about 1e-16: it rounds
+    differently); other rows (process noise, data from elsewhere) get
+    phi(f(x_t, u_t)) evaluated.  ``epsilon`` adds L_phi times
     the largest reused delta_t, where L_phi >= ||J_phi||_2 holds everywhere
     (``Dictionary._lipschitz``: 1 for the affine dictionary, the Frobenius
     norm bound of the Fourier block otherwise), so it bounds the residuals
@@ -149,10 +154,15 @@ def edmd_fit(params: ReservoirParams,
     has_next = np.ones(len(states), dtype=bool)     # rows x_t with t < T_i
     has_next[np.cumsum(horizons) + np.arange(len(horizons))] = False
     x, x_next = states[has_next], states[1:][has_next[:-1]]
-    images = leaky_map(params, x, u)[0]
-    delta = np.linalg.norm(images - x_next, axis=1)
-    reuse = delta <= 16.0 * n * np.finfo(float).eps * (
-        1.0 + np.linalg.norm(x, axis=1) + np.linalg.norm(x_next, axis=1))
+    scale = 1.0 + _row_norms(x) + _row_norms(x_next)
+    # the images f(x_t, u_t) in the sums of core.leaky_map, without its slope
+    images = params.activation(x @ params.W.T + (u @ params.U.T + params.b))
+    images *= params.leak
+    x *= 1.0 - params.leak
+    images += x
+    delta = _row_norms(np.subtract(images, x_next, out=x))
+    del x, x_next
+    reuse = delta <= 16.0 * n * np.finfo(float).eps * scale
 
     phi = dictionary.eval_batch(states)
     pieces, row, snap = [], 0, 0        # (phi(x_t), u_t, target) per trajectory
@@ -164,6 +174,7 @@ def edmd_fit(params: ReservoirParams,
             target[redo] = dictionary.eval_batch(images[snap:snap + h][redo])
         pieces.append((phi[row:row + h], u[snap:snap + h], target))
         row, snap = row + h + 1, snap + h
+    del images
 
     # normal equations of the regressors [phi(x), u], built block by block
     gram = sum(np.block([[phi_x.T @ phi_x, phi_x.T @ u_t],
@@ -179,10 +190,14 @@ def edmd_fit(params: ReservoirParams,
     coeffs = np.linalg.solve(gram + ridge * np.eye(big_n + m), rhs)
     a_phi, b_phi = coeffs[:big_n].T, coeffs[big_n:].T
 
-    per_snapshot = np.concatenate([np.linalg.norm(
-        phi_x @ coeffs[:big_n] + u_t @ coeffs[big_n:] - target, axis=1)
-        for phi_x, u_t, target in pieces])
-    epsilon = float(per_snapshot.max())
+    # each trajectory's residuals in the rows of one reused buffer; dgemm
+    # adds u_t B' in place (its transposes are F-ordered views, as BLAS wants)
+    buffer, epsilon = np.empty((max(horizons), big_n)), 0.0
+    for phi_x, u_t, target in pieces:
+        resid = np.matmul(phi_x, coeffs[:big_n], out=buffer[:len(target)])
+        dgemm(1.0, coeffs[big_n:].T, u_t.T, 1.0, resid.T, 0, 0, 1)
+        resid -= target
+        epsilon = max(epsilon, float(_row_norms(resid).max()))
     epsilon += float(delta[reuse].max(initial=0.0)) * dictionary._lipschitz(n)
 
     if readout is not None:
@@ -194,6 +209,11 @@ def edmd_fit(params: ReservoirParams,
         c_phi[:, 1:1 + n] = np.eye(n)
     return LiftedModel(dictionary=dictionary, A_phi=a_phi, B_phi=b_phi,
                        C_phi=c_phi, epsilon=epsilon)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, with no (S, n) temporary."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 def lifted_rollout_error(model: LiftedModel,

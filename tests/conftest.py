@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from esnkit import Activation, Readout, ReservoirParams
+from esnkit import Activation, Readout, ReservoirParams, core
 
 # Every property test runs the same examples on every run and has no
 # per-example deadline; each test sets only its own ``max_examples``.
@@ -38,6 +38,31 @@ def traced_peak_mib(fn, *args, **kwargs):
         return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def count_step_helpers(monkeypatch):
+    """Count every later call of ``Activation.__call__``,
+    ``Activation.evaluate`` and ``core._transition`` in the returned dict,
+    keyed by name; a per-step loop that calls one shows a count growing
+    with T."""
+    counts = dict.fromkeys(("__call__", "evaluate", "_transition"), 0)
+    for owner, name in ((Activation, "__call__"), (Activation, "evaluate"),
+                        (core, "_transition")):
+        def counted(*args, _inner=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def counts_by_horizon(counts, run, horizons=(50, 100)):
+    """The growth of ``counts`` during ``run(T)`` for each T in ``horizons``."""
+    growth = []
+    for horizon in horizons:
+        before = dict(counts)
+        run(horizon)
+        growth.append({k: counts[k] - before[k] for k in counts})
+    return growth
 
 
 @pytest.fixture

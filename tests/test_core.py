@@ -9,7 +9,7 @@ from esnkit import (Activation, Readout, ReservoirParams, Trajectory,
                     activation_eval, reservoir_step, simulate)
 from esnkit.core import _noise_draws
 
-from conftest import make_reservoir
+from conftest import count_step_helpers, counts_by_horizon, make_reservoir
 
 # frozen from a 40-digit series evaluation of tanh and 1 - tanh^2
 TANH_1 = 0.7615941559557649
@@ -196,6 +196,27 @@ class TestSimulate:
         traj = simulate(p, rng.standard_normal(p.n),
                         rng.standard_normal((8, p.m)), readout=readout)
         np.testing.assert_allclose(traj.outputs, traj.states[1:], atol=0)
+
+    def test_inputs_must_be_two_dimensional(self):
+        # a length-T vector for m = 1 is not read as one step of T inputs
+        p = make_reservoir(m=1)
+        with pytest.raises(ValueError,
+                           match=r"inputs must be \(T, 1\), got \(7,\)$"):
+            simulate(p, np.zeros(p.n), np.zeros(7))
+        assert simulate(p, np.zeros(p.n), np.zeros((7, 1))).horizon == 7
+
+    @pytest.mark.parametrize("kind", ["tanh", "leaky_slope"])
+    def test_step_loop_calls_no_python_helper(self, kind, monkeypatch):
+        # each step calls only ufuncs and BLAS, so the calls of the
+        # activation's methods and of _transition do not grow with T
+        p = make_reservoir(n=5, seed=6, bias_scale=0.5,
+                           activation=Activation(kind, negative_slope=0.3))
+        rng = np.random.default_rng(6)
+        counts = count_step_helpers(monkeypatch)
+        small, large = counts_by_horizon(counts, lambda horizon: simulate(
+            p, np.zeros(p.n), rng.standard_normal((horizon, p.m)),
+            process_noise=(0.01 * np.eye(p.n), 3)))
+        assert small == large
 
     def test_measurement_noise_requires_readout(self):
         p = make_reservoir()

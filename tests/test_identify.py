@@ -13,8 +13,10 @@ from esnkit import (Activation, FrozenCovs, LtiModel, NoiseModel, Readout,
                     project_structured, readout_bayes, readout_ml,
                     rts_smoother, simulate, subspace_shape)
 from esnkit import identify, predictive
+from esnkit.core import leaky_jacobians
 
-from conftest import make_reservoir, traced_peak_mib
+from conftest import count_step_helpers, counts_by_horizon, make_reservoir, \
+    traced_peak_mib
 from oracles import ekf_reference, joint_gaussian_posterior, \
     kalman_rts_reference, m_step_reference, posterior_blocks, \
     random_stable_system
@@ -499,6 +501,42 @@ class TestEkf:
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
         assert post.loglik == pytest.approx(ref["loglik"], rel=1e-10)
         assert post.steady_from is None
+
+    @pytest.mark.parametrize("act", [
+        Activation.tanh(), Activation.identity(), Activation.leaky_slope(0.3),
+        Activation.leaky_slope(1.7)],
+        ids=["tanh", "identity", "leaky_0.3", "leaky_1.7"])
+    def test_transitions_are_jacobians_at_filtered_means(self, act):
+        # A_t comes from leak * W times the slope; leaky_jacobians, the one
+        # definition, scales the product instead: rounding apart, the same
+        n = 5
+        p = make_reservoir(n=n, m=2, seed=17, w_scale=0.9 / act.lipschitz,
+                           activation=act, bias_scale=0.5)
+        rng = np.random.default_rng(17)
+        ro = Readout(C=rng.standard_normal((2, n)))
+        noise = NoiseModel(Q=0.01 * np.eye(n), R=0.1 * np.eye(2))
+        inputs = rng.standard_normal((80, 2))
+        post = ekf_filter(p, ro, noise, inputs, rng.standard_normal((80, 2)),
+                          (rng.standard_normal(n), np.eye(n)))
+        slope = act.evaluate(post.filtered_means[:-1] @ p.W.T
+                             + (inputs @ p.U.T + p.b))[1]
+        for got, want in zip(post.transition_seq, leaky_jacobians(p, slope)[0]):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["tanh", "identity", "leaky_slope"])
+    def test_step_loop_calls_no_python_helper(self, kind, monkeypatch):
+        # each step calls only ufuncs, BLAS and LAPACK, so the calls of the
+        # activation's methods and of _transition do not grow with T
+        p = make_reservoir(n=4, m=1, seed=13, w_scale=0.7, bias_scale=0.5,
+                           activation=Activation(kind, negative_slope=0.3))
+        ro = Readout(C=np.array([[1.0, 0.0, 0.5, 0.0]]))
+        noise = NoiseModel(Q=0.002 * np.eye(4), R=[[0.002]])
+        rng = np.random.default_rng(14)
+        counts = count_step_helpers(monkeypatch)
+        small, large = counts_by_horizon(counts, lambda horizon: ekf_filter(
+            p, ro, noise, rng.standard_normal((horizon, 1)),
+            rng.standard_normal((horizon, 1)), (np.zeros(4), np.eye(4))))
+        assert small == large
 
     def test_high_snr_covariances_exactly_symmetric_and_psd(self):
         # R = 1e-12 I: each update removes almost all variance along the rows
