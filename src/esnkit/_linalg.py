@@ -1,9 +1,12 @@
 """Shared dense linear-algebra helpers used across the toolkit.
 
-Everything here works on float64 arrays; callers are expected to have
-validated shapes already.  Keeping these in one place guarantees that
-norms, Lyapunov solves, and seeded sampling behave identically no matter
-which module asks for them.
+Everything here works on float64 arrays.  Every array argument of the
+package is validated once, at the public call, by :func:`as_float_array`
+with a shape spec, so rank and size errors all read
+``"<name> must be (<spec>), got <shape>"``; the other helpers expect
+validated input.  Keeping these in one place guarantees that norms,
+Lyapunov solves, and seeded sampling behave identically no matter which
+module asks for them.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -24,17 +28,30 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
-def check_finite(arr: np.ndarray, name: str) -> None:
-    """Reject non-finite entries, reporting the flat index of the first offender."""
-    arr = np.asarray(arr)
-    if not np.all(np.isfinite(arr)):
-        idx = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
-        raise ValueError(f"{name} has non-finite entry at flat index {idx}")
-
-
-def as_float_array(a, name: str) -> np.ndarray:
+def as_float_array(a, name: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """``a`` as a float64 array with finite entries and, given ``shape``, of
+    that rank and sizes: an int entry must match exactly, a str entry
+    matches any size, and a str that repeats must match the same size each
+    time, so ``("n", "n")`` is square.  A mismatch raises
+    ``ValueError("<name> must be (<spec>), got <shape>")``, a non-finite
+    entry ``ValueError("<name> has non-finite entry at flat index <i>")``."""
     out = np.asarray(a, dtype=np.float64)
-    check_finite(out, name)
+    if shape is not None:
+        sizes = {}
+        if out.ndim != len(shape) or any(
+                sizes.setdefault(want, got) != got if isinstance(want, str)
+                else want != got for want, got in zip(shape, out.shape)):
+            spec = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+            raise ValueError(f"{name} must be ({spec}), got {out.shape}")
+    # NaN and inf carry through a sum, so a finite sum clears the array with
+    # no temporary its size; only a sum that is not finite, which finite
+    # entries can also reach by overflow, is checked entry by entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(out.sum()):
+            return out
+    bad = np.flatnonzero(~np.isfinite(out.ravel()))
+    if bad.size:
+        raise ValueError(f"{name} has non-finite entry at flat index {bad[0]}")
     return out
 
 
@@ -48,13 +65,11 @@ def spectral_norm(w: np.ndarray) -> float:
     return float(np.linalg.norm(w, 2)) if w.size else 0.0
 
 
-def check_psd(m: np.ndarray, name: str) -> np.ndarray:
-    """Convert to float64, validate symmetry to 1e-12 and the eigenvalue floor
-    -1e-12 (both relative to max(1, max|m|)); return the symmetrized matrix."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    check_finite(m, name)
+def check_psd(m: np.ndarray, name: str, shape: tuple = ("n", "n")) -> np.ndarray:
+    """Convert to float64, validate the square ``shape``, symmetry to 1e-12
+    and the eigenvalue floor -1e-12 (both relative to max(1, max|m|));
+    return the symmetrized matrix."""
+    m = as_float_array(m, name, shape)
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.T).max() > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric within tolerance 1e-12")

@@ -39,8 +39,7 @@ import numpy as np
 
 from scipy.linalg.blas import dgemv
 
-from ._linalg import (as_float_array, check_finite, check_psd, linear_scan,
-                      rng_from_seed)
+from ._linalg import as_float_array, check_psd, linear_scan, rng_from_seed
 
 __all__ = [
     "Activation",
@@ -155,9 +154,7 @@ def activation_eval(activation: Activation, x) -> Tuple[np.ndarray, np.ndarray]:
     Raises:
         ValueError: on non-finite input (message carries the offending index).
     """
-    x = np.asarray(x, dtype=np.float64)
-    check_finite(x, "activation input")
-    return activation.evaluate(x)
+    return activation.evaluate(as_float_array(x, "activation input"))
 
 
 @dataclass(frozen=True)
@@ -172,16 +169,9 @@ class ReservoirParams:
     activation: Activation = field(default_factory=Activation.tanh)
 
     def __post_init__(self):
-        w = as_float_array(self.W, "W")
-        u = as_float_array(self.U, "U")
-        b = as_float_array(self.b, "b")
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"W must be square, got shape {w.shape}")
-        n = w.shape[0]
-        if u.ndim != 2 or u.shape[0] != n:
-            raise ValueError(f"U must be {n} x m, got shape {u.shape}")
-        if b.shape != (n,):
-            raise ValueError(f"b must have shape ({n},), got {b.shape}")
+        w = as_float_array(self.W, "W", ("n", "n"))
+        u = as_float_array(self.U, "U", (len(w), "m"))
+        b = as_float_array(self.b, "b", (len(w),))
         leak = float(self.leak)
         if not (0.0 < leak <= 1.0):
             raise ValueError(f"leak must be in (0, 1], got {leak}")
@@ -207,15 +197,9 @@ class Readout:
     d: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        c = as_float_array(self.C, "C")
-        if c.ndim != 2:
-            raise ValueError(f"C must be 2-d, got shape {c.shape}")
-        if self.d is None:
-            d = np.zeros(c.shape[0])
-        else:
-            d = as_float_array(self.d, "d")
-            if d.shape != (c.shape[0],):
-                raise ValueError(f"d must have shape ({c.shape[0]},), got {d.shape}")
+        c = as_float_array(self.C, "C", ("p", "n"))
+        d = (np.zeros(len(c)) if self.d is None
+             else as_float_array(self.d, "d", (len(c),)))
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "d", d)
 
@@ -241,10 +225,8 @@ class Trajectory:
     outputs: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        states = as_float_array(self.states, "states")
-        inputs = as_float_array(self.inputs, "inputs")
-        if states.ndim != 2 or inputs.ndim != 2:
-            raise ValueError("states and inputs must be 2-d arrays")
+        states = as_float_array(self.states, "states", ("T+1", "n"))
+        inputs = as_float_array(self.inputs, "inputs", ("T", "m"))
         if states.shape[0] != inputs.shape[0] + 1:
             raise ValueError(
                 f"need len(states) == len(inputs) + 1, got {states.shape[0]} "
@@ -252,10 +234,8 @@ class Trajectory:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "inputs", inputs)
         if self.outputs is not None:
-            outputs = as_float_array(self.outputs, "outputs")
-            if outputs.ndim != 2 or outputs.shape[0] != inputs.shape[0]:
-                raise ValueError("outputs must be (T, p) aligned with inputs")
-            object.__setattr__(self, "outputs", outputs)
+            object.__setattr__(self, "outputs", as_float_array(
+                self.outputs, "outputs", (len(inputs), "p")))
 
     @property
     def horizon(self) -> int:
@@ -283,12 +263,11 @@ def leaky_jacobians(params: ReservoirParams,
             params.leak * (slope[..., :, None] * params.U))
 
 
-def _transition(params: ReservoirParams, slope: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The A of :func:`leaky_jacobians` alone, in one C-ordered array (new,
-    or ``out``): ``1 - leak`` is added in place to its diagonal, a strided
-    view (the same sums as adding ``(1 - leak) I``, so the same bits)."""
-    a = np.multiply(slope[..., :, None], params.W, out=out, order="C")
+def _transition(params: ReservoirParams, slope: np.ndarray) -> np.ndarray:
+    """The A of :func:`leaky_jacobians` alone, in one new C-ordered array:
+    ``1 - leak`` is added in place to its diagonal, a strided view (the same
+    sums as adding ``(1 - leak) I``, so the same bits)."""
+    a = np.multiply(slope[..., :, None], params.W, order="C")
     a *= params.leak
     a.reshape(a.shape[:-2] + (-1,))[..., ::params.n + 1] += 1.0 - params.leak
     return a
@@ -296,12 +275,8 @@ def _transition(params: ReservoirParams, slope: np.ndarray,
 
 def reservoir_step(params: ReservoirParams, x, u) -> np.ndarray:
     """One exact step of the leaky recursion (deterministic, no noise)."""
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if x.shape != (params.n,):
-        raise ValueError(f"state must have shape ({params.n},), got {x.shape}")
-    if u.shape != (params.m,):
-        raise ValueError(f"input must have shape ({params.m},), got {u.shape}")
+    x = as_float_array(x, "state", (params.n,))
+    u = as_float_array(u, "input", (params.m,))
     return leaky_map(params, x, u)[0]
 
 
@@ -340,14 +315,8 @@ def simulate(params: ReservoirParams,
     Both equal the step loop up to rounding (about 1e-15 relative).  Noise
     is drawn exactly from the PSD covariance, so ``Q = 0`` adds none.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    inputs = np.asarray(inputs, dtype=np.float64)
-    check_finite(x0, "x0")
-    check_finite(inputs, "inputs")
-    if x0.shape != (params.n,):
-        raise ValueError(f"x0 must have shape ({params.n},), got {x0.shape}")
-    if inputs.ndim != 2 or inputs.shape[1] != params.m:
-        raise ValueError(f"inputs must be (T, {params.m}), got {inputs.shape}")
+    x0 = as_float_array(x0, "x0", (params.n,))
+    inputs = as_float_array(inputs, "inputs", ("T", params.m))
     horizon = inputs.shape[0]
     if measurement_noise is not None and readout is None:
         raise ValueError("measurement noise requires a readout")
@@ -432,7 +401,7 @@ def _noise_draws(noise, name: str, shape) -> np.ndarray:
     """``shape[0]`` seeded N(0, cov) draws for ``noise = (cov, seed)``: a
     definite ``cov`` is factored by Cholesky, any other by ``eigh`` with the
     eigenvalues below 0 clipped (the DEBUG event ``simulate.noise_clip``)."""
-    cov = check_psd(noise[0], name)
+    cov = check_psd(noise[0], name, shape[1:] * 2)
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

@@ -37,16 +37,12 @@ class CtLinearModel:
     Q_c: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        a = as_float_array(self.A_c, "A_c")
-        b = as_float_array(self.B_c, "B_c")
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"A_c must be square, got shape {a.shape}")
-        if b.ndim != 2 or b.shape[0] != a.shape[0]:
-            raise ValueError(f"B_c must be {a.shape[0]} x m, got shape {b.shape}")
+        a = as_float_array(self.A_c, "A_c", ("n", "n"))
+        b = as_float_array(self.B_c, "B_c", (len(a), "m"))
         object.__setattr__(self, "A_c", a)
         object.__setattr__(self, "B_c", b)
         if self.Q_c is not None:
-            object.__setattr__(self, "Q_c", check_psd(self.Q_c, "Q_c"))
+            object.__setattr__(self, "Q_c", check_psd(self.Q_c, "Q_c", a.shape))
 
 
 def euler_leak(dt: float, tau: float) -> float:

@@ -87,17 +87,16 @@ class FrozenCovs:
     tail: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        frozen = np.asarray(self.frozen, dtype=np.float64)
-        tail = np.empty((0,) + frozen.shape) if self.tail is None else self.tail
-        for name, arr in ("head", self.head), ("frozen", frozen), ("tail", tail):
-            view = np.asarray(arr, dtype=np.float64).view()
+        frozen = as_float_array(self.frozen, "frozen", ("n", "n"))
+        head = as_float_array(self.head, "head", ("h",) + frozen.shape)
+        tail = (np.empty((0,) + frozen.shape) if self.tail is None
+                else as_float_array(self.tail, "tail", ("k",) + frozen.shape))
+        for name, arr in ("head", head), ("frozen", frozen), ("tail", tail):
+            view = arr.view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-        if (frozen.ndim != 2 or self.count < 0
-                or self.head.shape[1:] != frozen.shape
-                or self.tail.shape[1:] != frozen.shape):
-            raise ValueError("FrozenCovs needs (h, n, n) head and tail "
-                             "arrays, an (n, n) frozen matrix and count >= 0")
+        if self.count < 0:
+            raise ValueError(f"FrozenCovs needs count >= 0, got {self.count}")
 
     def __len__(self) -> int:
         return len(self.head) + self.count + len(self.tail)
@@ -188,21 +187,12 @@ class SmoothedPosterior:
 
 def _validate_io(n: int, m: int, p: int, noise: NoiseModel, inputs, outputs,
                  prior):
-    if noise.Q.shape != (n, n) or noise.R.shape != (p, p):
-        raise ValueError(f"noise Q must be ({n}, {n}) and R ({p}, {p}), got "
-                         f"{noise.Q.shape} and {noise.R.shape}")
-    inputs = as_float_array(inputs, "inputs")
-    outputs = as_float_array(outputs, "outputs")
-    if inputs.ndim != 2 or inputs.shape[1] != m:
-        raise ValueError(f"inputs must be (T, {m}), got {inputs.shape}")
-    if outputs.ndim != 2 or outputs.shape[1] != p:
-        raise ValueError(f"outputs must be (T, {p}), got {outputs.shape}")
-    if inputs.shape[0] != outputs.shape[0]:
-        raise ValueError("inputs and outputs must have equal length")
-    mu0 = as_float_array(prior[0], "mu0")
-    p0 = check_psd(prior[1], "P0")
-    if mu0.shape != (n,) or p0.shape != (n, n):
-        raise ValueError("prior dimensions do not match the state")
+    as_float_array(noise.Q, "noise Q", (n, n))
+    as_float_array(noise.R, "noise R", (p, p))
+    inputs = as_float_array(inputs, "inputs", ("T", m))
+    outputs = as_float_array(outputs, "outputs", (len(inputs), p))
+    mu0 = as_float_array(prior[0], "mu0", (n,))
+    p0 = check_psd(prior[1], "P0", (n, n))
     return inputs, outputs, mu0, p0
 
 
@@ -560,9 +550,7 @@ class StructuredBasis:
     w_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = as_float_array(self.W_bar, "W_bar")
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("W_bar must be square")
+        w = as_float_array(self.W_bar, "W_bar", ("n", "n"))
         if not self.l_sigma > 0.0:
             raise ValueError("l_sigma must be positive")
         object.__setattr__(self, "W_bar", w)
@@ -600,11 +588,9 @@ def project_structured(a_matrix: np.ndarray,
     leak is clamped to (1e-6, 1], alpha floored positive, then alpha shrunk
     until ``(1 - lam) + lam * L_sigma * alpha * ||W_bar|| <= 1 - 1e-6``.
     """
-    a_matrix = np.asarray(a_matrix, dtype=np.float64)
     w_bar = basis.W_bar
     n = w_bar.shape[0]
-    if a_matrix.shape != (n, n):
-        raise ValueError("matrix and basis dimensions differ")
+    a_matrix = as_float_array(a_matrix, "a_matrix", (n, n))
     gram = np.array([
         [float(n), float(np.trace(w_bar))],
         [float(np.trace(w_bar)), float(np.sum(w_bar * w_bar))],
@@ -774,12 +760,8 @@ def _readout_moments(states, outputs):
             raise ValueError("posterior has no smoothed estimates; run the smoother")
         x_hat, covs = states.smoothed_means[1:], states.smoothed_covs[1:]
     else:
-        x_hat, covs = as_float_array(states, "states"), None
-        if x_hat.ndim != 2:
-            raise ValueError("states must be a (T, n) array or a SmoothedPosterior")
-    y = as_float_array(outputs, "outputs")
-    if y.ndim != 2 or y.shape[0] != x_hat.shape[0]:
-        raise ValueError("outputs must be (T, p) aligned with the states")
+        x_hat, covs = as_float_array(states, "states", ("T", "n")), None
+    y = as_float_array(outputs, "outputs", (len(x_hat), "p"))
     x_mean = x_hat.mean(axis=0)
     y_mean = y.mean(axis=0)
     xc = x_hat - x_mean
@@ -858,7 +840,7 @@ def readout_bayes(states, outputs, tau_p: float,
 def excitation_sigma_min(inputs, depth: int) -> float:
     """Smallest singular value of the depth-r block input Toeplitz matrix
     (the persistent-excitation statistic)."""
-    inputs = as_float_array(inputs, "inputs")
+    inputs = as_float_array(inputs, "inputs", ("T", "m"))
     horizon, m = inputs.shape
     if depth < 1 or horizon < depth:
         raise ValueError("need depth >= 1 and at least depth input samples")
@@ -914,14 +896,12 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     if order < 1:
         raise ValueError("order must be >= 1")
     if impulse is not None:
-        markov = np.asarray(impulse, dtype=np.float64)
-        if markov.ndim != 3:
-            raise ValueError("impulse data must have shape (K+1, p, m)")
+        markov = as_float_array(impulse, "impulse", ("K+1", "p", "m"))
     else:
         if inputs is None or outputs is None:
             raise ValueError("provide either impulse data or inputs/outputs")
-        inputs = as_float_array(inputs, "inputs")
-        outputs = as_float_array(outputs, "outputs")
+        inputs = as_float_array(inputs, "inputs", ("T", "m"))
+        outputs = as_float_array(outputs, "outputs", (len(inputs), "p"))
         sigma_min = excitation_sigma_min(inputs, order)
         if sigma_min <= 1e-8:
             raise ValueError(

@@ -38,19 +38,10 @@ class LtiModel:
     D: np.ndarray
 
     def __post_init__(self):
-        a = as_float_array(self.A, "A")
-        b = as_float_array(self.B, "B")
-        c = as_float_array(self.C, "C")
-        d = as_float_array(self.D, "D")
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got shape {a.shape}")
-        n = a.shape[0]
-        if b.ndim != 2 or b.shape[0] != n:
-            raise ValueError(f"B must be {n} x m, got shape {b.shape}")
-        if c.ndim != 2 or c.shape[1] != n:
-            raise ValueError(f"C must be p x {n}, got shape {c.shape}")
-        if d.shape != (c.shape[0], b.shape[1]):
-            raise ValueError(f"D must be {c.shape[0]} x {b.shape[1]}, got {d.shape}")
+        a = as_float_array(self.A, "A", ("n", "n"))
+        b = as_float_array(self.B, "B", (len(a), "m"))
+        c = as_float_array(self.C, "C", ("p", len(a)))
+        d = as_float_array(self.D, "D", (len(c), b.shape[1]))
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
@@ -81,17 +72,14 @@ class LtvModel:
     D: np.ndarray
 
     def __post_init__(self):
-        a = as_float_array(self.A_seq, "A_seq")
-        b = as_float_array(self.B_seq, "B_seq")
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise ValueError(f"A_seq must be (T, n, n), got shape {a.shape}")
-        if b.ndim != 3 or b.shape[:2] != a.shape[:2]:
-            raise ValueError(f"B_seq must be ({a.shape[0]}, {a.shape[1]}, m) "
-                             f"to match A_seq, got shape {b.shape}")
+        a = as_float_array(self.A_seq, "A_seq", ("T", "n", "n"))
+        b = as_float_array(self.B_seq, "B_seq", a.shape[:2] + ("m",))
+        c = as_float_array(self.C, "C", ("p", a.shape[1]))
+        d = as_float_array(self.D, "D", (len(c), b.shape[2]))
         object.__setattr__(self, "A_seq", a)
         object.__setattr__(self, "B_seq", b)
-        object.__setattr__(self, "C", as_float_array(self.C, "C"))
-        object.__setattr__(self, "D", as_float_array(self.D, "D"))
+        object.__setattr__(self, "C", c)
+        object.__setattr__(self, "D", d)
 
     def __len__(self) -> int:
         return self.A_seq.shape[0]
@@ -112,10 +100,8 @@ def jacobians_at(params: ReservoirParams, x_bar, u_bar,
 
 def _operating_slope(params: ReservoirParams, x_bar, u_bar) -> np.ndarray:
     """Activation slope at an operating pair, checked first."""
-    x_bar = as_float_array(x_bar, "x_bar")
-    u_bar = as_float_array(u_bar, "u_bar")
-    if x_bar.shape != (params.n,) or u_bar.shape != (params.m,):
-        raise ValueError("operating pair has inconsistent dimensions")
+    x_bar = as_float_array(x_bar, "x_bar", (params.n,))
+    u_bar = as_float_array(u_bar, "u_bar", (params.m,))
     return leaky_map(params, x_bar, u_bar)[1]
 
 

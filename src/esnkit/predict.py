@@ -45,15 +45,11 @@ def predictive(lti: LtiModel, noise: NoiseModel,
                future_inputs) -> PredictiveDistribution:
     """Distribution of y_{t+h} given the filtered belief (mu, P) at time t
     and the h future inputs u_t .. u_{t+h-1}."""
-    mu = as_float_array(belief[0], "belief mean")
-    cov = check_psd(belief[1], "belief covariance")
-    inputs = np.atleast_2d(as_float_array(future_inputs, "future_inputs"))
-    if mu.shape != (lti.n,) or cov.shape != (lti.n, lti.n):
-        raise ValueError("belief dimensions do not match the model")
-    if noise.Q.shape != (lti.n, lti.n) or noise.R.shape != (lti.p, lti.p):
-        raise ValueError("noise dimensions do not match the model")
-    if inputs.shape[1] != lti.m:
-        raise ValueError(f"future inputs must be (h, {lti.m}), got {inputs.shape}")
+    mu = as_float_array(belief[0], "belief mean", (lti.n,))
+    cov = check_psd(belief[1], "belief covariance", (lti.n, lti.n))
+    as_float_array(noise.Q, "noise Q", (lti.n, lti.n))
+    as_float_array(noise.R, "noise R", (lti.p, lti.p))
+    inputs = as_float_array(future_inputs, "future_inputs", ("h", lti.m))
     horizon = inputs.shape[0]
     if horizon < 1:
         raise ValueError("need at least one future input (h >= 1)")

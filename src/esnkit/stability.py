@@ -48,7 +48,7 @@ from typing import Iterable, Optional, Tuple, Union
 import numpy as np
 import scipy.linalg
 
-from ._linalg import (SchurForm, real_schur, rng_from_seed,
+from ._linalg import (SchurForm, as_float_array, real_schur, rng_from_seed,
                       solve_discrete_lyapunov, spectral_norm)
 from .core import ReservoirParams, _transition
 
@@ -153,11 +153,7 @@ def _small_gain_bound(lam: float, l_sigma: float, norm: float, n: int):
 
 def spectral_radius(a) -> float:
     """max |eigenvalue| of a square matrix; raises instead of silently estimating."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+    a = as_float_array(a, "matrix", ("n", "n"))
     if a.size == 0:
         return 0.0
     try:

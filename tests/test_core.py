@@ -87,6 +87,13 @@ class TestReservoirStep:
         with pytest.raises(ValueError):
             reservoir_step(p, np.zeros(4), np.zeros(3))
 
+    def test_non_finite_state_rejected(self):
+        p = make_reservoir(n=4, m=2)
+        state = np.array([0.0, np.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^state has non-finite entry at "
+                                             "flat index 1$"):
+            reservoir_step(p, state, np.zeros(2))
+
 
 class TestSimulate:
     def test_zero_input_zero_state(self):
@@ -218,6 +225,12 @@ class TestSimulate:
             process_noise=(0.01 * np.eye(p.n), 3)))
         assert small == large
 
+    def test_noise_covariance_must_match_the_state(self):
+        p = make_reservoir(n=4)
+        with pytest.raises(ValueError, match=r"^Q must be \(4, 4\), got \(2, 2\)$"):
+            simulate(p, np.zeros(p.n), np.zeros((3, p.m)),
+                     process_noise=(np.eye(2), 0))
+
     def test_measurement_noise_requires_readout(self):
         p = make_reservoir()
         with pytest.raises(ValueError, match="readout"):
@@ -291,6 +304,18 @@ class TestLipschitzProperties:
 
 
 class TestTrajectoryType:
+    def test_shape_spec_messages(self):
+        # a repeated spec name means equal sizes; an int size must match
+        with pytest.raises(ValueError, match=r"^W must be \(n, n\), got \(3, 4\)$"):
+            ReservoirParams(W=np.zeros((3, 4)), U=np.zeros((3, 1)),
+                            b=np.zeros(3), leak=0.5)
+        with pytest.raises(ValueError, match=r"^U must be \(3, m\), got \(2, 1\)$"):
+            ReservoirParams(W=np.zeros((3, 3)), U=np.zeros((2, 1)),
+                            b=np.zeros(3), leak=0.5)
+        with pytest.raises(ValueError, match=r"^b must be \(3,\), got \(3, 1\)$"):
+            ReservoirParams(W=np.zeros((3, 3)), U=np.zeros((3, 1)),
+                            b=np.zeros((3, 1)), leak=0.5)
+
     def test_length_invariant(self):
         with pytest.raises(ValueError, match="len"):
             Trajectory(states=np.zeros((3, 2)), inputs=np.zeros((3, 1)))

@@ -385,10 +385,9 @@ class TestNorms:
         assert type(est.value) is float
         assert est.value == pytest.approx(10.0, rel=1e-9)
         assert est.omega_peak == 0.0
-        # the bracket [0, pi/127] around the grid peak at omega = 0 shrinks
-        # by the golden ratio in each of the three refinements
-        golden = (np.sqrt(5.0) - 1.0) / 2.0
-        assert est.interval_width == pytest.approx(np.pi / 127 * golden ** 3,
+        # 33 refinement points split the bracket [0, pi/127] around the grid
+        # peak at omega = 0 into 34 steps; the width is two of them
+        assert est.interval_width == pytest.approx(2 * np.pi / 127 / 34,
                                                    rel=1e-12)
 
     def test_hinf_pure_gain(self):

@@ -1071,6 +1071,19 @@ class TestSubspace:
             subspace_shape(2, basis, inputs=constant,
                            outputs=np.ones((60, p)))
 
+    def test_one_dimensional_inputs_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^inputs must be \(T, m\), got \(50,\)$"):
+            excitation_sigma_min(np.ones(50), 2)
+
+    def test_outputs_shorter_than_inputs_rejected(self):
+        rng = np.random.default_rng(20)
+        with pytest.raises(ValueError,
+                           match=r"^outputs must be \(200, p\), got \(150, 1\)$"):
+            subspace_shape(2, StructuredBasis(W_bar=np.eye(4)),
+                           inputs=rng.standard_normal((200, 1)),
+                           outputs=rng.standard_normal((150, 1)))
+
     def test_noiseless_impulse_recovery(self):
         n, m, p = 4, 1, 2
         a, b, c = random_stable_system(n, m, p, seed=23, rho=0.75)

@@ -6,7 +6,8 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import esnkit
-from esnkit._linalg import linear_scan, real_schur, solve_discrete_lyapunov
+from esnkit._linalg import (as_float_array, linear_scan, real_schur,
+                            solve_discrete_lyapunov)
 
 from conftest import traced_peak_mib
 from oracles import kronecker_lyapunov
@@ -23,6 +24,17 @@ def stable_matrix(n, seed, rho, nonnormal):
         return a
     a = rng.standard_normal((n, n))
     return a * (rho / np.abs(np.linalg.eigvals(a)).max())
+
+
+def test_finite_check_survives_an_overflowing_sum():
+    # finite entries whose sum overflows pass, with no overflow warning;
+    # inf - inf and NaN are still found at their index
+    big = np.full(4, 1e308)
+    assert as_float_array(big, "x") is big
+    for bad, index in ([1.0, np.inf, -np.inf], 1), ([1e308, 1e308, np.nan], 2):
+        with pytest.raises(ValueError, match=f"^x has non-finite entry at "
+                                             f"flat index {index}$"):
+            as_float_array(bad, "x")
 
 
 class TestDiscreteLyapunov:

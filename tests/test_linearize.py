@@ -183,6 +183,9 @@ class TestLtvLinearization:
         with pytest.raises(ValueError, match="A_seq"):
             LtvModel(A_seq=np.zeros((5, 3, 2)), B_seq=np.zeros((5, 3, 1)),
                      C=eye, D=np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=r"^C must be \(p, 3\), got \(3,\)$"):
+            LtvModel(A_seq=np.zeros((5, 3, 3)), B_seq=np.zeros((5, 3, 1)),
+                     C=np.ones(3), D=np.zeros((1, 1)))
 
 
 def _close(got, want, rtol):

@@ -267,3 +267,20 @@ def test_only_linalg_calls_scipy_schur_and_none_asks_for_the_complex_form():
                           and isinstance(kw.value, ast.Constant)
                           and kw.value.value == "complex"]
     assert found == []
+
+
+def test_only_linalg_reads_an_array_rank():
+    # every array argument's rank and sizes are checked by one shape spec,
+    # _linalg.as_float_array(a, name, shape), not by hand
+    package = Path(esnkit.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "_linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "ndim":
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{path.stem}: from {node.module} import ndim"
+                          for alias in node.names if alias.name == "ndim"]
+    assert found == []

@@ -29,6 +29,16 @@ def test_predictive_matches_monte_carlo_rollouts():
     assert dist.horizon == 6
 
 
+def test_vector_inputs_rejected_with_their_own_shape():
+    # a length-h vector for m = 1 is not read as one step of h inputs
+    lti = LtiModel(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
+                   D=np.zeros((1, 1)))
+    noise = NoiseModel(Q=np.eye(2), R=np.eye(1))
+    with pytest.raises(ValueError,
+                       match=r"^future_inputs must be \(h, 1\), got \(5,\)$"):
+        predictive(lti, noise, (np.zeros(2), np.eye(2)), np.zeros(5))
+
+
 def test_scalar_forecast_closed_form():
     # Sigma_h = a^2h P + q (1 - a^2h) / (1 - a^2); the 95% half-width is the
     # 0.975 normal quantile times the output standard deviation
