@@ -22,7 +22,8 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from ._linalg import SchurForm, real_schur, solve_discrete_lyapunov
+from ._linalg import (SchurForm, as_float_array, real_schur,
+                      solve_discrete_lyapunov)
 from .linearize import LtiModel
 from .stability import _decay_envelope
 
@@ -314,13 +315,13 @@ def output_psd(lti: LtiModel, input_psd: np.ndarray, omega) -> np.ndarray:
     and the region-of-convergence warning (rho(A) >= 1) fires once per call.
     """
     s_u = np.asarray(input_psd, dtype=complex)
-    if s_u.shape != (lti.m, lti.m):
-        raise ValueError(f"input PSD must be {lti.m} x {lti.m}")
+    for part in s_u.real, s_u.imag:
+        as_float_array(part, "input_psd", (lti.m, lti.m))
     if np.abs(s_u - s_u.conj().T).max() > 1e-12 * max(1.0, np.abs(s_u).max()):
         raise ValueError("input PSD must be Hermitian")
     if s_u.size and float(np.linalg.eigvalsh(s_u).min()) < -1e-12:
         raise ValueError("input PSD must be positive semidefinite")
-    omega = np.asarray(omega, dtype=np.float64)
+    omega = as_float_array(omega, "omega")
     h = _transfer_checked(lti, np.exp(1j * omega.ravel()))
     psd = h @ s_u @ h.conj().transpose(0, 2, 1)
     return psd.reshape(omega.shape + psd.shape[1:])

@@ -70,59 +70,54 @@ class NoiseModel:
 
 @dataclass(frozen=True, eq=False)
 class FrozenCovs:
-    """Read-only covariance sequence ``[*head, *[frozen] * count, *tail]``.
+    """Read-only covariance sequence in run-length blocks: ``mats[i]``
+    (n, n) stands for ``counts[i]`` >= 0 consecutive steps, so the sequence
+    is ``np.repeat(mats, counts, axis=0)``, which ``np.asarray`` builds;
+    ``len``, integer and tuple indexing, step-1 slices (on the same
+    ``mats``) and ``sum(axis=0)`` work on the blocks.
 
     An LTI covariance recursion converges, so past a short transient every
-    step repeats one matrix; this stores that matrix once.  ``head`` (h, n, n)
-    and ``tail`` (k, n, n) hold the steps before and after the run of
-    ``count`` copies of ``frozen`` (n, n).  ``len``, integer and tuple
-    indexing (negative too), step-1 slices (which return a FrozenCovs) and
-    ``sum(axis=0)`` (in closed form) work without building the full
-    (h + count + k, n, n) array; ``np.asarray`` builds it.
+    step repeats one matrix, stored once.  With s = ``steady_from + 1`` (see
+    :func:`kalman_filter`), the package's blocks 0..s-1 are the steps before
+    t = s and block s repeats (block s - 1 of the predicted sequence, whose
+    index t stands for x_{t+1}); the smoothed and cross sequences end with
+    the steps to t = T that the backward pass of :func:`rts_smoother` took
+    to settle, one block each.
     """
 
-    head: np.ndarray
-    frozen: np.ndarray
-    count: int
-    tail: Optional[np.ndarray] = None
+    mats: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
-        frozen = as_float_array(self.frozen, "frozen", ("n", "n"))
-        head = as_float_array(self.head, "head", ("h",) + frozen.shape)
-        tail = (np.empty((0,) + frozen.shape) if self.tail is None
-                else as_float_array(self.tail, "tail", ("k",) + frozen.shape))
-        for name, arr in ("head", head), ("frozen", frozen), ("tail", tail):
-            view = arr.view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
-        if self.count < 0:
-            raise ValueError(f"FrozenCovs needs count >= 0, got {self.count}")
+        mats = as_float_array(self.mats, "mats", ("k", "n", "n")).view()
+        counts = np.asarray(self.counts)
+        if (counts.shape != mats.shape[:1]
+                or counts.size and counts.dtype.kind not in "iu"
+                or (counts < 0).any()):
+            raise ValueError(f"counts must be {len(mats)} integers >= 0, "
+                             f"got {self.counts!r}")
+        counts = counts.astype(np.intp)     # a copy; [] is float64 until here
+        mats.flags.writeable = counts.flags.writeable = False
+        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
-        return len(self.head) + self.count + len(self.tail)
+        return int(self.counts.sum())
 
     def __getitem__(self, key):
         if isinstance(key, numbers.Integral):
-            index = int(key) + (len(self) if key < 0 else 0)
-            if not 0 <= index < len(self):
-                raise IndexError(f"index {key} out of range for {len(self)}")
-            run = index - len(self.head)
-            if run < 0:
-                return self.head[index]
-            if run < self.count:
-                return self.frozen
-            return self.tail[run - self.count]
+            index = range(len(self))[key]
+            return self.mats[self.counts.cumsum().searchsorted(index, "right")]
         if (isinstance(key, tuple) and key
                 and isinstance(key[0], numbers.Integral)):
             return self[key[0]][key[1:]]
         if isinstance(key, slice) and key.step in (None, 1):
+            # the steps of each block in [start, stop), 0 for one outside
             start, stop, _ = key.indices(len(self))
-            stop = max(start, stop)
-            h, tail_from = len(self.head), len(self.head) + self.count
-            return FrozenCovs(
-                self.head[start:stop], self.frozen,
-                max(0, min(stop, tail_from) - max(start, h)),
-                self.tail[max(start - tail_from, 0):max(stop - tail_from, 0)])
+            ends = self.counts.cumsum()
+            inside = (np.minimum(ends, stop)
+                      - np.maximum(ends - self.counts, start))
+            return FrozenCovs(self.mats, np.maximum(inside, 0))
         raise TypeError("FrozenCovs takes an integer, a tuple led by an "
                         "integer or a step-1 slice; use np.asarray for other "
                         "indexing")
@@ -130,14 +125,13 @@ class FrozenCovs:
     def sum(self, axis: int = 0) -> np.ndarray:
         if axis != 0:
             raise ValueError("FrozenCovs sums over axis 0 only")
-        return (self.head.sum(axis=0) + self.count * self.frozen
-                + self.tail.sum(axis=0))
+        k, n, _ = self.mats.shape
+        return (self.counts @ self.mats.reshape(k, n * n)).reshape(n, n)
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:
             raise ValueError("a FrozenCovs is not an array; it must be copied")
-        run = np.broadcast_to(self.frozen, (self.count,) + self.frozen.shape)
-        full = np.concatenate([self.head, run, self.tail])
+        full = np.repeat(self.mats, self.counts, axis=0)
         return full if dtype is None else full.astype(dtype, copy=False)
 
 
@@ -159,14 +153,10 @@ class SmoothedPosterior:
     ``steady_from`` is the first t from which ``predicted_covs[t:]`` and
     ``filtered_covs[t + 1:]`` each hold one frozen matrix (see
     :func:`kalman_filter`).  When it is set, the four covariance fields are
-    :class:`FrozenCovs`: the filtered and predicted ones store their steps
-    before that point and then the frozen matrix; the smoothed and cross
-    ones store their steps before t = ``steady_from + 1``, then the matrix
-    the backward recursion settles on, then the short run it took to settle
-    after starting at t = T (see :func:`rts_smoother`).  ``steady_from`` is
+    :class:`FrozenCovs` in the layout described there.  ``steady_from`` is
     None for the EKF and for a run that never converged; the covariances
     are then (T+1, n, n) / (T, n, n) arrays.  A hand-built posterior may
-    hold either kind, and every consumer accepts both.
+    hold either kind, FrozenCovs in that layout, for every consumer.
     """
 
     filtered_means: np.ndarray
@@ -241,11 +231,11 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     the innovation Cholesky factor are frozen and ``steady_from`` is set to
     t; the later means are one affine recursion in the closed-loop matrix
     (I - KC) A, run by the chunked scan :func:`linear_scan` (equal to the
-    step loop up to rounding).  The covariances are then returned
-    as :class:`FrozenCovs` that store the t per-step predicted and t + 1
-    filtered matrices and the frozen pair once, so they take O(t n^2) memory
-    rather than O(T n^2).  A run that never freezes returns full arrays, as
-    does :func:`ekf_filter`, which never freezes.
+    step loop up to rounding).  The covariances are then returned as
+    :class:`FrozenCovs` (layout there): the per-step lists, the frozen
+    matrix last with the count that reaches t = T, so they take O(t n^2)
+    memory rather than O(T n^2).  A run that never freezes returns full
+    arrays, as does :func:`ekf_filter`, which never freezes.
 
     The drive ``B u_t`` is formed for all t in one matmul before the loop,
     and its row t is overwritten by the predicted mean once used; the
@@ -292,6 +282,7 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
         _loglik(p_dim, diags, whites)  # an earlier non-finite step comes first
         raise
     loglik = _loglik(p_dim, diags, whites)
+    f_covs, p_covs = (np.reshape(c, (-1, n, n)) for c in (f_covs, p_covs))
 
     if steady_from is not None:
         # frozen gain K: mu+ = (I - KC)(A mu + B u) + K y; the affine terms
@@ -306,12 +297,10 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
         innov = outputs[start:] - p_means[start:] @ c.T
         loglik = _loglik(p_dim, chol.diagonal(),
                          dtrtrs(chol, innov.T, lower=1)[0].T, start, loglik)
-        repeat = horizon - steady_from
-        f_covs = FrozenCovs(f_covs[:start], cov, repeat)
-        p_covs = FrozenCovs(p_covs[:steady_from], cov_pred, repeat)
-    else:
-        f_covs = np.reshape(f_covs, (horizon + 1, n, n))
-        p_covs = np.reshape(p_covs, (horizon, n, n))
+        # the last block of each is the frozen matrix, repeated to t = T
+        counts = np.append(np.ones(start, dtype=int), horizon - steady_from)
+        f_covs = FrozenCovs(f_covs, counts)
+        p_covs = FrozenCovs(p_covs, counts[1:])
 
     return SmoothedPosterior(
         filtered_means=f_means, filtered_covs=f_covs, predicted_means=p_means,
@@ -395,12 +384,13 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     stretch are one backward affine recursion in J, run by the chunked scan
     :func:`linear_scan`.  Earlier steps, and every EKF step, are computed one
     by one.
-    The smoothed and cross covariances of such a run are :class:`FrozenCovs`:
-    the per-step head before t = ``steady_from + 1``, the settled matrix once
-    with its repeat count, and the per-step tail from where the backward
-    iteration settled to t = T.  Without ``steady_from`` they are full
-    arrays.  ``noise`` is unused; it stays for the benchmark's positional
-    call until the next benchmark revision.
+    The smoothed and cross covariances of such a run are :class:`FrozenCovs`
+    (layout there), each one array allocated once: the backward iteration
+    fills it from row s = ``steady_from + 1``, the settled matrix first, and
+    the per-step pass the rows below, reading the filter's blocks 0..s-1 as
+    its steps (a FrozenCovs input laid out otherwise raises ValueError);
+    else they are full arrays.  ``noise`` is unused; it stays for the
+    benchmark's positional call until the next benchmark revision.
     """
     f_means, p_means = filtered.filtered_means, filtered.predicted_means
     f_covs, p_covs = filtered.filtered_covs, filtered.predicted_covs
@@ -413,40 +403,47 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     start = horizon
     if filtered.steady_from is not None and filtered.steady_from + 1 < horizon:
         start = filtered.steady_from + 1
-        p_f = f_covs[horizon]
+        p_f = s_tail[0]
         gain, p_pred = _smoother_gain(lti.A, p_f, p_covs[-1], horizon - 1)
-        repeat = 0
-        for t in range(horizon - 1, start - 1, -1):
+        for _ in range(horizon - start):
             cross_tail.append(gain @ s_tail[-1])
             s_tail.append(
                 symmetrize(p_f + gain @ (s_tail[-1] - p_pred) @ gain.T))
             if _settled(s_tail[-1], s_tail[-2]):
-                repeat = t - start
                 break
-        cross_frozen = gain @ s_tail[-1]
+        cross_tail.append(gain @ s_tail[-1])
         offsets = np.matmul(p_means[start:horizon], -gain.T,
                             out=s_means[start:horizon])
         offsets += f_means[start:horizon]
         linear_scan(gain, s_means[start:][::-1])
 
-    s_covs = np.empty((start + 1, n, n))
-    cross = np.empty((start, n, n))
-    s_covs[start] = s_tail[-1]
-    # FrozenCovs heads as views; predicted_covs' ends a step before filtered's
-    f_head, p_head = (getattr(c, "head", c) for c in (f_covs, p_covs))
+    f_mats, p_mats = (getattr(c, "mats", c) for c in (f_covs, p_covs))
+    if start and any(
+            np.any(c.counts[:start - 1] != 1) or c.counts[start - 1] < 1
+            for c in (f_covs, p_covs) if isinstance(c, FrozenCovs)):
+        raise ValueError("rts_smoother reads a FrozenCovs' block t as step "
+                         "t for each t it smooths one by one")
+    # rows in time order; the tails are written with no temporary copy
+    s_covs = np.empty((start + len(s_tail), n, n))
+    cross = np.empty((start + len(cross_tail), n, n))
+    np.concatenate(s_tail[::-1], out=s_covs[start:].reshape(-1, n))
+    if cross_tail:
+        np.concatenate(cross_tail[::-1], out=cross[start:].reshape(-1, n))
     a_seq = filtered.transition_seq
     for t in range(start - 1, -1, -1):
-        p_f = f_head[t] if t < len(f_head) else f_covs[t]
+        p_f = f_mats[t]
         gain, p_pred = _smoother_gain(
-            lti.A if a_seq is None else a_seq[t], p_f,
-            p_head[t] if t < len(p_head) else p_covs[t], t)
+            lti.A if a_seq is None else a_seq[t], p_f, p_mats[t], t)
         s_means[t] = f_means[t] + gain @ (s_means[t + 1] - p_means[t])
         s_covs[t] = symmetrize(p_f + gain @ (s_covs[t + 1] - p_pred) @ gain.T)
         cross[t] = gain @ s_covs[t + 1]
 
     if start < horizon:
-        s_covs = FrozenCovs(s_covs[:start], s_tail[-1], repeat, s_tail[::-1])
-        cross = FrozenCovs(cross, cross_frozen, repeat, cross_tail[::-1])
+        # the settled matrix, row start, fills out T + 1 and T steps
+        counts = np.ones((2, len(s_covs)), dtype=int)
+        counts[:, start] = horizon + 2 - len(s_covs), horizon + 1 - len(s_covs)
+        s_covs = FrozenCovs(s_covs, counts[0])
+        cross = FrozenCovs(cross, counts[1])
     return dataclasses.replace(filtered, smoothed_means=s_means,
                                smoothed_covs=s_covs, cross_covs=cross)
 
@@ -821,10 +818,10 @@ def readout_bayes(states, outputs, tau_p: float,
     """
     if not tau_p > 0.0:
         raise ValueError("prior precision tau_p must be positive")
-    r = check_psd(R, "R")
+    x_mean, y_mean, s_moment, g = _readout_moments(states, outputs)
+    r = check_psd(R, "R", (len(y_mean), len(y_mean)))
     if float(np.linalg.eigvalsh(r).min()) <= 0.0:
         raise ValueError("R must be positive definite")
-    x_mean, y_mean, s_moment, g = _readout_moments(states, outputs)
     s_moment = symmetrize(s_moment)
     c = scipy.linalg.solve_sylvester(tau_p * r, s_moment, g)
     d = y_mean - c @ x_mean

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from ._linalg import linear_scan, rng_from_seed
+from ._linalg import as_float_array, linear_scan, rng_from_seed
 from .core import Readout, ReservoirParams, Trajectory
 from .stability import spectral_radius
 
@@ -72,9 +72,9 @@ class Dictionary:
         return float(np.sqrt(1.0 + 2.0 / self.count * np.sum(omega * omega)))
 
     def eval_batch(self, states: np.ndarray) -> np.ndarray:
-        """Evaluate the dictionary on rows of ``states`` -> (S, N), filling
-        one preallocated array in place."""
-        x = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        """Evaluate the dictionary on the rows of ``states`` (S, n) ->
+        (S, N), filling one preallocated array in place."""
+        x = as_float_array(states, "states", ("S", "n"))
         s, n = x.shape
         out = np.empty((s, self.output_dim(n)))
         out[:, 0] = 1.0

@@ -503,6 +503,18 @@ class TestOutputPsd:
             got = output_psd(lti, np.eye(1), omega)[0, 0]
             assert got == pytest.approx(abs(h) ** 2, rel=1e-12)
 
+    def test_input_density_and_frequency_checked(self):
+        lti = scalar_lti(0.9, 1.0, 1.0)
+        with pytest.raises(ValueError, match="input_psd has non-finite entry"):
+            output_psd(lti, [[np.nan]], 0.1)
+        with pytest.raises(ValueError, match="input_psd has non-finite entry"):
+            output_psd(lti, [[complex(1.0, np.inf)]], 0.1)
+        with pytest.raises(ValueError, match="omega has non-finite entry"):
+            output_psd(lti, np.eye(1), np.nan)
+        with pytest.raises(ValueError,
+                           match=r"input_psd must be \(1, 1\), got \(2, 2\)"):
+            output_psd(lti, np.eye(2), 0.1)
+
     def test_zero_input_density(self):
         lti = stable_random_lti(seed=12)
         np.testing.assert_array_equal(

@@ -53,45 +53,67 @@ def scalar_system(a=0.5, q=0.1, c=1.0, r=0.1):
     return lti, noise
 
 
+@st.composite
+def frozen_covs(draw):
+    """A FrozenCovs of k <= 5 random (n, n) blocks, n <= 3, each repeated
+    0..4 times, and the full array it stands for."""
+    counts = draw(st.lists(st.integers(0, 4), max_size=5))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = rng.standard_normal((len(counts), n, n))
+    return FrozenCovs(mats, counts), np.repeat(mats, counts, axis=0)
+
+
 class TestFrozenCovs:
-    def _pair(self):
-        rng = np.random.default_rng(37)
-        seq = FrozenCovs(rng.standard_normal((3, 2, 2)),
-                         rng.standard_normal((2, 2)), 4,
-                         rng.standard_normal((2, 2, 2)))
-        return seq, np.asarray(seq)
-
     def test_full_array_layout(self):
-        seq, full = self._pair()
-        assert full.shape == (9, 2, 2) and len(seq) == 9
-        assert np.array_equal(full[:3], seq.head)
-        assert np.array_equal(full[3:7], np.broadcast_to(seq.frozen, (4, 2, 2)))
-        assert np.array_equal(full[7:], seq.tail)
+        mats = np.arange(12.0).reshape(3, 2, 2)
+        seq = FrozenCovs(mats, [2, 0, 3])
+        assert len(seq) == 5
+        assert np.array_equal(np.asarray(seq), mats[[0, 0, 2, 2, 2]])
+        with pytest.raises(ValueError, match=r"mats must be \(k, n, n\)"):
+            FrozenCovs(mats[0], [1, 1])
+        for counts in ([1, 1], [1, -1, 1], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="counts must be 3 integers"):
+                FrozenCovs(mats, counts)
 
-    def test_every_index_and_slice_matches_the_array(self):
-        seq, full = self._pair()
-        for i in range(-9, 9):
+    @settings(max_examples=30)
+    @given(frozen_covs())
+    def test_every_index_and_slice_matches_the_array(self, pair):
+        seq, full = pair
+        size = len(full)
+        assert len(seq) == size
+        for i in range(-size, size):
             assert np.array_equal(seq[i], full[i])
-            assert seq[i, 1, 0] == full[i, 1, 0]
-        for start in range(-10, 11):
-            for stop in [None, *range(-10, 11)]:
-                part = seq[start:stop]
+            for row in range(full.shape[1]):
+                assert np.array_equal(seq[i, row], full[i, row])
+                assert np.array_equal(seq[i, row, 0], full[i, row, 0])
+        # the sums differ only in rounding, of at most 20 terms <= max|mats|
+        tol = 1e-14 * np.abs(full).max(initial=1.0)
+        for start in [None, *range(-size - 1, size + 2)]:
+            for stop in [None, *range(-size - 1, size + 2)]:
+                part, want = seq[start:stop], full[start:stop]
                 assert isinstance(part, FrozenCovs)
-                assert np.array_equal(np.asarray(part), full[start:stop])
-                np.testing.assert_allclose(part.sum(axis=0),
-                                           full[start:stop].sum(axis=0),
-                                           rtol=1e-14, atol=1e-14)
+                assert part.mats.base is seq.mats.base
+                assert len(part) == len(want)
+                assert np.array_equal(np.asarray(part), want)
+                assert np.abs(part.sum(axis=0) - want.sum(axis=0)).max() <= tol
 
     def test_read_only_and_unsupported_access(self):
-        seq, _ = self._pair()
+        seq = FrozenCovs(np.ones((2, 2, 2)), [3, 1])
         with pytest.raises(ValueError, match="read-only"):
-            seq[4][0, 0] = 1.0
+            seq[1][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            seq.counts[0] = 0
         with pytest.raises(IndexError):
-            seq[9]
+            seq[4]
+        with pytest.raises(IndexError):
+            seq[-5, 0]
         with pytest.raises(TypeError, match="np.asarray"):
             seq[::2]
         with pytest.raises(TypeError, match="np.asarray"):
             seq[:, 0, 0]
+        with pytest.raises(ValueError, match="must be copied"):
+            np.asarray(seq, copy=False)
 
 
 class TestKalmanFilter:
@@ -325,6 +347,26 @@ class TestRtsSmoother:
         broken = dataclasses.replace(filt, predicted_covs=p_covs)
         with pytest.raises(ValueError, match="time index 3$"):
             rts_smoother(broken, lti, noise)
+
+    def test_frozen_blocks_must_be_the_filter_steps(self):
+        # without steady_from the per-step pass would read the filter's
+        # blocks as its steps 0..T-1, past its frozen block
+        lti, noise = scalar_system()
+        outputs = np.random.default_rng(28).standard_normal((50, 1))
+        filt = kalman_filter(lti, noise, np.zeros((50, 1)), outputs,
+                             (np.zeros(1), np.eye(1)))
+        assert isinstance(filt.filtered_covs, FrozenCovs)
+        with pytest.raises(ValueError, match="it smooths one by one$"):
+            rts_smoother(dataclasses.replace(filt, steady_from=None), lti,
+                         noise)
+        # the same sequence with an empty block read as step steady_from
+        covs, at = filt.filtered_covs, filt.steady_from
+        padded = FrozenCovs(np.insert(covs.mats, at, 0.0, axis=0),
+                            np.insert(covs.counts, at, 0))
+        assert np.array_equal(np.asarray(padded), np.asarray(covs))
+        with pytest.raises(ValueError, match="it smooths one by one$"):
+            rts_smoother(dataclasses.replace(filt, filtered_covs=padded), lti,
+                         noise)
 
     def test_large_singular_prior_is_smoothed(self):
         # the prior 1e6 * ones is exactly singular; its jitter must be
@@ -719,6 +761,25 @@ class TestPosteriorMemory:
         assert post.steady_from is not None
         assert peak <= 32.0
 
+    def test_smoother_writes_its_blocks_once(self):
+        # the smoother returns the means and the two block arrays; until it
+        # writes them it also holds the backward tails as lists, here under
+        # half the blocks.  Building the blocks twice, as concatenating the
+        # per-step rows and the tails does, adds about half of them again
+        n, p, horizon = 16, 2, 2000
+        a, b, c = random_stable_system(n, 1, p, seed=40, rho=0.9)
+        lti = LtiModel(A=a, B=b, C=c, D=np.zeros((p, 1)))
+        noise = NoiseModel(Q=1e-3 * np.eye(n), R=1e-2 * np.eye(p))
+        rng = np.random.default_rng(0)
+        filt = kalman_filter(lti, noise, rng.standard_normal((horizon, 1)),
+                             rng.standard_normal((horizon, p)),
+                             (np.zeros(n), 1e-2 * np.eye(n)))
+        post, peak = traced_peak_mib(rts_smoother, filt, lti, noise)
+        mats = post.smoothed_covs.mats
+        assert len(mats) - (filt.steady_from + 1) < len(mats) / 2
+        blocks = mats.nbytes + post.cross_covs.mats.nbytes
+        assert peak * 2 ** 20 <= post.smoothed_means.nbytes + 1.75 * blocks
+
 
 class TestEmEvents:
     def _events(self, caplog, name, level):
@@ -1017,6 +1078,13 @@ class TestReadouts:
         y = rng.standard_normal((50, 2))
         ro, _ = readout_bayes(states, y, tau_p=1e12, R=np.eye(2))
         assert np.abs(ro.C).max() <= 1e-8
+
+    def test_bayes_r_must_match_the_outputs(self):
+        rng = np.random.default_rng(19)
+        with pytest.raises(ValueError,
+                           match=r"^R must be \(2, 2\), got \(3, 3\)$"):
+            readout_bayes(rng.standard_normal((20, 3)),
+                          rng.standard_normal((20, 2)), tau_p=1.0, R=np.eye(3))
 
     def test_bayes_reduces_to_ridge_scalar_output(self):
         rng = np.random.default_rng(16)

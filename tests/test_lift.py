@@ -52,6 +52,15 @@ class TestDictionary:
         with pytest.raises(TypeError, match="count must be an integer"):
             Dictionary(count=count)
 
+    def test_states_checked(self):
+        d = Dictionary.random_fourier(4, 1.0, 0)
+        with pytest.raises(ValueError,
+                           match="states has non-finite entry at flat index 1"):
+            d.eval_batch([[0.0, np.nan]])
+        with pytest.raises(ValueError,
+                           match=r"states must be \(S, n\), got \(2, 3, 4\)"):
+            d.eval_batch(np.zeros((2, 3, 4)))
+
     def test_numpy_integer_count(self):
         d = Dictionary(count=np.int64(2))
         assert d.output_dim(2) == 5
