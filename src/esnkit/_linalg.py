@@ -70,8 +70,8 @@ def check_psd(m: np.ndarray, name: str, shape: tuple = ("n", "n")) -> np.ndarray
     and the eigenvalue floor -1e-12 (both relative to max(1, max|m|));
     return the symmetrized matrix."""
     m = as_float_array(m, name, shape)
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > 1e-12 * scale:
+    scale = float(np.abs(m).max(initial=1.0))
+    if np.abs(m - m.T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError(f"{name} is not symmetric within tolerance 1e-12")
     ms = symmetrize(m)
     if ms.size and float(np.linalg.eigvalsh(ms).min()) < -1e-12 * scale:

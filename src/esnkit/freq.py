@@ -317,7 +317,8 @@ def output_psd(lti: LtiModel, input_psd: np.ndarray, omega) -> np.ndarray:
     s_u = np.asarray(input_psd, dtype=complex)
     for part in s_u.real, s_u.imag:
         as_float_array(part, "input_psd", (lti.m, lti.m))
-    if np.abs(s_u - s_u.conj().T).max() > 1e-12 * max(1.0, np.abs(s_u).max()):
+    scale = np.abs(s_u).max(initial=1.0)
+    if np.abs(s_u - s_u.conj().T).max(initial=0.0) > 1e-12 * scale:
         raise ValueError("input PSD must be Hermitian")
     if s_u.size and float(np.linalg.eigvalsh(s_u).min()) < -1e-12:
         raise ValueError("input PSD must be positive semidefinite")

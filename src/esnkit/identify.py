@@ -398,13 +398,14 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     s_means = np.empty((horizon + 1, n))
     s_means[horizon] = f_means[horizon]
     # covariances from t = T backward, computed before the per-step pass
-    s_tail, cross_tail = [f_covs[horizon]], []
+    s_tail, cross_tail = [_last_step(f_covs)], []
 
     start = horizon
     if filtered.steady_from is not None and filtered.steady_from + 1 < horizon:
         start = filtered.steady_from + 1
         p_f = s_tail[0]
-        gain, p_pred = _smoother_gain(lti.A, p_f, p_covs[-1], horizon - 1)
+        gain, p_pred = _smoother_gain(lti.A, p_f, _last_step(p_covs),
+                                      horizon - 1)
         for _ in range(horizon - start):
             cross_tail.append(gain @ s_tail[-1])
             s_tail.append(
@@ -446,6 +447,13 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
         cross = FrozenCovs(cross, counts[1])
     return dataclasses.replace(filtered, smoothed_means=s_means,
                                smoothed_covs=s_covs, cross_covs=cross)
+
+
+def _last_step(covs: Covs) -> np.ndarray:
+    """``covs[-1]``, read from a FrozenCovs' last block with a nonzero count."""
+    if isinstance(covs, FrozenCovs):
+        return covs.mats[covs.counts.nonzero()[0][-1]]
+    return covs[-1]
 
 
 def _smoother_gain(a_t, p_f, p_pred, t):

@@ -116,65 +116,55 @@ def edmd_fit(params: ReservoirParams,
     data noise).  ``C_phi`` selects the identity block, composed with the
     readout when one is supplied.
 
-    phi is evaluated once, on the stacked states; each trajectory's
-    regressors and targets are views of it, summed into the normal equations
-    and residual norms one trajectory at a time, the residuals in one reused
-    (max T_i, N) buffer.  The images f(x_t, u_t) are formed value only (the
-    sums of ``core.leaky_map``, without its slope), and the copies x_t and
-    x_{t+1} they are compared with are freed before phi is evaluated.
-    phi(x_{t+1}) is the target only where ``delta_t = ||f(x_t, u_t) -
-    x_{t+1}||`` is at most ``16 n eps (1 + ||x_t|| + ||x_{t+1}||)``
-    (noiseless ``simulate`` rows differ by about 1e-16: it rounds
-    differently); other rows (process noise, data from elsewhere) get
-    phi(f(x_t, u_t)) evaluated.  ``epsilon`` adds L_phi times
+    One pass over the trajectories evaluates phi on each one's states
+    x_0..x_T and forms its images f(x_t, u_t) value only (the sums of
+    ``core.leaky_map``, without its slope) from views of its states and
+    inputs; its regressors phi(x_0..x_{T-1}) and targets are views of phi,
+    summed into the normal equations and residual norms one trajectory at a
+    time, the residuals in one reused (max T_i, N) buffer.  A trajectory
+    with no step adds nothing.  phi(x_{t+1}) is the target only where
+    ``delta_t = ||f(x_t, u_t) - x_{t+1}||`` is at most ``16 n eps (1 +
+    ||x_t|| + ||x_{t+1}||)`` (noiseless ``simulate`` rows differ by about
+    1e-16: it rounds differently); other rows (process noise, data from
+    elsewhere) get phi(f(x_t, u_t)) evaluated.  ``epsilon`` adds L_phi times
     the largest reused delta_t, where L_phi >= ||J_phi||_2 holds everywhere
     (``Dictionary._lipschitz``: 1 for the affine dictionary, the Frobenius
     norm bound of the Fourier block otherwise), so it bounds the residuals
     at the exact images.
 
     Raises:
-        ValueError: too few snapshots, or rank-deficient normal equations
-            with ridge = 0 (the message says to set ridge > 0).
+        ValueError: a trajectory of another state or input size than the
+            reservoir's, too few snapshots, or rank-deficient normal
+            equations with ridge = 0 (the message says to set ridge > 0).
     """
     if ridge < 0.0:
         raise ValueError("ridge must be >= 0")
     n, m = params.n, params.m
+    big_n = dictionary.output_dim(n)
+    pieces, delta_max = [], 0.0     # (phi(x_t), u_t, target) per trajectory
     for traj in trajectories:
         if traj.states.shape[1] != n or traj.inputs.shape[1] != m:
             raise ValueError("trajectory dimensions do not match the reservoir")
-    big_n = dictionary.output_dim(n)
-    horizons = [traj.horizon for traj in trajectories]
-    snapshots = sum(horizons)
+        if traj.horizon == 0:
+            continue
+        phi = dictionary.eval_batch(traj.states)
+        x, x_next, u = traj.states[:-1], traj.states[1:], traj.inputs
+        # the images f(x_t, u_t) in the sums of core.leaky_map, without its slope
+        images = (1.0 - params.leak) * x + params.leak * params.activation(
+            x @ params.W.T + (u @ params.U.T + params.b))
+        delta = _row_norms(images - x_next)
+        reuse = delta <= 16.0 * n * np.finfo(float).eps * (
+            1.0 + _row_norms(x) + _row_norms(x_next))
+        target, redo = phi[1:], ~reuse
+        if redo.any():
+            target = target.copy()
+            target[redo] = dictionary.eval_batch(images[redo])
+        delta_max = max(delta_max, float(delta[reuse].max(initial=0.0)))
+        pieces.append((phi[:-1], u, target))
+    snapshots = sum(len(u_t) for _, u_t, _ in pieces)
     if snapshots < big_n + m + 1:
         raise ValueError(
             f"need at least N + m + 1 = {big_n + m + 1} snapshots, got {snapshots}")
-
-    states = np.vstack([traj.states for traj in trajectories])
-    u = np.vstack([traj.inputs for traj in trajectories])
-    has_next = np.ones(len(states), dtype=bool)     # rows x_t with t < T_i
-    has_next[np.cumsum(horizons) + np.arange(len(horizons))] = False
-    x, x_next = states[has_next], states[1:][has_next[:-1]]
-    scale = 1.0 + _row_norms(x) + _row_norms(x_next)
-    # the images f(x_t, u_t) in the sums of core.leaky_map, without its slope
-    images = params.activation(x @ params.W.T + (u @ params.U.T + params.b))
-    images *= params.leak
-    x *= 1.0 - params.leak
-    images += x
-    delta = _row_norms(np.subtract(images, x_next, out=x))
-    del x, x_next
-    reuse = delta <= 16.0 * n * np.finfo(float).eps * scale
-
-    phi = dictionary.eval_batch(states)
-    pieces, row, snap = [], 0, 0        # (phi(x_t), u_t, target) per trajectory
-    for h in horizons:
-        target = phi[row + 1:row + h + 1]
-        redo = ~reuse[snap:snap + h]
-        if redo.any():
-            target = target.copy()
-            target[redo] = dictionary.eval_batch(images[snap:snap + h][redo])
-        pieces.append((phi[row:row + h], u[snap:snap + h], target))
-        row, snap = row + h + 1, snap + h
-    del images
 
     # normal equations of the regressors [phi(x), u], built block by block
     gram = sum(np.block([[phi_x.T @ phi_x, phi_x.T @ u_t],
@@ -192,13 +182,13 @@ def edmd_fit(params: ReservoirParams,
 
     # each trajectory's residuals in the rows of one reused buffer; dgemm
     # adds u_t B' in place (its transposes are F-ordered views, as BLAS wants)
-    buffer, epsilon = np.empty((max(horizons), big_n)), 0.0
+    buffer, epsilon = np.empty((max(len(t) for *_, t in pieces), big_n)), 0.0
     for phi_x, u_t, target in pieces:
         resid = np.matmul(phi_x, coeffs[:big_n], out=buffer[:len(target)])
         dgemm(1.0, coeffs[big_n:].T, u_t.T, 1.0, resid.T, 0, 0, 1)
         resid -= target
         epsilon = max(epsilon, float(_row_norms(resid).max()))
-    epsilon += float(delta[reuse].max(initial=0.0)) * dictionary._lipschitz(n)
+    epsilon += delta_max * dictionary._lipschitz(n)
 
     if readout is not None:
         c_phi = np.zeros((readout.p, big_n))

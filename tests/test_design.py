@@ -84,3 +84,10 @@ def test_input_scaling_hits_target_preactivation_variance():
                           np.zeros((20, 3)))
     with pytest.raises(ValueError, match="zero along a sampled row"):
         input_scaling(1.0, np.zeros((2, 2)), 5)
+
+
+def test_input_scaling_with_no_inputs():
+    assert np.array_equal(input_scaling(0.0, np.zeros((0, 0)), 3),
+                          np.zeros((3, 0)))
+    with pytest.raises(ValueError, match="zero along a sampled row"):
+        input_scaling(1.0, np.zeros((0, 0)), 3)

@@ -515,6 +515,14 @@ class TestOutputPsd:
                            match=r"input_psd must be \(1, 1\), got \(2, 2\)"):
             output_psd(lti, np.eye(2), 0.1)
 
+    def test_no_inputs(self):
+        lti = LtiModel(A=[[0.5]], B=np.zeros((1, 0)), C=[[1.0]],
+                       D=np.zeros((1, 0)))
+        assert np.array_equal(output_psd(lti, np.zeros((0, 0)), 0.1),
+                              np.zeros((1, 1)))
+        assert np.array_equal(output_psd(lti, np.zeros((0, 0)), [0.0, 2.0]),
+                              np.zeros((2, 1, 1)))
+
     def test_zero_input_density(self):
         lti = stable_random_lti(seed=12)
         np.testing.assert_array_equal(

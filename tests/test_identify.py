@@ -225,6 +225,10 @@ class TestNoiseDimensions:
             else:
                 predictive(lti, noise, prior, inputs)
 
+    def test_empty_process_noise(self):
+        noise = NoiseModel(Q=np.zeros((0, 0)), R=np.eye(1))
+        assert noise.Q.shape == (0, 0)
+
 
 class TestRtsSmoother:
     def test_single_step_smoothed_equals_filtered(self):
@@ -367,6 +371,34 @@ class TestRtsSmoother:
         with pytest.raises(ValueError, match="it smooths one by one$"):
             rts_smoother(dataclasses.replace(filt, filtered_covs=padded), lti,
                          noise)
+
+    def test_last_steps_read_from_the_blocks(self, monkeypatch):
+        # the backward pass starts from the last filtered and predicted
+        # matrices, a FrozenCovs' last block with a nonzero count; an empty
+        # block after it changes nothing
+        lti, noise = scalar_system()
+        outputs = np.random.default_rng(28).standard_normal((50, 1))
+        filt = kalman_filter(lti, noise, np.zeros((50, 1)), outputs,
+                             (np.zeros(1), np.eye(1)))
+        padded = {}
+        for name in ("filtered_covs", "predicted_covs"):
+            covs = getattr(filt, name)
+            padded[name] = FrozenCovs(
+                np.append(covs.mats, 2.0 * covs.mats[-1:], axis=0),
+                np.append(covs.counts, 0))
+        lookups, getitem = [], FrozenCovs.__getitem__
+
+        def counted(self, key):
+            lookups.append(key)
+            return getitem(self, key)
+        monkeypatch.setattr(FrozenCovs, "__getitem__", counted)
+        want = rts_smoother(filt, lti, noise)
+        got = rts_smoother(dataclasses.replace(filt, **padded), lti, noise)
+        assert not [key for key in lookups
+                    if isinstance(key, (int, np.integer))]
+        for name in ("smoothed_means", "smoothed_covs", "cross_covs"):
+            assert np.array_equal(np.asarray(getattr(got, name)),
+                                  np.asarray(getattr(want, name)))
 
     def test_large_singular_prior_is_smoothed(self):
         # the prior 1e6 * ones is exactly singular; its jitter must be

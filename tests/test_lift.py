@@ -7,7 +7,7 @@ from esnkit import (Activation, Dictionary, ReservoirParams, edmd_fit,
                     lifted_rollout_error, reservoir_step, simulate,
                     spectral_radius)
 
-from conftest import make_readout, make_reservoir
+from conftest import make_readout, make_reservoir, traced_peak_mib
 from oracles import edmd_reference
 
 
@@ -172,15 +172,17 @@ class TestEdmdFit:
         assert eps == pytest.approx(lm.epsilon, rel=1e-12, abs=1e-15)
 
     def test_mixed_ensemble_matches_row_by_row_reference(self):
-        # a noiseless run, a process-noise run, unequal lengths and a 1-step
-        # run: no (x_t, x_t+1) pair may cross a trajectory boundary, and the
-        # noisy rows must still target phi(f(x_t, u_t)), not phi(x_t+1)
+        # a noiseless run, a process-noise run, unequal lengths, a 0-step
+        # and a 1-step run: no (x_t, x_t+1) pair may cross a trajectory
+        # boundary, and the noisy rows must still target phi(f(x_t, u_t)),
+        # not phi(x_t+1)
         p = make_reservoir(n=3, m=1, seed=5, w_scale=0.7, bias_scale=0.3)
         rng = np.random.default_rng(11)
         trajs = [
             simulate(p, 0.1 * rng.standard_normal(3), rng.uniform(-1, 1, (70, 1))),
             simulate(p, np.zeros(3), rng.uniform(-1, 1, (45, 1)),
                      process_noise=(1e-3 * np.eye(3), 4)),
+            simulate(p, np.ones(3), np.zeros((0, 1))),
             simulate(p, rng.standard_normal(3), rng.uniform(-1, 1, (1, 1))),
             simulate(p, 0.1 * rng.standard_normal(3), rng.uniform(-1, 1, (30, 1))),
         ]
@@ -200,6 +202,48 @@ class TestEdmdFit:
         coeffs = np.linalg.solve(reg.T @ reg + 1e-8 * np.eye(reg.shape[1]),
                                  reg.T @ naive)
         assert np.abs(coeffs[:10].T - ref["A_phi"]).max() > 1e-6 * scale
+
+    def test_zero_step_trajectory_adds_nothing(self):
+        # it has no (x_t, x_t+1) pair, so the fit is the fit without it
+        p = make_reservoir(n=3, m=1, seed=5, w_scale=0.7, bias_scale=0.3)
+        rng = np.random.default_rng(11)
+        traj = simulate(p, 0.1 * rng.standard_normal(3),
+                        rng.uniform(-1, 1, (70, 1)))
+        empty = simulate(p, rng.standard_normal(3), np.zeros((0, 1)))
+        d = Dictionary.random_fourier(6, 1.0, 5)
+        want = edmd_fit(p, [traj], d, ridge=1e-8)
+        for trajs in ([traj, empty], [empty, traj]):
+            got = edmd_fit(p, trajs, d, ridge=1e-8)
+            for name in ("A_phi", "B_phi", "C_phi", "epsilon"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        with pytest.raises(ValueError, match="snapshots, got 0$"):
+            edmd_fit(p, [empty, empty], d, ridge=1e-8)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2)])
+    def test_every_trajectory_dimension_checked(self, n, m):
+        p = make_reservoir(n=3, m=1, seed=5)
+        rng = np.random.default_rng(12)
+        valid = simulate(p, np.zeros(3), rng.uniform(-1, 1, (40, 1)))
+        other = simulate(make_reservoir(n=n, m=m, seed=6), np.zeros(n),
+                         rng.uniform(-1, 1, (40, m)))
+        with pytest.raises(ValueError,
+                           match="trajectory dimensions do not match"):
+            edmd_fit(p, [valid, other], Dictionary(), ridge=1e-8)
+
+    def test_features_are_evaluated_per_trajectory(self):
+        # the fit holds every state's features (the regressors and targets
+        # are views of them) and, one trajectory at a time, temporaries and
+        # the residual buffer, here under 1.8 trajectories' features in all.
+        # Stacking the ensemble's states, inputs and images while the
+        # features are alive adds over 5 trajectories' features
+        p = make_reservoir(n=8, m=2, seed=3, bias_scale=0.3)
+        rng = np.random.default_rng(0)
+        trajs = [simulate(p, 0.1 * rng.standard_normal(8),
+                          rng.uniform(-1, 1, (400, 2))) for _ in range(8)]
+        d = Dictionary.random_fourier(32, 1.0, 0)
+        _, peak = traced_peak_mib(edmd_fit, p, trajs, d, ridge=1e-8)
+        one = 401 * d.output_dim(8) * 8
+        assert peak * 2 ** 20 <= (8 + 3) * one
 
     @settings(max_examples=30)
     @given(n=st.integers(1, 4), m=st.integers(1, 2),
