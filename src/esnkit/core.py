@@ -367,7 +367,7 @@ def _preactivation_steps(params: ReservoirParams, x0: np.ndarray,
     ``out`` itself (no other (T, n) array): step t reads e_{t+1} from row
     t + 1 before the next step writes sigma(a_{t+1}) there.
     """
-    if not len(out):
+    if not out.size:
         return
     lam, table = params.leak, _slope_table(params.activation)
     w = np.ascontiguousarray(params.W)

@@ -843,12 +843,16 @@ def readout_bayes(states, outputs, tau_p: float,
 
 
 def excitation_sigma_min(inputs, depth: int) -> float:
-    """Smallest singular value of the depth-r block input Toeplitz matrix
-    (the persistent-excitation statistic)."""
+    """Smallest singular value of the (depth m, T - depth + 1) block input
+    Toeplitz matrix of depth r (the persistent-excitation statistic); 0 when
+    the record has fewer windows than depth m, as the matrix then has a
+    nontrivial left null space."""
     inputs = as_float_array(inputs, "inputs", ("T", "m"))
     horizon, m = inputs.shape
     if depth < 1 or horizon < depth:
         raise ValueError("need depth >= 1 and at least depth input samples")
+    if horizon - depth + 1 < depth * m:
+        return 0.0
     cols = np.lib.stride_tricks.sliding_window_view(inputs, (depth, m))
     mat = cols.reshape(-1, depth * m).T
     return float(np.linalg.svd(mat, compute_uv=False)[-1])
@@ -867,16 +871,26 @@ class SubspaceResult:
 def _markov_from_io(inputs: np.ndarray, outputs: np.ndarray,
                     n_markov: int) -> np.ndarray:
     """Least-squares Markov parameters g_1..g_L of y_t = sum_k g_k u_{t-k}
-    (strictly proper; assumes the run started at rest)."""
+    (strictly proper; assumes the run started at rest).  Raises unless the
+    smallest singular value of the depth-L input regressor (0 with fewer
+    rows than columns) exceeds 1e-8 and it has more rows than columns."""
     horizon, m = inputs.shape
     p = outputs.shape[1]
-    if horizon <= n_markov + m * n_markov:
+    if horizon <= n_markov:
         raise ValueError("not enough data for the requested Markov horizon")
     # row t - L: regressor [u_t, u_{t-1}, ..., u_{t-L+1}] paired with outputs[t]
     windows = np.lib.stride_tricks.sliding_window_view(inputs, (n_markov, m))
     regress = windows[1:, 0, ::-1].reshape(horizon - n_markov, n_markov * m)
     target = outputs[n_markov:]
-    coeffs, *_ = np.linalg.lstsq(regress, target, rcond=None)
+    coeffs, _, _, svals = np.linalg.lstsq(regress, target, rcond=None)
+    tall = len(regress) >= n_markov * m     # a wide regressor has rank < L m
+    sigma_min = float(svals.min(initial=np.inf)) if tall else 0.0
+    if sigma_min <= 1e-8:
+        raise ValueError(
+            f"inputs are not persistently exciting at depth {n_markov} "
+            f"(sigma_min = {sigma_min:.3e})")
+    if horizon <= n_markov + m * n_markov:
+        raise ValueError("not enough data for the requested Markov horizon")
     return coeffs.T.reshape(p, n_markov, m).transpose(1, 0, 2)
 
 
@@ -888,9 +902,11 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
 
     Either pass ``impulse`` (the kernel blocks h_k = C A^k B, shape
     (K+1, p, m)) directly, or input/output data from a run started at rest,
-    in which case Markov parameters are estimated by least squares after a
-    persistent-excitation check (smallest block-Toeplitz singular value must
-    exceed 1e-8).
+    in which case L Markov parameters are estimated by least squares, L =
+    ``n_markov`` or by default min(max(2 order + 2, 20), T // 2).  The
+    persistent-excitation check is made at that depth L: the smallest
+    singular value of the least-squares regressor (0 with fewer rows than
+    columns) must exceed 1e-8.
 
     The balanced realization of order ``order`` comes from the truncated SVD
     of the block Hankel matrix (singular values below ``1e-8 * s_1`` do not
@@ -907,11 +923,6 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
             raise ValueError("provide either impulse data or inputs/outputs")
         inputs = as_float_array(inputs, "inputs", ("T", "m"))
         outputs = as_float_array(outputs, "outputs", (len(inputs), "p"))
-        sigma_min = excitation_sigma_min(inputs, order)
-        if sigma_min <= 1e-8:
-            raise ValueError(
-                f"inputs are not persistently exciting at depth {order} "
-                f"(sigma_min = {sigma_min:.3e})")
         length = n_markov if n_markov is not None else min(
             max(2 * order + 2, 20), inputs.shape[0] // 2)
         markov = _markov_from_io(inputs, outputs, length)

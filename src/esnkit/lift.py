@@ -17,6 +17,7 @@ only linearly, so richer state features do not help.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -54,10 +55,14 @@ class Dictionary:
     def random_fourier(cls, count: int, bandwidth: float, seed: int) -> "Dictionary":
         return cls(count=count, bandwidth=bandwidth, seed=seed)
 
+    @functools.lru_cache(maxsize=8)
     def _fourier_weights(self, n: int):
+        """(omega, phase) for states of size n, drawn once per dictionary
+        and n, and read-only as every call shares them."""
         rng = rng_from_seed(self.seed)
         omega = rng.standard_normal((self.count, n)) / self.bandwidth
         phase = rng.uniform(0.0, 2.0 * np.pi, self.count)
+        omega.flags.writeable = phase.flags.writeable = False
         return omega, phase
 
     def output_dim(self, n: int) -> int:

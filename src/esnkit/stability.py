@@ -7,7 +7,8 @@ what guarantees unique input-driven trajectories and fading memory):
   kappa = (1 - leak) + leak * ||W||_2 * L_sigma.
 * ``certify_weighted`` -- a quadratic (weighted-norm) certificate: the rate
   kappa at which a weight P satisfies the slope-vertex matrix inequalities
-  M' P M <= kappa^2 P.  Its kappa is never worse than the Lipschitz one.
+  M' P M <= kappa^2 P.  Its kappa is never worse than the Lipschitz one by
+  more than the slack of its test.
 * spectral radius of a small-signal Jacobian (via :func:`spectral_radius`),
   a local condition composed by callers.
 
@@ -22,26 +23,29 @@ ever report "Unknown" on success.  Slopes are taken in [0, L_sigma], which
 is correct for the closed activation table (tanh/identity/leaky all have
 nonnegative slopes).
 
-The vertices are checked in stacks of ``_VERTEX_CHUNK``, each accepted when
-one batched Cholesky factorization of ``tau I - G``, G = M' P M - kappa^2 P,
-succeeds.  That proves lambda_max(G) <= tau up to the backward error
-O(n eps ||G||), far below the slack tau, so it is as sound as an eigenvalue
-test.  The stack is formed as kappa^2 P + tau I - M' P M, and the
-factorization reads only its lower triangle, so M' P M is not symmetrized:
-its forming error, which tau covers either way, has the same O(n eps)
-entrywise bound in both triangles, and averaging the two copies does not
-shrink that bound.  At a fixed P = L L' the test only gets easier as kappa
-grows (G falls, tau grows), so :func:`_weighted_gain` finds the P-norm gain
-max_v ||L' M_v L'^{-1}||_2 in one pass: a failing stack raises kappa to its
-SVD gain and is tested again, and the stacks already passed stay proved.
-No P gives a rate below rho(A+) or 1 - leak, as A+ = (1-leak) I + leak
-L_sigma W and (1-leak) I are vertices.
+The vertices are checked in stacks of ``_VERTEX_CHUNK`` by
+:func:`_cholesky_passes`: one batched Cholesky factorization of
+``tau I - G``, G = M' P M - kappa^2 P, with the slack tau of :func:`_slack`.
+A pass proves lambda_max(G) <= tau up to the backward error O(n eps ||G||),
+far below tau, so M' P M <= kappa^2 P + tau I, and the rate it proves is
+sqrt(kappa^2 + tau / lambda_min(P)) (:func:`_widened`), not kappa.  The
+stack is formed as kappa^2 P + tau I - M' P M, and the factorization reads
+only its lower triangle, so M' P M is not symmetrized: its forming error,
+which tau covers either way, has the same O(n eps) entrywise bound in both
+triangles, and averaging the two copies does not shrink that bound.  The
+test has two users.  At a fixed P = L L' it only gets easier as kappa grows
+(G falls, tau grows), so the gain sweep :func:`_weighted_gain` finds the
+P-norm gain max_v ||L' M_v L'^{-1}||_2 in one pass: a failing stack raises
+kappa to its SVD gain and is tested again, and the stacks already passed
+stay proved.  A bisection step of :func:`certify_weighted` only asks
+whether a fixed kappa passes.  No P gives a rate below rho(A+) or 1 - leak,
+as A+ = (1-leak) I + leak L_sigma W and (1-leak) I are vertices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional, Tuple, Union
 
@@ -174,26 +178,19 @@ def _slope_vertices(n: int, l_sigma: float, budget: int):
     return np.vstack([np.full(n, l_sigma), np.zeros(n), samples]), False
 
 
-def _weighted_gain(p: np.ndarray, stacks: Iterable[np.ndarray],
-                   kappa: Optional[float] = None) -> float:
+def _weighted_gain(p: np.ndarray, stacks: Iterable[np.ndarray]) -> float:
     """Verified P-norm gain max ||L' M L'^{-1}||_2 (P = L L') over the M of
     the (k, n, n) ``stacks``, raised from that of the first M as stacks fail
-    their Cholesky test (inf after ``_GAIN_TRIES`` fails); a given ``kappa``
-    is only tested (inf on a fail)."""
-    n = len(p)
-    fixed = kappa is not None
+    their Cholesky test (inf after ``_GAIN_TRIES`` fails)."""
     chol = np.linalg.cholesky(p)
-    chol_inv_t = scipy.linalg.solve_triangular(chol, np.eye(n), lower=True).T
+    chol_inv_t = scipy.linalg.solve_triangular(chol, np.eye(len(p)), lower=True).T
+    kappa = None
     for m in stacks:
         if kappa is None:
             kappa = spectral_norm(chol.T @ m[0] @ chol_inv_t)
         for attempt in range(_GAIN_TRIES):
-            k2p = kappa ** 2 * p
-            k2p.flat[::n + 1] += _VERTEX_SLACK * max(float(np.abs(k2p).max()), 1.0)
-            if _cholesky_passes(k2p, p, m):
+            if _cholesky_passes(p, kappa, m):
                 break
-            if fixed:
-                return math.inf
             gains = np.linalg.norm(chol.T @ m @ chol_inv_t, 2, axis=(1, 2))
             kappa = max(kappa, float(gains.max())) * (1 + 1e-12 * 1e3 ** attempt)
         else:
@@ -201,15 +198,22 @@ def _weighted_gain(p: np.ndarray, stacks: Iterable[np.ndarray],
     return kappa
 
 
-def _cholesky_passes(k2p: np.ndarray, p: np.ndarray, m: np.ndarray) -> bool:
-    """Whether ``k2p - M' P M`` has a Cholesky factor for every M of the
-    (k, n, n) stack ``m``; the difference overwrites M' P M, one buffer."""
+def _cholesky_passes(p: np.ndarray, kappa: float, m: np.ndarray) -> bool:
+    """Whether kappa^2 P + tau I - M' P M has a Cholesky factor for every M
+    of the (k, n, n) stack ``m``; the difference overwrites M' P M."""
+    k2p = kappa ** 2 * p
+    k2p.flat[::len(p) + 1] += _slack(p, kappa)
     gap = np.swapaxes(m, 1, 2) @ p @ m
     try:
         np.linalg.cholesky(np.subtract(k2p, gap, out=gap))
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _slack(p: np.ndarray, kappa: float) -> float:
+    """The slack tau = eps_v max(1, max |kappa^2 P|) of the Cholesky test."""
+    return _VERTEX_SLACK * max(kappa ** 2 * float(np.abs(p).max()), 1.0)
 
 
 def _eig_bounds(p: np.ndarray) -> Tuple[float, float]:
@@ -220,6 +224,15 @@ def _eig_bounds(p: np.ndarray) -> Tuple[float, float]:
     if eigs[0] <= error:
         raise np.linalg.LinAlgError("weight is not provably positive definite")
     return float(eigs[0]) - error, float(eigs[-1]) + error
+
+
+def _widened(p: np.ndarray, kappa: float) -> Tuple[float, float]:
+    """``(c, k)`` from a P whose Cholesky test passed at kappa: c = sqrt(hi /
+    lo) >= sqrt(cond P) and k = sqrt(kappa^2 + tau / lo), the P-norm rate
+    that M' P M <= kappa^2 P + tau I proves, with lo, hi from
+    :func:`_eig_bounds` (LinAlgError if P is not provably PD)."""
+    lo, hi = _eig_bounds(p)
+    return math.sqrt(hi / lo), math.sqrt(kappa ** 2 + _slack(p, kappa) / lo)
 
 
 def _decay_envelope(form: SchurForm) -> Optional[Tuple[float, float]]:
@@ -237,26 +250,26 @@ def _decay_envelope(form: SchurForm) -> Optional[Tuple[float, float]]:
     k0 = 0.5 * (1.0 + form.rho)
     try:
         p = solve_discrete_lyapunov(form.transposed().scaled(k0), np.eye(len(a)) / k0 ** 2)
-        gain = _weighted_gain(p, [a[None]])
-        lo, hi = _eig_bounds(p)
+        c, kappa = _widened(p, _weighted_gain(p, [a[None]]))
     except np.linalg.LinAlgError:
         return None
-    kappa = math.sqrt(gain ** 2 + _VERTEX_SLACK * max(gain ** 2 * hi, 1.0) / lo)
-    return (math.sqrt(hi / lo), kappa) if kappa < 1.0 else None
+    return (c, kappa) if kappa < 1.0 else None
 
 
 def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Certificate:
     """Weighted quadratic contraction certificate over the slope box.
 
-    ``kappa`` is the verified P-norm gain of ``weight_P`` (see the module
-    docstring).  P first solves ``A+' P A+ - k^2 P = -I`` at k = 1 - 1e-9;
-    P = I is tried too when no solve exists or the gain exceeds the
-    ``certify_lipschitz`` kappa plus its SVD error, and the smaller gain is
-    kept, so kappa is never worse than the Lipschitz one.  kappa >= 1 is a
-    Fail; otherwise the Lyapunov P at kappas bisected over
-    [max(1-leak, rho(A+)), kappa] replace it wherever they pass.  Above
+    P first solves ``A+' P A+ - k^2 P = -I`` at k = 1 - 1e-9; P = I is
+    tried too when no solve exists or the verified P-norm gain g exceeds
+    the ``certify_lipschitz`` kappa plus its SVD error, and the smaller g
+    is kept.  g >= 1 is a Fail at g; otherwise the Lyapunov P at kappas
+    bisected over [max(1-leak, rho(A+)), g] replace it wherever they pass.
+    ``kappa`` is the last passed one widened by the test's slack,
+    sqrt(kappa^2 + tau / lambda_min(weight_P)) (see the module docstring),
+    and a Fail if that is >= 1 or ``weight_P`` is not provably PD.  Above
     2^n > ``vertex_budget`` the vertices are sampled (``_slope_vertices``),
-    which gives the same result on every call but at best Unknown.
+    which gives the same result on every call but at best Unknown.  With
+    no state (n = 0) it is the ``certify_lipschitz`` kappa and verdict.
 
     Every solve is in the one real Schur form of A+', scaled by each k, and
     that form gives rho(A+).  The gain sweeps, which come before any
@@ -269,6 +282,8 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     if vertex_budget < 1:
         raise ValueError("vertex_budget must be >= 1")
     n = params.n
+    if n == 0:                  # no state: the Lipschitz rate 1 - leak is exact
+        return replace(certify_lipschitz(params), method=CertificateMethod.WEIGHTED_C2)
     l_sigma = params.activation.lipschitz
     a_plus = _transition(params, np.full(n, l_sigma))
     form = real_schur(a_plus.T)
@@ -276,28 +291,18 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     chunks = [diags[i:i + _VERTEX_CHUNK] for i in range(0, len(diags), _VERTEX_CHUNK)]
     order = list(range(len(chunks)))
 
-    def lyapunov(kappa: float, test: Optional[float] = None):
-        """``(P, gain or test result)`` at kappa; ``(None, inf)`` if no PD P.
-        The stacks go in ``order``, and a failed ``test`` moves the stack
-        that failed to its front."""
-        built = []
-
-        def stacks():
-            for i in order:
-                built.append(i)
-                yield _transition(params, chunks[i])
-
+    def weight(kappa: float) -> Optional[np.ndarray]:
+        """The Lyapunov P at kappa, or None if there is no PD one."""
         try:
             p = solve_discrete_lyapunov(form.scaled(kappa), np.eye(n) / kappa ** 2)
-            gain = _weighted_gain(p, stacks(), test)
+            np.linalg.cholesky(p)
         except np.linalg.LinAlgError:
-            return None, math.inf
-        if test is not None and gain > test:
-            order.remove(built[-1])
-            order.insert(0, built[-1])
-        return p, gain
+            return None
+        return p
 
-    best, hi = lyapunov(1.0 - 1e-9)
+    best = weight(1.0 - 1e-9)
+    hi = math.inf if best is None else _weighted_gain(
+        best, (_transition(params, d) for d in chunks))
     if hi > _small_gain_bound(params.leak, l_sigma, spectral_norm(params.W), n)[1]:
         eye_gain = _weighted_gain(np.eye(n), (_transition(params, d) for d in chunks))
         if eye_gain < hi:
@@ -307,13 +312,25 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     lo = max(1.0 - params.leak, form.rho)
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        p, gain = lyapunov(mid, mid)
-        if gain <= mid:
-            hi, best = gain, p
-        else:
+        p = weight(mid)
+        if p is None:
             lo = mid
-    verdict = Verdict.PASS if exhaustive else Verdict.UNKNOWN
-    return Certificate(CertificateMethod.WEIGHTED_C2, hi, verdict,
+            continue
+        for i in order:
+            if not _cholesky_passes(p, mid, _transition(params, chunks[i])):
+                order.remove(i)
+                order.insert(0, i)
+                lo = mid
+                break
+        else:
+            hi, best = mid, p
+    try:
+        kappa = _widened(best, hi)[1]
+    except np.linalg.LinAlgError:
+        kappa = math.inf
+    verdict = (Verdict.FAIL if kappa >= 1.0 else
+               Verdict.PASS if exhaustive else Verdict.UNKNOWN)
+    return Certificate(CertificateMethod.WEIGHTED_C2, kappa, verdict,
                        weight_P=best)
 
 

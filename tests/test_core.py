@@ -101,6 +101,15 @@ class TestSimulate:
         traj = simulate(p, np.zeros(p.n), np.zeros((10, p.m)))
         np.testing.assert_array_equal(traj.states, 0.0)
 
+    @pytest.mark.parametrize("activation", [
+        Activation.tanh(), Activation.identity(), Activation.leaky_slope(0.2)],
+        ids=["tanh", "identity", "leaky_slope"])
+    def test_stateless_reservoir(self, activation):
+        p = ReservoirParams(W=np.zeros((0, 0)), U=np.zeros((0, 1)),
+                            b=np.zeros(0), leak=0.5, activation=activation)
+        traj = simulate(p, np.zeros(0), np.zeros((3, 1)))
+        assert traj.states.shape == (4, 0)
+
     def test_identity_activation_matches_direct_lti(self):
         p = make_reservoir(leak=1.0, activation=Activation.identity(), seed=5)
         rng = np.random.default_rng(11)

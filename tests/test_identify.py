@@ -1171,6 +1171,26 @@ class TestSubspace:
             subspace_shape(2, basis, inputs=constant,
                            outputs=np.ones((60, p)))
 
+    def test_record_shorter_than_its_toeplitz_rows_is_not_exciting(self):
+        # depth 3 on 3 samples: one window, a rank-1 (3, 1) Toeplitz matrix
+        inputs = np.random.default_rng(3).standard_normal((3, 1))
+        assert excitation_sigma_min(inputs, 3) == 0.0
+
+    def test_excitation_is_checked_at_the_regression_depth(self):
+        # a sinusoid excites depth 2 (sigma_min 3.7) but not the 20 lags the
+        # Markov parameters are regressed on (sigma_min 1.5e-14)
+        inputs = np.sin(0.3 * np.arange(600))[:, None]
+        w = np.array([[0.5, 0.3], [-0.2, 0.6]])
+        p = ReservoirParams(W=w, U=np.array([[1.0], [0.5]]), b=np.zeros(2),
+                            leak=0.5, activation=Activation.identity())
+        traj = simulate(p, np.zeros(2), inputs,
+                        Readout(C=np.array([[1.0, 0.0]])))
+        assert excitation_sigma_min(inputs, 2) > 1.0
+        with pytest.raises(ValueError,
+                           match="not persistently exciting at depth 20"):
+            subspace_shape(2, StructuredBasis(w), inputs=inputs,
+                           outputs=traj.outputs)
+
     def test_one_dimensional_inputs_rejected(self):
         with pytest.raises(ValueError,
                            match=r"^inputs must be \(T, m\), got \(50,\)$"):

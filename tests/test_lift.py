@@ -81,6 +81,13 @@ class TestDictionary:
         np.testing.assert_allclose(feats[3:], expect, atol=1e-15)
         np.testing.assert_array_equal(feats, d.eval_batch(x[None])[0])
 
+    def test_fourier_weights_are_drawn_once(self):
+        d = Dictionary.random_fourier(8, 1.5, 42)
+        omega, phase = d._fourier_weights(3)
+        assert d._fourier_weights(3)[0] is omega
+        assert Dictionary.random_fourier(8, 1.5, 42)._fourier_weights(3)[1] is phase
+        assert not omega.flags.writeable and not phase.flags.writeable
+
     def test_rff_frequency_spread_scales_with_bandwidth(self):
         wide = Dictionary.random_fourier(2000, 0.5, 0)._fourier_weights(1)[0]
         narrow = Dictionary.random_fourier(2000, 2.0, 0)._fourier_weights(1)[0]

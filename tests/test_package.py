@@ -269,6 +269,21 @@ def test_only_linalg_calls_scipy_schur_and_none_asks_for_the_complex_form():
     assert found == []
 
 
+def test_one_function_defines_the_cholesky_slack():
+    # the slack tau of the vertex test is formed in one place, so the test
+    # and the rates widened by tau / lambda_min(P) agree on it
+    package = Path(esnkit.__file__).parent
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                readers |= {f"{path.stem}.{node.name}"
+                            for name in ast.walk(node)
+                            if isinstance(name, ast.Name)
+                            and name.id == "_VERTEX_SLACK"}
+    assert len(readers) == 1
+
+
 def test_only_linalg_reads_an_array_rank():
     # every array argument's rank and sizes are checked by one shape spec,
     # _linalg.as_float_array(a, name, shape), not by hand

@@ -213,6 +213,37 @@ class TestWeightedCertificate:
         assert cert.verdict is Verdict.FAIL
         assert cert.kappa == pytest.approx(1.5, rel=1e-9)
 
+    def test_kappa_carries_the_cholesky_slack(self):
+        # cond P = 1.5e6: a passed test proves M' P M <= k^2 P + tau I, not
+        # M' P M <= k^2 P, so the rate is sqrt(g^2 + tau / lambda_min(P))
+        # for the gain g of the returned P over the four vertices
+        leak = 0.5871
+        w = np.array([[0.0558, -0.9834], [0.0, 0.9924]])
+        p = ReservoirParams(W=w, U=np.zeros((2, 1)), b=np.zeros(2), leak=leak)
+        assert certify_lipschitz(p).verdict is Verdict.FAIL
+        cert = certify_weighted(p)
+        assert cert.verdict is Verdict.PASS
+        p_mat = cert.weight_P
+        chol_t = np.linalg.cholesky(p_mat).T
+        gain = max(np.linalg.norm(
+            chol_t @ ((1 - leak) * np.eye(2) + leak * np.diag(d) @ w)
+            @ np.linalg.inv(chol_t), 2)
+            for d in itertools.product((0.0, 1.0), repeat=2))
+        tau = esnkit.stability._VERTEX_SLACK * max(
+            1.0, gain ** 2 * np.abs(p_mat).max())
+        widened = math.sqrt(gain ** 2 + tau / np.linalg.eigvalsh(p_mat)[0])
+        assert widened - gain > 5e-6
+        assert widened <= cert.kappa < 1.0
+
+    def test_stateless_reservoir_takes_the_lipschitz_rate(self):
+        p = ReservoirParams(W=np.zeros((0, 0)), U=np.zeros((0, 1)),
+                            b=np.zeros(0), leak=0.5)
+        cert = certify_weighted(p)
+        assert cert.method is CertificateMethod.WEIGHTED_C2
+        assert (cert.verdict, cert.kappa) == (Verdict.PASS, 0.5)
+        assert cert.weight_P is None
+        assert memory_horizon(cert, 1.0, 1.0, 1e-3).horizon == 10
+
     def test_sampled_verification_reports_unknown(self):
         p = make_reservoir(n=8, m=1, leak=0.8, w_scale=0.7, seed=3)
         cert = certify_weighted(p, vertex_budget=64)  # 2^8 = 256 > budget
@@ -358,35 +389,38 @@ class TestWeightedCertificate:
         p = ReservoirParams(W=w, U=np.zeros((10, 1)), b=np.zeros(10),
                             leak=rng.uniform(0.3, 0.7))
         stability = esnkit.stability
-        gain = stability._weighted_gain
-        tests = []
+        passes = stability._cholesky_passes
+        solve = stability.solve_discrete_lyapunov
+        steps = []
 
-        def recording(p_mat, stacks, kappa=None):
-            built = []
+        def solving(*args):
+            steps.append([])
+            return solve(*args)
 
-            def counted():
-                for m in stacks:
-                    built.append(m)
-                    yield m
-            result = gain(p_mat, counted(), kappa)
-            if kappa is not None:
-                tests.append((p_mat, kappa, result, len(built)))
+        def recording(p_mat, kappa, m):
+            result = passes(p_mat, kappa, m)
+            steps[-1].append((p_mat, kappa, result))
             return result
 
-        monkeypatch.setattr(stability, "_weighted_gain", recording)
+        monkeypatch.setattr(stability, "solve_discrete_lyapunov", solving)
+        monkeypatch.setattr(stability, "_cholesky_passes", recording)
         cert = certify_weighted(p, vertex_budget=1024)
         monkeypatch.undo()
         chunk = stability._VERTEX_CHUNK
         diags, _ = stability._slope_vertices(10, 1.0, 1024)
         stacks = [stability._transition(p, diags[i:i + chunk])
                   for i in range(0, len(diags), chunk)]
-        natural = 0
-        for p_mat, kappa, result, _ in tests:
-            passed = [gain(p_mat, [m], kappa) <= kappa for m in stacks]
-            assert (result <= kappa) == all(passed)
+        natural = built = 0
+        # steps[0] holds the gain sweeps; a step without a PD P tests nothing
+        for step in filter(None, steps[1:]):
+            p_mat, kappa, _ = step[0]
+            passed = [passes(p_mat, kappa, m) for m in stacks]
+            assert all(result for *_, result in step[:-1])
+            assert step[-1][2] == all(passed)
             natural += passed.index(False) + 1 if not all(passed) else len(stacks)
+            built += len(step)
         assert len(stacks) == 16 and natural > 150
-        assert sum(built for *_, built in tests) < natural / 4
+        assert built < natural / 4
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stability, "_VERTEX_CHUNK", len(diags))
             one = certify_weighted(p, vertex_budget=1024)
