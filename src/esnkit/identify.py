@@ -256,6 +256,8 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
                                             inputs, outputs, prior)
     a, c, q, r = lti.A, lti.C, noise.Q, noise.R
     horizon, n, p_dim = inputs.shape[0], lti.n, lti.p
+    if n == 0:
+        return _stateless(outputs, r)
 
     f_means = np.empty((horizon + 1, n))
     p_means = inputs @ lti.B.T
@@ -305,6 +307,16 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     return SmoothedPosterior(
         filtered_means=f_means, filtered_covs=f_covs, predicted_means=p_means,
         predicted_covs=p_covs, loglik=loglik, steady_from=steady_from)
+
+
+def _stateless(outputs, r, **fields) -> SmoothedPosterior:
+    """The filter pass, with ``fields``, of a model with no state (n = 0)."""
+    horizon, p_dim = outputs.shape
+    chol = _innovation_chol(r, 1)
+    return SmoothedPosterior(
+        np.empty((horizon + 1, 0)), np.empty((horizon + 1, 0, 0)),
+        np.empty((horizon, 0)), np.empty((horizon, 0, 0)),
+        _loglik(p_dim, chol.diagonal(), dtrtrs(chol, outputs.T, 1)[0].T), **fields)
 
 
 def _predict_cov(a, cov, q, out=None):
@@ -395,6 +407,9 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     f_means, p_means = filtered.filtered_means, filtered.predicted_means
     f_covs, p_covs = filtered.filtered_covs, filtered.predicted_covs
     horizon, n = filtered.horizon, f_means.shape[1]
+    if n == 0:                  # no state: every smoothed field is empty
+        return dataclasses.replace(filtered, smoothed_means=f_means,
+                                   smoothed_covs=f_covs, cross_covs=p_covs)
     s_means = np.empty((horizon + 1, n))
     s_means[horizon] = f_means[horizon]
     # covariances from t = T backward, computed before the per-step pass
@@ -493,6 +508,8 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     w_t = np.ascontiguousarray(params.W).T      # F-ordered, for dgemv
     lam_w = np.multiply(lam, params.W, order="C")
     c, q, r = readout.C, noise.Q, noise.R
+    if n == 0:
+        return _stateless(outputs, r, transition_seq=np.empty((horizon, 0, 0)))
 
     f_means = np.empty((horizon + 1, n))
     f_covs = np.empty((horizon + 1, n, n))

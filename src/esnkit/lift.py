@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from ._linalg import as_float_array, linear_scan, rng_from_seed
-from .core import Readout, ReservoirParams, Trajectory
+from .core import Readout, ReservoirParams, Trajectory, leaky_map
 from .stability import spectral_radius
 
 __all__ = ["Dictionary", "LiftedModel", "edmd_fit", "lifted_rollout_error"]
@@ -121,12 +121,11 @@ def edmd_fit(params: ReservoirParams,
     data noise).  ``C_phi`` selects the identity block, composed with the
     readout when one is supplied.
 
-    One pass over the trajectories evaluates phi on each one's states
-    x_0..x_T and forms its images f(x_t, u_t) value only (the sums of
-    ``core.leaky_map``, without its slope) from views of its states and
-    inputs; its regressors phi(x_0..x_{T-1}) and targets are views of phi,
-    summed into the normal equations and residual norms one trajectory at a
-    time, the residuals in one reused (max T_i, N) buffer.  A trajectory
+    One pass over the trajectories evaluates phi on each one's states x_0..x_T
+    and forms its images f(x_t, u_t) by ``core.leaky_map`` from views of its
+    states and inputs; its regressors phi(x_0..x_{T-1}) and targets are views
+    of phi, summed into the normal equations and residual norms one trajectory
+    at a time, the residuals in one reused (max T_i, N) buffer.  A trajectory
     with no step adds nothing.  phi(x_{t+1}) is the target only where
     ``delta_t = ||f(x_t, u_t) - x_{t+1}||`` is at most ``16 n eps (1 +
     ||x_t|| + ||x_{t+1}||)`` (noiseless ``simulate`` rows differ by about
@@ -134,8 +133,8 @@ def edmd_fit(params: ReservoirParams,
     elsewhere) get phi(f(x_t, u_t)) evaluated.  ``epsilon`` adds L_phi times
     the largest reused delta_t, where L_phi >= ||J_phi||_2 holds everywhere
     (``Dictionary._lipschitz``: 1 for the affine dictionary, the Frobenius
-    norm bound of the Fourier block otherwise), so it bounds the residuals
-    at the exact images.
+    norm bound of the Fourier block otherwise), so it bounds the residuals at
+    the exact images.
 
     Raises:
         ValueError: a trajectory of another state or input size than the
@@ -154,9 +153,7 @@ def edmd_fit(params: ReservoirParams,
             continue
         phi = dictionary.eval_batch(traj.states)
         x, x_next, u = traj.states[:-1], traj.states[1:], traj.inputs
-        # the images f(x_t, u_t) in the sums of core.leaky_map, without its slope
-        images = (1.0 - params.leak) * x + params.leak * params.activation(
-            x @ params.W.T + (u @ params.U.T + params.b))
+        images = leaky_map(params, x, u)[0]
         delta = _row_norms(images - x_next)
         reuse = delta <= 16.0 * n * np.finfo(float).eps * (
             1.0 + _row_norms(x) + _row_norms(x_next))

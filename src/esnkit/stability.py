@@ -4,7 +4,7 @@ Three checkable routes to a geometric contraction rate kappa < 1 (which is
 what guarantees unique input-driven trajectories and fading memory):
 
 * ``certify_lipschitz`` -- the global small-gain bound
-  kappa = (1 - leak) + leak * ||W||_2 * L_sigma.
+  kappa >= (1 - leak) + leak * ||W||_2 * L_sigma, the SVD's error included.
 * ``certify_weighted`` -- a quadratic (weighted-norm) certificate: the rate
   kappa at which a weight P satisfies the slope-vertex matrix inequalities
   M' P M <= kappa^2 P.  Its kappa is never worse than the Lipschitz one by
@@ -12,34 +12,26 @@ what guarantees unique input-driven trajectories and fading memory):
 * spectral radius of a small-signal Jacobian (via :func:`spectral_radius`),
   a local condition composed by callers.
 
-Why vertices suffice for the weighted test: the one-step Jacobian family is
-M(D) = (1-leak) I + leak * D W with D diagonal, slopes D_ii in [0, L_sigma].
-For any vector v, the quadratic form v' M(D)' P M(D) v is convex in the
-entries of D (affine map composed with a squared seminorm), so its maximum
-over the slope box is attained at a vertex of {0, L_sigma}^n.  Checking all
-2^n vertices is therefore exact; when the budget forbids enumeration we fall
-back to uniform samples of the box, seeded with the budget, which can only
-ever report "Unknown" on success.  Slopes are taken in [0, L_sigma], which
-is correct for the closed activation table (tanh/identity/leaky all have
-nonnegative slopes).
+Why vertices suffice for the weighted test (Buehner & Young, IEEE TNN 2006):
+the Jacobians are M(D) = (1-leak) I + leak * D W, D diagonal with slopes in
+[0, L_sigma] (every activation of the closed table has nonnegative slopes),
+and v' M(D)' P M(D) v is convex in D, so its maximum over the slope box is
+at a vertex of {0, L_sigma}^n.  All 2^n vertices are tested, or none: above
+the budget ``certify_weighted`` returns the Lipschitz bound without weight.
 
 The vertices are checked in stacks of ``_VERTEX_CHUNK`` by
-:func:`_cholesky_passes`: one batched Cholesky factorization of
-``tau I - G``, G = M' P M - kappa^2 P, with the slack tau of :func:`_slack`.
-A pass proves lambda_max(G) <= tau up to the backward error O(n eps ||G||),
-far below tau, so M' P M <= kappa^2 P + tau I, and the rate it proves is
-sqrt(kappa^2 + tau / lambda_min(P)) (:func:`_widened`), not kappa.  The
-stack is formed as kappa^2 P + tau I - M' P M, and the factorization reads
-only its lower triangle, so M' P M is not symmetrized: its forming error,
-which tau covers either way, has the same O(n eps) entrywise bound in both
-triangles, and averaging the two copies does not shrink that bound.  The
-test has two users.  At a fixed P = L L' it only gets easier as kappa grows
-(G falls, tau grows), so the gain sweep :func:`_weighted_gain` finds the
-P-norm gain max_v ||L' M_v L'^{-1}||_2 in one pass: a failing stack raises
-kappa to its SVD gain and is tested again, and the stacks already passed
-stay proved.  A bisection step of :func:`certify_weighted` only asks
-whether a fixed kappa passes.  No P gives a rate below rho(A+) or 1 - leak,
-as A+ = (1-leak) I + leak L_sigma W and (1-leak) I are vertices.
+:func:`_cholesky_passes`: one batched Cholesky factorization of the lower
+triangle of kappa^2 P + tau I - M' P M, tau from :func:`_slack` (M' P M is
+not symmetrized: tau covers its O(n eps) forming error, which averaging
+would not shrink).  A pass proves M' P M <= kappa^2 P + tau I up to a
+backward error far below tau, so the rate is sqrt(kappa^2 + tau /
+lambda_min(P)) (:func:`_widened`), not kappa.  At a fixed P = L L' the test
+only gets easier as kappa grows, so the gain sweep :func:`_weighted_gain`
+finds the P-norm gain max_v ||L' M_v L'^{-1}||_2 in one pass: a failing
+stack raises kappa to its SVD gain and is tested again.  A bisection step of
+:func:`certify_weighted` only asks whether a fixed kappa passes.  No P gives
+a rate below rho(A+) or 1 - leak, as A+ = (1-leak) I + leak L_sigma W and
+(1-leak) I are vertices.
 """
 
 from __future__ import annotations
@@ -47,25 +39,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
 
-from ._linalg import (SchurForm, as_float_array, real_schur, rng_from_seed,
+from ._linalg import (SchurForm, as_float_array, real_schur,
                       solve_discrete_lyapunov, spectral_norm)
 from .core import ReservoirParams, _transition
 
-__all__ = [
-    "CertificateMethod",
-    "Verdict",
-    "Certificate",
-    "HorizonEstimate",
-    "certify_lipschitz",
-    "certify_weighted",
-    "spectral_radius",
-    "memory_horizon",
-]
+__all__ = ["CertificateMethod", "Verdict", "Certificate", "HorizonEstimate",
+           "certify_lipschitz", "certify_weighted", "spectral_radius",
+           "memory_horizon"]
 
 # Bisection controls for the weighted certificate.
 _BISECT_TOL = 1e-6
@@ -95,9 +81,9 @@ class Certificate:
     """Outcome of a stability test.
 
     ``kappa`` is the contraction factor the test established (or the bound it
-    failed at), ``margin = 1 - kappa``.  ``weight_P`` is only present for the
-    weighted certificate and then defines the norm in which contraction was
-    verified.
+    failed at), ``margin = 1 - kappa``.  ``weight_P`` is present only when a
+    weighted certificate tested the slope vertices, and then defines the
+    norm in which contraction was verified.
     """
 
     method: CertificateMethod
@@ -128,12 +114,9 @@ class HorizonEstimate:
 
 
 def certify_lipschitz(params: ReservoirParams) -> Certificate:
-    """Global small-gain certificate kappa = (1 - leak) + leak ||W|| L_sigma.
-
-    ||W|| comes from the LAPACK SVD.  Pass requires kappa < 1 strictly even
-    after adding the SVD's error bound on ||W||, so a Pass never rests on an
-    undershoot; the boundary kappa = 1 fails.
-    """
+    """Global small-gain certificate: kappa bounds (1 - leak) + leak ||W||
+    L_sigma from above, ||W|| by the LAPACK SVD and its error bound
+    (:func:`_small_gain`); the verdict uses that kappa: Pass iff kappa < 1."""
     return _small_gain(params.leak, params.activation.lipschitz,
                        spectral_norm(params.W), params.n)
 
@@ -141,18 +124,18 @@ def certify_lipschitz(params: ReservoirParams) -> Certificate:
 def _small_gain(lam: float, l_sigma: float, norm: float, n: int,
                 feasible: bool = True) -> Certificate:
     """The ``certify_lipschitz`` test of (1 - lam) I + lam l_sigma W, n x n,
-    ||W||_2 = ``norm``, failed outright when the parameters are not ``feasible``."""
-    kappa, upper = _small_gain_bound(lam, l_sigma, norm, n)
+    ||W||_2 = ``norm``: kappa is (1 - lam) + lam l_sigma norm (1 + 4 n eps),
+    in rationals rounded up, a Pass iff ``feasible`` and kappa < 1."""
+    if not math.isfinite(norm):             # an SVD that overflowed
+        return Certificate(CertificateMethod.LIPSCHITZ_C1, math.inf, Verdict.FAIL)
+    error = Fraction(_SVD_ERROR * n * np.finfo(np.float64).eps)     # exact
+    lam = Fraction(lam)
+    bound = 1 - lam + lam * Fraction(l_sigma) * Fraction(norm) * (1 + error)
+    kappa = float(bound)                    # correctly rounded
+    if kappa < bound:
+        kappa = math.nextafter(kappa, math.inf)
     return Certificate(CertificateMethod.LIPSCHITZ_C1, kappa,
-                       Verdict.PASS if feasible and upper < 1.0 else Verdict.FAIL)
-
-
-def _small_gain_bound(lam: float, l_sigma: float, norm: float, n: int):
-    """(1 - lam) + lam l_sigma norm, and that plus the SVD error bound at n."""
-    gain = lam * l_sigma
-    kappa = (1.0 - lam) + gain * norm
-    error = _SVD_ERROR * n * np.finfo(np.float64).eps * gain * norm
-    return kappa, kappa + error
+                       Verdict.PASS if feasible and kappa < 1.0 else Verdict.FAIL)
 
 
 def spectral_radius(a) -> float:
@@ -167,15 +150,10 @@ def spectral_radius(a) -> float:
     return float(np.abs(eigs).max())
 
 
-def _slope_vertices(n: int, l_sigma: float, budget: int):
-    """(V, n) slope diagonals to check, A+ first: exhaustive if 2^n fits the
-    budget, otherwise the two extreme vertices plus ``budget`` uniform
-    points of the box from the generator seeded with the budget."""
-    if n <= 60 and 2 ** n <= budget:
-        bits = (np.arange(2 ** n)[::-1, None] >> np.arange(n - 1, -1, -1)) & 1
-        return bits * l_sigma, True
-    samples = rng_from_seed(budget).random((budget, n)) * l_sigma
-    return np.vstack([np.full(n, l_sigma), np.zeros(n), samples]), False
+def _slope_vertices(n: int, l_sigma: float) -> np.ndarray:
+    """The (2^n, n) slope diagonals {0, L_sigma}^n, A+ first."""
+    bits = (np.arange(2 ** n)[::-1, None] >> np.arange(n - 1, -1, -1)) & 1
+    return bits * l_sigma
 
 
 def _weighted_gain(p: np.ndarray, stacks: Iterable[np.ndarray]) -> float:
@@ -259,35 +237,36 @@ def _decay_envelope(form: SchurForm) -> Optional[Tuple[float, float]]:
 def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Certificate:
     """Weighted quadratic contraction certificate over the slope box.
 
-    P first solves ``A+' P A+ - k^2 P = -I`` at k = 1 - 1e-9; P = I is
-    tried too when no solve exists or the verified P-norm gain g exceeds
-    the ``certify_lipschitz`` kappa plus its SVD error, and the smaller g
-    is kept.  g >= 1 is a Fail at g; otherwise the Lyapunov P at kappas
-    bisected over [max(1-leak, rho(A+)), g] replace it wherever they pass.
-    ``kappa`` is the last passed one widened by the test's slack,
-    sqrt(kappa^2 + tau / lambda_min(weight_P)) (see the module docstring),
-    and a Fail if that is >= 1 or ``weight_P`` is not provably PD.  Above
-    2^n > ``vertex_budget`` the vertices are sampled (``_slope_vertices``),
-    which gives the same result on every call but at best Unknown.  With
-    no state (n = 0) it is the ``certify_lipschitz`` kappa and verdict.
+    With no state (n = 0), or above 2^n > ``vertex_budget``, it is the
+    ``certify_lipschitz`` kappa and verdict without weight; above the budget
+    no vertex is tested and a Pass reads Unknown (the ``analyze`` benchmark
+    check asks that such a call not Pass).  Otherwise P first solves
+    ``A+' P A+ - k^2 P = -I`` at k = 1 - 1e-9; P = I is tried too when no
+    solve exists or the verified P-norm gain g exceeds that Lipschitz kappa,
+    and the smaller g is kept.  g >= 1 is a Fail at g; otherwise the Lyapunov
+    P at kappas bisected over [max(1-leak, rho(A+)), g] replace it wherever
+    they pass.  ``kappa`` is the last passed one widened by the test's slack,
+    sqrt(kappa^2 + tau / lambda_min(weight_P)): a Pass if < 1, else a Fail,
+    as is a ``weight_P`` that is not provably PD.
 
     Every solve is in the one real Schur form of A+', scaled by each k, and
-    that form gives rho(A+).  The gain sweeps, which come before any
-    bisection step, take the vertex stacks in their natural order, A+
-    first.  A bisection step is a fixed-kappa test, which passes only if
-    every stack does, so its result is the same in any order; it takes
-    first the stacks that failed such a test, the most recent failure
-    first, and a failing step then usually stops at its first stack.
+    that form gives rho(A+).  The gain sweeps, which come first, take the
+    vertex stacks in their natural order, A+ first.  A bisection step, a
+    fixed-kappa test whose result is the same in any order, takes first the
+    stacks that failed such a test, the latest first, so it fails fast.
     """
     if vertex_budget < 1:
         raise ValueError("vertex_budget must be >= 1")
     n = params.n
+    lipschitz = replace(certify_lipschitz(params), method=CertificateMethod.WEIGHTED_C2)
     if n == 0:                  # no state: the Lipschitz rate 1 - leak is exact
-        return replace(certify_lipschitz(params), method=CertificateMethod.WEIGHTED_C2)
+        return lipschitz
+    if 2 ** n > vertex_budget:
+        return replace(lipschitz, verdict=Verdict.UNKNOWN) if lipschitz.passed else lipschitz
     l_sigma = params.activation.lipschitz
     a_plus = _transition(params, np.full(n, l_sigma))
     form = real_schur(a_plus.T)
-    diags, exhaustive = _slope_vertices(n, l_sigma, vertex_budget)
+    diags = _slope_vertices(n, l_sigma)
     chunks = [diags[i:i + _VERTEX_CHUNK] for i in range(0, len(diags), _VERTEX_CHUNK)]
     order = list(range(len(chunks)))
 
@@ -303,7 +282,7 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     best = weight(1.0 - 1e-9)
     hi = math.inf if best is None else _weighted_gain(
         best, (_transition(params, d) for d in chunks))
-    if hi > _small_gain_bound(params.leak, l_sigma, spectral_norm(params.W), n)[1]:
+    if hi > lipschitz.kappa:
         eye_gain = _weighted_gain(np.eye(n), (_transition(params, d) for d in chunks))
         if eye_gain < hi:
             best, hi = np.eye(n), eye_gain
@@ -328,20 +307,20 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
         kappa = _widened(best, hi)[1]
     except np.linalg.LinAlgError:
         kappa = math.inf
-    verdict = (Verdict.FAIL if kappa >= 1.0 else
-               Verdict.PASS if exhaustive else Verdict.UNKNOWN)
-    return Certificate(CertificateMethod.WEIGHTED_C2, kappa, verdict,
-                       weight_P=best)
+    return Certificate(CertificateMethod.WEIGHTED_C2, kappa,
+                       Verdict.FAIL if kappa >= 1.0 else Verdict.PASS, weight_P=best)
 
 
 def memory_horizon(kappa: Union[float, Certificate], input_gain: float,
                    amplitude: float, tolerance: float) -> HorizonEstimate:
-    """Smallest lag H with c * input_gain * amplitude * kappa^H <= tolerance.
+    """Least lag H with c * input_gain * amplitude * kappa^H <= tolerance.
 
     A float ``kappa`` is a Euclidean rate, c = 1.  A passed ``Certificate``
     gives c = 1 without ``weight_P`` and c = sqrt(cond weight_P) with it, its
     kappa being a rate in that norm.  Raises if kappa >= 1 (no fading-memory
-    certificate, the horizon is undefined).
+    certificate, the horizon is undefined).  H is exact: the search starts
+    one below the float logarithms' estimate, and a lag is tested in floats,
+    or in rationals within 8 eps (their rounding bound) of the tolerance.
     """
     constant = 1.0
     if isinstance(kappa, Certificate):
@@ -357,10 +336,17 @@ def memory_horizon(kappa: Union[float, Certificate], input_gain: float,
     if input_gain <= 0.0 or amplitude <= 0.0 or tolerance <= 0.0:
         raise ValueError("input_gain, amplitude, and tolerance must be positive")
     ratio = constant * input_gain * amplitude / tolerance
-    if ratio <= 1.0:
-        horizon = 0
-    else:
-        horizon = int(math.ceil(math.log(ratio) / (-math.log(kappa))))
+
+    def exceeds(lag: int) -> bool:
+        product = ratio * kappa ** lag
+        if abs(product - 1.0) > 8.0 * np.finfo(np.float64).eps:    # its rounding bound
+            return product > 1.0
+        return (Fraction(constant) * Fraction(input_gain) * Fraction(amplitude)
+                * Fraction(kappa) ** lag > Fraction(tolerance))
+
+    horizon = 0 if ratio <= 1.0 else math.ceil(math.log(ratio) / -math.log(kappa)) - 1
+    while exceeds(horizon):
+        horizon += 1
     return HorizonEstimate(kappa=kappa, input_gain=input_gain,
                            amplitude=amplitude, tolerance=tolerance,
                            horizon=horizon, constant=constant)

@@ -6,6 +6,8 @@ Schur complement, so any agreement with the filter/smoother is a genuine
 cross-check, not a tautology.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -129,6 +131,23 @@ def vertex_margin_min(w, leak, l_sigma, p, kappa):
         margin = kappa ** 2 * p - m.T @ p @ m
         worst = min(worst, float(np.linalg.eigvalsh(0.5 * (margin + margin.T)).min()))
     return worst
+
+
+def psd_exact(m) -> bool:
+    """Whether x' m x >= 0 for every x, decided exactly: the entries (doubles
+    or ``Fraction``s) become rationals, the symmetric part is eliminated by
+    symmetric Gaussian elimination, and it is PSD iff no pivot is negative
+    and every zero pivot has a zero row."""
+    a = [[Fraction(v) for v in row] for row in m]
+    a = [[(a[i][j] + a[j][i]) / 2 for j in range(len(a))] for i in range(len(a))]
+    for k, row in enumerate(a):
+        if row[k] < 0 or row[k] == 0 and any(row[k + 1:]):
+            return False
+        for below in a[k + 1:] if row[k] else ():
+            factor = below[k] / row[k]
+            for j in range(k + 1, len(a)):
+                below[j] -= factor * row[j]
+    return True
 
 
 def monte_carlo_prediction(a, b, c, q, r, mu, p, inputs, samples, seed):

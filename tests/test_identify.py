@@ -230,6 +230,53 @@ class TestNoiseDimensions:
         assert noise.Q.shape == (0, 0)
 
 
+class TestStatelessModel:
+    # n = 0: empty means and covariances, and the log-likelihood of the
+    # outputs (less the readout offset) as independent N(0, R) draws
+    R = np.array([[0.5, 0.1], [0.1, 0.3]])
+    D = np.array([0.2, -0.4])
+    OUTPUTS = np.array([[0.3, -1.0], [1.2, 0.4], [-0.7, 0.9]])
+    PRIOR = (np.zeros(0), np.zeros((0, 0)))
+    NOISE = NoiseModel(Q=np.zeros((0, 0)), R=R)
+    LTI = LtiModel(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((2, 0)),
+                   D=np.zeros((2, 1)))
+
+    def check(self, post, offset):
+        assert post.filtered_means.shape == (4, 0)
+        assert post.predicted_means.shape == (3, 0)
+        assert np.shape(post.filtered_covs) == (4, 0, 0)
+        assert np.shape(post.predicted_covs) == (3, 0, 0)
+        resid = self.OUTPUTS - offset
+        want = -0.5 * sum(2 * np.log(2 * np.pi) + np.linalg.slogdet(self.R)[1]
+                          + e @ np.linalg.solve(self.R, e) for e in resid)
+        assert post.loglik == pytest.approx(want, rel=1e-12)
+
+    def test_kalman_filter(self):
+        post = kalman_filter(self.LTI, self.NOISE, np.ones((3, 1)),
+                             self.OUTPUTS, self.PRIOR)
+        self.check(post, 0.0)
+        assert post.transition_seq is None
+
+    def test_ekf_filter(self):
+        params = ReservoirParams(W=np.zeros((0, 0)), U=np.zeros((0, 1)),
+                                 b=np.zeros(0), leak=0.5)
+        post = ekf_filter(params, Readout(C=np.zeros((2, 0)), d=self.D),
+                          self.NOISE, np.ones((3, 1)), self.OUTPUTS, self.PRIOR)
+        self.check(post, self.D)
+        assert post.transition_seq.shape == (3, 0, 0)
+
+    def test_rts_smoother(self):
+        filtered = SmoothedPosterior(
+            filtered_means=np.zeros((4, 0)), filtered_covs=np.zeros((4, 0, 0)),
+            predicted_means=np.zeros((3, 0)),
+            predicted_covs=np.zeros((3, 0, 0)), loglik=-1.5)
+        post = rts_smoother(filtered, self.LTI, self.NOISE)
+        assert post.smoothed_means.shape == (4, 0)
+        assert np.shape(post.smoothed_covs) == (4, 0, 0)
+        assert np.shape(post.cross_covs) == (3, 0, 0)
+        assert post.loglik == -1.5
+
+
 class TestRtsSmoother:
     def test_single_step_smoothed_equals_filtered(self):
         lti, noise = scalar_system()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from esnkit import (Activation, CertificateMethod, ReservoirParams, Verdict,
                     simulate, spectral_radius, target_radius)
 
 from conftest import make_reservoir
-from oracles import vertex_margin_min
+from oracles import psd_exact, vertex_margin_min
 
 
 def reservoir_with_norm(norm, leak, n=3, seed=0, activation=None):
@@ -42,6 +43,29 @@ def designed_normal_reservoir(n, seed, memory_range):
     return ReservoirParams(W=w, U=np.zeros((n, 1)), b=np.zeros(n), leak=leak)
 
 
+def rational(m):
+    """The entries of a matrix of doubles as exact rationals."""
+    return [[Fraction(v) for v in row] for row in np.asarray(m)]
+
+
+def rational_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def random_reservoir(rng, n, norms=(0.3, 1.6)):
+    """Gaussian or upper-triangular W with ||W||_2 log-uniform in ``norms``,
+    leak uniform in [0.05, 1], tanh or a leaky slope of 1.5."""
+    w = rng.standard_normal((n, n))
+    if rng.random() < 0.5:
+        w = np.triu(w)
+    w *= math.exp(rng.uniform(*np.log(norms))) / np.linalg.norm(w, 2)
+    activation = (Activation.leaky_slope(1.5) if rng.random() < 0.3
+                  else Activation.tanh())
+    return ReservoirParams(W=w, U=np.zeros((n, 1)), b=np.zeros(n),
+                           leak=rng.uniform(0.05, 1.0), activation=activation)
+
+
 def full_slope_radius(p):
     """rho(A+) with A+ = (1 - leak) I + leak W (unit slope)."""
     return spectral_radius((1.0 - p.leak) * np.eye(p.n) + p.leak * p.W)
@@ -61,12 +85,12 @@ class TestLipschitzCertificate:
         assert cert.verdict is Verdict.FAIL
 
     def test_boundary_is_nonstrict_fail(self):
-        # exactly representable ||W|| = 1 so kappa lands on 1.0 and the
-        # strictness of the Pass condition is what decides
+        # exactly representable ||W|| = 1 so the estimate lands on 1.0 and
+        # kappa, the bound with the SVD's error, just above it
         p = ReservoirParams(W=np.diag([1.0, 0.5]), U=np.zeros((2, 1)),
                             b=np.zeros(2), leak=0.5)
         cert = certify_lipschitz(p)
-        assert cert.kappa == 1.0
+        assert 1.0 <= cert.kappa <= 1.0 + 1e-14
         assert cert.verdict is Verdict.FAIL
 
     def test_near_degenerate_top_singular_values_fail(self):
@@ -83,6 +107,22 @@ class TestLipschitzCertificate:
         cert = certify_lipschitz(p)
         assert cert.verdict is Verdict.FAIL
         assert cert.kappa >= 1.0
+
+    def test_kappa_bounds_the_norm_exactly(self):
+        # with s = (kappa - (1 - leak)) / (leak L_sigma), s^2 I - W'W is
+        # PSD in rationals, so kappa is at or above the exact small-gain
+        # rate; small norms and leaks make the rounding of the sum count
+        rng = np.random.default_rng(11)
+        for k in range(120):
+            p = random_reservoir(rng, int(rng.integers(2, 7)),
+                                 (1e-3, 2.0) if k % 2 else (0.3, 1.6))
+            lam = Fraction(p.leak)
+            s = ((Fraction(certify_lipschitz(p).kappa) - (1 - lam))
+                 / (lam * Fraction(p.activation.lipschitz)))
+            w = rational(p.W)
+            gram = rational_product(list(zip(*w)), w)
+            assert psd_exact([[s * s * (i == j) - g for j, g in enumerate(row)]
+                              for i, row in enumerate(gram)])
 
     def test_kappa_monotone_in_norm_and_slope(self):
         leak = 0.6
@@ -244,39 +284,39 @@ class TestWeightedCertificate:
         assert cert.weight_P is None
         assert memory_horizon(cert, 1.0, 1.0, 1e-3).horizon == 10
 
-    def test_sampled_verification_reports_unknown(self):
+    def test_pass_above_the_budget_reports_unknown(self):
         p = make_reservoir(n=8, m=1, leak=0.8, w_scale=0.7, seed=3)
         cert = certify_weighted(p, vertex_budget=64)  # 2^8 = 256 > budget
         assert cert.verdict is Verdict.UNKNOWN
         assert cert.kappa < 1.0
 
-    def test_sampled_check_is_deterministic(self):
-        # the sampled slopes come from a generator seeded with the budget,
-        # so repeated calls agree bit for bit
+    def test_check_above_the_budget_is_deterministic(self):
+        # no vertex is tested above the budget: repeated calls agree bit for
+        # bit
         p = make_reservoir(n=14, m=1, leak=0.6, w_scale=0.9, seed=5)
         first, second = (certify_weighted(p, vertex_budget=128) for _ in range(2))
         assert first.verdict is second.verdict is Verdict.UNKNOWN
         assert first.kappa == second.kappa
         assert np.array_equal(first.weight_P, second.weight_P)
 
-    def test_sampled_slopes_lie_in_the_box(self, monkeypatch):
-        # every slope diagonal the sampled check builds a transition from is
-        # in [0, L_sigma]^n: A+, the zero vertex and ``budget`` samples
-        n, budget = 20, 100
-        seen = []
-        inner = esnkit.stability._transition
+    @pytest.mark.parametrize("w_scale", [0.6, 1.4])
+    def test_above_the_budget_is_the_lipschitz_bound(self, monkeypatch, w_scale):
+        # 2^20 > budget: no vertex stack and no Lyapunov solve; the kappa is
+        # certify_lipschitz's, and its Pass is reported as Unknown
+        def untouched(*args):
+            raise AssertionError("called above the vertex budget")
 
-        def recording(params, slopes):
-            seen.append(np.atleast_2d(slopes).copy())
-            return inner(params, slopes)
-
-        monkeypatch.setattr(esnkit.stability, "_transition", recording)
-        p = make_reservoir(n=n, m=1, leak=0.5, w_scale=0.9, seed=2)
-        assert certify_weighted(p, vertex_budget=budget).verdict is Verdict.UNKNOWN
-        assert np.array_equal(seen[1][:2], [np.ones(n), np.zeros(n)])
-        diags = np.unique(np.vstack(seen), axis=0)
-        assert len(diags) == budget + 2
-        assert diags.min() >= 0.0 and diags.max() <= 1.0
+        for name in ("_transition", "solve_discrete_lyapunov"):
+            monkeypatch.setattr(esnkit.stability, name, untouched)
+        p = reservoir_with_norm(w_scale, leak=0.5, n=20, seed=2)
+        cert = certify_weighted(p, vertex_budget=1024)
+        lipschitz = certify_lipschitz(p)
+        assert cert.method is CertificateMethod.WEIGHTED_C2
+        assert cert.kappa == lipschitz.kappa
+        assert cert.weight_P is None
+        assert cert.verdict is (Verdict.UNKNOWN if lipschitz.passed
+                                else Verdict.FAIL)
+        assert lipschitz.passed is (w_scale < 1.0)
 
     @settings(max_examples=25)
     @given(n=st.sampled_from([8, 9]), seed=st.integers(0, 2 ** 32 - 1),
@@ -314,9 +354,9 @@ class TestWeightedCertificate:
     def test_certificate_does_not_depend_on_stack_size(self, n, seed, norm,
                                                        leak, nonnormal):
         # stacks of 1, 5, 64 and 4096 vertices give the same verdict, kappa
-        # and weight: 2^n vertices are exhaustive for n <= 8, and n = 14
-        # samples 258; stacks of 5 always and of 64 at n = 14 leave a
-        # partial last stack
+        # and weight: 2^n vertices are exhaustive for n <= 8, and n = 14 is
+        # above the budget and tests none; stacks of 5 leave a partial last
+        # stack
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((n, n))
         if nonnormal:
@@ -352,30 +392,28 @@ class TestWeightedCertificate:
             assert cert.verdict is Verdict.PASS
             assert cert.kappa <= lipschitz.kappa * (1 + 1e-9)
 
-    def test_sampled_design_takes_one_vertex_sweep(self, monkeypatch):
-        # a designed n=32 reservoir is certified at rho(A+) by the first
-        # Lyapunov weight: one solve, A+ plus one build of each vertex
-        # stack, no bisection step and no second candidate
-        calls = {"_transition": 0, "solve_discrete_lyapunov": 0}
-
-        def counted(name):
-            inner = getattr(esnkit.stability, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return inner(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(esnkit.stability, name, counted(name))
-        p = designed_normal_reservoir(32, 7, (10.0, 40.0))
-        cert = certify_weighted(p, vertex_budget=1024)
-        chunk = esnkit.stability._VERTEX_CHUNK
-        assert calls["_transition"] <= 1 + math.ceil(1026 / chunk)
-        assert calls["solve_discrete_lyapunov"] == 1
-        assert cert.verdict is Verdict.UNKNOWN
-        rho = full_slope_radius(p)
-        assert rho * (1 - 1e-12) <= cert.kappa <= rho * (1 + 1e-9)
+    def test_exhaustive_pass_holds_exactly_at_every_vertex(self):
+        # kappa^2 P - M' P M is PSD in rationals at each slope vertex
+        # M = (1 - leak) I + leak D W, D in {0, L_sigma}^n
+        rng = np.random.default_rng(12)
+        passed = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            p = random_reservoir(rng, n)
+            cert = certify_weighted(p, vertex_budget=2 ** n)
+            if not cert.passed:
+                continue
+            passed += 1
+            lam, w = Fraction(p.leak), rational(p.W)
+            weight, k2 = rational(cert.weight_P), Fraction(cert.kappa) ** 2
+            for d in itertools.product(
+                    (0, Fraction(p.activation.lipschitz)), repeat=n):
+                m = [[(1 - lam) * (i == j) + lam * d[i] * w[i][j]
+                      for j in range(n)] for i in range(n)]
+                gap = rational_product(rational_product(list(zip(*m)), weight), m)
+                assert psd_exact([[k2 * pij - gij for pij, gij in zip(prow, grow)]
+                                  for prow, grow in zip(weight, gap)])
+        assert passed >= 20
 
     def test_bisection_tests_the_last_failing_stack_first(self, monkeypatch):
         # an exhaustive n = 10 reservoir (16 stacks of 64 vertices) whose
@@ -407,7 +445,7 @@ class TestWeightedCertificate:
         cert = certify_weighted(p, vertex_budget=1024)
         monkeypatch.undo()
         chunk = stability._VERTEX_CHUNK
-        diags, _ = stability._slope_vertices(10, 1.0, 1024)
+        diags = stability._slope_vertices(10, 1.0)
         stacks = [stability._transition(p, diags[i:i + chunk])
                   for i in range(0, len(diags), chunk)]
         natural = built = 0
@@ -439,6 +477,23 @@ class TestMemoryHorizon:
 
     def test_ratio_two_at_half(self):
         assert memory_horizon(0.5, 1.0, 2.0, 1.0).horizon == 1
+
+    def test_horizon_is_the_least_lag_exactly(self):
+        # tolerances within 8 eps of g a kappa^H0: in rationals,
+        # g a kappa^H <= tol and g a kappa^(H - 1) > tol
+        rng = np.random.default_rng(13)
+        eps = np.finfo(np.float64).eps
+        for _ in range(300):
+            kappa, h0 = rng.uniform(0.5, 0.995), int(rng.integers(1, 200))
+            gain, amplitude = rng.uniform(0.1, 3.0, 2)
+            tol = gain * amplitude * kappa ** h0 * (1 + rng.uniform(-8, 8) * eps)
+            horizon = memory_horizon(kappa, gain, amplitude, tol).horizon
+
+            def exact(lag):
+                return Fraction(gain) * Fraction(amplitude) * Fraction(kappa) ** lag
+
+            assert exact(horizon) <= Fraction(tol)
+            assert horizon == 0 or exact(horizon - 1) > Fraction(tol)
 
     def test_requires_certificate(self):
         with pytest.raises(ValueError, match="fading-memory"):
