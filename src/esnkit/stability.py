@@ -19,16 +19,20 @@ and v' M(D)' P M(D) v is convex in D, so its maximum over the slope box is
 at a vertex of {0, L_sigma}^n.  All 2^n vertices are tested, or none: above
 the budget ``certify_weighted`` returns the Lipschitz bound without weight.
 
-The vertices are checked in stacks of ``_VERTEX_CHUNK`` by
-:func:`_cholesky_passes`: one batched Cholesky factorization of the lower
-triangle of kappa^2 P + tau I - M' P M, tau from :func:`_slack` (M' P M is
-not symmetrized: tau covers its O(n eps) forming error, which averaging
-would not shrink).  A pass proves M' P M <= kappa^2 P + tau I up to a
-backward error far below tau, so the rate is sqrt(kappa^2 + tau /
-lambda_min(P)) (:func:`_widened`), not kappa.  At a fixed P = L L' the test
-only gets easier as kappa grows, so the gain sweep :func:`_weighted_gain`
-finds the P-norm gain max_v ||L' M_v L'^{-1}||_2 in one pass: a failing
-stack raises kappa to its SVD gain and is tested again.  A bisection step of
+One call builds the 2^n vertex matrices M once, a (2^n, n, n) array of
+8 n^2 2^n bytes (0.78 MiB at n = 10), and reads it in views of
+``_VERTEX_CHUNK``.  :func:`_failing` tests a stack at kappa with one batched
+Cholesky factorization of the lower triangle of kappa^2 P + tau I - M' P M,
+the shifted weight formed once per kappa by :func:`_shifted`, tau from
+:func:`_slack` (M' P M is not symmetrized: tau covers its O(n eps) forming
+error, which averaging would not shrink); only a stack that fails is
+factored vertex by vertex, to find the M that fail.  A pass proves
+M' P M <= kappa^2 P + tau I up to a backward error far below tau, so the
+rate is sqrt(kappa^2 + tau / lambda_min(P)) (:func:`_widened`), not kappa.
+At a fixed P = L L' the test only gets easier as kappa grows, so the gain
+sweep :func:`_weighted_gain` finds the P-norm gain max_v ||L' M_v L'^{-1}||_2
+in one pass: a failing stack raises kappa to the largest SVD gain of its
+failing vertices and is tested again.  A bisection step of
 :func:`certify_weighted` only asks whether a fixed kappa passes.  No P gives
 a rate below rho(A+) or 1 - leak, as A+ = (1-leak) I + leak L_sigma W and
 (1-leak) I are vertices.
@@ -40,10 +44,11 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 from ._linalg import (SchurForm, as_float_array, real_schur,
                       solve_discrete_lyapunov, spectral_norm)
@@ -156,37 +161,47 @@ def _slope_vertices(n: int, l_sigma: float) -> np.ndarray:
     return bits * l_sigma
 
 
-def _weighted_gain(p: np.ndarray, stacks: Iterable[np.ndarray]) -> float:
+def _weighted_gain(p: np.ndarray, stacks: Sequence[np.ndarray]) -> float:
     """Verified P-norm gain max ||L' M L'^{-1}||_2 (P = L L') over the M of
-    the (k, n, n) ``stacks``, raised from that of the first M as stacks fail
-    their Cholesky test (inf after ``_GAIN_TRIES`` fails)."""
+    the (k, n, n) ``stacks``, raised from that of the first M to the largest
+    SVD gain of the vertices that fail a stack's Cholesky test (inf after
+    ``_GAIN_TRIES`` fails of one stack)."""
     chol = np.linalg.cholesky(p)
     chol_inv_t = scipy.linalg.solve_triangular(chol, np.eye(len(p)), lower=True).T
-    kappa = None
+    kappa = spectral_norm(chol.T @ stacks[0][0] @ chol_inv_t)
+    k2p = _shifted(p, kappa)
     for m in stacks:
-        if kappa is None:
-            kappa = spectral_norm(chol.T @ m[0] @ chol_inv_t)
         for attempt in range(_GAIN_TRIES):
-            if _cholesky_passes(p, kappa, m):
+            bad = _failing(p, k2p, m)
+            if not len(bad):
                 break
-            gains = np.linalg.norm(chol.T @ m @ chol_inv_t, 2, axis=(1, 2))
+            gains = np.linalg.norm(chol.T @ m[bad] @ chol_inv_t, 2, axis=(1, 2))
             kappa = max(kappa, float(gains.max())) * (1 + 1e-12 * 1e3 ** attempt)
+            k2p = _shifted(p, kappa)
         else:
             return math.inf
     return kappa
 
 
-def _cholesky_passes(p: np.ndarray, kappa: float, m: np.ndarray) -> bool:
-    """Whether kappa^2 P + tau I - M' P M has a Cholesky factor for every M
-    of the (k, n, n) stack ``m``; the difference overwrites M' P M."""
-    k2p = kappa ** 2 * p
-    k2p.flat[::len(p) + 1] += _slack(p, kappa)
+def _failing(p: np.ndarray, k2p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Indices of the M of the (k, n, n) stack ``m`` for which ``k2p`` - M' P M
+    has no Cholesky factor: none if one batched factorization succeeds, else
+    those LAPACK ``dpotrf`` rejects, or all k if it rejects none (the two
+    can disagree at the margin).  The difference overwrites M' P M."""
     gap = np.swapaxes(m, 1, 2) @ p @ m
     try:
         np.linalg.cholesky(np.subtract(k2p, gap, out=gap))
     except np.linalg.LinAlgError:
-        return False
-    return True
+        bad = np.flatnonzero([dpotrf(g, 1, 0)[1] for g in gap])    # lower, no clean
+        return bad if len(bad) else np.arange(len(m))
+    return np.arange(0)
+
+
+def _shifted(p: np.ndarray, kappa: float) -> np.ndarray:
+    """kappa^2 P + tau I, the side of the Cholesky test that depends on kappa."""
+    k2p = kappa ** 2 * p
+    k2p.flat[::len(p) + 1] += _slack(p, kappa)
+    return k2p
 
 
 def _slack(p: np.ndarray, kappa: float) -> float:
@@ -244,16 +259,17 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     ``A+' P A+ - k^2 P = -I`` at k = 1 - 1e-9; P = I is tried too when no
     solve exists or the verified P-norm gain g exceeds that Lipschitz kappa,
     and the smaller g is kept.  g >= 1 is a Fail at g; otherwise the Lyapunov
-    P at kappas bisected over [max(1-leak, rho(A+)), g] replace it wherever
-    they pass.  ``kappa`` is the last passed one widened by the test's slack,
-    sqrt(kappa^2 + tau / lambda_min(weight_P)): a Pass if < 1, else a Fail,
-    as is a ``weight_P`` that is not provably PD.
+    P at kappas bisected over [max(1-leak, rho(A+)), g] are tested.  Of that
+    weight and each P that passes, the one with the least widened rate
+    sqrt(kappa^2 + tau / lambda_min(P)) is ``weight_P`` and that rate is
+    ``kappa``: a Pass if < 1, else a Fail, as is a weight that is not provably
+    PD.
 
     Every solve is in the one real Schur form of A+', scaled by each k, and
     that form gives rho(A+).  The gain sweeps, which come first, take the
     vertex stacks in their natural order, A+ first.  A bisection step, a
-    fixed-kappa test whose result is the same in any order, takes first the
-    stacks that failed such a test, the latest first, so it fails fast.
+    fixed-kappa test whose result is the same in any order, tests first the
+    vertices that failed the last failed step, so it fails fast.
     """
     if vertex_budget < 1:
         raise ValueError("vertex_budget must be >= 1")
@@ -266,9 +282,8 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     l_sigma = params.activation.lipschitz
     a_plus = _transition(params, np.full(n, l_sigma))
     form = real_schur(a_plus.T)
-    diags = _slope_vertices(n, l_sigma)
-    chunks = [diags[i:i + _VERTEX_CHUNK] for i in range(0, len(diags), _VERTEX_CHUNK)]
-    order = list(range(len(chunks)))
+    verts = _transition(params, _slope_vertices(n, l_sigma))
+    stacks = [verts[i:i + _VERTEX_CHUNK] for i in range(0, len(verts), _VERTEX_CHUNK)]
 
     def weight(kappa: float) -> Optional[np.ndarray]:
         """The Lyapunov P at kappa, or None if there is no PD one."""
@@ -279,15 +294,22 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
             return None
         return p
 
+    def widened(p: np.ndarray, kappa: float) -> float:
+        """The rate that P passing at kappa proves, inf if P is not provably PD."""
+        try:
+            return _widened(p, kappa)[1]
+        except np.linalg.LinAlgError:
+            return math.inf
+
     best = weight(1.0 - 1e-9)
-    hi = math.inf if best is None else _weighted_gain(
-        best, (_transition(params, d) for d in chunks))
+    hi = math.inf if best is None else _weighted_gain(best, stacks)
     if hi > lipschitz.kappa:
-        eye_gain = _weighted_gain(np.eye(n), (_transition(params, d) for d in chunks))
+        eye_gain = _weighted_gain(np.eye(n), stacks)
         if eye_gain < hi:
             best, hi = np.eye(n), eye_gain
     if hi >= 1.0:
         return Certificate(CertificateMethod.WEIGHTED_C2, hi, Verdict.FAIL)
+    kappa, failed = widened(best, hi), verts[:0]
     lo = max(1.0 - params.leak, form.rho)
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
@@ -295,18 +317,16 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
         if p is None:
             lo = mid
             continue
-        for i in order:
-            if not _cholesky_passes(p, mid, _transition(params, chunks[i])):
-                order.remove(i)
-                order.insert(0, i)
-                lo = mid
+        k2p = _shifted(p, mid)
+        for m in (failed, *stacks):
+            bad = _failing(p, k2p, m)
+            if len(bad):
+                failed, lo = m[bad], mid
                 break
         else:
-            hi, best = mid, p
-    try:
-        kappa = _widened(best, hi)[1]
-    except np.linalg.LinAlgError:
-        kappa = math.inf
+            hi, rate = mid, widened(p, mid)
+            if rate <= kappa:
+                kappa, best = rate, p
     return Certificate(CertificateMethod.WEIGHTED_C2, kappa,
                        Verdict.FAIL if kappa >= 1.0 else Verdict.PASS, weight_P=best)
 
@@ -319,8 +339,10 @@ def memory_horizon(kappa: Union[float, Certificate], input_gain: float,
     gives c = 1 without ``weight_P`` and c = sqrt(cond weight_P) with it, its
     kappa being a rate in that norm.  Raises if kappa >= 1 (no fading-memory
     certificate, the horizon is undefined).  H is exact: the search starts
-    one below the float logarithms' estimate, and a lag is tested in floats,
-    or in rationals within 8 eps (their rounding bound) of the tolerance.
+    one below the estimate log(c g a / tol) / -log(kappa), from a sum of
+    logarithms (c g a / tol may overflow), and a lag is tested by the sign of
+    log(c g a / tol) + lag log(kappa), or in rationals where that is within
+    8 eps times the sum of its terms' magnitudes (their rounding bound) of 0.
     """
     constant = 1.0
     if isinstance(kappa, Certificate):
@@ -333,18 +355,20 @@ def memory_horizon(kappa: Union[float, Certificate], input_gain: float,
     if not (0.0 < kappa < 1.0):
         raise ValueError(
             f"no fading-memory certificate: kappa must be in (0, 1), got {kappa}")
-    if input_gain <= 0.0 or amplitude <= 0.0 or tolerance <= 0.0:
-        raise ValueError("input_gain, amplitude, and tolerance must be positive")
-    ratio = constant * input_gain * amplitude / tolerance
+    if not all(0.0 < v < math.inf for v in (input_gain, amplitude, tolerance)):
+        raise ValueError("input_gain, amplitude, and tolerance must be positive and finite")
+    logs = [math.log(constant), math.log(input_gain), math.log(amplitude),
+            -math.log(tolerance)]
+    log_ratio, log_kappa, size = math.fsum(logs), math.log(kappa), sum(map(abs, logs))
 
     def exceeds(lag: int) -> bool:
-        product = ratio * kappa ** lag
-        if abs(product - 1.0) > 8.0 * np.finfo(np.float64).eps:    # its rounding bound
-            return product > 1.0
+        log_product = log_ratio + lag * log_kappa
+        if abs(log_product) > 8.0 * np.finfo(np.float64).eps * (size - lag * log_kappa):
+            return log_product > 0.0
         return (Fraction(constant) * Fraction(input_gain) * Fraction(amplitude)
                 * Fraction(kappa) ** lag > Fraction(tolerance))
 
-    horizon = 0 if ratio <= 1.0 else math.ceil(math.log(ratio) / -math.log(kappa)) - 1
+    horizon = max(0, math.ceil(log_ratio / -log_kappa) - 1)
     while exceeds(horizon):
         horizon += 1
     return HorizonEstimate(kappa=kappa, input_gain=input_gain,

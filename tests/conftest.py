@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from esnkit import Activation, Readout, ReservoirParams, core
+from esnkit import Activation, Readout, ReservoirParams, core, stability
 
 # Every property test runs the same examples on every run and has no
 # per-example deadline; each test sets only its own ``max_examples``.
@@ -42,12 +42,12 @@ def traced_peak_mib(fn, *args, **kwargs):
 
 def count_step_helpers(monkeypatch):
     """Count every later call of ``Activation.__call__``,
-    ``Activation.evaluate`` and ``core._transition`` in the returned dict,
-    keyed by name; a per-step loop that calls one shows a count growing
-    with T."""
+    ``Activation.evaluate`` and ``_transition`` (``core``'s, and the name
+    ``stability`` binds to it) in the returned dict, keyed by name; a
+    per-step loop that calls one shows a count growing with T."""
     counts = dict.fromkeys(("__call__", "evaluate", "_transition"), 0)
     for owner, name in ((Activation, "__call__"), (Activation, "evaluate"),
-                        (core, "_transition")):
+                        (core, "_transition"), (stability, "_transition")):
         def counted(*args, _inner=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             return _inner(*args, **kwargs)

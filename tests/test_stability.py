@@ -13,7 +13,7 @@ from esnkit import (Activation, CertificateMethod, ReservoirParams, Verdict,
                     make_normal_reservoir, memory_horizon, reservoir_step,
                     simulate, spectral_radius, target_radius)
 
-from conftest import make_reservoir
+from conftest import count_step_helpers, make_reservoir
 from oracles import psd_exact, vertex_margin_min
 
 
@@ -64,6 +64,16 @@ def random_reservoir(rng, n, norms=(0.3, 1.6)):
                   else Activation.tanh())
     return ReservoirParams(W=w, U=np.zeros((n, 1)), b=np.zeros(n),
                            leak=rng.uniform(0.05, 1.0), activation=activation)
+
+
+def exhaustive_reservoir():
+    """An n = 10 reservoir (1024 slope vertices) whose weighted certificate
+    Passes after a bisection whose fixed-kappa tests often fail."""
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((10, 10))
+    w *= rng.uniform(0.6, 0.9) / np.linalg.norm(w, 2)
+    return ReservoirParams(W=w, U=np.zeros((10, 1)), b=np.zeros(10),
+                           leak=rng.uniform(0.3, 0.7))
 
 
 def full_slope_radius(p):
@@ -254,9 +264,11 @@ class TestWeightedCertificate:
         assert cert.kappa == pytest.approx(1.5, rel=1e-9)
 
     def test_kappa_carries_the_cholesky_slack(self):
-        # cond P = 1.5e6: a passed test proves M' P M <= k^2 P + tau I, not
+        # cond P = 3.7e5: a passed test proves M' P M <= k^2 P + tau I, not
         # M' P M <= k^2 P, so the rate is sqrt(g^2 + tau / lambda_min(P))
-        # for the gain g of the returned P over the four vertices
+        # for the gain g of the returned P over the four vertices; the least
+        # widened rate of the passed weights is reported, below the 0.995546
+        # of the last one passed, whose cond P is 1.5e6
         leak = 0.5871
         w = np.array([[0.0558, -0.9834], [0.0, 0.9924]])
         p = ReservoirParams(W=w, U=np.zeros((2, 1)), b=np.zeros(2), leak=leak)
@@ -272,8 +284,9 @@ class TestWeightedCertificate:
         tau = esnkit.stability._VERTEX_SLACK * max(
             1.0, gain ** 2 * np.abs(p_mat).max())
         widened = math.sqrt(gain ** 2 + tau / np.linalg.eigvalsh(p_mat)[0])
-        assert widened - gain > 5e-6
+        assert widened - gain > 1e-6
         assert widened <= cert.kappa < 1.0
+        assert cert.kappa < 0.995544
 
     def test_stateless_reservoir_takes_the_lipschitz_rate(self):
         p = ReservoirParams(W=np.zeros((0, 0)), U=np.zeros((0, 1)),
@@ -417,17 +430,14 @@ class TestWeightedCertificate:
 
     def test_bisection_tests_the_last_failing_stack_first(self, monkeypatch):
         # an exhaustive n = 10 reservoir (16 stacks of 64 vertices) whose
-        # fixed-kappa tests fail at stack 12 in the natural order: taking the
-        # stack that failed last first builds far fewer stacks, each test
-        # still gives the verdict of all its stacks, and kappa and P equal
-        # those of one stack of all 1024 vertices, where order cannot matter
-        rng = np.random.default_rng(8)
-        w = rng.standard_normal((10, 10))
-        w *= rng.uniform(0.6, 0.9) / np.linalg.norm(w, 2)
-        p = ReservoirParams(W=w, U=np.zeros((10, 1)), b=np.zeros(10),
-                            leak=rng.uniform(0.3, 0.7))
+        # fixed-kappa tests fail at stack 12 in the natural order: a step
+        # tests first the vertices that failed the last failed step, as one
+        # small stack, so failing steps factor far fewer vertex matrices;
+        # each step still gives the verdict of all 16 stacks, and kappa and P
+        # equal those of one stack of all 1024 vertices
+        p = exhaustive_reservoir()
         stability = esnkit.stability
-        passes = stability._cholesky_passes
+        failing = stability._failing
         solve = stability.solve_discrete_lyapunov
         steps = []
 
@@ -435,36 +445,77 @@ class TestWeightedCertificate:
             steps.append([])
             return solve(*args)
 
-        def recording(p_mat, kappa, m):
-            result = passes(p_mat, kappa, m)
-            steps[-1].append((p_mat, kappa, result))
-            return result
+        def recording(p_mat, k2p, m):
+            bad = failing(p_mat, k2p, m)
+            steps[-1].append((p_mat, k2p, len(m), len(bad)))
+            return bad
 
         monkeypatch.setattr(stability, "solve_discrete_lyapunov", solving)
-        monkeypatch.setattr(stability, "_cholesky_passes", recording)
+        monkeypatch.setattr(stability, "_failing", recording)
         cert = certify_weighted(p, vertex_budget=1024)
         monkeypatch.undo()
         chunk = stability._VERTEX_CHUNK
-        diags = stability._slope_vertices(10, 1.0)
-        stacks = [stability._transition(p, diags[i:i + chunk])
-                  for i in range(0, len(diags), chunk)]
-        natural = built = 0
+        verts = stability._transition(p, stability._slope_vertices(10, 1.0))
+        stacks = [verts[i:i + chunk] for i in range(0, len(verts), chunk)]
+
+        def passes(p_mat, k2p, m):
+            try:
+                np.linalg.cholesky(k2p - np.swapaxes(m, 1, 2) @ p_mat @ m)
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        natural = factored = fails = 0
         # steps[0] holds the gain sweeps; a step without a PD P tests nothing
         for step in filter(None, steps[1:]):
-            p_mat, kappa, _ = step[0]
-            passed = [passes(p_mat, kappa, m) for m in stacks]
-            assert all(result for *_, result in step[:-1])
-            assert step[-1][2] == all(passed)
-            natural += passed.index(False) + 1 if not all(passed) else len(stacks)
-            built += len(step)
-        assert len(stacks) == 16 and natural > 150
-        assert built < natural / 4
+            p_mat, k2p, *_ = step[0]
+            passed = [passes(p_mat, k2p, m) for m in stacks]
+            assert not any(bad for *_, bad in step[:-1])
+            assert (step[-1][3] == 0) == all(passed)
+            if not all(passed):
+                fails += 1
+                natural += chunk * (passed.index(False) + 1)
+                factored += sum(size for _, _, size, _ in step)
+        assert len(stacks) == 16 and fails > 10 and natural > 100 * chunk
+        assert factored < natural / 4
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(stability, "_VERTEX_CHUNK", len(diags))
+            patch.setattr(stability, "_VERTEX_CHUNK", len(verts))
             one = certify_weighted(p, vertex_budget=1024)
         assert cert.verdict is one.verdict is Verdict.PASS
         assert cert.kappa == one.kappa
         assert np.array_equal(cert.weight_P, one.weight_P)
+
+    def test_vertex_stack_is_built_once_per_call(self, monkeypatch):
+        # A+ and the 1024 vertex matrices are two _transition calls, however
+        # many steps the bisection takes
+        counts = count_step_helpers(monkeypatch)
+        solves = []
+        solve = esnkit.stability.solve_discrete_lyapunov
+        monkeypatch.setattr(esnkit.stability, "solve_discrete_lyapunov",
+                            lambda *args: solves.append(1) or solve(*args))
+        cert = certify_weighted(exhaustive_reservoir(), vertex_budget=1024)
+        assert cert.passed and len(solves) > 10
+        assert counts["_transition"] == 2
+
+    def test_whole_failing_stack_when_lapack_finds_no_failing_vertex(
+            self, monkeypatch):
+        # the batched Cholesky and LAPACK dpotrf can disagree at the margin:
+        # if dpotrf passes every vertex of a failing stack, the whole stack
+        # fails, and the certificate is unchanged
+        p = exhaustive_reservoir()
+        cert = certify_weighted(p, vertex_budget=1024)
+        calls = []
+
+        def passing(a, *args):
+            calls.append(1)
+            return a, 0
+
+        monkeypatch.setattr(esnkit.stability, "dpotrf", passing)
+        patched = certify_weighted(p, vertex_budget=1024)
+        assert len(calls) > 64
+        assert patched.verdict is cert.verdict is Verdict.PASS
+        assert patched.kappa == cert.kappa
+        assert np.array_equal(patched.weight_P, cert.weight_P)
 
 
 class TestMemoryHorizon:
@@ -494,6 +545,21 @@ class TestMemoryHorizon:
 
             assert exact(horizon) <= Fraction(tol)
             assert horizon == 0 or exact(horizon - 1) > Fraction(tol)
+
+    @pytest.mark.parametrize("args, horizon", [
+        ((0.5, 1e300, 1e300, 1e-300), 2990), ((0.5, 1e200, 1e200, 1.0), 1329)])
+    def test_overflowing_ratio_gives_the_least_lag(self, args, horizon):
+        # g a / tol overflows a double; H is still the least lag, in rationals
+        kappa, gain, amplitude, tol = map(Fraction, args)
+        ratio = gain * amplitude / tol
+        assert ratio * kappa ** horizon <= 1 < ratio * kappa ** (horizon - 1)
+        assert memory_horizon(*args).horizon == horizon
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    def test_rejects_nonfinite_or_nonpositive_scales(self, bad):
+        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                memory_horizon(0.5, *args)
 
     def test_requires_certificate(self):
         with pytest.raises(ValueError, match="fading-memory"):
