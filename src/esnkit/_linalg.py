@@ -132,38 +132,22 @@ def solve_discrete_lyapunov(a: np.ndarray | SchurForm, s: np.ndarray) -> np.ndar
     Requires rho(A) < 1 and raises ``LinAlgError`` otherwise: there a solver
     can return a huge "solution" that still meets a relative residual test.
     Also raises if the residual in the original coordinates exceeds 1e-10
-    relative to the solution scale.  With DEBUG logging on, the solve
-    reports the a-posteriori bound
-
-        rcond <= ||vec S||_1 / (||K||_1 ||vec X||_1),   K = I - A kron A,
-
-    on the 1-norm reciprocal condition number of K (vec X = K^{-1} vec S,
-    so ||K^{-1}||_1 >= ||vec X||_1 / ||vec S||_1), where the column (j, l)
-    of K sums to c_j c_l - |a_jj a_ll| + |1 - a_jj a_ll|, c_j the 1-norm
-    of column j of A, so ||K||_1 is exact in O(n^2).  A bound below eps
-    (rho(A) within about 1e-15 of 1) is the DEBUG event
-    ``lyapunov.ill_conditioned rcond=...``; the residual test decides.
+    relative to the solution scale.  With DEBUG logging on, an rcond estimate
+    from :func:`_rcond_bound` below eps (rho(A) within about 1e-15 of 1) is the
+    DEBUG event ``lyapunov.ill_conditioned rcond=...``; the residual test
+    decides.
     """
     form = a if isinstance(a, SchurForm) else real_schur(a)
     if form.rho >= 1.0:
         raise np.linalg.LinAlgError(
             "discrete Lyapunov solve needs rho(A) < 1")
     s = np.asarray(s, dtype=np.float64)
-    n = len(form.t)
-    if not n:
+    if not len(form.t):
         return np.zeros((0, 0))
-    z = form.z
-    eye = np.eye(n)
-    m = np.linalg.inv(form.t + eye)
-    b = (form.t - eye) @ m
-    y, factor, _ = dtrsyl(b, b, -2.0 * (m @ (z.T @ s @ z) @ m.T), tranb="T")
-    x = symmetrize(z @ (y / factor) @ z.T)
+    x = _schur_solve(form, s)
     a = form.a
     if logger.isEnabledFor(logging.DEBUG) and x.any():
-        col = np.abs(a).sum(axis=0)
-        diag = np.outer(np.diag(a), np.diag(a))
-        norm_k = (np.outer(col, col) - np.abs(diag) + np.abs(1.0 - diag)).max()
-        rcond = np.abs(s).sum() / (norm_k * np.abs(x).sum())
+        rcond = _rcond_bound(form, s, x)
         if rcond < np.finfo(np.float64).eps:
             logger.debug("lyapunov.ill_conditioned rcond=%.3e", rcond)
     scale = max(1.0, float(np.abs(x).max(initial=0.0)))
@@ -172,6 +156,35 @@ def solve_discrete_lyapunov(a: np.ndarray | SchurForm, s: np.ndarray) -> np.ndar
         raise np.linalg.LinAlgError(
             f"discrete Lyapunov residual {residual:.3e} exceeds tolerance")
     return x
+
+
+def _schur_solve(form: SchurForm, s: np.ndarray) -> np.ndarray:
+    """The symmetrized X of ``X = A X A' + S`` by the Cayley transform and
+    ``dtrsyl`` in ``form`` (n >= 1), with no rho or residual check."""
+    z = form.z
+    eye = np.eye(len(z))
+    m = np.linalg.inv(form.t + eye)
+    b = (form.t - eye) @ m
+    y, factor, _ = dtrsyl(b, b, -2.0 * (m @ (z.T @ s @ z) @ m.T), tranb="T")
+    return symmetrize(z @ (y / factor) @ z.T)
+
+
+def _rcond_bound(form: SchurForm, s: np.ndarray, x: np.ndarray) -> float:
+    """Estimate 1 / (||K||_1 nu) of the 1-norm rcond of K = I - A kron A
+    (A = ``form.a``) from the solution x of ``X = A X A' + S``, by one Hager
+    step (Higham, ACM TOMS 14(4), 1988): Z of Z = A' Z A + sign(X), solved in
+    the transposed ``form`` without the residual check it fails at this
+    conditioning, is K^{-T} sign(vec X), so nu = max(||vec X||_1 / ||vec S||_1,
+    max |Z|) <= ||K^{-1}||_1 and the estimate bounds rcond from above, but
+    only up to the rounding of the two solves.  Column (j, l) of K sums to
+    c_j c_l - |a_jj a_ll| + |1 - a_jj a_ll|, c_j the 1-norm of column j of A,
+    so ||K||_1 is exact in O(n^2)."""
+    a = form.a
+    col = np.abs(a).sum(axis=0)
+    diag = np.outer(np.diag(a), np.diag(a))
+    norm_k = (np.outer(col, col) - np.abs(diag) + np.abs(1.0 - diag)).max()
+    z = _schur_solve(form.transposed(), np.sign(x))
+    return 1.0 / (norm_k * max(np.abs(x).sum() / np.abs(s).sum(), np.abs(z).max()))
 
 
 def linear_scan(m, rows: np.ndarray) -> None:

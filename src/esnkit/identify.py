@@ -207,10 +207,6 @@ def _jittered_chol(s: np.ndarray, t: int, smoother: bool = False):
     return chol, s
 
 
-def _innovation_chol(s: np.ndarray, t: int) -> np.ndarray:
-    return _jittered_chol(s, t)[0]
-
-
 def _diverged(t: int) -> ValueError:
     return ValueError("filter diverged: non-finite mean, covariance or "
                       f"log-likelihood at time index {t}")
@@ -312,7 +308,7 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
 def _stateless(outputs, r, **fields) -> SmoothedPosterior:
     """The filter pass, with ``fields``, of a model with no state (n = 0)."""
     horizon, p_dim = outputs.shape
-    chol = _innovation_chol(r, 1)
+    chol = _jittered_chol(r, 1)[0]
     return SmoothedPosterior(
         np.empty((horizon + 1, 0)), np.empty((horizon + 1, 0, 0)),
         np.empty((horizon, 0)), np.empty((horizon, 0, 0)),
@@ -348,7 +344,7 @@ def _measure(mu_pred, cov_pred, y, c, r, t, mu_out, cov_out=None):
     innov = dgemv(-1.0, c.T, mu_pred, 1.0, y, 0, 1, 0, 1, 1)
     cp = dgemm(1.0, c.T, cov_pred.T, 0.0, None, 1, 1)
     s = dgemm(1.0, cp, c.T, 1.0, r)
-    chol = _innovation_chol(s, t)
+    chol = _jittered_chol(s, t)[0]
     k_t = dpotrs(chol, cp, 1)[0]
     np.add(mu_pred, dgemv(1.0, k_t, innov, 0.0, None, 0, 1, 0, 1, 1),
            out=mu_out)

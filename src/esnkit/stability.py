@@ -337,12 +337,13 @@ def memory_horizon(kappa: Union[float, Certificate], input_gain: float,
 
     A float ``kappa`` is a Euclidean rate, c = 1.  A passed ``Certificate``
     gives c = 1 without ``weight_P`` and c = sqrt(cond weight_P) with it, its
-    kappa being a rate in that norm.  Raises if kappa >= 1 (no fading-memory
-    certificate, the horizon is undefined).  H is exact: the search starts
-    one below the estimate log(c g a / tol) / -log(kappa), from a sum of
-    logarithms (c g a / tol may overflow), and a lag is tested by the sign of
-    log(c g a / tol) + lag log(kappa), or in rationals where that is within
-    8 eps times the sum of its terms' magnitudes (their rounding bound) of 0.
+    kappa being a rate in that norm.  Raises unless 0 <= kappa < 1 (no
+    fading-memory certificate, the horizon is undefined).  H is exact: the
+    search starts one below the estimate log(c g a / tol) / -log(kappa), from
+    a sum of logarithms (c g a / tol may overflow), and a lag is tested by the
+    sign of log(c g a / tol) + lag log(kappa), or in rationals where that is
+    within 8 eps times the sum of its terms' magnitudes (their rounding bound)
+    of 0.  At kappa = 0, H is 0 if c g a <= tol and 1 otherwise.
     """
     constant = 1.0
     if isinstance(kappa, Certificate):
@@ -352,18 +353,22 @@ def memory_horizon(kappa: Union[float, Certificate], input_gain: float,
             lo, hi = _eig_bounds(kappa.weight_P)
             constant = math.sqrt(hi / lo)
         kappa = kappa.kappa
-    if not (0.0 < kappa < 1.0):
+    if not (0.0 <= kappa < 1.0):
         raise ValueError(
-            f"no fading-memory certificate: kappa must be in (0, 1), got {kappa}")
+            f"no fading-memory certificate: kappa must be in [0, 1), got {kappa}")
     if not all(0.0 < v < math.inf for v in (input_gain, amplitude, tolerance)):
         raise ValueError("input_gain, amplitude, and tolerance must be positive and finite")
     logs = [math.log(constant), math.log(input_gain), math.log(amplitude),
             -math.log(tolerance)]
-    log_ratio, log_kappa, size = math.fsum(logs), math.log(kappa), sum(map(abs, logs))
+    log_ratio, size = math.fsum(logs), sum(map(abs, logs))
+    log_kappa = math.log(kappa) if kappa else -math.inf
 
     def exceeds(lag: int) -> bool:
-        log_product = log_ratio + lag * log_kappa
-        if abs(log_product) > 8.0 * np.finfo(np.float64).eps * (size - lag * log_kappa):
+        # kappa^0 = 1 also at kappa = 0; at kappa = 0 and lag >= 1 the band
+        # below is infinite, so the rationals decide, and 0 <= tol
+        decay = lag * log_kappa if lag else 0.0
+        log_product = log_ratio + decay
+        if abs(log_product) > 8.0 * np.finfo(np.float64).eps * (size - decay):
             return log_product > 0.0
         return (Fraction(constant) * Fraction(input_gain) * Fraction(amplitude)
                 * Fraction(kappa) ** lag > Fraction(tolerance))

@@ -1,13 +1,22 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import esnkit.freq
+import esnkit.stability
 from esnkit import (LtiModel, ctrb_obsv_rank, gramians, h2_norm,
                     hinf_norm_grid, impulse_kernel, modal, output_psd,
                     spectral_radius, transfer_eval)
+from esnkit._linalg import real_schur, solve_discrete_lyapunov
 
-from oracles import transfer_dense
+from oracles import psd_exact, transfer_dense
+
+
+def to_fractions(m):
+    """The doubles of ``m`` as an object array of exact ``Fraction``s."""
+    return np.vectorize(Fraction, otypes=[object])(m)
 
 
 def scalar_lti(a, b, c, d=0.0):
@@ -179,6 +188,41 @@ class TestImpulseKernel:
         c, kappa = kern.envelope
         norms = np.linalg.norm(kern.blocks, 2, axis=(1, 2))
         assert np.all(norms <= c * kappa ** np.arange(501) * (1 + 1e-9))
+
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           rho=st.floats(0.0, 0.97), shear=st.floats(0.0, 2.0),
+           rotate=st.booleans())
+    def test_envelope_is_exact(self, n, seed, rho, shear, rotate):
+        # ||A^j||_2 <= c kappa^j holds exactly if, in rationals, the solved P
+        # has kappa^2 P - A' P A >= 0 and lo I <= P <= c^2 lo I for some
+        # lo > 0; lo from the bounds of the envelope itself is the witness
+        solved = []
+
+        def capture(a, s):
+            solved.append(solve_discrete_lyapunov(a, s))
+            return solved[-1]
+
+        rng = np.random.default_rng(seed)
+        a = (np.triu(rng.standard_normal((n, n)), 1) * shear
+             + np.diag(rng.uniform(-rho, rho, n)))
+        if rotate:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = q @ a @ q.T
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(esnkit.stability, "solve_discrete_lyapunov", capture)
+            envelope = esnkit.stability._decay_envelope(real_schur(a))
+        if envelope is None:
+            return
+        c, kappa = envelope
+        [p] = solved
+        lo = Fraction(esnkit.stability._eig_bounds(p)[0])
+        p, a = to_fractions(p), to_fractions(a)
+        eye = np.eye(n, dtype=object)
+        assert lo > 0
+        assert psd_exact(Fraction(kappa) ** 2 * p - a.T @ p @ a)
+        assert psd_exact(p - lo * eye)
+        assert psd_exact(Fraction(c) ** 2 * lo * eye - p)
 
     def test_tail_bound_dominates_nonnormal_tail(self):
         # A = 0.9 I + 0.5 N (n = 40) grows for hundreds of steps before it

@@ -718,15 +718,15 @@ class TestEkf:
         # NaN mean then makes A_2 and the innovation covariance at t = 2 NaN.
         # LAPACK builds that report a NaN pivot fail there (this one is made
         # to): the filter runs on past t = 1, and t = 1 must still be the error
-        factor = identify._innovation_chol
+        factor = identify._jittered_chol
 
-        def nan_pivot_fails(s, t):
+        def nan_pivot_fails(s, t, smoother=False):
             if np.isnan(s).any():
                 raise ValueError("innovation covariance not positive "
                                  f"definite at time index {t}")
-            return factor(s, t)
+            return factor(s, t, smoother)
 
-        monkeypatch.setattr(identify, "_innovation_chol", nan_pivot_fails)
+        monkeypatch.setattr(identify, "_jittered_chol", nan_pivot_fails)
         p = ReservoirParams(W=0.5 * np.eye(2), U=np.zeros((2, 1)),
                             b=np.zeros(2), leak=0.5)
         ro = Readout(C=np.array([[4.0, 0.0]]))

@@ -6,8 +6,8 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import esnkit
-from esnkit._linalg import (as_float_array, linear_scan, real_schur,
-                            solve_discrete_lyapunov)
+from esnkit._linalg import (_rcond_bound, as_float_array, linear_scan,
+                            real_schur, solve_discrete_lyapunov)
 
 from conftest import traced_peak_mib
 from oracles import kronecker_lyapunov
@@ -67,8 +67,20 @@ class TestDiscreteLyapunov:
         events = [rec.getMessage().split() for rec in caplog.records
                   if rec.name == "esnkit._linalg"]
         assert [event[0] for event in events] == ["lyapunov.ill_conditioned"]
-        assert 0.0 < float(events[0][1].removeprefix("rcond=")) < 1e-15
+        rcond = float(events[0][1].removeprefix("rcond="))
+        assert 0.0 < rcond < np.finfo(np.float64).eps
         assert np.abs(a @ x @ a.T + np.eye(6) - x).max() <= 1e-10 * np.abs(x).max()
+
+    @pytest.mark.parametrize("gap", [1e-14, 1e-13])
+    def test_rcond_bound_is_near_the_kronecker_rcond(self, gap):
+        # rho(A) = 1 - gap: the Hager step through the transposed equation
+        # brings the estimate within 1.5x of rcond(I - A kron A), which the
+        # estimate ||vec S||_1 / (||K||_1 ||vec X||_1) alone misses by 1.7-2.4x
+        w0 = np.random.default_rng(2).standard_normal((6, 6))
+        a = (1.0 - gap) * w0 / np.abs(np.linalg.eigvals(w0)).max()
+        x = solve_discrete_lyapunov(a, np.eye(6))
+        bound = _rcond_bound(real_schur(a), np.eye(6), x)
+        assert 0.0 < bound <= 1.5 / np.linalg.cond(np.eye(36) - np.kron(a, a), 1)
 
 
 def matrix_with_spectrum(n, seed, rho, pairs):

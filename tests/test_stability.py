@@ -555,6 +555,19 @@ class TestMemoryHorizon:
         assert ratio * kappa ** horizon <= 1 < ratio * kappa ** (horizon - 1)
         assert memory_horizon(*args).horizon == horizon
 
+    def test_zero_rate_forgets_after_one_step(self):
+        # leak 1 and W = 0 certify kappa = 0: H = 1 unless c g a <= tol
+        # already, decided exactly; 0.1 * 0.01 exceeds 1e-3 in rationals
+        cert = certify_lipschitz(ReservoirParams(
+            W=np.zeros((2, 2)), U=np.zeros((2, 1)), b=np.zeros(2), leak=1.0))
+        assert (cert.verdict, cert.kappa) == (Verdict.PASS, 0.0)
+        assert memory_horizon(cert, 1.0, 1.0, 1e-3).horizon == 1
+        assert memory_horizon(0.0, 1.0, 1.0, 1e-3).horizon == 1
+        assert memory_horizon(cert, 1e-3, 1.0, 1e-3).horizon == 0
+        assert memory_horizon(0.0, 1e-3, 1.0, 1e-3).horizon == 0
+        assert Fraction(0.1) * Fraction(0.01) > Fraction(1e-3)
+        assert memory_horizon(0.0, 0.1, 0.01, 1e-3).horizon == 1
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
     def test_rejects_nonfinite_or_nonpositive_scales(self, bad):
         for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
@@ -566,6 +579,8 @@ class TestMemoryHorizon:
             memory_horizon(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="fading-memory"):
             memory_horizon(1.3, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="fading-memory"):
+            memory_horizon(-0.5, 1.0, 1.0, 1.0)
         failed = certify_lipschitz(make_reservoir(leak=1.0, w_scale=1.2))
         with pytest.raises(ValueError, match="fading-memory"):
             memory_horizon(failed, 1.0, 1.0, 1.0)
