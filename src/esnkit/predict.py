@@ -15,8 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ._linalg import as_float_array, check_psd, symmetrize
-from .identify import NoiseModel, _predict_cov
+from ._linalg import _congruence, as_float_array, check_psd
+from .identify import NoiseModel
 from .linearize import LtiModel
 
 __all__ = ["PredictiveDistribution", "predictive"]
@@ -44,7 +44,10 @@ def predictive(lti: LtiModel, noise: NoiseModel,
                belief: Tuple[np.ndarray, np.ndarray],
                future_inputs) -> PredictiveDistribution:
     """Distribution of y_{t+h} given the filtered belief (mu, P) at time t
-    and the h future inputs u_t .. u_{t+h-1}."""
+    and the h future inputs u_t .. u_{t+h-1}; D must be 0, as D u_{t+h}
+    needs u_{t+h}.  With no state (n = 0) the forecast is N(0, R)."""
+    if np.any(lti.D != 0.0):
+        raise ValueError("predictive requires D = 0")
     mu = as_float_array(belief[0], "belief mean", (lti.n,))
     cov = check_psd(belief[1], "belief covariance", (lti.n, lti.n))
     as_float_array(noise.Q, "noise Q", (lti.n, lti.n))
@@ -53,13 +56,11 @@ def predictive(lti: LtiModel, noise: NoiseModel,
     horizon = inputs.shape[0]
     if horizon < 1:
         raise ValueError("need at least one future input (h >= 1)")
+    if lti.n == 0:
+        return PredictiveDistribution(horizon, np.zeros(lti.p), noise.R.copy(), cov)
 
-    mean = mu.copy()
-    sigma = cov.copy()
-    for j in range(horizon):
-        mean = lti.A @ mean + lti.B @ inputs[j]
-        sigma = _predict_cov(lti.A, sigma, noise.Q)
-    out_mean = lti.C @ mean
-    out_cov = symmetrize(lti.C @ sigma @ lti.C.T + noise.R)
-    return PredictiveDistribution(horizon=horizon, mean=out_mean,
-                                  covariance=out_cov, state_cov=sigma)
+    for u in inputs:
+        mu = lti.A @ mu + lti.B @ u
+        cov = _congruence(lti.A, cov, noise.Q)
+    return PredictiveDistribution(horizon, lti.C @ mu,
+                                  _congruence(lti.C, cov, noise.R), cov)

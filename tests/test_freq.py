@@ -249,6 +249,19 @@ class TestImpulseKernel:
         kern = impulse_kernel(lti, tail_tol=1e-9)
         assert kern.tail_bound <= 1e-9
 
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           rho=st.floats(0.05, 0.95), log_tol=st.floats(-13.0, -2.0))
+    def test_automatic_truncation_is_the_least(self, n, seed, rho, log_tol):
+        # the automatic K meets tail_tol, and K - 1 does not
+        tail_tol = 10.0 ** log_tol
+        lti = stable_random_lti(n=n, m=2, p=2, seed=seed, rho=rho)
+        kern = impulse_kernel(lti, tail_tol=tail_tol)
+        assert kern.tail_bound <= tail_tol
+        if len(kern) > 1:
+            shorter = impulse_kernel(lti, truncation=len(kern) - 2)
+            assert shorter.tail_bound > tail_tol
+
     def test_automatic_truncation_names_its_cap(self):
         # kappa >= 0.99999 needs about 3.2e6 blocks for the 1e-9 tail
         with pytest.raises(ValueError, match="cap of 200000"):

@@ -774,6 +774,29 @@ class TestEmStep:
         np.testing.assert_allclose(step.noise.R, outputs.T @ outputs / 50,
                                    atol=1e-10)
 
+    def test_zero_gram_gets_a_nonzero_ridge(self, caplog):
+        # zero prior covariance, Q = 0 and zero data make the regression
+        # Gram exactly zero; its ridge must still make it invertible
+        n, p = 2, 1
+        lti = LtiModel(A=0.5 * np.eye(n), B=np.ones((n, 1)),
+                       C=np.ones((p, n)), D=np.zeros((p, 1)))
+        noise = NoiseModel(Q=np.zeros((n, n)), R=np.eye(p))
+        with caplog.at_level(logging.WARNING, logger="esnkit.identify"):
+            step = em_step(lti, noise, np.zeros((5, 1)), np.zeros((5, p)),
+                           (np.zeros(n), np.zeros((n, n))))
+        assert "em.ridge ridge=1.000e-10" in caplog.messages
+        assert not step.lti.A.any() and not step.lti.B.any()
+        np.testing.assert_array_equal(step.noise.Q, 1e-12 * np.eye(n))
+
+    def test_record_without_steps_rejected(self):
+        n, p = 2, 1
+        lti = LtiModel(A=0.5 * np.eye(n), B=np.ones((n, 1)),
+                       C=np.ones((p, n)), D=np.zeros((p, 1)))
+        noise = NoiseModel(Q=np.eye(n), R=np.eye(p))
+        with pytest.raises(ValueError, match=r"T >= 1"):
+            em_step(lti, noise, np.zeros((0, 1)), np.zeros((0, p)),
+                    (np.zeros(n), np.eye(n)))
+
     def test_q_update_psd(self):
         for seed in range(5):
             n, m, p = 3, 1, 2

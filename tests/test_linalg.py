@@ -6,8 +6,8 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import esnkit
-from esnkit._linalg import (_rcond_bound, as_float_array, linear_scan,
-                            real_schur, solve_discrete_lyapunov)
+from esnkit._linalg import (_congruence, _rcond_bound, as_float_array,
+                            linear_scan, real_schur, solve_discrete_lyapunov)
 
 from conftest import traced_peak_mib
 from oracles import kronecker_lyapunov
@@ -35,6 +35,24 @@ def test_finite_check_survives_an_overflowing_sum():
         with pytest.raises(ValueError, match=f"^x has non-finite entry at "
                                              f"flat index {index}$"):
             as_float_array(bad, "x")
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_congruence_is_symmetric_and_writes_in_place(order):
+    # A (3, 5), X and Q not symmetric, as the M-step passes them, in either
+    # memory order: sym(A X A' + Q), exactly symmetric, to 1e-14 relative
+    rng = np.random.default_rng(5)
+    a, x, q = (np.asarray(rng.standard_normal(shape), order=order)
+               for shape in ((3, 5), (5, 5), (3, 3)))
+    got = _congruence(a, x, q)
+    assert np.array_equal(got, got.T)
+    want = a @ x @ a.T + q
+    want = 0.5 * (want + want.T)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    out = np.zeros((2, 3, 3))
+    row = out[1]
+    assert _congruence(a, x, q, out=row) is row
+    assert np.array_equal(out[1], got) and not out[0].any()
 
 
 class TestDiscreteLyapunov:

@@ -56,3 +56,23 @@ def test_scalar_forecast_closed_form():
     quantile = NormalDist().inv_cdf(0.975)
     np.testing.assert_allclose(dist.interval_half_widths(),
                                [quantile * np.sqrt(var)], rtol=1e-12)
+
+
+def test_stateless_model_forecasts_the_measurement_noise():
+    lti = LtiModel(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((2, 0)),
+                   D=np.zeros((2, 1)))
+    r = np.array([[0.5, 0.1], [0.1, 0.3]])
+    dist = predictive(lti, NoiseModel(Q=np.zeros((0, 0)), R=r),
+                      (np.zeros(0), np.zeros((0, 0))), np.ones((3, 1)))
+    assert dist.horizon == 3 and dist.state_cov.shape == (0, 0)
+    np.testing.assert_array_equal(dist.mean, np.zeros(2))
+    np.testing.assert_array_equal(dist.covariance, r)
+
+
+def test_feedthrough_rejected():
+    # D u_{t+h} needs an input the call is not given
+    lti = LtiModel(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
+                   D=np.ones((1, 1)))
+    noise = NoiseModel(Q=np.eye(2), R=np.eye(1))
+    with pytest.raises(ValueError, match="D = 0"):
+        predictive(lti, noise, (np.zeros(2), np.eye(2)), np.ones((3, 1)))
