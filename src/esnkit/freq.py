@@ -6,10 +6,13 @@ Lyapunov equations, H2/Hinf norms, and output spectra.  All of it assumes the
 dense desk-scale regime (n <= 512); Gramian-based quantities additionally
 require rho(A) < 1.
 
-Every public call decomposes A once, in the real Schur form A = Z T Z' of
-the Lyapunov solves; H(z) is then a back substitution over the diagonal
-blocks of T for all z at once, O(n^2) per z instead of O(n^3) (Laub, IEEE
-TAC 26(2), 1981), and rho(A) is read off those blocks.
+Every analysis reads the model's one real Schur form A = Z T Z'
+(``LtiModel._schur``): the Lyapunov solves run in it, H(z) is a back
+substitution over the diagonal blocks of T for all z at once, O(n^2) per z
+instead of O(n^3) (Laub, IEEE TAC 26(2), 1981), and rho(A) is read off those
+blocks.  The Gramian pair and the decay envelope are kept on the model too,
+read-only (a solve that raises keeps nothing), so the analyses of one model
+make one Schur decomposition and at most three Lyapunov solves in all.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from ._linalg import (SchurForm, as_float_array, real_schur,
-                      solve_discrete_lyapunov)
+from ._linalg import as_float_array, solve_discrete_lyapunov
 from .linearize import LtiModel
 from .stability import _decay_envelope
 
@@ -94,11 +96,21 @@ class HinfEstimate(NamedTuple):
     interval_width: float
 
 
-def _transfer_batch(lti: LtiModel, form: SchurForm, zs: np.ndarray) -> np.ndarray:
-    """H(z) for every z of ``zs``, shape (len(zs), p, m), from the real Schur
-    ``form`` by back substitution of (z I - T) X = z Z' B over the 1 x 1 and
+def _kept(lti: LtiModel, name: str, compute: Callable[[], object]):
+    """``compute()`` on the first call for ``name``, kept on the model ``lti``
+    for every later one (a model never changes); an exception keeps nothing."""
+    memo = vars(lti)
+    if name not in memo:
+        memo[name] = compute()
+    return memo[name]
+
+
+def _transfer_batch(lti: LtiModel, zs: np.ndarray) -> np.ndarray:
+    """H(z) for every z of ``zs``, shape (len(zs), p, m), from the model's real
+    Schur form by back substitution of (z I - T) X = z Z' B over the 1 x 1 and
     2 x 2 diagonal blocks of T for all z at once (a 2 x 2 block by its
     adjugate); a zero pivot or determinant (a pole) raises ``LinAlgError``."""
+    form = lti._schur
     t, count = form.t, np.size(zs)
     zs = np.repeat(np.asarray(zs, dtype=complex), lti.m)
     # row i of x holds X_i for every z, laid out (len(zs), m)
@@ -139,16 +151,16 @@ def _transfer_checked(lti: LtiModel, zs: np.ndarray) -> np.ndarray:
     """:func:`_transfer_batch` from one real Schur form, which gives rho(A):
     warns once when some |z| <= rho(A), and turns a pole hit into a
     ValueError that names the offending z and the eigenvalue nearest to it."""
-    form = real_schur(lti.A)
+    rho = lti._schur.rho
     radius = float(np.abs(zs).min()) if zs.size else math.inf
-    if radius <= form.rho:
+    if radius <= rho:
         warnings.warn(
             f"|z| = {radius:.6g} is outside the region of convergence "
-            f"|z| > rho(A) = {form.rho:.6g}", stacklevel=3)
+            f"|z| > rho(A) = {rho:.6g}", stacklevel=3)
     try:
-        return _transfer_batch(lti, form, zs)
+        return _transfer_batch(lti, zs)
     except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvals(form.t)
+        eigs = np.linalg.eigvals(lti._schur.t)
         gaps = np.abs(zs[:, None] - eigs[None, :])
         i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
         raise ValueError(
@@ -161,11 +173,15 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
 
     The tail bound c ||C|| ||B|| kappa^{K+1} / (1 - kappa) sums the envelope
     ||A^k|| <= c kappa^k past K.  If ``truncation`` is omitted, K is the
-    least one whose bound is at most ``tail_tol``; there must be an
-    envelope, and K at most ``_MAX_TRUNCATION``.
+    least one whose bound is at most ``tail_tol`` (positive and finite); there
+    must be an envelope, and K at most ``_MAX_TRUNCATION``.  B = 0 or C = 0
+    gives K = 0 and a tail bound of 0.  The envelope is the model's, found
+    once per model.
     """
+    if not (tail_tol > 0.0 and math.isfinite(tail_tol)):
+        raise ValueError(f"tail_tol must be positive and finite, got {tail_tol!r}")
     a, b, c_mat = lti.A, lti.B, lti.C
-    envelope = _decay_envelope(real_schur(a))
+    envelope = _kept(lti, "_envelope", lambda: _decay_envelope(lti._schur))
     if envelope is not None:                 # the tail bound is scale kappa^(K+1)
         growth, kappa = envelope
         scale = growth * np.linalg.norm(c_mat, 2) * np.linalg.norm(b, 2) / (1.0 - kappa)
@@ -174,11 +190,13 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
         if envelope is None:
             raise ValueError("automatic truncation needs a proven envelope ||A^k||"
                              " <= c kappa^k: none at rho(A) >= 1 or ill-conditioned P")
-        # the least K, and one more block if rounding left its bound too high
-        target = tail_tol / max(scale, 1e-300)
-        truncation = max(math.ceil(math.log(target) / math.log(kappa)) - 1, 0)
-        if scale * kappa ** (truncation + 1) > tail_tol:
-            truncation += 1
+        truncation = 0
+        if scale > 0.0:
+            # the least K, and one more block if rounding left its bound too high
+            logs = (math.log(tail_tol) - math.log(scale)) / math.log(kappa)
+            truncation = max(math.ceil(logs) - 1, 0)
+            if scale * kappa ** (truncation + 1) > tail_tol:
+                truncation += 1
         if truncation > _MAX_TRUNCATION:
             raise ValueError(f"tail_tol {tail_tol:g} needs K = {truncation}, "
                              f"above the cap of {_MAX_TRUNCATION}")
@@ -218,24 +236,27 @@ def modal(lti: LtiModel) -> ModalDecomposition:
 
 def gramians(lti: LtiModel) -> GramianPair:
     """Reachability / observability Gramians from the two discrete Lyapunov
-    equations, both solved in one real Schur form A = Z T Z' (W_o in that of
-    A' = (Z J)(J T' J)(Z J)', J the reversal permutation); rho(A) >= 1
-    raises the solver's ``LinAlgError`` (a ``ValueError``)."""
-    return _gramians(lti, real_schur(lti.A))
+    equations, both solved in the model's real Schur form A = Z T Z' (W_o in
+    that of A' = (Z J)(J T' J)(Z J)', J the reversal permutation), once per
+    model: the pair is kept on it, read-only.  rho(A) >= 1 raises the
+    solver's ``LinAlgError`` (a ``ValueError``) on every call."""
 
+    def solve() -> GramianPair:
+        form = lti._schur
+        pair = GramianPair(W_c=solve_discrete_lyapunov(form, lti.B @ lti.B.T),
+                           W_o=solve_discrete_lyapunov(form.transposed(), lti.C.T @ lti.C))
+        pair.W_c.flags.writeable = pair.W_o.flags.writeable = False
+        return pair
 
-def _gramians(lti: LtiModel, form: SchurForm) -> GramianPair:
-    """:func:`gramians` from the real Schur ``form`` of A."""
-    return GramianPair(W_c=solve_discrete_lyapunov(form, lti.B @ lti.B.T),
-                       W_o=solve_discrete_lyapunov(form.transposed(), lti.C.T @ lti.C))
+    return _kept(lti, "_gramians", solve)
 
 
 def ctrb_obsv_rank(lti: LtiModel) -> RankReport:
     """Numerical ranks of the controllability/observability matrices (singular
     values at least 1e-10 times the largest) plus the Gramian minimum
-    eigenvalues (NaN when rho(A) >= 1, 0 for a model with no state).  One
-    real Schur form of A gives rho(A) and both Gramians; a failed solve at
-    rho(A) < 1 raises."""
+    eigenvalues (NaN when rho(A) >= 1, 0 for a model with no state).  The
+    model's real Schur form gives rho(A), and :func:`gramians` the pair; a
+    failed solve at rho(A) < 1 raises."""
     n = lti.n
     if n > 512:
         raise ValueError("rank tests are limited to n <= 512")
@@ -253,9 +274,8 @@ def ctrb_obsv_rank(lti: LtiModel) -> RankReport:
             return 0
         return int(np.sum(s >= 1e-10 * s[0]))
 
-    form = real_schur(lti.A)
-    if form.rho < 1.0:
-        pair = _gramians(lti, form)
+    if lti._schur.rho < 1.0:
+        pair = gramians(lti)
         min_wc, min_wo = (float(np.linalg.eigvalsh(w).min()) if n else 0.0
                           for w in (pair.W_c, pair.W_o))
     else:
@@ -276,7 +296,7 @@ def h2_norm(lti: LtiModel) -> float:
 def hinf_norm_grid(lti: LtiModel, grid_points: int = 512) -> HinfEstimate:
     """Lower bound on sup_omega sigma_max(H(e^{j omega})) over [0, pi].
 
-    One real Schur form of A serves every frequency: it checks rho(A) < 1,
+    The model's real Schur form serves every frequency: it checks rho(A) < 1,
     a uniform grid (one back substitution) locates the peak, and a second
     batch of 33 equally spaced points strictly inside the grid bracket
     [omega_best-1, omega_best+1] refines it, so ``interval_width`` is twice
@@ -285,13 +305,12 @@ def hinf_norm_grid(lti: LtiModel, grid_points: int = 512) -> HinfEstimate:
     """
     if grid_points < 64:
         raise ValueError("grid_points must be >= 64")
-    form = real_schur(lti.A)
-    if form.rho >= 1.0:
+    if lti._schur.rho >= 1.0:
         raise ValueError("Hinf evaluation on the unit circle needs rho(A) < 1")
     omegas = np.linspace(0.0, np.pi, grid_points)
 
     def gains(omega) -> np.ndarray:
-        h = _transfer_batch(lti, form, np.exp(1j * omega))
+        h = _transfer_batch(lti, np.exp(1j * omega))
         return np.linalg.svd(h, compute_uv=False)[:, 0] if h.size else np.zeros(len(h))
 
     values = gains(omegas)
@@ -312,7 +331,7 @@ def output_psd(lti: LtiModel, input_psd: np.ndarray, omega) -> np.ndarray:
 
     ``omega`` is a scalar, giving a (p, p) result, or an array of
     frequencies, giving ``omega.shape + (p, p)``; every frequency is
-    evaluated from one real Schur form of A, as in :func:`hinf_norm_grid`,
+    evaluated from the model's real Schur form, as in :func:`hinf_norm_grid`,
     and the region-of-convergence warning (rho(A) >= 1) fires once per call.
     """
     s_u = np.asarray(input_psd, dtype=complex)

@@ -134,7 +134,13 @@ def edmd_fit(params: ReservoirParams,
     the largest reused delta_t, where L_phi >= ||J_phi||_2 holds everywhere
     (``Dictionary._lipschitz``: 1 for the affine dictionary, the Frobenius
     norm bound of the Fourier block otherwise), so it bounds the residuals at
-    the exact images.
+    the exact images.  It is a floating-point bound: it also adds the
+    rounding of evaluating residual e_t = K' r_t - y_t, with K = [A_phi,
+    B_phi]' and r_t = [phi(x_t); u_t], which is at most gamma_(N+m+1)
+    (||r_t|| ||K||_F + ||y_t||) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, sec. 3.5; gamma_k = k u / (1 - k u), u the
+    unit roundoff) in any summation order, and the relative rounding
+    gamma_(N+2) of each row norm.
 
     Raises:
         ValueError: a trajectory of another state or input size than the
@@ -184,13 +190,18 @@ def edmd_fit(params: ReservoirParams,
 
     # each trajectory's residuals in the rows of one reused buffer; dgemm
     # adds u_t B' in place (its transposes are F-ordered views, as BLAS wants)
-    buffer, epsilon = np.empty((max(len(t) for *_, t in pieces), big_n)), 0.0
+    buffer = np.empty((max(len(t) for *_, t in pieces), big_n))
+    epsilon = scale = 0.0           # max ||e_t||, max ||r_t|| ||K||_F + ||y_t||
+    norm_k = float(np.linalg.norm(coeffs))
     for phi_x, u_t, target in pieces:
         resid = np.matmul(phi_x, coeffs[:big_n], out=buffer[:len(target)])
         dgemm(1.0, coeffs[big_n:].T, u_t.T, 1.0, resid.T, 0, 0, 1)
         resid -= target
         epsilon = max(epsilon, float(_row_norms(resid).max()))
-    epsilon += delta_max * dictionary._lipschitz(n)
+        regress = np.hypot(_row_norms(phi_x), _row_norms(u_t))
+        scale = max(scale, float((regress * norm_k + _row_norms(target)).max()))
+    epsilon = (epsilon * (1.0 + _gamma(big_n + 2)) + _gamma(big_n + m + 1) * scale
+               + delta_max * dictionary._lipschitz(n))
 
     if readout is not None:
         c_phi = np.zeros((readout.p, big_n))
@@ -201,6 +212,13 @@ def edmd_fit(params: ReservoirParams,
         c_phi[:, 1:1 + n] = np.eye(n)
     return LiftedModel(dictionary=dictionary, A_phi=a_phi, B_phi=b_phi,
                        C_phi=c_phi, epsilon=epsilon)
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative error
+    bound of k rounded operations."""
+    u = 0.5 * np.finfo(float).eps
+    return k * u / (1.0 - k * u)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

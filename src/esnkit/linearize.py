@@ -16,11 +16,12 @@ evaluated in one batched call and stored as (T, n, n) and (T, n, m) arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from ._linalg import as_float_array
+from ._linalg import SchurForm, as_float_array, real_schur
 from .core import (Readout, ReservoirParams, Trajectory, leaky_jacobians,
                    leaky_map)
 
@@ -30,7 +31,15 @@ __all__ = ["LtiModel", "LtvModel", "jacobians_at", "remainder_bound",
 
 @dataclass(frozen=True)
 class LtiModel:
-    """Discrete-time linear system (A, B, C, D)."""
+    """Discrete-time linear system (A, B, C, D).
+
+    A, B, C and D are read-only C-ordered copies of the arrays given, so a
+    model never changes: the real Schur form of A (``_schur``, read-only) is
+    decomposed on first use and kept, and :mod:`esnkit.freq` keeps the
+    Gramian pair and the decay envelope on the model too.  A copy, an
+    unpickled model or a ``dataclasses.replace`` is a new model that keeps
+    nothing yet.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -42,10 +51,21 @@ class LtiModel:
         b = as_float_array(self.B, "B", (len(a), "m"))
         c = as_float_array(self.C, "C", ("p", len(a)))
         d = as_float_array(self.D, "D", (len(c), b.shape[1]))
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "D", d)
+        for name, value in zip("ABCD", (a, b, c, d)):
+            value = np.array(value, order="C")      # the caller keeps theirs
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # a copy or an unpickled model is built afresh: read-only, nothing kept
+        return LtiModel, (self.A, self.B, self.C, self.D)
+
+    @cached_property
+    def _schur(self) -> SchurForm:
+        """The real Schur form of A, decomposed once per model."""
+        form = real_schur(self.A)
+        form.t.flags.writeable = form.z.flags.writeable = False
+        return form
 
     @property
     def n(self) -> int:

@@ -1,9 +1,14 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import esnkit._linalg
 import esnkit.freq
 import esnkit.stability
 from esnkit import (LtiModel, ctrb_obsv_rank, gramians, h2_norm,
@@ -262,6 +267,19 @@ class TestImpulseKernel:
             shorter = impulse_kernel(lti, truncation=len(kern) - 2)
             assert shorter.tail_bound > tail_tol
 
+    @pytest.mark.parametrize("tail_tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tail_tol_must_be_positive_and_finite(self, tail_tol):
+        with pytest.raises(ValueError, match="tail_tol must be positive"):
+            impulse_kernel(scalar_lti(0.5, 1.0, 1.0), tail_tol=tail_tol)
+
+    @pytest.mark.parametrize("b, c", [(0.0, 1.0), (1.0, 0.0)])
+    def test_zero_input_or_output_needs_no_block_past_the_first(self, b, c):
+        # a zero scale ||B|| ||C|| bounds the tail by 0 at K = 0, whatever
+        # the tolerance
+        for tail_tol in (1e-300, 1.0, 1e10):
+            kern = impulse_kernel(scalar_lti(0.5, b, c), tail_tol=tail_tol)
+            assert len(kern) == 1 and kern.tail_bound == 0.0
+
     def test_automatic_truncation_names_its_cap(self):
         # kappa >= 0.99999 needs about 3.2e6 blocks for the 1e-9 tail
         with pytest.raises(ValueError, match="cap of 200000"):
@@ -287,6 +305,98 @@ class TestImpulseKernel:
             omega = 2 * np.pi * ell / size
             expect = transfer_eval(lti, np.exp(1j * omega))
             assert np.abs(spectrum[ell] - expect).max() <= 1e-7
+
+
+ANALYSES = {
+    "impulse_kernel": (),
+    "gramians": (),
+    "h2_norm": (),
+    "hinf_norm_grid": (),
+    "ctrb_obsv_rank": (),
+    "transfer_eval": (np.exp(0.3j),),
+    "output_psd": (np.eye(2), np.linspace(0.0, np.pi, 7)),
+}
+
+
+class TestOneFormPerModel:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Schur decompositions and Lyapunov solves made, by whichever module."""
+        counts = {"schur": 0, "solve": 0}
+
+        def counting(owner, name, key):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(scipy.linalg, "schur", "schur")
+        counting(esnkit._linalg, "_schur_solve", "solve")
+        return counts
+
+    def test_every_analysis_of_a_model_shares_one_form(self, counts):
+        # one Schur form and at most three solves (the Gramian pair and the
+        # decay envelope) for all of them; a second round costs nothing
+        lti = stable_random_lti(n=6, m=2, p=2, seed=5, rho=0.9)
+        first = {name: getattr(esnkit.freq, name)(lti, *args)
+                 for name, args in ANALYSES.items()}
+        assert counts == {"schur": 1, "solve": 3}
+        for name, args in ANALYSES.items():
+            again = getattr(esnkit.freq, name)(lti, *args)
+            assert repr(again) == repr(first[name])
+        assert counts == {"schur": 1, "solve": 3}
+
+    def test_replaced_model_decomposes_afresh(self, counts):
+        lti = stable_random_lti(n=6, m=2, p=2, seed=5, rho=0.9)
+        pair = gramians(lti)
+        assert gramians(lti) is pair
+        other = dataclasses.replace(lti, B=2.0 * lti.B)
+        assert counts == {"schur": 1, "solve": 2}
+        np.testing.assert_allclose(gramians(other).W_c, 4.0 * pair.W_c,
+                                   rtol=1e-12)
+        assert counts == {"schur": 2, "solve": 4}
+
+    def test_caller_arrays_are_copied(self):
+        rng = np.random.default_rng(6)
+        a = 0.4 * np.eye(4) + 0.1 * rng.standard_normal((4, 4))
+        b, c = rng.standard_normal((4, 2)), rng.standard_normal((2, 4))
+        want = LtiModel(A=a.copy(), B=b.copy(), C=c.copy(), D=np.zeros((2, 2)))
+        lti = LtiModel(A=a, B=b, C=c, D=np.zeros((2, 2)))
+        for array in (a, b, c):
+            array *= 3.0
+        for name, args in ANALYSES.items():
+            got, expect = (getattr(esnkit.freq, name)(model, *args)
+                           for model in (lti, want))
+            assert repr(got) == repr(expect)
+
+    def test_model_and_what_it_keeps_are_read_only(self):
+        lti = stable_random_lti(n=4, seed=7)
+        pair = gramians(lti)
+        for array in (lti.A, lti.B, lti.C, lti.D, pair.W_c, pair.W_o,
+                      lti._schur.t, lti._schur.z):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda lti: pickle.loads(pickle.dumps(lti))])
+    def test_copies_are_rebuilt(self, counts, duplicate):
+        # a copy carries neither writable arrays nor a kept form
+        lti = stable_random_lti(n=4, seed=7)
+        pair = gramians(lti)
+        other = duplicate(lti)
+        with pytest.raises(ValueError, match="read-only"):
+            other.A[0, 0] = 1.0
+        np.testing.assert_array_equal(gramians(other).W_o, pair.W_o)
+        assert counts == {"schur": 2, "solve": 4}
+
+    def test_failed_gramian_solve_is_not_kept(self, counts):
+        lti = scalar_lti(1.1, 1.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rho"):
+                gramians(lti)
+        assert counts["schur"] == 1
 
 
 class TestModal:

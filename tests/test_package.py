@@ -269,6 +269,23 @@ def test_only_linalg_calls_scipy_schur_and_none_asks_for_the_complex_form():
     assert found == []
 
 
+def test_only_the_model_and_the_a_plus_certificate_decompose():
+    # an LtiModel decomposes A once and keeps the form, so every analysis of
+    # a model reads LtiModel._schur; the one other form is that of A+ in
+    # certify_weighted.  _linalg, which defines real_schur, also calls it
+    # when solve_discrete_lyapunov is given a matrix instead of a form
+    package = Path(esnkit.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for name, node in _functions(ast.parse(path.read_text())):
+            callers |= {f"{path.stem}.{name}" for call in ast.walk(node)
+                        if isinstance(call, ast.Call)
+                        and "real_schur" in (getattr(call.func, "id", None),
+                                             getattr(call.func, "attr", None))}
+    assert callers == {"linearize.LtiModel._schur", "stability.certify_weighted",
+                       "_linalg.solve_discrete_lyapunov"}
+
+
 def test_one_function_defines_the_cholesky_slack():
     # the slack tau of the vertex test is formed in one place, so the test
     # and the rates widened by tau / lambda_min(P) agree on it
