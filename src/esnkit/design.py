@@ -40,8 +40,8 @@ def target_radius(horizon: float) -> float:
 
     A half-life h (decay by 2 per h steps) is the horizon H = h / ln 2.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     return math.exp(-1.0 / horizon)
 
 
@@ -59,8 +59,8 @@ def gamma_for_radius(r_star: float, leak: float, slope: float,
         raise ValueError("r_star must be in (0, 1)")
     if not (0.0 < leak <= 1.0):
         raise ValueError("leak must be in (0, 1]")
-    if slope <= 0.0 or l_sigma <= 0.0:
-        raise ValueError("slope and l_sigma must be positive")
+    if not (0.0 < slope < math.inf and 0.0 < l_sigma < math.inf):
+        raise ValueError("slope and l_sigma must be positive and finite")
     if r_star <= 1.0 - leak:
         raise ValueError(
             f"target radius {r_star} unreachable at leak {leak}: the pure "
@@ -152,8 +152,8 @@ def input_scaling(target_preact_var: float, input_cov, n: int,
 
     ``input_cov`` may be PSD-singular; a target of 0 returns the zero matrix.
     """
-    if target_preact_var < 0.0:
-        raise ValueError("target_preact_var must be >= 0")
+    if not 0.0 <= target_preact_var < math.inf:
+        raise ValueError("target_preact_var must be finite and >= 0")
     cov = check_psd(input_cov, "input_cov")
     m = cov.shape[0]
     if target_preact_var == 0.0:

@@ -9,6 +9,7 @@ linearized model including the process-noise integral.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -47,8 +48,8 @@ class CtLinearModel:
 
 def euler_leak(dt: float, tau: float) -> float:
     """Forward-Euler leak dt / tau; rejects steps that leave the valid range."""
-    if dt <= 0.0 or tau <= 0.0:
-        raise ValueError("dt and tau must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < tau < math.inf):
+        raise ValueError("dt and tau must be positive and finite")
     leak = dt / tau
     if leak > 1.0:
         raise ValueError(
@@ -63,8 +64,8 @@ def tustin_leak(dt: float, tau: float) -> float:
     Always in (0, 2); values >= 1 are reported with a warning since they fall
     outside the leak range the reservoir accepts.
     """
-    if dt <= 0.0 or tau <= 0.0:
-        raise ValueError("dt and tau must be positive")
+    if not (0.0 < dt < math.inf and 0.0 < tau < math.inf):
+        raise ValueError("dt and tau must be positive and finite")
     leak = dt / (tau + 0.5 * dt)
     if leak >= 1.0:
         warnings.warn(

@@ -782,8 +782,8 @@ def readout_ml(states, outputs, ridge: float = 0.0) -> Readout:
     The offset d is fit by centering: means of x and y are removed before the
     solve and d recovered afterwards.
     """
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     x_mean, y_mean, gram, g = _readout_moments(states, outputs)
     gram = gram + ridge * np.eye(gram.shape[0])
     try:

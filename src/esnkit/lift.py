@@ -18,6 +18,7 @@ only linearly, so richer state features do not help.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -147,8 +148,8 @@ def edmd_fit(params: ReservoirParams,
             reservoir's, too few snapshots, or rank-deficient normal
             equations with ridge = 0 (the message says to set ridge > 0).
     """
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     n, m = params.n, params.m
     big_n = dictionary.output_dim(n)
     pieces, delta_max = [], 0.0     # (phi(x_t), u_t, target) per trajectory

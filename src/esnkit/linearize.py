@@ -15,6 +15,7 @@ evaluated in one batched call and stored as (T, n, n) and (T, n, m) arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -130,8 +131,8 @@ def remainder_bound(params: ReservoirParams, radius: float) -> float:
 
     Raises if the activation has no curvature bound (piecewise-linear kinds).
     """
-    if radius < 0.0:
-        raise ValueError("tube radius must be nonnegative")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"tube radius must be finite and >= 0, got {radius}")
     l2 = params.activation.second_deriv_bound
     if l2 is None:
         raise ValueError(

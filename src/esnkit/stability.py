@@ -21,21 +21,21 @@ the budget ``certify_weighted`` returns the Lipschitz bound without weight.
 
 One call builds the 2^n vertex matrices M once, a (2^n, n, n) array of
 8 n^2 2^n bytes (0.78 MiB at n = 10), and reads it in views of
-``_VERTEX_CHUNK``.  :func:`_failing` tests a stack at kappa with one batched
-Cholesky factorization of the lower triangle of kappa^2 P + tau I - M' P M,
-the shifted weight formed once per kappa by :func:`_shifted`, tau from
-:func:`_slack` (M' P M is not symmetrized: tau covers its O(n eps) forming
-error, which averaging would not shrink); only a stack that fails is
-factored vertex by vertex, to find the M that fail.  A pass proves
-M' P M <= kappa^2 P + tau I up to a backward error far below tau, so the
-rate is sqrt(kappa^2 + tau / lambda_min(P)) (:func:`_widened`), not kappa.
-At a fixed P = L L' the test only gets easier as kappa grows, so the gain
-sweep :func:`_weighted_gain` finds the P-norm gain max_v ||L' M_v L'^{-1}||_2
-in one pass: a failing stack raises kappa to the largest SVD gain of its
-failing vertices and is tested again.  A bisection step of
-:func:`certify_weighted` only asks whether a fixed kappa passes.  No P gives
-a rate below rho(A+) or 1 - leak, as A+ = (1-leak) I + leak L_sigma W and
-(1-leak) I are vertices.
+``_VERTEX_CHUNK``.  :func:`_failing` tests a stack with one batched Cholesky
+factorization of the lower triangle of S - M' P M; only a stack that fails
+is factored vertex by vertex, to find the M that fail.  A pass at
+S = kappa^2 P + tau I (:func:`_shifted`, tau from :func:`_slack`; M' P M is
+not symmetrized, and tau covers its O(n eps) forming error, which averaging
+would not shrink) proves M' P M <= kappa^2 P + tau I up to a backward error
+far below tau, so the P-norm rate it proves is sqrt(kappa^2 + tau / lo),
+lo <= lambda_min(P) (:func:`_rate`).  At a fixed P = L L' the test only
+gets easier as kappa grows, so the gain sweep :func:`_weighted_gain` finds
+the P-norm gain max_v ||L' M_v L'^{-1}||_2 in one pass: a failing stack
+raises kappa to the largest SVD gain of its failing vertices and is tested
+again.  A bisection step of :func:`certify_weighted` tests a rate r itself,
+at S = (r^2 - tau / lo) P + tau I, so a pass proves M' P M <= r^2 P.  No P
+gives a rate below rho(A+) or 1 - leak, as A+ = (1-leak) I + leak L_sigma W
+and (1-leak) I are vertices.
 """
 
 from __future__ import annotations
@@ -220,13 +220,11 @@ def _eig_bounds(p: np.ndarray) -> Tuple[float, float]:
     return float(eigs[0]) - error, float(eigs[-1]) + error
 
 
-def _widened(p: np.ndarray, kappa: float) -> Tuple[float, float]:
-    """``(c, k)`` from a P whose Cholesky test passed at kappa: c = sqrt(hi /
-    lo) >= sqrt(cond P) and k = sqrt(kappa^2 + tau / lo), the P-norm rate
-    that M' P M <= kappa^2 P + tau I proves, with lo, hi from
-    :func:`_eig_bounds` (LinAlgError if P is not provably PD)."""
-    lo, hi = _eig_bounds(p)
-    return math.sqrt(hi / lo), math.sqrt(kappa ** 2 + _slack(p, kappa) / lo)
+def _rate(p: np.ndarray, lo: float, kappa: float) -> float:
+    """sqrt(kappa^2 + tau / lo), the P-norm rate that M' P M <= kappa^2 P +
+    tau I proves (tau I <= (tau / lo) P), lo <= lambda_min(P) from
+    :func:`_eig_bounds`."""
+    return math.sqrt(kappa ** 2 + _slack(p, kappa) / lo)
 
 
 def _decay_envelope(form: SchurForm) -> Optional[Tuple[float, float]]:
@@ -235,8 +233,9 @@ def _decay_envelope(form: SchurForm) -> Optional[Tuple[float, float]]:
     of A.
 
     P solves A' P A - k0^2 P = -I at k0 = (1 + rho(A)) / 2 in the transposed
-    ``form``.  kappa is the verified P-norm gain k of A, widened by the slack
-    tau of its Cholesky test (A' P A <= k^2 P + tau I); c = sqrt(cond P).
+    ``form``.  kappa is the rate :func:`_rate` proves from the verified
+    P-norm gain k of A (A' P A <= k^2 P + tau I); c = sqrt(hi / lo) >=
+    sqrt(cond P), lo and hi from :func:`_eig_bounds`.
     """
     a = form.a
     if not a.size:
@@ -244,10 +243,11 @@ def _decay_envelope(form: SchurForm) -> Optional[Tuple[float, float]]:
     k0 = 0.5 * (1.0 + form.rho)
     try:
         p = solve_discrete_lyapunov(form.transposed().scaled(k0), np.eye(len(a)) / k0 ** 2)
-        c, kappa = _widened(p, _weighted_gain(p, [a[None]]))
+        lo, hi = _eig_bounds(p)
+        kappa = _rate(p, lo, _weighted_gain(p, [a[None]]))
     except np.linalg.LinAlgError:
         return None
-    return (c, kappa) if kappa < 1.0 else None
+    return (math.sqrt(hi / lo), kappa) if kappa < 1.0 else None
 
 
 def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Certificate:
@@ -259,18 +259,21 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     check asks that such a call not Pass).  Otherwise P first solves
     ``A+' P A+ - k^2 P = -I`` at k = 1 - 1e-9; P = I is tried too when no
     solve exists or the verified P-norm gain g exceeds that Lipschitz kappa,
-    and the smaller g is kept.  g >= 1 is a Fail at g; otherwise the Lyapunov
-    P at kappas bisected over [max(1-leak, rho(A+)), g] are tested.  Of that
-    weight and each P that passes, the one with the least widened rate
-    sqrt(kappa^2 + tau / lambda_min(P)) is ``weight_P`` and that rate is
-    ``kappa``: a Pass if < 1, else a Fail, as is a weight that is not provably
-    PD.
+    and the smaller g is kept.  g >= 1 is a Fail at g.  Otherwise the search
+    starts from the rate hi = sqrt(g^2 + tau / lo) that the sweep proves and
+    bisects over [max(1-leak, rho(A+)), hi]; a rate r passes if the Lyapunov
+    P at r is provably PD and (r^2 - tau / lo) P + tau I - M' P M has a
+    Cholesky factor at every vertex, lo <= lambda_min(P), which proves
+    M' P M <= r^2 P.  The first rate tested is hi (1 - tol), not the
+    midpoint: if it fails, the bracket is already within tol.  ``kappa`` and
+    ``weight_P`` are the last rate that passed and its P, or hi and the
+    sweep's weight if none did: a Pass if kappa < 1, else a Fail.
 
-    Every solve is in the one real Schur form of A+', scaled by each k, and
+    Every solve is in the one real Schur form of A+', scaled by each r, and
     that form gives rho(A+).  The gain sweeps, which come first, take the
-    vertex stacks in their natural order, A+ first.  A bisection step, a
-    fixed-kappa test whose result is the same in any order, tests first the
-    vertices that failed the last failed step, so it fails fast.
+    vertex stacks in their natural order, A+ first.  A bisection step, whose
+    result is the same in any order, tests first the vertices that failed
+    the last failed step, so it fails fast.
     """
     if vertex_budget < 1:
         raise ValueError("vertex_budget must be >= 1")
@@ -286,50 +289,43 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     verts = _transition(params, _slope_vertices(n, l_sigma))
     stacks = [verts[i:i + _VERTEX_CHUNK] for i in range(0, len(verts), _VERTEX_CHUNK)]
 
-    def weight(kappa: float) -> Optional[np.ndarray]:
-        """The Lyapunov P at kappa, or None if there is no PD one."""
+    def weight(rate: float) -> Optional[Tuple[np.ndarray, float]]:
+        """The Lyapunov P at ``rate`` and lo <= lambda_min(P), or None if
+        there is no provably PD one."""
         try:
-            p = solve_discrete_lyapunov(form.scaled(kappa), np.eye(n) / kappa ** 2)
-            np.linalg.cholesky(p)
+            p = solve_discrete_lyapunov(form.scaled(rate), np.eye(n) / rate ** 2)
+            return p, _eig_bounds(p)[0]
         except np.linalg.LinAlgError:
             return None
-        return p
 
-    def widened(p: np.ndarray, kappa: float) -> float:
-        """The rate that P passing at kappa proves, inf if P is not provably PD."""
-        try:
-            return _widened(p, kappa)[1]
-        except np.linalg.LinAlgError:
-            return math.inf
-
-    best = weight(1.0 - 1e-9)
-    hi = math.inf if best is None else _weighted_gain(best, stacks)
-    if hi > lipschitz.kappa:
+    found = weight(1.0 - 1e-9)
+    gain = math.inf if found is None else _weighted_gain(found[0], stacks)
+    if gain > lipschitz.kappa:
         eye_gain = _weighted_gain(np.eye(n), stacks)
-        if eye_gain < hi:
-            best, hi = np.eye(n), eye_gain
-    if hi >= 1.0:
-        return Certificate(CertificateMethod.WEIGHTED_C2, hi, Verdict.FAIL)
-    kappa, failed = widened(best, hi), verts[:0]
-    lo = max(1.0 - params.leak, form.rho)
+        if eye_gain < gain:
+            found, gain = (np.eye(n), _eig_bounds(np.eye(n))[0]), eye_gain
+    if gain >= 1.0:
+        return Certificate(CertificateMethod.WEIGHTED_C2, gain, Verdict.FAIL)
+    best, low = found
+    hi, lo = _rate(best, low, gain), max(1.0 - params.leak, form.rho)
+    rate, failed = hi * (1.0 - _BISECT_TOL), verts[:0]
     while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        p = weight(mid)
-        if p is None:
-            lo = mid
-            continue
-        k2p = _shifted(p, mid)
-        for m in (failed, *stacks):
-            bad = _failing(p, k2p, m)
-            if len(bad):
-                failed, lo = m[bad], mid
-                break
+        found = weight(rate)
+        if found is None:
+            lo = rate
         else:
-            hi, rate = mid, widened(p, mid)
-            if rate <= kappa:
-                kappa, best = rate, p
-    return Certificate(CertificateMethod.WEIGHTED_C2, kappa,
-                       Verdict.FAIL if kappa >= 1.0 else Verdict.PASS, weight_P=best)
+            p, low = found
+            k2p = _shifted(p, rate) - _slack(p, rate) / low * p
+            for m in (failed, *stacks):
+                bad = _failing(p, k2p, m)
+                if len(bad):
+                    failed, lo = m[bad], rate
+                    break
+            else:
+                best, hi = p, rate
+        rate = 0.5 * (lo + hi)
+    return Certificate(CertificateMethod.WEIGHTED_C2, hi,
+                       Verdict.FAIL if hi >= 1.0 else Verdict.PASS, weight_P=best)
 
 
 def memory_horizon(kappa: Union[float, Certificate], input_gain: float,

@@ -86,6 +86,23 @@ def test_input_scaling_hits_target_preactivation_variance():
         input_scaling(1.0, np.zeros((2, 2)), 5)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: target_radius(math.nan), "horizon"),
+    (lambda: target_radius(math.inf), "horizon"),
+    (lambda: gamma_for_radius(0.9, 0.5, math.nan), "slope"),
+    (lambda: gamma_for_radius(0.9, 0.5, math.inf), "slope"),
+    (lambda: gamma_for_radius(0.9, 0.5, 1.0, l_sigma=math.nan), "l_sigma"),
+    (lambda: input_scaling(math.nan, np.eye(2), 3), "target_preact_var"),
+    (lambda: input_scaling(math.inf, np.eye(2), 3), "target_preact_var"),
+], ids=["radius-nan", "radius-inf", "slope-nan", "slope-inf", "l_sigma-nan",
+        "scaling-nan", "scaling-inf"])
+def test_rejects_nonfinite_scalars(call, match):
+    # each returned instead: nan, a radius of 1.0, (nan, False), an
+    # unclipped gamma, or a matrix of NaN
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_input_scaling_with_no_inputs():
     assert np.array_equal(input_scaling(0.0, np.zeros((0, 0)), 3),
                           np.zeros((3, 0)))

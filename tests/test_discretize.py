@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,14 @@ class TestLeakMaps:
     def test_tustin_warns_above_one(self):
         with pytest.warns(UserWarning, match="not usable"):
             tustin_leak(10.0, 1.0)
+
+    @pytest.mark.parametrize("leak_map", [euler_leak, tustin_leak])
+    @pytest.mark.parametrize("dt, tau", [(math.nan, 1.0), (0.1, math.nan),
+                                         (math.inf, 1.0), (0.1, math.inf)])
+    def test_rejects_nonfinite_times(self, leak_map, dt, tau):
+        # a NaN gave a NaN leak, and tau = inf a leak of 0
+        with pytest.raises(ValueError, match="positive and finite"):
+            leak_map(dt, tau)
 
     def test_leak_agreement_rate(self):
         # gap to euler vanishes like dt / (2 tau)

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -1156,6 +1157,13 @@ class TestReadouts:
         ro = readout_ml(states, y, ridge=1e12)
         cross = (y - y.mean(0)).T @ (states - states.mean(0))
         assert np.linalg.norm(ro.C) <= 1e-6 * np.linalg.norm(cross)
+
+    @pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+    def test_rejects_a_ridge_outside_zero_to_inf(self, ridge):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            readout_ml(rng.standard_normal((50, 3)), rng.standard_normal((50, 2)),
+                       ridge=ridge)
 
     def test_posterior_uses_state_covariance(self):
         p = make_reservoir(n=3, m=1, seed=14, w_scale=0.7)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,14 @@ class TestEdmdFit:
         with pytest.raises(ValueError, match="ridge > 0"):
             edmd_fit(p, [traj], Dictionary(), ridge=0.0)
         edmd_fit(p, [traj], Dictionary(), ridge=1e-8)
+
+    @pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+    def test_rejects_a_ridge_outside_zero_to_inf(self, ridge):
+        # a NaN ridge gave an A_phi of NaN with an epsilon of 1.6e-16
+        p = make_reservoir(n=3, m=1)
+        traj = simulate(p, np.zeros(3), np.ones((20, 1)))
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            edmd_fit(p, [traj], Dictionary(), ridge=ridge)
 
 
 class TestRolloutError:

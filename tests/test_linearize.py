@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +109,11 @@ class TestRemainderBound:
         p = make_reservoir(leak=1.0)
         assert remainder_bound(p, 0.1) == pytest.approx(
             0.5 * TANH_CURVATURE_SUP * 0.01, rel=1e-12)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+    def test_rejects_a_radius_outside_zero_to_inf(self, radius):
+        with pytest.raises(ValueError, match="tube radius"):
+            remainder_bound(make_reservoir(), radius)
 
     def test_leaky_has_no_bound(self):
         p = make_reservoir(activation=Activation.leaky_slope(0.5))
