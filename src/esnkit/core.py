@@ -191,7 +191,7 @@ class ReservoirParams:
 
 @dataclass(frozen=True)
 class Readout:
-    """Linear readout ``y = C x + d``."""
+    """Linear readout ``y = C x + d``, over the leading axes of ``x``."""
 
     C: np.ndarray
     d: Optional[np.ndarray] = None
@@ -208,7 +208,7 @@ class Readout:
         return self.C.shape[0]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.C @ x + self.d
+        return x @ self.C.T + self.d
 
 
 @dataclass(frozen=True)
@@ -345,7 +345,7 @@ def simulate(params: ReservoirParams,
 
     outputs = None
     if readout is not None:
-        outputs = states[1:] @ readout.C.T + readout.d
+        outputs = readout(states[1:])
         if v_draws is not None:
             outputs = outputs + v_draws
     return Trajectory(states=states, inputs=inputs, outputs=outputs)

@@ -102,6 +102,8 @@ def make_normal_reservoir(n: int, radii: Sequence[float],
     for r, theta in zip(radii, angles):
         if not (0.0 < r < 1.0):
             raise ValueError(f"pole radius must be in (0, 1), got {r}")
+        if not math.isfinite(theta):
+            raise ValueError(f"pole angle must be finite, got {theta}")
         theta = float(theta) % (2.0 * math.pi)
         if theta in (0.0, math.pi):
             blocks.append(np.array([[r if theta == 0.0 else -r]]))
@@ -130,19 +132,14 @@ def make_sparse_reservoir(n: int, nnz_per_row: int, target_norm: float,
         raise ValueError("nnz_per_row must be in 1..n")
     if not (0.0 < target_norm < 1.0):
         raise ValueError("target_norm must be in (0, 1)")
-    if l_sigma <= 0.0:
-        raise ValueError("l_sigma must be positive")
+    if not 0.0 < l_sigma < math.inf:
+        raise ValueError("l_sigma must be positive and finite")
     rng = rng_from_seed(seed)
     w = np.zeros((n, n))
     for i in range(n):
         cols = rng.choice(n, size=nnz_per_row, replace=False)
         w[i, cols] = rng.standard_normal(nnz_per_row)
-    norm = spectral_norm(w)
-    if norm == 0.0:
-        # all-zero draw is astronomically unlikely but keep the contract exact
-        w[0, 0] = 1.0
-        norm = 1.0
-    return w * (target_norm / l_sigma / norm)
+    return w * (target_norm / l_sigma / spectral_norm(w))
 
 
 def input_scaling(target_preact_var: float, input_cov, n: int,

@@ -79,8 +79,8 @@ def ct_jacobians(params: ReservoirParams, tau: float, x_bar, u_bar) -> CtLinearM
     A_c = (diag(sigma'(xi)) W - I) / tau, B_c = diag(sigma'(xi)) U / tau,
     from the leaky map's Jacobians (A, B) at leak 1 as (A - I) / tau and
     B / tau.  A non-finite operating pair is rejected."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     a, b = leaky_jacobians(replace(params, leak=1.0),
                            _operating_slope(params, x_bar, u_bar))
     return CtLinearModel(A_c=(a - np.eye(params.n)) / tau, B_c=b / tau)
@@ -89,7 +89,7 @@ def ct_jacobians(params: ReservoirParams, tau: float, x_bar, u_bar) -> CtLinearM
 def zoh_discretize(ct: CtLinearModel,
                    dt: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization (A_d, B_d, Q_d) of ``ct`` over a
-    step ``dt > 0``.
+    finite step ``dt > 0``.
 
     A single augmented matrix exponential yields all three blocks:
 
@@ -104,8 +104,8 @@ def zoh_discretize(ct: CtLinearModel,
     Pade approximant; for ||A_c dt|| <= 10 the relative accuracy is well below
     1e-12.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     n, m = ct.B_c.shape
     q_c = ct.Q_c if ct.Q_c is not None else np.zeros((n, n))
     scaled_norm = np.linalg.norm(ct.A_c * dt, 2)

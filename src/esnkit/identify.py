@@ -24,7 +24,7 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -76,13 +76,14 @@ class FrozenCovs:
     ``len``, integer and tuple indexing, step-1 slices (on the same
     ``mats``) and ``sum(axis=0)`` work on the blocks.
 
-    An LTI covariance recursion converges, so past a short transient every
-    step repeats one matrix, stored once.  With s = ``steady_from + 1`` (see
-    :func:`kalman_filter`), the package's blocks 0..s-1 are the steps before
-    t = s and block s repeats (block s - 1 of the predicted sequence, whose
-    index t stands for x_{t+1}); the smoothed and cross sequences end with
-    the steps to t = T that the backward pass of :func:`rts_smoother` took
-    to settle, one block each.
+    Every covariance field of a :class:`SmoothedPosterior` is one.  An LTI
+    covariance recursion converges, so past a short transient every step
+    repeats one matrix, stored once: the filter's sequences hold one block
+    per step and, once the recursion froze, a last block whose count
+    reaches t = T (see :func:`kalman_filter`); the smoothed and cross
+    sequences of such a run end with the steps to t = T that the backward
+    pass of :func:`rts_smoother` took to settle, one block each, after the
+    settled block.  Any other pass has one block per step.
     """
 
     mats: np.ndarray
@@ -100,23 +101,24 @@ class FrozenCovs:
         mats.flags.writeable = counts.flags.writeable = False
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "counts", counts)
+        # the step after each block, kept so that a lookup is O(log k)
+        object.__setattr__(self, "_ends", counts.cumsum())
 
     def __len__(self) -> int:
-        return int(self.counts.sum())
+        return int(self._ends[-1:].sum())
 
     def __getitem__(self, key):
         if isinstance(key, numbers.Integral):
             index = range(len(self))[key]
-            return self.mats[self.counts.cumsum().searchsorted(index, "right")]
+            return self.mats[self._ends.searchsorted(index, "right")]
         if (isinstance(key, tuple) and key
                 and isinstance(key[0], numbers.Integral)):
             return self[key[0]][key[1:]]
         if isinstance(key, slice) and key.step in (None, 1):
             # the steps of each block in [start, stop), 0 for one outside
             start, stop, _ = key.indices(len(self))
-            ends = self.counts.cumsum()
-            inside = (np.minimum(ends, stop)
-                      - np.maximum(ends - self.counts, start))
+            inside = (np.minimum(self._ends, stop)
+                      - np.maximum(self._ends - self.counts, start))
             return FrozenCovs(self.mats, np.maximum(inside, 0))
         raise TypeError("FrozenCovs takes an integer, a tuple led by an "
                         "integer or a step-1 slice; use np.asarray for other "
@@ -135,9 +137,6 @@ class FrozenCovs:
         return full if dtype is None else full.astype(dtype, copy=False)
 
 
-Covs = Union[np.ndarray, FrozenCovs]
-
-
 @dataclass(frozen=True)
 class SmoothedPosterior:
     """Filter / smoother outputs.
@@ -150,25 +149,31 @@ class SmoothedPosterior:
     EKF pass, (T, n, n), and is None for an LTI pass; the smoother then
     applies the LTI formulas with A_t at each step.
 
-    ``steady_from`` is the first t from which ``predicted_covs[t:]`` and
-    ``filtered_covs[t + 1:]`` each hold one frozen matrix (see
-    :func:`kalman_filter`).  When it is set, the four covariance fields are
-    :class:`FrozenCovs` in the layout described there.  ``steady_from`` is
-    None for the EKF and for a run that never converged; the covariances
-    are then (T+1, n, n) / (T, n, n) arrays.  A hand-built posterior may
-    hold either kind, FrozenCovs in that layout, for every consumer.
+    The four covariance fields are :class:`FrozenCovs`: an array given for
+    one of them is taken as one block per step, so a hand-built posterior
+    may hold either kind.  A filter pass's blocks are its steps, the last
+    block of each repeated to t = T when an LTI recursion froze (see
+    :func:`kalman_filter`); :func:`rts_smoother` reads the freeze off the
+    counts.
     """
 
     filtered_means: np.ndarray
-    filtered_covs: Covs
+    filtered_covs: FrozenCovs
     predicted_means: np.ndarray
-    predicted_covs: Covs
+    predicted_covs: FrozenCovs
     loglik: float
     smoothed_means: Optional[np.ndarray] = None
-    smoothed_covs: Optional[Covs] = None
-    cross_covs: Optional[Covs] = None
+    smoothed_covs: Optional[FrozenCovs] = None
+    cross_covs: Optional[FrozenCovs] = None
     transition_seq: Optional[np.ndarray] = field(default=None, repr=False)
-    steady_from: Optional[int] = None
+
+    def __post_init__(self):
+        for name in ("filtered_covs", "predicted_covs", "smoothed_covs",
+                     "cross_covs"):
+            covs = getattr(self, name)
+            if covs is not None and not isinstance(covs, FrozenCovs):
+                object.__setattr__(self, name, FrozenCovs(
+                    covs, np.ones(len(covs), dtype=int)))
 
     @property
     def horizon(self) -> int:
@@ -224,14 +229,13 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
     DARE fixed point.  At the first step t >= 1 at which the predicted and
     the filtered covariance each moved by at most ``_STEADY_TOL`` (4 eps)
     times their largest entry since step t-1, the gain, the covariances and
-    the innovation Cholesky factor are frozen and ``steady_from`` is set to
-    t; the later means are one affine recursion in the closed-loop matrix
-    (I - KC) A, run by the chunked scan :func:`linear_scan` (equal to the
-    step loop up to rounding).  The covariances are then returned as
-    :class:`FrozenCovs` (layout there): the per-step lists, the frozen
-    matrix last with the count that reaches t = T, so they take O(t n^2)
-    memory rather than O(T n^2).  A run that never freezes returns full
-    arrays, as does :func:`ekf_filter`, which never freezes.
+    the innovation Cholesky factor are frozen (the DEBUG event
+    ``kalman.steady_state`` names t); the later means are one affine
+    recursion in the closed-loop matrix (I - KC) A, run by the chunked scan
+    :func:`linear_scan` (equal to the step loop up to rounding).  The
+    covariances are returned as :class:`FrozenCovs` with one block per step
+    computed; once frozen, the last block of each repeats to t = T, so they
+    take O(t n^2) memory rather than O(T n^2).
 
     The drive ``B u_t`` is formed for all t in one matmul before the loop,
     and its row t is overwritten by the predicted mean once used; the
@@ -280,7 +284,7 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
         _loglik(p_dim, diags, whites)  # an earlier non-finite step comes first
         raise
     loglik = _loglik(p_dim, diags, whites)
-    f_covs, p_covs = (np.reshape(c, (-1, n, n)) for c in (f_covs, p_covs))
+    counts = np.ones(len(f_covs), dtype=int)
 
     if steady_from is not None:
         # frozen gain K: mu+ = (I - KC)(A mu + B u) + K y; the affine terms
@@ -296,13 +300,13 @@ def kalman_filter(lti: LtiModel, noise: NoiseModel, inputs, outputs,
         loglik = _loglik(p_dim, chol.diagonal(),
                          dtrtrs(chol, innov.T, lower=1)[0].T, start, loglik)
         # the last block of each is the frozen matrix, repeated to t = T
-        counts = np.append(np.ones(start, dtype=int), horizon - steady_from)
-        f_covs = FrozenCovs(f_covs, counts)
-        p_covs = FrozenCovs(p_covs, counts[1:])
+        counts[-1] = horizon - steady_from
 
+    f_covs, p_covs = (np.reshape(c, (-1, n, n)) for c in (f_covs, p_covs))
     return SmoothedPosterior(
-        filtered_means=f_means, filtered_covs=f_covs, predicted_means=p_means,
-        predicted_covs=p_covs, loglik=loglik, steady_from=steady_from)
+        filtered_means=f_means, filtered_covs=FrozenCovs(f_covs, counts),
+        predicted_means=p_means, predicted_covs=FrozenCovs(p_covs, counts[1:]),
+        loglik=loglik)
 
 
 def _stateless(outputs, r, **fields) -> SmoothedPosterior:
@@ -373,19 +377,22 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     output the per-step transition matrices recorded by the filter are used
     with the same (LTI) cross-covariance formula.
 
-    Past ``filtered.steady_from`` the gain J is computed once, and the
-    covariances are iterated back from t = T only until a step moves them by
-    at most ``_STEADY_TOL`` times their largest entry; the means over that
-    stretch are one backward affine recursion in J, run by the chunked scan
-    :func:`linear_scan`.  Earlier steps, and every EKF step, are computed one
-    by one.
-    The smoothed and cross covariances of such a run are :class:`FrozenCovs`
-    (layout there), each one array allocated once: the backward iteration
-    fills it from row s = ``steady_from + 1``, the settled matrix first, and
-    the per-step pass the rows below, reading the filter's blocks 0..s-1 as
-    its steps (a FrozenCovs input laid out otherwise raises ValueError);
-    else they are full arrays.  ``noise`` is unused; it stays for the
-    benchmark's positional call until the next benchmark revision.
+    The filter's blocks are read as its steps: with s the index of the last
+    filtered block, blocks 0..s-1 of both sequences must count one step
+    each, the predicted counts must be the filtered counts from block 1 on,
+    and the last filtered block counts the steps s..T (one on an EKF pass);
+    any other layout raises ValueError.  When it counts more than one, the
+    recursion froze at s: the gain J is computed once from the last blocks,
+    and the covariances are iterated back from t = T only until a step
+    moves them by at most ``_STEADY_TOL`` times their largest entry; the
+    means over that stretch are one backward affine recursion in J, run by
+    the chunked scan :func:`linear_scan`.  Steps before s are computed one
+    by one.  The smoothed and cross covariances are :class:`FrozenCovs`,
+    each one array of blocks allocated once: the backward iteration fills
+    it from row s, the settled matrix first with the count that reaches
+    t = T, and the per-step pass the rows below.  ``noise`` is unused; it
+    stays for the benchmark's positional call until the next benchmark
+    revision.
     """
     f_means, p_means = filtered.filtered_means, filtered.predicted_means
     f_covs, p_covs = filtered.filtered_covs, filtered.predicted_covs
@@ -393,17 +400,22 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
     if n == 0:                  # no state: every smoothed field is empty
         return dataclasses.replace(filtered, smoothed_means=f_means,
                                    smoothed_covs=f_covs, cross_covs=p_covs)
+    a_seq, counts = filtered.transition_seq, f_covs.counts
+    start = len(counts) - 1
+    if (len(f_covs) != horizon + 1 or np.any(counts[:-1] != 1)
+            or counts[-1] < 1 or not np.array_equal(p_covs.counts, counts[1:])
+            or a_seq is not None and start < horizon):
+        raise ValueError("rts_smoother reads the filter's blocks as its "
+                         "steps, the last filtered one repeated to t = T "
+                         "only on an LTI pass")
     s_means = np.empty((horizon + 1, n))
     s_means[horizon] = f_means[horizon]
     # covariances from t = T backward, computed before the per-step pass
-    s_tail, cross_tail = [_last_step(f_covs)], []
+    s_tail, cross_tail = [f_covs.mats[-1]], []
 
-    start = horizon
-    if filtered.steady_from is not None and filtered.steady_from + 1 < horizon:
-        start = filtered.steady_from + 1
+    if start < horizon:
         p_f = s_tail[0]
-        gain, p_pred = _smoother_gain(lti.A, p_f, _last_step(p_covs),
-                                      horizon - 1)
+        gain, p_pred = _smoother_gain(lti.A, p_f, p_covs.mats[-1], horizon - 1)
         for _ in range(horizon - start):
             cross_tail.append(gain @ s_tail[-1])
             s_tail.append(_congruence(gain, s_tail[-1] - p_pred, p_f))
@@ -415,23 +427,16 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
         offsets += f_means[start:horizon]
         linear_scan(gain, s_means[start:][::-1])
 
-    f_mats, p_mats = (getattr(c, "mats", c) for c in (f_covs, p_covs))
-    if start and any(
-            np.any(c.counts[:start - 1] != 1) or c.counts[start - 1] < 1
-            for c in (f_covs, p_covs) if isinstance(c, FrozenCovs)):
-        raise ValueError("rts_smoother reads a FrozenCovs' block t as step "
-                         "t for each t it smooths one by one")
     # rows in time order; the tails are written with no temporary copy
     s_covs = np.empty((start + len(s_tail), n, n))
     cross = np.empty((start + len(cross_tail), n, n))
     np.concatenate(s_tail[::-1], out=s_covs[start:].reshape(-1, n))
     if cross_tail:
         np.concatenate(cross_tail[::-1], out=cross[start:].reshape(-1, n))
-    a_seq = filtered.transition_seq
     for t in range(start - 1, -1, -1):
-        p_f = f_mats[t]
+        p_f = f_covs.mats[t]
         gain, p_pred = _smoother_gain(
-            lti.A if a_seq is None else a_seq[t], p_f, p_mats[t], t)
+            lti.A if a_seq is None else a_seq[t], p_f, p_covs.mats[t], t)
         s_means[t] = f_means[t] + gain @ (s_means[t + 1] - p_means[t])
         _congruence(gain, s_covs[t + 1] - p_pred, p_f, out=s_covs[t])
         cross[t] = gain @ s_covs[t + 1]
@@ -444,13 +449,6 @@ def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
         cross = FrozenCovs(cross, counts[1])
     return dataclasses.replace(filtered, smoothed_means=s_means,
                                smoothed_covs=s_covs, cross_covs=cross)
-
-
-def _last_step(covs: Covs) -> np.ndarray:
-    """``covs[-1]``, read from a FrozenCovs' last block with a nonzero count."""
-    if isinstance(covs, FrozenCovs):
-        return covs.mats[covs.counts.nonzero()[0][-1]]
-    return covs[-1]
 
 
 def _smoother_gain(a_t, p_f, p_pred, t):
@@ -555,8 +553,8 @@ class StructuredBasis:
 
     def __post_init__(self):
         w = as_float_array(self.W_bar, "W_bar", ("n", "n"))
-        if not self.l_sigma > 0.0:
-            raise ValueError("l_sigma must be positive")
+        if not 0.0 < self.l_sigma < math.inf:
+            raise ValueError("l_sigma must be positive and finite")
         object.__setattr__(self, "W_bar", w)
         object.__setattr__(self, "w_norm", spectral_norm(w))
 

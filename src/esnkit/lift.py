@@ -49,8 +49,8 @@ class Dictionary:
             raise TypeError(f"count must be an integer, got {self.count!r}")
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        if not self.bandwidth > 0.0:
-            raise ValueError("bandwidth must be positive")
+        if not 0.0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
     @classmethod
     def random_fourier(cls, count: int, bandwidth: float, seed: int) -> "Dictionary":

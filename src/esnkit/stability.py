@@ -275,7 +275,7 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     result is the same in any order, tests first the vertices that failed
     the last failed step, so it fails fast.
     """
-    if vertex_budget < 1:
+    if not vertex_budget >= 1:
         raise ValueError("vertex_budget must be >= 1")
     n = params.n
     lipschitz = replace(certify_lipschitz(params), method=CertificateMethod.WEIGHTED_C2)

@@ -213,6 +213,22 @@ class TestSimulate:
                         rng.standard_normal((8, p.m)), readout=readout)
         np.testing.assert_allclose(traj.outputs, traj.states[1:], atol=0)
 
+    @pytest.mark.parametrize("horizon", [3, 5])
+    def test_readout_maps_each_state_row(self, horizon):
+        # a (T, n) batch is T states: with T = n, C @ x + d read the batch
+        # as one matrix (first row [15, 18, 21], not [5, 14, 23]), and any
+        # other T raised
+        readout = Readout(C=np.arange(9.0).reshape(3, 3), d=[1.0, 0.0, -1.0])
+        states = np.arange(3.0 * horizon).reshape(horizon, 3)
+        want = np.array([readout.C @ x + readout.d for x in states])
+        assert np.array_equal(readout(states), want)
+        assert np.array_equal(readout(states[0]), want[0])
+        assert np.array_equal(readout(states[None]), want[None])
+        p = make_reservoir(n=3)
+        traj = simulate(p, states[0], np.zeros((horizon, p.m)),
+                        readout=readout)
+        assert np.array_equal(traj.outputs, readout(traj.states[1:]))
+
     def test_inputs_must_be_two_dimensional(self):
         # a length-T vector for m = 1 is not read as one step of T inputs
         p = make_reservoir(m=1)

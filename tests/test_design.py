@@ -94,11 +94,17 @@ def test_input_scaling_hits_target_preactivation_variance():
     (lambda: gamma_for_radius(0.9, 0.5, 1.0, l_sigma=math.nan), "l_sigma"),
     (lambda: input_scaling(math.nan, np.eye(2), 3), "target_preact_var"),
     (lambda: input_scaling(math.inf, np.eye(2), 3), "target_preact_var"),
+    (lambda: make_normal_reservoir(1, [0.5], [math.nan]), "angle"),
+    (lambda: make_normal_reservoir(2, [0.5], [math.inf]), "angle"),
+    (lambda: make_sparse_reservoir(4, 2, 0.9, l_sigma=math.nan), "l_sigma"),
+    (lambda: make_sparse_reservoir(4, 2, 0.9, l_sigma=math.inf), "l_sigma"),
 ], ids=["radius-nan", "radius-inf", "slope-nan", "slope-inf", "l_sigma-nan",
-        "scaling-nan", "scaling-inf"])
+        "scaling-nan", "scaling-inf", "angle-nan", "angle-inf",
+        "sparse-l_sigma-nan", "sparse-l_sigma-inf"])
 def test_rejects_nonfinite_scalars(call, match):
     # each returned instead: nan, a radius of 1.0, (nan, False), an
-    # unclipped gamma, or a matrix of NaN
+    # unclipped gamma, or a matrix of NaN (a zero matrix for the sparse
+    # reservoir at l_sigma = inf)
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from esnkit import (Activation, CtLinearModel, ReservoirParams, ct_jacobians,
+from esnkit import (Activation, CtLinearModel, Dictionary, ReservoirParams,
+                    StructuredBasis, certify_weighted, ct_jacobians,
                     euler_leak, spectral_radius, tustin_leak, zoh_discretize)
 
 from conftest import make_reservoir
@@ -205,3 +206,26 @@ class TestZohDiscretize:
         for dt in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError, match="dt must be positive"):
                 zoh_discretize(ct, dt)
+
+
+_CT = CtLinearModel(A_c=np.zeros((2, 2)), B_c=np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: zoh_discretize(_CT, math.inf), "dt"),
+    (lambda: ct_jacobians(make_reservoir(), math.inf, np.zeros(4),
+                          np.zeros(2)), "tau"),
+    (lambda: ct_jacobians(make_reservoir(), math.nan, np.zeros(4),
+                          np.zeros(2)), "tau"),
+    (lambda: Dictionary(count=3, bandwidth=math.inf), "bandwidth"),
+    (lambda: StructuredBasis(np.eye(2), l_sigma=math.inf), "l_sigma"),
+    (lambda: certify_weighted(make_reservoir(), vertex_budget=math.nan),
+     "vertex_budget"),
+], ids=["zoh-dt-inf", "ct-tau-inf", "ct-tau-nan", "bandwidth-inf",
+        "basis-l_sigma-inf", "vertex_budget-nan"])
+def test_rejects_nonfinite_scalars(call, match):
+    # each was accepted or blamed on another argument: an SVD that did not
+    # converge, a zero Jacobian, a non-finite A_c, constant Fourier
+    # features, an infeasible projection, or an unbounded vertex sweep
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -30,7 +30,7 @@ COVARIANCE_FIELDS = ("filtered_covs", "predicted_covs", "smoothed_covs",
 
 
 def assert_reads_like(got, want, indices, rel):
-    """``got`` (an array or a FrozenCovs) reads like the full array ``want``:
+    """The FrozenCovs ``got`` reads like the full array ``want``:
     its length, the given indices (skipped when out of range), the slices
     [:], [1:] and [:-1] and their sums over axis 0, each to ``rel``."""
     scale = np.abs(want).max()
@@ -46,6 +46,14 @@ def assert_reads_like(got, want, indices, rel):
         total = whole.sum(axis=0)
         assert (np.abs(part.sum(axis=0) - total).max()
                 <= rel * np.abs(whole).sum(axis=0).max()), key
+
+
+def steady_step(post):
+    """The step t at which the filter froze its covariance recursion, read
+    off the counts (the last filtered block, for step t + 1, repeats), or
+    None."""
+    counts = post.filtered_covs.counts
+    return len(counts) - 2 if counts[-1] > 1 else None
 
 
 def scalar_system(a=0.5, q=0.1, c=1.0, r=0.1):
@@ -115,6 +123,46 @@ class TestFrozenCovs:
             seq[:, 0, 0]
         with pytest.raises(ValueError, match="must be copied"):
             np.asarray(seq, copy=False)
+
+    @pytest.mark.parametrize("path", ["frozen", "unfrozen", "T=0", "n=0",
+                                      "ekf", "hand-built"])
+    def test_every_posterior_covariance_field_is_one(self, path):
+        # an array given to SmoothedPosterior becomes one block per step, so
+        # every filter and smoother pass returns the one type; only a frozen
+        # LTI run repeats its last block
+        rng = np.random.default_rng(37)
+        horizon = {"frozen": 200, "T=0": 0}.get(path, 3)
+        inputs = np.zeros((horizon, 1))
+        outputs = rng.standard_normal((horizon, 1))
+        lti, noise = scalar_system()
+        prior = (np.zeros(1), np.eye(1))
+        if path == "n=0":
+            lti = LtiModel(A=np.zeros((0, 0)), B=np.zeros((0, 1)),
+                           C=np.zeros((1, 0)), D=np.zeros((1, 1)))
+            noise = NoiseModel(Q=np.zeros((0, 0)), R=[[0.1]])
+            prior = (np.zeros(0), np.zeros((0, 0)))
+        if path == "ekf":
+            filt = ekf_filter(make_reservoir(n=1, m=1, seed=37),
+                              Readout(C=[[1.0]]), noise, inputs, outputs,
+                              prior)
+        elif path == "hand-built":
+            given = {"filtered_covs": rng.uniform(1, 2, (4, 1, 1)),
+                     "predicted_covs": rng.uniform(1, 2, (3, 1, 1))}
+            filt = SmoothedPosterior(filtered_means=np.zeros((4, 1)),
+                                     predicted_means=np.zeros((3, 1)),
+                                     loglik=0.0, **given)
+            for name, covs in given.items():
+                assert np.array_equal(np.asarray(getattr(filt, name)), covs)
+        else:
+            filt = kalman_filter(lti, noise, inputs, outputs, prior)
+        post = rts_smoother(filt, lti, noise)
+        assert filt.smoothed_covs is None and filt.cross_covs is None
+        for name in COVARIANCE_FIELDS:
+            assert isinstance(getattr(post, name), FrozenCovs), name
+            assert (getattr(post, name).counts == 1).all() != (
+                path == "frozen"), name
+        assert len(post.smoothed_covs) == horizon + 1
+        assert len(post.cross_covs) == horizon
 
 
 class TestKalmanFilter:
@@ -192,7 +240,7 @@ class TestKalmanFilter:
                 (np.array([0.0, mu0]), p0 * np.eye(2)))
         short = kalman_filter(lti, *args[:1], args[1][:index - 1],
                               args[2][:index - 1], args[3])
-        assert (short.steady_from is not None) == frozen
+        assert (steady_step(short) is not None) == frozen
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError,
                                match=f"non-finite .* time index {index}$"):
@@ -335,7 +383,7 @@ class TestRtsSmoother:
                           (mu0, p0)),
             lti, NoiseModel(Q=q, R=r))
         if long_horizon is not None:
-            assert post.steady_from is not None
+            assert steady_step(post) is not None
         means, cov = joint_gaussian_posterior(a, b, c, q, r, mu0, p0, inputs,
                                               outputs)
         assert np.abs(post.smoothed_means - means).max() <= 1e-8
@@ -369,15 +417,14 @@ class TestRtsSmoother:
         noise = NoiseModel(Q=q, R=r)
         post = rts_smoother(kalman_filter(lti, noise, inputs, outputs,
                                           (mu0, np.eye(n))), lti, noise)
-        event(f"steady state reached: {post.steady_from is not None}")
+        steady = steady_step(post)
+        event(f"steady state reached: {steady is not None}")
         ref = kalman_rts_reference(a, b, c, q, r, mu0, np.eye(n), inputs,
                                    outputs)
         for name in POSTERIOR_ARRAYS:
-            got, want = getattr(post, name), ref[name]
+            got, want = np.asarray(getattr(post, name)), ref[name]
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
         assert post.loglik == pytest.approx(ref["loglik"], rel=1e-10)
-        steady = post.steady_from
-        assert isinstance(post.filtered_covs, FrozenCovs) == (steady is not None)
         indices = [0, -1] + ([] if steady is None
                              else [steady - 1, steady, steady + 1])
         for name in COVARIANCE_FIELDS:
@@ -391,62 +438,89 @@ class TestRtsSmoother:
         filt = kalman_filter(lti, noise, rng.standard_normal((100, 1)),
                              rng.standard_normal((100, 1)),
                              (np.zeros(2), np.eye(2)))
-        assert filt.steady_from is not None and filt.steady_from > 3
+        assert steady_step(filt) > 3
         # indefinite: the eigenvalue -9e-7 stays negative after the relative
         # jitter 1e-12 * trace / 2 = 5e-7
-        p_covs = np.array(filt.predicted_covs)
-        p_covs[2] = np.diag([1e6, -9e-7])
-        broken = dataclasses.replace(filt, predicted_covs=p_covs)
+        p_covs = filt.predicted_covs
+        mats = p_covs.mats.copy()
+        mats[2] = np.diag([1e6, -9e-7])
+        broken = dataclasses.replace(
+            filt, predicted_covs=FrozenCovs(mats, p_covs.counts))
         with pytest.raises(ValueError, match="time index 3$"):
             rts_smoother(broken, lti, noise)
 
     def test_frozen_blocks_must_be_the_filter_steps(self):
-        # without steady_from the per-step pass would read the filter's
-        # blocks as its steps 0..T-1, past its frozen block
+        # the per-step pass reads filter block t as step t: an empty block
+        # before the frozen ones, or predicted counts that are not the
+        # filtered ones from block 1 on, would be read as a step
         lti, noise = scalar_system()
         outputs = np.random.default_rng(28).standard_normal((50, 1))
         filt = kalman_filter(lti, noise, np.zeros((50, 1)), outputs,
                              (np.zeros(1), np.eye(1)))
-        assert isinstance(filt.filtered_covs, FrozenCovs)
-        with pytest.raises(ValueError, match="it smooths one by one$"):
-            rts_smoother(dataclasses.replace(filt, steady_from=None), lti,
-                         noise)
-        # the same sequence with an empty block read as step steady_from
-        covs, at = filt.filtered_covs, filt.steady_from
-        padded = FrozenCovs(np.insert(covs.mats, at, 0.0, axis=0),
-                            np.insert(covs.counts, at, 0))
-        assert np.array_equal(np.asarray(padded), np.asarray(covs))
-        with pytest.raises(ValueError, match="it smooths one by one$"):
-            rts_smoother(dataclasses.replace(filt, filtered_covs=padded), lti,
-                         noise)
+        at = steady_step(filt) + 1
+        assert at == len(filt.filtered_covs.mats) - 1
+        padded = {}
+        for name, block in (("filtered_covs", at), ("predicted_covs", at - 1)):
+            covs = getattr(filt, name)
+            padded[name] = FrozenCovs(np.insert(covs.mats, block, 0.0, axis=0),
+                                      np.insert(covs.counts, block, 0))
+            assert np.array_equal(np.asarray(padded[name]), np.asarray(covs))
+        with pytest.raises(ValueError, match="only on an LTI pass$"):
+            rts_smoother(dataclasses.replace(filt, **padded), lti, noise)
+        # the full filtered array, one block per step, against the frozen
+        # predicted blocks
+        with pytest.raises(ValueError, match="only on an LTI pass$"):
+            rts_smoother(dataclasses.replace(
+                filt, filtered_covs=np.asarray(filt.filtered_covs)), lti,
+                noise)
 
     def test_last_steps_read_from_the_blocks(self, monkeypatch):
         # the backward pass starts from the last filtered and predicted
-        # matrices, a FrozenCovs' last block with a nonzero count; an empty
-        # block after it changes nothing
+        # blocks, read from mats with no integer lookup; an empty block
+        # after them is not a filter layout, and an EKF pass, whose
+        # transitions vary, has no repeated last block
         lti, noise = scalar_system()
         outputs = np.random.default_rng(28).standard_normal((50, 1))
         filt = kalman_filter(lti, noise, np.zeros((50, 1)), outputs,
                              (np.zeros(1), np.eye(1)))
-        padded = {}
-        for name in ("filtered_covs", "predicted_covs"):
-            covs = getattr(filt, name)
-            padded[name] = FrozenCovs(
-                np.append(covs.mats, 2.0 * covs.mats[-1:], axis=0),
-                np.append(covs.counts, 0))
         lookups, getitem = [], FrozenCovs.__getitem__
 
         def counted(self, key):
             lookups.append(key)
             return getitem(self, key)
         monkeypatch.setattr(FrozenCovs, "__getitem__", counted)
-        want = rts_smoother(filt, lti, noise)
-        got = rts_smoother(dataclasses.replace(filt, **padded), lti, noise)
+        rts_smoother(filt, lti, noise)
         assert not [key for key in lookups
                     if isinstance(key, (int, np.integer))]
-        for name in ("smoothed_means", "smoothed_covs", "cross_covs"):
-            assert np.array_equal(np.asarray(getattr(got, name)),
-                                  np.asarray(getattr(want, name)))
+        for name in ("filtered_covs", "predicted_covs"):
+            covs = getattr(filt, name)
+            padded = FrozenCovs(
+                np.append(covs.mats, 2.0 * covs.mats[-1:], axis=0),
+                np.append(covs.counts, 0))
+            with pytest.raises(ValueError, match="only on an LTI pass$"):
+                rts_smoother(dataclasses.replace(filt, **{name: padded}),
+                             lti, noise)
+        ekf_like = dataclasses.replace(
+            filt, transition_seq=np.broadcast_to(lti.A, (50, 1, 1)))
+        with pytest.raises(ValueError, match="only on an LTI pass$"):
+            rts_smoother(ekf_like, lti, noise)
+        # layouts whose counts agree but do not end at t = T: both last
+        # blocks one step longer, or an empty block after both last steps
+        # of a run that never froze
+        def longer(covs):
+            return FrozenCovs(covs.mats, np.append(covs.counts[:-1],
+                                                   covs.counts[-1] + 1))
+
+        def emptied(covs):
+            return FrozenCovs(np.append(covs.mats, covs.mats[-1:], axis=0),
+                              np.append(covs.counts, 0))
+        short = kalman_filter(lti, noise, np.zeros((3, 1)), outputs[:3],
+                              (np.zeros(1), np.eye(1)))
+        for post, layout in ((filt, longer), (short, emptied)):
+            bad = {name: layout(getattr(post, name))
+                   for name in ("filtered_covs", "predicted_covs")}
+            with pytest.raises(ValueError, match="only on an LTI pass$"):
+                rts_smoother(dataclasses.replace(post, **bad), lti, noise)
 
     def test_large_singular_prior_is_smoothed(self):
         # the prior 1e6 * ones is exactly singular; its jitter must be
@@ -477,9 +551,9 @@ class TestFilterEvents:
             post = kalman_filter(lti, noise, np.zeros((200, 1)),
                                  rng.standard_normal((200, 1)),
                                  (np.zeros(1), np.eye(1)))
-        assert post.steady_from is not None
+        assert steady_step(post) is not None
         assert self._events(caplog, "kalman.steady_state") == [
-            f"kalman.steady_state steady_from={post.steady_from}"]
+            f"kalman.steady_state steady_from={steady_step(post)}"]
 
     def test_innovation_jitter_reported_with_time_index(self, caplog):
         # two noiseless copies of one measurement: S = [[1, 1], [1, 1]] is
@@ -519,7 +593,7 @@ class TestFilterEvents:
         assert self._events(caplog, "kalman.steady_state")
         quiet, loud = runs
         assert quiet.loglik == loud.loglik
-        assert quiet.steady_from == loud.steady_from
+        assert steady_step(quiet) == steady_step(loud)
         for name in POSTERIOR_ARRAYS:
             assert np.array_equal(getattr(quiet, name), getattr(loud, name))
 
@@ -538,7 +612,8 @@ class TestEkf:
         lti = jacobians_at(p, np.zeros(3), np.zeros(1), ro)
         kf = kalman_filter(lti, noise, inputs, outputs, prior)
         assert np.abs(ekf.filtered_means - kf.filtered_means).max() <= 1e-10
-        assert np.abs(ekf.filtered_covs - kf.filtered_covs).max() <= 1e-10
+        assert np.abs(np.asarray(ekf.filtered_covs)
+                      - np.asarray(kf.filtered_covs)).max() <= 1e-10
         assert ekf.transition_seq is not None
 
     def test_zero_noise_exact_init_tracks_truth(self):
@@ -587,7 +662,7 @@ class TestEkf:
                         measurement_noise=(noise.R, 33))
         post = ekf_filter(p, ro, noise, inputs, traj.outputs,
                           (np.zeros(4), 0.01 * np.eye(4)))
-        assert post.steady_from is None
+        assert steady_step(post) is None
         assert post.transition_seq.shape == (600, 4, 4)
         steps = np.abs(np.diff(post.transition_seq, axis=0))
         assert steps.max(axis=(1, 2)).min() > 0.0
@@ -619,10 +694,10 @@ class TestEkf:
                             ro.C, ro.d, q, r, mu0, np.eye(n), inputs, outputs)
         for name in ("filtered_means", "filtered_covs", "predicted_means",
                      "predicted_covs", "transition_seq"):
-            got, want = getattr(post, name), ref[name]
+            got, want = np.asarray(getattr(post, name)), ref[name]
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
         assert post.loglik == pytest.approx(ref["loglik"], rel=1e-10)
-        assert post.steady_from is None
+        assert steady_step(post) is None
 
     @pytest.mark.parametrize("act", [
         Activation.tanh(), Activation.identity(), Activation.leaky_slope(0.3),
@@ -812,9 +887,10 @@ class TestEmStep:
 
     @pytest.mark.parametrize("horizon, settles", [(6, False), (300, True)])
     def test_matches_full_array_reference(self, horizon, settles):
-        # a short run never freezes and keeps full arrays; a long one stores
-        # FrozenCovs; both must give the M-step and the readout that the full
-        # reference arrays give, and so must a hand-built ndarray posterior
+        # a short run never freezes and holds one block per step; a long one
+        # repeats its frozen block; both must give the M-step and the readout
+        # that the full reference arrays give, and so must a posterior built
+        # by hand from those arrays
         n, p = 3, 2
         a, b, c = random_stable_system(n, 1, p, seed=33, rho=0.6)
         lti = LtiModel(A=a, B=b, C=c, D=np.zeros((p, 1)))
@@ -825,7 +901,7 @@ class TestEmStep:
         prior = (np.zeros(n), np.eye(n))
         post = rts_smoother(kalman_filter(lti, noise, inputs, outputs, prior),
                             lti, noise)
-        assert (post.steady_from is not None) == settles
+        assert (steady_step(post) is not None) == settles
         ref = kalman_rts_reference(a, b, c, noise.Q, noise.R, *prior, inputs,
                                    outputs)
         step = em_step(lti, noise, inputs, outputs, prior)
@@ -861,7 +937,7 @@ class TestPosteriorMemory:
             return post, em_step(lti, noise, *args)
 
         (post, _), peak = traced_peak_mib(pipeline)
-        assert post.steady_from is not None
+        assert steady_step(post) is not None
         assert peak <= 32.0
 
     def test_smoother_writes_its_blocks_once(self):
@@ -879,7 +955,7 @@ class TestPosteriorMemory:
                              (np.zeros(n), 1e-2 * np.eye(n)))
         post, peak = traced_peak_mib(rts_smoother, filt, lti, noise)
         mats = post.smoothed_covs.mats
-        assert len(mats) - (filt.steady_from + 1) < len(mats) / 2
+        assert len(mats) - len(filt.filtered_covs.mats) + 1 < len(mats) / 2
         blocks = mats.nbytes + post.cross_covs.mats.nbytes
         assert peak * 2 ** 20 <= post.smoothed_means.nbytes + 1.75 * blocks
 

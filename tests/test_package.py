@@ -316,3 +316,25 @@ def test_only_linalg_reads_an_array_rank():
                 found += [f"{path.stem}: from {node.module} import ndim"
                           for alias in node.names if alias.name == "ndim"]
     assert found == []
+
+
+def test_only_the_posterior_tells_frozen_covs_from_an_array():
+    # every covariance field of a SmoothedPosterior is a FrozenCovs: its
+    # __post_init__ wraps an array once, as one block per step, and no
+    # other code branches on the type
+    package = Path(esnkit.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for name, function in _functions(tree)
+                   if f"{path.stem}.{name}"
+                   == "identify.SmoothedPosterior.__post_init__"
+                   for node in ast.walk(function)}
+        found += [f"{path.stem}: {ast.unparse(call)}"
+                  for call in ast.walk(tree)
+                  if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", None) == "isinstance"
+                  and len(call.args) == 2
+                  and "FrozenCovs" in ast.unparse(call.args[1])
+                  and id(call) not in allowed]
+    assert found == []
