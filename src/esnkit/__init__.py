@@ -6,8 +6,7 @@ domain kernel analysis, Kalman/EM/subspace identification, design recipes,
 and probabilistic prediction.
 """
 
-from .core import (Activation, Readout, ReservoirParams, Trajectory,
-                   activation_eval, reservoir_step, simulate)
+from .core import Activation, Readout, ReservoirParams, Trajectory, simulate
 from .design import (gamma_for_radius, input_scaling, make_normal_reservoir,
                      make_sparse_reservoir, target_radius)
 from .discretize import (CtLinearModel, ct_jacobians, euler_leak, tustin_leak,
@@ -19,9 +18,9 @@ from .freq import (GramianPair, HinfEstimate, ImpulseKernel,
 from .identify import (BayesReadoutPosterior, EmResult, EmStepResult,
                        FrozenCovs, NoiseModel, SmoothedPosterior,
                        StructuredBasis, StructuredTheta, SubspaceResult,
-                       ekf_filter, em_run, em_step, excitation_sigma_min,
-                       kalman_filter, project_structured, readout_bayes,
-                       readout_ml, rts_smoother, subspace_shape)
+                       ekf_filter, em_run, em_step, kalman_filter,
+                       project_structured, readout_bayes, readout_ml,
+                       rts_smoother, subspace_shape)
 from .lift import Dictionary, LiftedModel, edmd_fit, lifted_rollout_error
 from .linearize import (LtiModel, LtvModel, jacobians_at,
                         linearize_trajectory, remainder_bound)
@@ -35,8 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "Activation", "ReservoirParams", "Readout", "Trajectory",
-    "activation_eval", "reservoir_step", "simulate",
+    "Activation", "ReservoirParams", "Readout", "Trajectory", "simulate",
     # stability
     "Certificate", "CertificateMethod", "Verdict", "HorizonEstimate",
     "certify_lipschitz", "certify_weighted", "spectral_radius",
@@ -58,8 +56,7 @@ __all__ = [
     "StructuredTheta", "EmStepResult", "EmResult", "SubspaceResult",
     "BayesReadoutPosterior",
     "kalman_filter", "rts_smoother", "ekf_filter", "em_step", "em_run",
-    "readout_ml", "readout_bayes", "project_structured",
-    "excitation_sigma_min", "subspace_shape",
+    "readout_ml", "readout_bayes", "project_structured", "subspace_shape",
     # design
     "target_radius", "gamma_for_radius", "make_normal_reservoir", "make_sparse_reservoir", "input_scaling",
     # predict

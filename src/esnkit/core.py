@@ -13,10 +13,10 @@ float64 arithmetic, no approximations, reproducible seeded noise.
 Jacobians) are the single definition of both.  They work over any leading
 axes and validate nothing: every caller checks its inputs once, up front.
 Loops over time form the drive ``U u_t + b`` for all t in one matmul first;
-:func:`_transition` builds the transition A alone, into a given array if
-asked, and ``Activation.__call__`` writes sigma into one.  The per-step
-loops of :func:`simulate` and ``identify.ekf_filter`` call neither: they
-take sigma from its ufuncs (:func:`_slope_table`) and BLAS directly.
+:func:`_transition` builds the transition A alone.  The per-step loops of
+:func:`simulate` and ``identify.ekf_filter`` call neither it nor
+``Activation.evaluate``: they take sigma from its ufuncs
+(:func:`_slope_table`) and BLAS directly.
 
 :func:`simulate` never steps the state itself.  With the identity
 activation the map is affine, ``x_{t+1} = A x_t + leak (U u_t + b)``, and
@@ -46,10 +46,8 @@ __all__ = [
     "ReservoirParams",
     "Readout",
     "Trajectory",
-    "activation_eval",
     "leaky_jacobians",
     "leaky_map",
-    "reservoir_step",
     "simulate",
 ]
 
@@ -113,15 +111,6 @@ class Activation:
             return 0.0
         return None
 
-    def __call__(self, x: np.ndarray,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-        """sigma(x) componentwise into a new array or into ``out``, without
-        the slope and with no validation."""
-        table = _slope_table(self)
-        if table is None:
-            return np.tanh(x, out=out)
-        return np.multiply(x, table.take(x >= 0.0), out=out)
-
     def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(sigma(x), sigma'(x))`` componentwise, with no validation."""
         x = np.asarray(x, dtype=np.float64)
@@ -142,19 +131,6 @@ def _slope_table(activation: Activation) -> Optional[np.ndarray]:
         return None
     negative = 1.0 if activation.kind == "identity" else activation.negative_slope
     return np.array([negative, 1.0])
-
-
-def activation_eval(activation: Activation, x) -> Tuple[np.ndarray, np.ndarray]:
-    """Evaluate sigma and its componentwise derivative at ``x``.
-
-    Returns ``(value, derivative_diag)``; the derivative entries are the
-    diagonal of the activation Jacobian and always lie in
-    ``[-lipschitz, lipschitz]``.
-
-    Raises:
-        ValueError: on non-finite input (message carries the offending index).
-    """
-    return activation.evaluate(as_float_array(x, "activation input"))
 
 
 @dataclass(frozen=True)
@@ -273,13 +249,6 @@ def _transition(params: ReservoirParams, slope: np.ndarray) -> np.ndarray:
     return a
 
 
-def reservoir_step(params: ReservoirParams, x, u) -> np.ndarray:
-    """One exact step of the leaky recursion (deterministic, no noise)."""
-    x = as_float_array(x, "state", (params.n,))
-    u = as_float_array(u, "input", (params.m,))
-    return leaky_map(params, x, u)[0]
-
-
 def simulate(params: ReservoirParams,
              x0,
              inputs,
@@ -394,7 +363,7 @@ def _preactivation_steps(params: ReservoirParams, x0: np.ndarray,
         # because f2py's keyword parsing costs more than the product at n = 16
         a = dgemv(lam, w_t, row, keep, a, 0, 1, 0, 1, 1, 1)
         a += e
-    params.activation(a, out=out[-1])
+    out[-1] = params.activation.evaluate(a)[0]
 
 
 def _noise_draws(noise, name: str, shape) -> np.ndarray:

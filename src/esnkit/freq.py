@@ -7,12 +7,13 @@ dense desk-scale regime (n <= 512); Gramian-based quantities additionally
 require rho(A) < 1.
 
 Every analysis reads the model's one real Schur form A = Z T Z'
-(``LtiModel._schur``): the Lyapunov solves run in it, H(z) is a back
+(:func:`_schur`): the Lyapunov solves run in it, H(z) is a back
 substitution over the diagonal blocks of T for all z at once, O(n^2) per z
 instead of O(n^3) (Laub, IEEE TAC 26(2), 1981), and rho(A) is read off those
-blocks.  The Gramian pair and the decay envelope are kept on the model too,
-read-only (a solve that raises keeps nothing), so the analyses of one model
-make one Schur decomposition and at most three Lyapunov solves in all.
+blocks.  This module alone decides what a model keeps: :func:`_kept` stores
+the form, the Gramian pair and the decay envelope on the model, read-only
+(a solve that raises keeps nothing), so the analyses of one model make one
+Schur decomposition and at most three Lyapunov solves in all.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from ._linalg import as_float_array, solve_discrete_lyapunov
+from ._linalg import (SchurForm, as_float_array, real_schur,
+                      solve_discrete_lyapunov)
 from .linearize import LtiModel
 from .stability import _decay_envelope
 
@@ -105,12 +107,20 @@ def _kept(lti: LtiModel, name: str, compute: Callable[[], object]):
     return memo[name]
 
 
+def _schur(lti: LtiModel) -> SchurForm:
+    """The real Schur form of the model's A, decomposed on first use and
+    kept, read-only."""
+    form = _kept(lti, "_schur", lambda: real_schur(lti.A))
+    form.t.flags.writeable = form.z.flags.writeable = False
+    return form
+
+
 def _transfer_batch(lti: LtiModel, zs: np.ndarray) -> np.ndarray:
     """H(z) for every z of ``zs``, shape (len(zs), p, m), from the model's real
     Schur form by back substitution of (z I - T) X = z Z' B over the 1 x 1 and
     2 x 2 diagonal blocks of T for all z at once (a 2 x 2 block by its
     adjugate); a zero pivot or determinant (a pole) raises ``LinAlgError``."""
-    form = lti._schur
+    form = _schur(lti)
     t, count = form.t, np.size(zs)
     zs = np.repeat(np.asarray(zs, dtype=complex), lti.m)
     # row i of x holds X_i for every z, laid out (len(zs), m)
@@ -151,7 +161,7 @@ def _transfer_checked(lti: LtiModel, zs: np.ndarray) -> np.ndarray:
     """:func:`_transfer_batch` from one real Schur form, which gives rho(A):
     warns once when some |z| <= rho(A), and turns a pole hit into a
     ValueError that names the offending z and the eigenvalue nearest to it."""
-    rho = lti._schur.rho
+    rho = _schur(lti).rho
     radius = float(np.abs(zs).min()) if zs.size else math.inf
     if radius <= rho:
         warnings.warn(
@@ -160,7 +170,7 @@ def _transfer_checked(lti: LtiModel, zs: np.ndarray) -> np.ndarray:
     try:
         return _transfer_batch(lti, zs)
     except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvals(lti._schur.t)
+        eigs = np.linalg.eigvals(_schur(lti).t)
         gaps = np.abs(zs[:, None] - eigs[None, :])
         i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
         raise ValueError(
@@ -181,7 +191,7 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
     if not (tail_tol > 0.0 and math.isfinite(tail_tol)):
         raise ValueError(f"tail_tol must be positive and finite, got {tail_tol!r}")
     a, b, c_mat = lti.A, lti.B, lti.C
-    envelope = _kept(lti, "_envelope", lambda: _decay_envelope(lti._schur))
+    envelope = _kept(lti, "_envelope", lambda: _decay_envelope(_schur(lti)))
     if envelope is not None:                 # the tail bound is scale kappa^(K+1)
         growth, kappa = envelope
         scale = growth * np.linalg.norm(c_mat, 2) * np.linalg.norm(b, 2) / (1.0 - kappa)
@@ -242,7 +252,7 @@ def gramians(lti: LtiModel) -> GramianPair:
     solver's ``LinAlgError`` (a ``ValueError``) on every call."""
 
     def solve() -> GramianPair:
-        form = lti._schur
+        form = _schur(lti)
         pair = GramianPair(W_c=solve_discrete_lyapunov(form, lti.B @ lti.B.T),
                            W_o=solve_discrete_lyapunov(form.transposed(), lti.C.T @ lti.C))
         pair.W_c.flags.writeable = pair.W_o.flags.writeable = False
@@ -274,7 +284,7 @@ def ctrb_obsv_rank(lti: LtiModel) -> RankReport:
             return 0
         return int(np.sum(s >= 1e-10 * s[0]))
 
-    if lti._schur.rho < 1.0:
+    if _schur(lti).rho < 1.0:
         pair = gramians(lti)
         min_wc, min_wo = (float(np.linalg.eigvalsh(w).min()) if n else 0.0
                           for w in (pair.W_c, pair.W_o))
@@ -305,7 +315,7 @@ def hinf_norm_grid(lti: LtiModel, grid_points: int = 512) -> HinfEstimate:
     """
     if grid_points < 64:
         raise ValueError("grid_points must be >= 64")
-    if lti._schur.rho >= 1.0:
+    if _schur(lti).rho >= 1.0:
         raise ValueError("Hinf evaluation on the unit circle needs rho(A) < 1")
     omegas = np.linspace(0.0, np.pi, grid_points)
 

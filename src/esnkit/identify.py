@@ -20,6 +20,7 @@ decrease the likelihood and is flagged instead of failing.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 import numbers
@@ -42,7 +43,7 @@ __all__ = [
     "StructuredTheta", "EmStepResult", "EmResult", "SubspaceResult",
     "kalman_filter", "rts_smoother", "ekf_filter", "em_step", "em_run",
     "readout_ml", "readout_bayes", "BayesReadoutPosterior",
-    "project_structured", "excitation_sigma_min", "subspace_shape",
+    "project_structured", "subspace_shape",
 ]
 
 logger = logging.getLogger(__name__)
@@ -73,8 +74,8 @@ class FrozenCovs:
     """Read-only covariance sequence in run-length blocks: ``mats[i]``
     (n, n) stands for ``counts[i]`` >= 0 consecutive steps, so the sequence
     is ``np.repeat(mats, counts, axis=0)``, which ``np.asarray`` builds;
-    ``len``, integer and tuple indexing, step-1 slices (on the same
-    ``mats``) and ``sum(axis=0)`` work on the blocks.
+    ``len``, iteration, integer and tuple indexing, step-1 slices (on the
+    same ``mats``) and ``sum(axis=0)`` work on the blocks.
 
     Every covariance field of a :class:`SmoothedPosterior` is one.  An LTI
     covariance recursion converges, so past a short transient every step
@@ -123,6 +124,10 @@ class FrozenCovs:
         raise TypeError("FrozenCovs takes an integer, a tuple led by an "
                         "integer or a step-1 slice; use np.asarray for other "
                         "indexing")
+
+    def __iter__(self):
+        for mat, count in zip(self.mats, self.counts):
+            yield from itertools.repeat(mat, count)
 
     def sum(self, axis: int = 0) -> np.ndarray:
         if axis != 0:
@@ -724,6 +729,8 @@ def em_run(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     trace: List[float] = []
     flags: List[bool] = []
     theta = None
@@ -819,8 +826,9 @@ def readout_bayes(states, outputs, tau_p: float,
     moment, which avoids densifying the Kronecker precision.  At p = 1,
     R = 1 this reduces exactly to :func:`readout_ml` with ridge = tau_p.
     """
-    if not tau_p > 0.0:
-        raise ValueError("prior precision tau_p must be positive")
+    if not 0.0 < tau_p < math.inf:
+        raise ValueError(
+            f"prior precision tau_p must be positive and finite, got {tau_p}")
     x_mean, y_mean, s_moment, g = _readout_moments(states, outputs)
     r = check_psd(R, "R", (len(y_mean), len(y_mean)))
     if float(np.linalg.eigvalsh(r).min()) <= 0.0:
@@ -835,22 +843,6 @@ def readout_bayes(states, outputs, tau_p: float,
 
 # ---------------------------------------------------------------------------
 # Subspace identification (Ho-Kalman) with structured projection
-
-
-def excitation_sigma_min(inputs, depth: int) -> float:
-    """Smallest singular value of the (depth m, T - depth + 1) block input
-    Toeplitz matrix of depth r (the persistent-excitation statistic); 0 when
-    the record has fewer windows than depth m, as the matrix then has a
-    nontrivial left null space."""
-    inputs = as_float_array(inputs, "inputs", ("T", "m"))
-    horizon, m = inputs.shape
-    if depth < 1 or horizon < depth:
-        raise ValueError("need depth >= 1 and at least depth input samples")
-    if horizon - depth + 1 < depth * m:
-        return 0.0
-    cols = np.lib.stride_tricks.sliding_window_view(inputs, (depth, m))
-    mat = cols.reshape(-1, depth * m).T
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)
@@ -909,8 +901,13 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     onto span{I, W_bar} and rescaled to the contraction margin, and the
     resulting small-gain certificate is attached.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    for name, value in (("order", order), ("n_markov", n_markov)):
+        if value is None and name == "n_markov":
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if impulse is not None:
         markov = as_float_array(impulse, "impulse", ("K+1", "p", "m"))
     else:

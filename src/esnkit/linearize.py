@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from ._linalg import SchurForm, as_float_array, real_schur
+from ._linalg import as_float_array
 from .core import (Readout, ReservoirParams, Trajectory, leaky_jacobians,
                    leaky_map)
 
@@ -35,9 +34,9 @@ class LtiModel:
     """Discrete-time linear system (A, B, C, D).
 
     A, B, C and D are read-only C-ordered copies of the arrays given, so a
-    model never changes: the real Schur form of A (``_schur``, read-only) is
-    decomposed on first use and kept, and :mod:`esnkit.freq` keeps the
-    Gramian pair and the decay envelope on the model too.  A copy, an
+    model never changes, and :mod:`esnkit.freq` may keep what it derives
+    from one on the model itself: the real Schur form of A, the Gramian
+    pair and the decay envelope, each made on first use.  A copy, an
     unpickled model or a ``dataclasses.replace`` is a new model that keeps
     nothing yet.
     """
@@ -60,13 +59,6 @@ class LtiModel:
     def __reduce__(self):
         # a copy or an unpickled model is built afresh: read-only, nothing kept
         return LtiModel, (self.A, self.B, self.C, self.D)
-
-    @cached_property
-    def _schur(self) -> SchurForm:
-        """The real Schur form of A, decomposed once per model."""
-        form = real_schur(self.A)
-        form.t.flags.writeable = form.z.flags.writeable = False
-        return form
 
     @property
     def n(self) -> int:

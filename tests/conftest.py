@@ -41,13 +41,13 @@ def traced_peak_mib(fn, *args, **kwargs):
 
 
 def count_step_helpers(monkeypatch):
-    """Count every later call of ``Activation.__call__``,
-    ``Activation.evaluate`` and ``_transition`` (``core``'s, and the name
-    ``stability`` binds to it) in the returned dict, keyed by name; a
-    per-step loop that calls one shows a count growing with T."""
-    counts = dict.fromkeys(("__call__", "evaluate", "_transition"), 0)
-    for owner, name in ((Activation, "__call__"), (Activation, "evaluate"),
-                        (core, "_transition"), (stability, "_transition")):
+    """Count every later call of ``Activation.evaluate`` and ``_transition``
+    (``core``'s, and the name ``stability`` binds to it) in the returned
+    dict, keyed by name; a per-step loop that calls one shows a count
+    growing with T."""
+    counts = dict.fromkeys(("evaluate", "_transition"), 0)
+    for owner, name in ((Activation, "evaluate"), (core, "_transition"),
+                        (stability, "_transition")):
         def counted(*args, _inner=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             return _inner(*args, **kwargs)

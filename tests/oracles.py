@@ -246,23 +246,35 @@ def ekf_reference(w, u_mat, b, leak, kind, negative_slope, c, d, q, r, mu0,
                 transition_seq=np.array(transitions), loglik=loglik)
 
 
+def leaky_step(params, x, u):
+    """One step ``(1-leak) x + leak sigma(W x + U u + b)`` of a reservoir,
+    sigma written out for its activation kind ("tanh", "identity" or
+    "leaky_slope")."""
+    act = params.activation
+    z = params.W @ x + params.U @ u + params.b
+    if act.kind == "tanh":
+        value = np.tanh(z)
+    else:
+        negative = 1.0 if act.kind == "identity" else act.negative_slope
+        value = np.where(z >= 0.0, z, negative * z)
+    return (1.0 - params.leak) * x + params.leak * value
+
+
 def edmd_reference(params, trajectories, dictionary, ridge):
     """EDMD fit written out row by row: each target is phi of the per-step
-    ``reservoir_step`` image f(x_t, u_t), each regressor row [phi(x_t), u_t]
+    :func:`leaky_step` image f(x_t, u_t), each regressor row [phi(x_t), u_t]
     is stacked within its own trajectory, and the ridge normal equations are
     solved densely.
 
     Returns a dict with the regressors (S, N + m), the exact targets (S, N),
     ``A_phi`` and ``B_phi``.
     """
-    from esnkit import reservoir_step
-
     rows, targets = [], []
     for traj in trajectories:
         for x, u in zip(traj.states[:-1], traj.inputs):
             phi_x = dictionary.eval_batch(x[None])[0]
             rows.append(np.concatenate([phi_x, u]))
-            image = reservoir_step(params, x, u)
+            image = leaky_step(params, x, u)
             targets.append(dictionary.eval_batch(image[None])[0])
     reg, targets = np.array(rows), np.array(targets)
     coeffs = np.linalg.solve(reg.T @ reg + ridge * np.eye(reg.shape[1]),

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from esnkit import (Activation, FrozenCovs, LtiModel, NoiseModel, Readout,
                     ReservoirParams, SmoothedPosterior, StructuredBasis,
-                    Verdict, ekf_filter, em_run, em_step,
-                    excitation_sigma_min, jacobians_at, kalman_filter,
-                    project_structured, readout_bayes, readout_ml,
-                    rts_smoother, simulate, subspace_shape)
+                    Verdict, ekf_filter, em_run, em_step, jacobians_at,
+                    kalman_filter, project_structured, readout_bayes,
+                    readout_ml, rts_smoother, simulate, subspace_shape)
 from esnkit import identify, predictive
 from esnkit.core import leaky_jacobians
 
@@ -123,6 +122,34 @@ class TestFrozenCovs:
             seq[:, 0, 0]
         with pytest.raises(ValueError, match="must be copied"):
             np.asarray(seq, copy=False)
+
+    @pytest.mark.parametrize("path", ["frozen", "ekf"])
+    def test_iteration_walks_the_blocks(self, path, monkeypatch):
+        # each block is yielded count times, with no integer lookup
+        rng = np.random.default_rng(38)
+        inputs, outputs = np.zeros((200, 1)), rng.standard_normal((200, 1))
+        lti, noise = scalar_system()
+        prior = (np.zeros(1), np.eye(1))
+        if path == "ekf":
+            post = ekf_filter(make_reservoir(n=1, m=1, seed=38),
+                              Readout(C=[[1.0]]), noise, inputs, outputs,
+                              prior)
+        else:
+            post = rts_smoother(kalman_filter(lti, noise, inputs, outputs,
+                                              prior), lti, noise)
+            assert (post.filtered_covs.counts > 1).any()
+        fields = [getattr(post, name) for name in COVARIANCE_FIELDS
+                  if getattr(post, name) is not None]
+        wants = [list(np.asarray(covs)) for covs in fields]
+        lookups = []
+        getitem = FrozenCovs.__getitem__
+        monkeypatch.setattr(FrozenCovs, "__getitem__",
+                            lambda *args: lookups.append(1) or getitem(*args))
+        for covs, want in zip(fields, wants):
+            got = list(covs)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert lookups == []
 
     @pytest.mark.parametrize("path", ["frozen", "unfrozen", "T=0", "n=0",
                                       "ekf", "hand-built"])
@@ -1159,6 +1186,14 @@ class TestEmRun:
             em_run(lti, noise, np.zeros((3, 1)), np.zeros((3, 1)),
                    (np.zeros(1), np.eye(1)), max_iters=4, rel_tol=0.0)
 
+    @pytest.mark.parametrize("rel_tol", [-1.0, math.nan, math.inf])
+    def test_rejects_a_tolerance_outside_zero_to_inf(self, rel_tol):
+        # a negative or NaN tolerance never ends the run
+        lti, noise = scalar_system()
+        with pytest.raises(ValueError, match="rel_tol must be finite and >= 0"):
+            em_run(lti, noise, np.zeros((3, 1)), np.zeros((3, 1)),
+                   (np.zeros(1), np.eye(1)), max_iters=7, rel_tol=rel_tol)
+
     def test_structured_decrease_is_flagged(self, monkeypatch):
         lti, noise = scalar_system()
         basis = StructuredBasis(W_bar=np.eye(1))
@@ -1233,6 +1268,15 @@ class TestReadouts:
         ro = readout_ml(states, y, ridge=1e12)
         cross = (y - y.mean(0)).T @ (states - states.mean(0))
         assert np.linalg.norm(ro.C) <= 1e-6 * np.linalg.norm(cross)
+
+    @pytest.mark.parametrize("tau_p", [math.inf, math.nan])
+    def test_bayes_rejects_a_nonfinite_prior_precision(self, tau_p):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ValueError,
+                           match="tau_p must be positive and finite"):
+            readout_bayes(rng.standard_normal((50, 3)),
+                          rng.standard_normal((50, 2)), tau_p=tau_p,
+                          R=np.eye(2))
 
     @pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
     def test_rejects_a_ridge_outside_zero_to_inf(self, ridge):
@@ -1314,32 +1358,44 @@ class TestReadouts:
 
 class TestSubspace:
     def test_excitation_statistics(self):
+        # white inputs excite the default depth, constant ones no depth > 1
         rng = np.random.default_rng(19)
-        r_order, m, p = 3, 2, 1
-        white = rng.standard_normal((10 * r_order * (m + p), m))
-        assert excitation_sigma_min(white, r_order) > 1e-8
+        m, p = 2, 1
+        a, b, c = random_stable_system(2, m, p, seed=19, rho=0.6)
+        white = rng.standard_normal((90, m))
+        x, outputs = np.zeros(2), np.empty((90, p))
+        for t in range(90):
+            x = a @ x + b @ white[t]
+            outputs[t] = c @ x
+        basis = StructuredBasis(W_bar=np.eye(2))
+        assert subspace_shape(2, basis, inputs=white,
+                              outputs=outputs).markov.shape == (20, p, m)
         constant = np.ones((60, m))
-        assert excitation_sigma_min(constant, 2) <= 1e-8
         with pytest.raises(ValueError, match="persistently exciting"):
-            basis = StructuredBasis(W_bar=np.eye(4))
             subspace_shape(2, basis, inputs=constant,
                            outputs=np.ones((60, p)))
 
     def test_record_shorter_than_its_toeplitz_rows_is_not_exciting(self):
-        # depth 3 on 3 samples: one window, a rank-1 (3, 1) Toeplitz matrix
-        inputs = np.random.default_rng(3).standard_normal((3, 1))
-        assert excitation_sigma_min(inputs, 3) == 0.0
+        # depth 3 on 8 samples of 2 inputs: 5 regressor rows for 6 columns
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match=r"at depth 3 \(sigma_min = "
+                                             r"0\.000e\+00\)$"):
+            subspace_shape(1, StructuredBasis(W_bar=np.eye(2)),
+                           inputs=rng.standard_normal((8, 2)),
+                           outputs=rng.standard_normal((8, 1)), n_markov=3)
 
     def test_excitation_is_checked_at_the_regression_depth(self):
-        # a sinusoid excites depth 2 (sigma_min 3.7) but not the 20 lags the
-        # Markov parameters are regressed on (sigma_min 1.5e-14)
+        # a sinusoid excites depth 2 (sigma_min of its two-lag regressor
+        # 3.7) but not the 20 lags the Markov parameters are regressed on
+        # (sigma_min 1.5e-14)
         inputs = np.sin(0.3 * np.arange(600))[:, None]
+        two_lags = np.hstack([inputs[1:-1], inputs[:-2]])
+        assert np.linalg.svd(two_lags, compute_uv=False)[-1] > 1.0
         w = np.array([[0.5, 0.3], [-0.2, 0.6]])
         p = ReservoirParams(W=w, U=np.array([[1.0], [0.5]]), b=np.zeros(2),
                             leak=0.5, activation=Activation.identity())
         traj = simulate(p, np.zeros(2), inputs,
                         Readout(C=np.array([[1.0, 0.0]])))
-        assert excitation_sigma_min(inputs, 2) > 1.0
         with pytest.raises(ValueError,
                            match="not persistently exciting at depth 20"):
             subspace_shape(2, StructuredBasis(w), inputs=inputs,
@@ -1348,7 +1404,26 @@ class TestSubspace:
     def test_one_dimensional_inputs_rejected(self):
         with pytest.raises(ValueError,
                            match=r"^inputs must be \(T, m\), got \(50,\)$"):
-            excitation_sigma_min(np.ones(50), 2)
+            subspace_shape(2, StructuredBasis(W_bar=np.eye(2)),
+                           inputs=np.ones(50), outputs=np.ones((50, 1)))
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        (dict(order=2.5), TypeError, "order must be an integer, got 2.5"),
+        (dict(order=True), TypeError, "order must be an integer, got True"),
+        (dict(order=0), ValueError, "order must be >= 1, got 0"),
+        (dict(n_markov=2.5), TypeError, "n_markov must be an integer, got 2.5"),
+        (dict(n_markov=-3), ValueError, "n_markov must be >= 1, got -3"),
+        (dict(n_markov=0), ValueError, "n_markov must be >= 1, got 0"),
+    ], ids=["order-float", "order-bool", "order-0", "n_markov-float",
+            "n_markov-negative", "n_markov-0"])
+    def test_order_and_depth_are_checked_up_front(self, kwargs, error,
+                                                  message):
+        rng = np.random.default_rng(22)
+        kwargs = dict(dict(order=2), **kwargs)
+        with pytest.raises(error, match=f"^{message}$"):
+            subspace_shape(basis=StructuredBasis(W_bar=np.eye(2)),
+                           inputs=rng.standard_normal((200, 1)),
+                           outputs=rng.standard_normal((200, 1)), **kwargs)
 
     def test_outputs_shorter_than_inputs_rejected(self):
         rng = np.random.default_rng(20)

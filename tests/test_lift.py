@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esnkit import (Activation, Dictionary, ReservoirParams, edmd_fit,
-                    lifted_rollout_error, reservoir_step, simulate,
-                    spectral_radius)
+                    lifted_rollout_error, simulate, spectral_radius)
 
 from conftest import make_readout, make_reservoir, traced_peak_mib
-from oracles import edmd_reference
+from oracles import edmd_reference, leaky_step
 
 
 def exact_residual_bounds(lm, ref):
@@ -153,7 +152,7 @@ class TestEdmdFit:
         p = ReservoirParams(W=[[0.8]], U=[[0.5]], b=[0.0], leak=0.9)
         rng = np.random.default_rng(0)
         traj = simulate(p, np.zeros(1), rng.uniform(-1, 1, (400, 1)))
-        fx = np.array([reservoir_step(p, traj.states[t], traj.inputs[t])
+        fx = np.array([leaky_step(p, traj.states[t], traj.inputs[t])
                        for t in range(traj.horizon)])
         x = traj.states[:-1]
         richer = Dictionary.random_fourier(8, 1.0, 1).eval_batch(x)
@@ -173,7 +172,7 @@ class TestEdmdFit:
         d = Dictionary.random_fourier(6, 1.0, 5)
         lm = edmd_fit(p, [traj], d, ridge=1e-10)
         phi = d.eval_batch(traj.states[:-1])
-        fx = np.array([reservoir_step(p, traj.states[t], traj.inputs[t])
+        fx = np.array([leaky_step(p, traj.states[t], traj.inputs[t])
                        for t in range(traj.horizon)])
         targets = d.eval_batch(fx)
         pred = phi @ lm.A_phi.T + traj.inputs @ lm.B_phi.T

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from esnkit import (Activation, LtvModel, ReservoirParams, Trajectory,
                     ct_jacobians, jacobians_at, linearize_trajectory,
-                    remainder_bound, reservoir_step, simulate)
+                    remainder_bound, simulate)
 from esnkit.core import leaky_jacobians, leaky_map
 
 from conftest import make_readout, make_reservoir
+from oracles import leaky_step
 
 TANH_CURVATURE_SUP = 4.0 / (3.0 * np.sqrt(3.0))
 
@@ -23,13 +24,13 @@ def fd_jacobians(params, x_bar, u_bar, step=1e-6):
     for j in range(n):
         e = np.zeros(n)
         e[j] = step
-        a[:, j] = (reservoir_step(params, x_bar + e, u_bar)
-                   - reservoir_step(params, x_bar - e, u_bar)) / (2 * step)
+        a[:, j] = (leaky_step(params, x_bar + e, u_bar)
+                   - leaky_step(params, x_bar - e, u_bar)) / (2 * step)
     for j in range(m):
         e = np.zeros(m)
         e[j] = step
-        b[:, j] = (reservoir_step(params, x_bar, u_bar + e)
-                   - reservoir_step(params, x_bar, u_bar - e)) / (2 * step)
+        b[:, j] = (leaky_step(params, x_bar, u_bar + e)
+                   - leaky_step(params, x_bar, u_bar - e)) / (2 * step)
     return a, b
 
 
@@ -129,7 +130,7 @@ class TestRemainderBound:
         x_bar = rng.standard_normal(p.n) * 0.3
         u_bar = rng.standard_normal(p.m) * 0.3
         lti = jacobians_at(p, x_bar, u_bar)
-        f_bar = reservoir_step(p, x_bar, u_bar)
+        f_bar = leaky_step(p, x_bar, u_bar)
         bound = remainder_bound(p, radius)
         for _ in range(1000):
             dx = rng.standard_normal(p.n)
@@ -137,7 +138,7 @@ class TestRemainderBound:
             xi_dev = p.W @ dx + p.U @ du
             scale = radius * rng.uniform(0, 1) / np.linalg.norm(xi_dev)
             dx, du = dx * scale, du * scale
-            truth = reservoir_step(p, x_bar + dx, u_bar + du)
+            truth = leaky_step(p, x_bar + dx, u_bar + du)
             approx = f_bar + lti.A @ dx + lti.B @ du
             assert np.linalg.norm(truth - approx) <= bound * (1 + 1e-9)
 
@@ -208,8 +209,8 @@ class TestLeakyKernel:
     def test_batched_kernel_matches_pointwise_layers(self, n, m, steps, seed,
                                                      leak, kind, negative_slope):
         # one batched kernel call per layer must agree with the single-point
-        # entry points: reservoir_step, jacobians_at, and the CT lag; and the
-        # simulate loop over a precomputed drive with the stepwise map
+        # oracle step, jacobians_at and the CT lag; and the simulate loop
+        # over a precomputed drive with the stepwise map
         act = Activation(kind, negative_slope=negative_slope)
         p = make_reservoir(n=n, m=m, seed=seed, leak=leak, w_scale=1.2,
                            activation=act, bias_scale=0.5)
@@ -217,12 +218,12 @@ class TestLeakyKernel:
         states = 2.0 * rng.standard_normal((steps + 1, n))
         inputs = rng.standard_normal((steps, m))
         x_next, _ = leaky_map(p, states[:-1], inputs)
-        rows = np.array([reservoir_step(p, x, u)
+        rows = np.array([leaky_step(p, x, u)
                          for x, u in zip(states[:-1], inputs)])
         assert _close(x_next, rows, 1e-14)
         walk = [states[0]]
         for u in inputs:
-            walk.append(reservoir_step(p, walk[-1], u))
+            walk.append(leaky_step(p, walk[-1], u))
         assert _close(simulate(p, states[0], inputs).states, np.array(walk),
                       1e-12)
         # A alone is built in place, so check a stack that is not C-ordered

@@ -140,6 +140,53 @@ def test_every_public_member_is_read():
     assert unread == []
 
 
+def _is_argument_check(node):
+    """``if ...: raise``, or an assignment from ``as_float_array`` or
+    ``check_psd``."""
+    if isinstance(node, ast.If):
+        return not node.orelse and all(isinstance(item, ast.Raise)
+                                       for item in node.body)
+    return (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and _callee(node.value) in ("as_float_array", "check_psd"))
+
+
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_no_public_function_only_forwards():
+    # a public function whose body is argument checks and one return of a
+    # call (or of an index of one) to another public function or method is
+    # a second entry to the same job
+    package = Path(esnkit.__file__).parent
+    modules = [ast.parse(path.read_text())
+               for path in sorted(package.glob("*.py"))]
+    functions, public = [], set()
+    for tree in modules:
+        exported = _exported(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                functions.append(node)
+                public.add(node.name)
+            elif isinstance(node, ast.ClassDef) and node.name in exported:
+                public |= {item.name for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and not item.name.startswith("_")}
+    forwards = []
+    for node in functions:
+        body = node.body[1:] if ast.get_docstring(node) else node.body
+        last = body[-1]
+        value = getattr(last, "value", None)
+        if isinstance(value, ast.Subscript):
+            value = value.value
+        if (isinstance(last, ast.Return) and isinstance(value, ast.Call)
+                and _callee(value) in public - {node.name}
+                and all(map(_is_argument_check, body[:-1]))):
+            forwards.append(f"{node.name} -> {_callee(value)}")
+    assert functions
+    assert forwards == []
+
+
 # parameters that nothing reads but that bench/workloads.py still passes
 # positionally; they go with the next revision of the benchmark
 UNREAD_KEPT = {"rts_smoother.noise", "lifted_rollout_error.params"}
@@ -270,10 +317,11 @@ def test_only_linalg_calls_scipy_schur_and_none_asks_for_the_complex_form():
 
 
 def test_only_the_model_and_the_a_plus_certificate_decompose():
-    # an LtiModel decomposes A once and keeps the form, so every analysis of
-    # a model reads LtiModel._schur; the one other form is that of A+ in
-    # certify_weighted.  _linalg, which defines real_schur, also calls it
-    # when solve_discrete_lyapunov is given a matrix instead of a form
+    # freq decomposes a model's A once and keeps the form on the model, so
+    # every analysis of a model reads freq._schur; the one other form is that
+    # of A+ in certify_weighted.  _linalg, which defines real_schur, also
+    # calls it when solve_discrete_lyapunov is given a matrix instead of a
+    # form
     package = Path(esnkit.__file__).parent
     callers = set()
     for path in sorted(package.glob("*.py")):
@@ -282,7 +330,7 @@ def test_only_the_model_and_the_a_plus_certificate_decompose():
                         if isinstance(call, ast.Call)
                         and "real_schur" in (getattr(call.func, "id", None),
                                              getattr(call.func, "attr", None))}
-    assert callers == {"linearize.LtiModel._schur", "stability.certify_weighted",
+    assert callers == {"freq._schur", "stability.certify_weighted",
                        "_linalg.solve_discrete_lyapunov"}
 
 

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 import esnkit
 from esnkit import (Activation, CertificateMethod, ReservoirParams, Verdict,
                     certify_lipschitz, certify_weighted, gamma_for_radius,
-                    make_normal_reservoir, memory_horizon, reservoir_step,
-                    simulate, spectral_radius, target_radius)
+                    make_normal_reservoir, memory_horizon, simulate,
+                    spectral_radius, target_radius)
 from esnkit._linalg import SchurForm
 
 from conftest import count_step_helpers, make_reservoir
-from oracles import psd_exact, vertex_margin_min
+from oracles import leaky_step, psd_exact, vertex_margin_min
 
 
 def reservoir_with_norm(norm, leak, n=3, seed=0, activation=None):
@@ -720,10 +720,10 @@ class TestContractionProperties:
         dist_sup = 0.05
         gap0 = 0.0
         for t in range(150):
-            x = reservoir_step(p, x, inputs[t])
+            x = leaky_step(p, x, inputs[t])
             d = rng.uniform(-1, 1, p.n)
             d *= dist_sup / np.linalg.norm(d)
-            x_dist = reservoir_step(p, x_dist, inputs[t]) + d
+            x_dist = leaky_step(p, x_dist, inputs[t]) + d
             bound = dist_sup / (1 - cert.kappa) + cert.kappa ** (t + 1) * gap0
             assert np.linalg.norm(x - x_dist) <= bound * (1 + 1e-9)
 
