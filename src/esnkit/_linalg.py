@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,6 +55,15 @@ def as_float_array(a, name: str, shape: Optional[tuple] = None) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{name} has non-finite entry at flat index {bad[0]}")
     return out
+
+
+def check_count(value, name: str, least: int) -> None:
+    """``TypeError`` unless ``value`` is an integer and no bool, else
+    ``ValueError`` if it is below ``least``; both messages name it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from ._linalg import (SchurForm, as_float_array, real_schur,
+from ._linalg import (SchurForm, as_float_array, check_count, real_schur,
                       solve_discrete_lyapunov)
 from .linearize import LtiModel
 from .stability import _decay_envelope
@@ -190,6 +190,8 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
     """
     if not (tail_tol > 0.0 and math.isfinite(tail_tol)):
         raise ValueError(f"tail_tol must be positive and finite, got {tail_tol!r}")
+    if truncation is not None:
+        check_count(truncation, "truncation", 0)
     a, b, c_mat = lti.A, lti.B, lti.C
     envelope = _kept(lti, "_envelope", lambda: _decay_envelope(_schur(lti)))
     if envelope is not None:                 # the tail bound is scale kappa^(K+1)
@@ -210,8 +212,6 @@ def impulse_kernel(lti: LtiModel, truncation: Optional[int] = None,
         if truncation > _MAX_TRUNCATION:
             raise ValueError(f"tail_tol {tail_tol:g} needs K = {truncation}, "
                              f"above the cap of {_MAX_TRUNCATION}")
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
 
     blocks = np.empty((truncation + 1, lti.p, lti.m))
     x = b.copy()
@@ -313,8 +313,7 @@ def hinf_norm_grid(lti: LtiModel, grid_points: int = 512) -> HinfEstimate:
     their spacing.  The estimate is the best of the grid and the batch; ties
     break toward the lowest frequency.
     """
-    if grid_points < 64:
-        raise ValueError("grid_points must be >= 64")
+    check_count(grid_points, "grid_points", 64)
     if _schur(lti).rho >= 1.0:
         raise ValueError("Hinf evaluation on the unit circle needs rho(A) < 1")
     omegas = np.linspace(0.0, np.pi, grid_points)

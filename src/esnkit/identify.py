@@ -32,8 +32,8 @@ import scipy.linalg
 from scipy.linalg.blas import dgemm, dgemv
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from ._linalg import (_congruence, as_float_array, check_psd, linear_scan,
-                      spectral_norm, symmetrize)
+from ._linalg import (_congruence, as_float_array, check_count, check_psd,
+                      linear_scan, spectral_norm, symmetrize)
 from .core import Readout, ReservoirParams, _slope_table
 from .linearize import LtiModel
 from .stability import Certificate, _small_gain
@@ -370,7 +370,9 @@ def _loglik(p_dim, chol_diags, whites, start=0, loglik=0.0):
 
 
 def _settled(new: np.ndarray, old: np.ndarray) -> bool:
-    return np.abs(new - old).max() <= _STEADY_TOL * np.abs(new).max()
+    scratch = np.subtract(new, old)     # |new - old|, then |new|, in place
+    step = np.maximum.reduce(np.abs(scratch, out=scratch), None)
+    return step <= _STEADY_TOL * np.maximum.reduce(np.abs(new, out=scratch), None)
 
 
 def rts_smoother(filtered: SmoothedPosterior, lti: LtiModel,
@@ -471,16 +473,16 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     the Jacobian linearization at the current filtered mean (so the recorded
     transition sequence is time varying).  The drive ``U u_t + b`` is formed
     for all t in one matmul before the loop, as are ``y_t - d`` and leak * W.
-    Each step calls only ufuncs and BLAS / LAPACK routines: one ``dgemv``
-    for W mu + drive_t, sigma and its slope in place
-    (:func:`core._slope_table`), and A_t as leak * W times the slope plus
-    1 - leak on a strided view of its diagonal, made once for all t; the
-    mean, A_t and both covariances go into rows of the returned arrays.
-    Each step keeps the Cholesky diagonal and the whitened innovation, from
-    which the log-likelihood is formed in one pass after the loop.  The
-    measurement update, its LAPACK calls and its errors are those of
-    :func:`kalman_filter`; a non-finite step raises with its time index, as
-    there, even when a later step fails first.
+    Each step calls only ufuncs and BLAS / LAPACK routines: one ``dgemv`` for
+    W mu + drive_t, sigma and its slope in place (:func:`core._slope_table`),
+    and A_t as leak * W times the slope plus 1 - leak on a strided view of its
+    diagonal, made once for all t.  The mean goes into a row of the returned
+    means, A_t and both covariances into rows of one (3T + 1, n, n) block, of
+    which the three sequences are views.  Each step keeps the Cholesky
+    diagonal and the whitened innovation, from which the log-likelihood is
+    formed in one pass after the loop.  The measurement update, its LAPACK
+    calls and its errors are those of :func:`kalman_filter`; a non-finite step
+    raises with its time index, as there, even when a later step fails first.
     """
     inputs, outputs, mu0, p0 = _validate_io(params.n, params.m, readout.p,
                                             noise, inputs, outputs, prior)
@@ -497,10 +499,9 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
         return _stateless(outputs, r, transition_seq=np.empty((horizon, 0, 0)))
 
     f_means = np.empty((horizon + 1, n))
-    f_covs = np.empty((horizon + 1, n, n))
     p_means = drive  # row t holds the drive until its prediction is made
-    p_covs = np.empty((horizon, n, n))
-    a_seq = np.empty((horizon, n, n))
+    f_covs, p_covs, a_seq = np.split(np.empty((3 * horizon + 1, n, n)),
+                                     [horizon + 1, 2 * horizon + 1])
     a_diags = a_seq.reshape(horizon, n * n)[:, ::n + 1]
     f_means[0], f_covs[0] = mu0, p0
     zero, value, slope = np.zeros(n), np.empty(n), np.empty(n)
@@ -660,13 +661,14 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     mu, covs = post.smoothed_means, post.smoothed_covs
 
     cov_next = covs[1:].sum(axis=0)
-    s_xx = covs[:-1].sum(axis=0) + mu[:-1].T @ mu[:-1]
     s_11 = cov_next + mu[1:].T @ mu[1:]
     s_1x = post.cross_covs.sum(axis=0).T + mu[1:].T @ mu[:-1]
-    s_xu = mu[:-1].T @ inputs
 
     # the Gram of the regressors [x_t, u_t] and their moments with x_{t+1}
-    gram = np.block([[s_xx, s_xu], [s_xu.T, inputs.T @ inputs]])
+    gram = np.empty((n + lti.m,) * 2)
+    gram[:n, :n] = covs[:-1].sum(axis=0) + mu[:-1].T @ mu[:-1]
+    gram[:n, n:] = mu[:-1].T @ inputs
+    gram[n:, :n], gram[n:, n:] = gram[:n, n:].T, inputs.T @ inputs
     rhs = np.hstack([s_1x, mu[1:].T @ inputs])
     svals = np.linalg.svd(gram, compute_uv=False)
     ridge = 0.0
@@ -727,8 +729,7 @@ def em_run(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     by the span/feasibility projection; it is tolerated and the step is
     flagged in ``constrained_steps``.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    check_count(max_iters, "max_iters", 1)
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     trace: List[float] = []
@@ -901,13 +902,9 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     onto span{I, W_bar} and rescaled to the contraction margin, and the
     resulting small-gain certificate is attached.
     """
-    for name, value in (("order", order), ("n_markov", n_markov)):
-        if value is None and name == "n_markov":
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_count(order, "order", 1)
+    if n_markov is not None:
+        check_count(n_markov, "n_markov", 1)
     if impulse is not None:
         markov = as_float_array(impulse, "impulse", ("K+1", "p", "m"))
     else:
@@ -928,8 +925,8 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     q_blocks = (count + 1) // 2
     s_blocks = count - q_blocks          # q + s - 1 <= count - 1 for the shift
     # q + 1 block rows: the Hankel matrix is the first q, its shift the last q
-    hankel = np.block([[markov[i + j] for j in range(s_blocks)]
-                       for i in range(q_blocks + 1)])
+    blocks = markov[np.add.outer(np.arange(q_blocks + 1), np.arange(s_blocks))]
+    hankel = blocks.transpose(0, 2, 1, 3).reshape((q_blocks + 1) * p, s_blocks * m)
     hankel0, hankel1 = hankel[:-p], hankel[p:]
     u_svd, svals, vt = np.linalg.svd(hankel0, full_matrices=False)
     effective = int(np.sum(svals >= 1e-8 * svals[0]))

@@ -6,27 +6,26 @@ regresses the lifted one-step image ``phi(f(x_t, u_t))`` on
 ``[phi(x_t); u_t]`` in ridge least squares; the constant feature absorbs the
 affine offset, so no separate offset vector is fit.  The uniform training
 residual ``epsilon = max_t ||e_t||`` is the quantity the rollout bound
-``epsilon * (1 - rho^t) / (1 - rho)`` is built from; :func:`edmd_fit`
-evaluates phi once per state and keeps epsilon such a bound.  Baseline
-(``nonlinear`` benchmark inputs of ``instance_seed(11, 0..5)``, ridge 1e-6,
-a held-out noiseless 1000-step run): the RMS one-step state error is 0.3587
-affine and 0.3591 with 128 Fourier features (0.3595 with every product of
-two state coordinates added, a dictionary since removed); u enters the lift
-only linearly, so richer state features do not help.
+``epsilon * (1 - rho^t) / (1 - rho)`` is built from; :func:`edmd_fit` puts
+phi in one block, adds its normal equations in place and keeps epsilon such
+a bound.  Baseline (``nonlinear`` inputs of ``instance_seed(11, 0..5)``,
+ridge 1e-6, a held-out noiseless 1000-step run): the RMS one-step state
+error is 0.3587 affine and 0.3591 with 128 Fourier features (0.3595 with
+every product of two state coordinates added, a dictionary since removed); u
+enters the lift only linearly, so richer state features do not help.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dsyrk
 
-from ._linalg import as_float_array, linear_scan, rng_from_seed
+from ._linalg import as_float_array, check_count, linear_scan, rng_from_seed
 from .core import Readout, ReservoirParams, Trajectory, leaky_map
 from .stability import spectral_radius
 
@@ -44,11 +43,7 @@ class Dictionary:
     seed: int = 0
 
     def __post_init__(self):
-        if (isinstance(self.count, bool)
-                or not isinstance(self.count, numbers.Integral)):
-            raise TypeError(f"count must be an integer, got {self.count!r}")
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
+        check_count(self.count, "count", 0)
         if not 0.0 < self.bandwidth < math.inf:
             raise ValueError("bandwidth must be positive and finite")
 
@@ -78,20 +73,22 @@ class Dictionary:
         return float(np.sqrt(1.0 + 2.0 / self.count * np.sum(omega * omega)))
 
     def eval_batch(self, states: np.ndarray) -> np.ndarray:
-        """Evaluate the dictionary on the rows of ``states`` (S, n) ->
-        (S, N), filling one preallocated array in place."""
+        """Evaluate the dictionary on the rows of ``states`` (S, n) -> (S, N),
+        by :meth:`_fill` into a new array (:func:`edmd_fit` fills one block)."""
         x = as_float_array(states, "states", ("S", "n"))
-        s, n = x.shape
-        out = np.empty((s, self.output_dim(n)))
-        out[:, 0] = 1.0
-        out[:, 1:1 + n] = x
+        return self._fill(x, np.empty((len(x), self.output_dim(x.shape[1]))))
+
+    def _fill(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """phi of validated states ``x`` (S, n) into ``out`` (S, N), returned."""
+        n = x.shape[1]
+        out[:, 0], out[:, 1:1 + n] = 1.0, x
         if self.count:
-            extra = out[:, 1 + n:]
             omega, phase = self._fourier_weights(n)
-            np.matmul(x, omega.T, out=extra)
+            extra = np.matmul(x, omega.T)   # ufuncs on out's strided view copy it
             extra += phase
             np.cos(extra, out=extra)
             extra *= np.sqrt(2.0 / self.count)
+            out[:, 1 + n:] = extra
         return out
 
 
@@ -122,12 +119,15 @@ def edmd_fit(params: ReservoirParams,
     data noise).  ``C_phi`` selects the identity block, composed with the
     readout when one is supplied.
 
-    One pass over the trajectories evaluates phi on each one's states x_0..x_T
-    and forms its images f(x_t, u_t) by ``core.leaky_map`` from views of its
-    states and inputs; its regressors phi(x_0..x_{T-1}) and targets are views
-    of phi, summed into the normal equations and residual norms one trajectory
-    at a time, the residuals in one reused (max T_i, N) buffer.  A trajectory
-    with no step adds nothing.  phi(x_{t+1}) is the target only where
+    phi of each trajectory's states x_0..x_T fills its rows of one (sum_i
+    (T_i + 1), N) block first.  One pass then forms each one's images f(x_t,
+    u_t) by ``core.leaky_map`` from views of its states and inputs, and adds
+    its regressors phi(x_0..x_{T-1}) and targets, views of those rows, to the
+    normal equations in place: ``dsyrk`` with beta = 1 to the upper triangle
+    of phi' phi, one F-ordered N x N array mirrored once at the end, ``dgemm``
+    to the target moments, and the small u blocks.  A second pass takes the
+    residuals, in one reused (max T_i, N) buffer, and each row norm once.  A
+    trajectory with no step adds nothing.  phi(x_{t+1}) is the target only where
     ``delta_t = ||f(x_t, u_t) - x_{t+1}||`` is at most ``16 n eps (1 +
     ||x_t|| + ||x_{t+1}||)`` (noiseless ``simulate`` rows differ by about
     1e-16: it rounds differently); other rows (process noise, data from
@@ -152,34 +152,41 @@ def edmd_fit(params: ReservoirParams,
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     n, m = params.n, params.m
     big_n = dictionary.output_dim(n)
-    pieces, delta_max = [], 0.0     # (phi(x_t), u_t, target) per trajectory
-    for traj in trajectories:
-        if traj.states.shape[1] != n or traj.inputs.shape[1] != m:
-            raise ValueError("trajectory dimensions do not match the reservoir")
-        if traj.horizon == 0:
-            continue
-        phi = dictionary.eval_batch(traj.states)
-        x, x_next, u = traj.states[:-1], traj.states[1:], traj.inputs
-        images = leaky_map(params, x, u)[0]
-        delta = _row_norms(images - x_next)
-        reuse = delta <= 16.0 * n * np.finfo(float).eps * (
-            1.0 + _row_norms(x) + _row_norms(x_next))
-        target, redo = phi[1:], ~reuse
-        if redo.any():
-            target = target.copy()
-            target[redo] = dictionary.eval_batch(images[redo])
-        delta_max = max(delta_max, float(delta[reuse].max(initial=0.0)))
-        pieces.append((phi[:-1], u, target))
-    snapshots = sum(len(u_t) for _, u_t, _ in pieces)
+    if any(t.states.shape[1:] + t.inputs.shape[1:] != (n, m) for t in trajectories):
+        raise ValueError("trajectory dimensions do not match the reservoir")
+    trajs = [traj for traj in trajectories if traj.horizon]
+    snapshots = sum(traj.horizon for traj in trajs)
     if snapshots < big_n + m + 1:
         raise ValueError(
             f"need at least N + m + 1 = {big_n + m + 1} snapshots, got {snapshots}")
 
-    # normal equations of the regressors [phi(x), u], built block by block
-    gram = sum(np.block([[phi_x.T @ phi_x, phi_x.T @ u_t],
-                         [u_t.T @ phi_x, u_t.T @ u_t]]) for phi_x, u_t, _ in pieces)
-    rhs = sum(np.vstack([phi_x.T @ target, u_t.T @ target])
-              for phi_x, u_t, target in pieces)
+    # phi of trajectory i in rows_of[i], all filled first (the fill's
+    # temporaries meet no others); BLAS adds to phi_phi and rhs[:N]' in place
+    phi = np.empty((snapshots + len(trajs), big_n))
+    rows_of = np.split(phi, np.cumsum([traj.horizon + 1 for traj in trajs[:-1]]))
+    rows_of = [dictionary._fill(t.states, rows) for t, rows in zip(trajs, rows_of)]
+    phi_phi = np.zeros((big_n, big_n), order="F")
+    gram, rhs = np.zeros((big_n + m, big_n + m)), np.zeros((big_n + m, big_n))
+    pieces, delta_max = [], 0.0     # (phi(x_0..x_T), u, target) per trajectory
+    for traj, rows in zip(trajs, rows_of):
+        phi_x, target, u = rows[:-1], rows[1:], traj.inputs
+        images = leaky_map(params, traj.states[:-1], u)[0]
+        delta = _row_norms(images - traj.states[1:])
+        norms = _row_norms(traj.states)
+        reuse = delta <= 16.0 * n * np.finfo(float).eps * (
+            1.0 + norms[:-1] + norms[1:])
+        if not reuse.all():
+            target = target.copy()
+            target[~reuse] = dictionary.eval_batch(images[~reuse])
+        delta_max = max(delta_max, float(delta[reuse].max(initial=0.0)))
+        dsyrk(1.0, phi_x.T, 1.0, phi_phi, 0, 0, 1)
+        dgemm(1.0, target.T, phi_x.T, 1.0, rhs[:big_n].T, 0, 1, 1)
+        gram[:big_n, big_n:] += phi_x.T @ u
+        gram[big_n:, big_n:] += u.T @ u
+        rhs[big_n:] += u.T @ target
+        pieces.append((rows, u, target))
+    gram[:big_n, :big_n] = phi_phi + np.triu(phi_phi, 1).T  # dsyrk left 0 below
+    gram[big_n:, :big_n] = gram[:big_n, big_n:].T
     if ridge == 0.0:
         svals = np.linalg.svd(gram, compute_uv=False)
         if svals[-1] <= 1e-13 * svals[0]:
@@ -187,32 +194,29 @@ def edmd_fit(params: ReservoirParams,
                 "normal equations are rank deficient with ridge = 0; "
                 "set ridge > 0")
     coeffs = np.linalg.solve(gram + ridge * np.eye(big_n + m), rhs)
-    a_phi, b_phi = coeffs[:big_n].T, coeffs[big_n:].T
+    del phi_phi, gram, rhs          # freed before the residual buffer exists
 
-    # each trajectory's residuals in the rows of one reused buffer; dgemm
-    # adds u_t B' in place (its transposes are F-ordered views, as BLAS wants)
-    buffer = np.empty((max(len(t) for *_, t in pieces), big_n))
+    # residuals in one reused buffer; dgemm adds u B' in place, to F-ordered views
+    buffer = np.empty((max(len(u) for _, u, _ in pieces), big_n))
     epsilon = scale = 0.0           # max ||e_t||, max ||r_t|| ||K||_F + ||y_t||
     norm_k = float(np.linalg.norm(coeffs))
-    for phi_x, u_t, target in pieces:
-        resid = np.matmul(phi_x, coeffs[:big_n], out=buffer[:len(target)])
-        dgemm(1.0, coeffs[big_n:].T, u_t.T, 1.0, resid.T, 0, 0, 1)
+    for rows, u, target in pieces:
+        resid = np.matmul(rows[:-1], coeffs[:big_n], out=buffer[:len(u)])
+        dgemm(1.0, coeffs[big_n:].T, u.T, 1.0, resid.T, 0, 0, 1)
         resid -= target
         epsilon = max(epsilon, float(_row_norms(resid).max()))
-        regress = np.hypot(_row_norms(phi_x), _row_norms(u_t))
-        scale = max(scale, float((regress * norm_k + _row_norms(target)).max()))
+        norms = _row_norms(rows)    # a target that is no copy is rows[1:]
+        targets = norms[1:] if target.base is phi else _row_norms(target)
+        regress = np.hypot(norms[:-1], _row_norms(u))
+        scale = max(scale, float((regress * norm_k + targets).max()))
     epsilon = (epsilon * (1.0 + _gamma(big_n + 2)) + _gamma(big_n + m + 1) * scale
                + delta_max * dictionary._lipschitz(n))
 
-    if readout is not None:
-        c_phi = np.zeros((readout.p, big_n))
-        c_phi[:, 0] = readout.d
-        c_phi[:, 1:1 + n] = readout.C
-    else:
-        c_phi = np.zeros((n, big_n))
-        c_phi[:, 1:1 + n] = np.eye(n)
-    return LiftedModel(dictionary=dictionary, A_phi=a_phi, B_phi=b_phi,
-                       C_phi=c_phi, epsilon=epsilon)
+    c_x, d = (np.eye(n), 0.0) if readout is None else (readout.C, readout.d)
+    c_phi = np.zeros((len(c_x), big_n))
+    c_phi[:, 0], c_phi[:, 1:1 + n] = d, c_x
+    return LiftedModel(dictionary=dictionary, A_phi=coeffs[:big_n].T,
+                       B_phi=coeffs[big_n:].T, C_phi=c_phi, epsilon=epsilon)
 
 
 def _gamma(k: int) -> float:

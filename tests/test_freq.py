@@ -174,6 +174,12 @@ class TestImpulseKernel:
         assert kern.tail_bound == pytest.approx(
             envelope[-1] * kappa / (1 - kappa), rel=1e-12)
 
+    @pytest.mark.parametrize("truncation", [2.5, True, np.float64(3.0)])
+    def test_rejects_non_integer_truncation(self, truncation):
+        # the count sizes the blocks, so a float or a bool is refused by name
+        with pytest.raises(TypeError, match="truncation must be an integer"):
+            impulse_kernel(stable_random_lti(seed=1), truncation=truncation)
+
     @settings(max_examples=60)
     @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
            rho=st.floats(0.0, 0.97), shear=st.floats(0.0, 2.0),
@@ -660,6 +666,11 @@ class TestNorms:
     def test_grid_floor(self):
         with pytest.raises(ValueError, match="64"):
             hinf_norm_grid(scalar_lti(0.5, 1, 1), grid_points=32)
+
+    @pytest.mark.parametrize("grid_points", [100.5, True, np.float64(128.0)])
+    def test_rejects_non_integer_grid_points(self, grid_points):
+        with pytest.raises(TypeError, match="grid_points must be an integer"):
+            hinf_norm_grid(scalar_lti(0.5, 1, 1), grid_points=grid_points)
 
 
 class TestOutputPsd:

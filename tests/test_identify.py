@@ -678,6 +678,25 @@ class TestEkf:
             total += err.size
         assert hits / total >= 0.95
 
+    def test_covariances_and_transitions_share_one_block(self):
+        # the filtered and predicted covariances and the transitions are
+        # views of one (3T + 1, n, n) array, written in place step by step
+        p = make_reservoir(n=3, m=1, seed=15, w_scale=0.7, leak=0.8)
+        ro = Readout(C=np.array([[1.0, 0.0, 0.5]]))
+        noise = NoiseModel(Q=0.01 * np.eye(3), R=[[0.1]])
+        rng = np.random.default_rng(7)
+        post = ekf_filter(p, ro, noise, rng.uniform(-1, 1, (20, 1)),
+                          rng.standard_normal((20, 1)),
+                          (np.zeros(3), np.eye(3)))
+        f_mats, p_mats = post.filtered_covs.mats, post.predicted_covs.mats
+        a_seq = post.transition_seq
+        assert (len(f_mats), len(p_mats), len(a_seq)) == (21, 20, 20)
+        block = a_seq.base
+        assert block.shape == (61, 3, 3)
+        assert f_mats.base is p_mats.base is block
+        assert all(np.shares_memory(part, block)
+                   for part in (f_mats, p_mats, a_seq))
+
     def test_never_freezes_on_tanh_reservoir(self):
         p = make_reservoir(n=4, m=1, seed=15, w_scale=0.7, leak=0.8)
         ro = Readout(C=np.array([[1.0, 0.0, 0.5, 0.0]]))
@@ -1102,6 +1121,14 @@ class TestEmRun:
         diffs = np.diff(result.loglik_trace)
         assert diffs.min() >= -1e-9
         assert result.loglik_trace[-1] > result.loglik_trace[0]
+
+    @pytest.mark.parametrize("max_iters", [True, 2.0, 3.5])
+    def test_rejects_non_integer_max_iters(self, max_iters):
+        # True would run one iteration and 2.0 two: a count is an integer
+        lti, noise, inputs, outputs = self._make_dataset(horizon=20)
+        with pytest.raises(TypeError, match="max_iters must be an integer"):
+            em_run(lti, noise, inputs, outputs,
+                   (np.zeros(lti.n), np.eye(lti.n)), max_iters=max_iters)
 
     def test_fixed_point_at_truth(self):
         # initialized at the generating parameters of a long run, one EM step

@@ -386,3 +386,21 @@ def test_only_the_posterior_tells_frozen_covs_from_an_array():
                   and "FrozenCovs" in ast.unparse(call.args[1])
                   and id(call) not in allowed]
     assert found == []
+
+
+def test_no_module_calls_np_block():
+    # np.block copies every block into a new array; Grams, right-hand sides
+    # and Hankel matrices are filled by slices or built by block indexing
+    package = Path(esnkit.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "block"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.module or "").startswith("numpy")):
+                found += [f"{path.stem}: from {node.module} import block"
+                          for alias in node.names if alias.name == "block"]
+    assert found == []
