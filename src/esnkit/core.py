@@ -287,7 +287,9 @@ def simulate(params: ReservoirParams,
     x0 = as_float_array(x0, "x0", (params.n,))
     inputs = as_float_array(inputs, "inputs", ("T", params.m))
     horizon = inputs.shape[0]
-    if measurement_noise is not None and readout is None:
+    if readout is not None:
+        as_float_array(readout.C, "readout C", (readout.p, params.n))
+    elif measurement_noise is not None:
         raise ValueError("measurement noise requires a readout")
     w_draws = (None if process_noise is None else
                _noise_draws(process_noise, "Q", (horizon, params.n)))

@@ -25,7 +25,7 @@ from typing import Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from ._linalg import check_psd, rng_from_seed, spectral_norm
+from ._linalg import check_count, check_psd, rng_from_seed, spectral_norm
 
 __all__ = ["target_radius", "gamma_for_radius",
            "make_normal_reservoir", "make_sparse_reservoir", "input_scaling"]
@@ -94,6 +94,7 @@ def make_normal_reservoir(n: int, radii: Sequence[float],
     block-diagonal core is conjugated by a seeded random orthogonal matrix,
     which preserves both the spectrum and normality.
     """
+    check_count(n, "n", 0)
     radii = list(radii)
     angles = list(angles)
     if len(radii) != len(angles):
@@ -128,7 +129,9 @@ def make_sparse_reservoir(n: int, nnz_per_row: int, target_norm: float,
     certificate, for any leak: kappa = (1 - leak) + leak * target_norm < 1.
     Storage is dense; sparsity is a generation-time pattern only.
     """
-    if not (1 <= nnz_per_row <= n):
+    check_count(n, "n", 0)
+    check_count(nnz_per_row, "nnz_per_row", 1)
+    if nnz_per_row > n:
         raise ValueError("nnz_per_row must be in 1..n")
     if not (0.0 < target_norm < 1.0):
         raise ValueError("target_norm must be in (0, 1)")
@@ -151,6 +154,7 @@ def input_scaling(target_preact_var: float, input_cov, n: int,
     """
     if not 0.0 <= target_preact_var < math.inf:
         raise ValueError("target_preact_var must be finite and >= 0")
+    check_count(n, "n", 0)
     cov = check_psd(input_cov, "input_cov")
     m = cov.shape[0]
     if target_preact_var == 0.0:

@@ -484,6 +484,7 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     calls and its errors are those of :func:`kalman_filter`; a non-finite step
     raises with its time index, as there, even when a later step fails first.
     """
+    as_float_array(readout.C, "readout C", (readout.p, params.n))
     inputs, outputs, mu0, p0 = _validate_io(params.n, params.m, readout.p,
                                             noise, inputs, outputs, prior)
     drive = inputs @ params.U.T + params.b
@@ -859,26 +860,22 @@ class SubspaceResult:
 def _markov_from_io(inputs: np.ndarray, outputs: np.ndarray,
                     n_markov: int) -> np.ndarray:
     """Least-squares Markov parameters g_1..g_L of y_t = sum_k g_k u_{t-k}
-    (strictly proper; assumes the run started at rest).  Raises unless the
-    smallest singular value of the depth-L input regressor (0 with fewer
-    rows than columns) exceeds 1e-8 and it has more rows than columns."""
-    horizon, m = inputs.shape
-    p = outputs.shape[1]
-    if horizon <= n_markov:
-        raise ValueError("not enough data for the requested Markov horizon")
+    (strictly proper; assumes the run started at rest).  Raises unless T >
+    L (m + 1), before any solve, then unless the regressor's sigma_min > 1e-8."""
+    (horizon, m), p = inputs.shape, outputs.shape[1]
+    if horizon <= n_markov * (m + 1):
+        raise ValueError(
+            f"not enough data for the requested Markov horizon: T = {horizon} "
+            f"samples, need more than L (m + 1) = {n_markov * (m + 1)}")
     # row t - L: regressor [u_t, u_{t-1}, ..., u_{t-L+1}] paired with outputs[t]
     windows = np.lib.stride_tricks.sliding_window_view(inputs, (n_markov, m))
     regress = windows[1:, 0, ::-1].reshape(horizon - n_markov, n_markov * m)
-    target = outputs[n_markov:]
-    coeffs, _, _, svals = np.linalg.lstsq(regress, target, rcond=None)
-    tall = len(regress) >= n_markov * m     # a wide regressor has rank < L m
-    sigma_min = float(svals.min(initial=np.inf)) if tall else 0.0
+    coeffs, _, _, svals = np.linalg.lstsq(regress, outputs[n_markov:], rcond=None)
+    sigma_min = float(svals.min(initial=np.inf))
     if sigma_min <= 1e-8:
         raise ValueError(
             f"inputs are not persistently exciting at depth {n_markov} "
             f"(sigma_min = {sigma_min:.3e})")
-    if horizon <= n_markov + m * n_markov:
-        raise ValueError("not enough data for the requested Markov horizon")
     return coeffs.T.reshape(p, n_markov, m).transpose(1, 0, 2)
 
 
@@ -891,10 +888,9 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     Either pass ``impulse`` (the kernel blocks h_k = C A^k B, shape
     (K+1, p, m)) directly, or input/output data from a run started at rest,
     in which case L Markov parameters are estimated by least squares, L =
-    ``n_markov`` or by default min(max(2 order + 2, 20), T // 2).  The
-    persistent-excitation check is made at that depth L: the smallest
-    singular value of the least-squares regressor (0 with fewer rows than
-    columns) must exceed 1e-8.
+    ``n_markov`` or by default min(max(2 order + 2, 20), T // 2).  Before any
+    solve, L >= 2 order + 1 and T > L (m + 1) are checked; persistent
+    excitation at depth L asks that the regressor's sigma_min exceed 1e-8.
 
     The balanced realization of order ``order`` comes from the truncated SVD
     of the block Hankel matrix (singular values below ``1e-8 * s_1`` do not
@@ -907,20 +903,20 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
         check_count(n_markov, "n_markov", 1)
     if impulse is not None:
         markov = as_float_array(impulse, "impulse", ("K+1", "p", "m"))
+        count = len(markov)
     else:
         if inputs is None or outputs is None:
             raise ValueError("provide either impulse data or inputs/outputs")
         inputs = as_float_array(inputs, "inputs", ("T", "m"))
         outputs = as_float_array(outputs, "outputs", (len(inputs), "p"))
-        length = n_markov if n_markov is not None else min(
+        count = n_markov if n_markov is not None else min(
             max(2 * order + 2, 20), inputs.shape[0] // 2)
-        markov = _markov_from_io(inputs, outputs, length)
-
-    count = markov.shape[0]
     if count < 2 * order + 1:
         raise ValueError(
             f"need at least 2 * order + 1 = {2 * order + 1} Markov blocks, "
             f"got {count}")
+    if impulse is None:
+        markov = _markov_from_io(inputs, outputs, count)
     p, m = markov.shape[1], markov.shape[2]
     q_blocks = (count + 1) // 2
     s_blocks = count - q_blocks          # q + s - 1 <= count - 1 for the shift
@@ -935,11 +931,9 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
             f"Hankel numerical rank {effective} is below the requested "
             f"order {order}")
     sqrt_s = np.sqrt(svals[:order])
-    obs = u_svd[:, :order] * sqrt_s
-    ctr = sqrt_s[:, None] * vt[:order]
     a_ssi = (u_svd[:, :order] / sqrt_s).T @ hankel1 @ (vt[:order].T / sqrt_s)
-    c_ssi = obs[:p]
-    b_ssi = ctr[:, :m]
+    c_ssi = u_svd[:p, :order] * sqrt_s
+    b_ssi = sqrt_s[:, None] * vt[:order, :m]
 
     theta = project_structured(a_ssi, basis)
     # alpha ||W_bar|| adds one rounding to the SVD norm, inside its error bound

@@ -154,6 +154,8 @@ def edmd_fit(params: ReservoirParams,
     big_n = dictionary.output_dim(n)
     if any(t.states.shape[1:] + t.inputs.shape[1:] != (n, m) for t in trajectories):
         raise ValueError("trajectory dimensions do not match the reservoir")
+    c_x, d = (np.eye(n), 0.0) if readout is None else (
+        as_float_array(readout.C, "readout C", (readout.p, n)), readout.d)
     trajs = [traj for traj in trajectories if traj.horizon]
     snapshots = sum(traj.horizon for traj in trajs)
     if snapshots < big_n + m + 1:
@@ -212,7 +214,6 @@ def edmd_fit(params: ReservoirParams,
     epsilon = (epsilon * (1.0 + _gamma(big_n + 2)) + _gamma(big_n + m + 1) * scale
                + delta_max * dictionary._lipschitz(n))
 
-    c_x, d = (np.eye(n), 0.0) if readout is None else (readout.C, readout.d)
     c_phi = np.zeros((len(c_x), big_n))
     c_phi[:, 0], c_phi[:, 1:1 + n] = d, c_x
     return LiftedModel(dictionary=dictionary, A_phi=coeffs[:big_n].T,
@@ -248,7 +249,8 @@ def lifted_rollout_error(model: LiftedModel,
     chunked scan (``_linalg.linear_scan``).  ``params`` is unused; it stays
     for the benchmark's positional call until the next benchmark revision.
     """
-    if horizon < 1 or horizon > traj.horizon:
+    check_count(horizon, "horizon", 1)
+    if horizon > traj.horizon:
         raise ValueError("horizon must be in 1..len(inputs)")
     phi_true = model.dictionary.eval_batch(traj.states[:horizon + 1])
     z = np.empty_like(phi_true)

@@ -32,7 +32,7 @@ lo <= lambda_min(P) (:func:`_rate`).  At a fixed P = L L' the test only
 gets easier as kappa grows, so the gain sweep :func:`_weighted_gain` finds
 the P-norm gain max_v ||L' M_v L'^{-1}||_2 in one pass: a failing stack
 raises kappa to the largest SVD gain of its failing vertices and is tested
-again.  A bisection step of :func:`certify_weighted` tests a rate r itself,
+once more.  A bisection step of :func:`certify_weighted` tests a rate r itself,
 at S = (r^2 - tau / lo) P + tau I, so a pass proves M' P M <= r^2 P.  No P
 gives a rate below rho(A+) or 1 - leak, as A+ = (1-leak) I + leak L_sigma W
 and (1-leak) I are vertices.
@@ -61,8 +61,6 @@ __all__ = ["CertificateMethod", "Verdict", "Certificate", "HorizonEstimate",
 # Bisection controls for the weighted certificate.
 _BISECT_TOL = 1e-6
 _VERTEX_SLACK = 1e-11
-# Cholesky tests of one stack, each after raising kappa to its SVD gain.
-_GAIN_TRIES = 4
 # Slope vertices per batched matrix stack: at n = 10 and 12, 32 and 64 tie
 # per certificate, and 128, 256 and 1024 take longer.
 _VERTEX_CHUNK = 64
@@ -164,23 +162,22 @@ def _slope_vertices(n: int, l_sigma: float) -> np.ndarray:
 
 def _weighted_gain(p: np.ndarray, stacks: Sequence[np.ndarray]) -> float:
     """Verified P-norm gain max ||L' M L'^{-1}||_2 (P = L L') over the M of
-    the (k, n, n) ``stacks``, raised from that of the first M to the largest
-    SVD gain of the vertices that fail a stack's Cholesky test (inf after
-    ``_GAIN_TRIES`` fails of one stack)."""
+    the (k, n, n) ``stacks``, from that of the first M: a stack that fails
+    its Cholesky test raises kappa once, to the largest SVD gain of its
+    failing vertices times 1 + 1e-12, and is tested once more; inf if it
+    still fails."""
     chol = np.linalg.cholesky(p)
     chol_inv_t = scipy.linalg.solve_triangular(chol, np.eye(len(p)), lower=True).T
     kappa = spectral_norm(chol.T @ stacks[0][0] @ chol_inv_t)
     k2p = _shifted(p, kappa)
     for m in stacks:
-        for attempt in range(_GAIN_TRIES):
-            bad = _failing(p, k2p, m)
-            if not len(bad):
-                break
+        bad = _failing(p, k2p, m)
+        if len(bad):
             gains = np.linalg.norm(chol.T @ m[bad] @ chol_inv_t, 2, axis=(1, 2))
-            kappa = max(kappa, float(gains.max())) * (1 + 1e-12 * 1e3 ** attempt)
+            kappa = max(kappa, float(gains.max())) * (1 + 1e-12)
             k2p = _shifted(p, kappa)
-        else:
-            return math.inf
+            if len(_failing(p, k2p, m)):
+                return math.inf
     return kappa
 
 
@@ -227,26 +224,35 @@ def _rate(p: np.ndarray, lo: float, kappa: float) -> float:
     return math.sqrt(kappa ** 2 + _slack(p, kappa) / lo)
 
 
+def _lyapunov_weight(form: SchurForm, rate: float
+                     ) -> Optional[Tuple[np.ndarray, float, float]]:
+    """The P of M' P M - rate^2 P = -I in ``form``, that of M', with the lo
+    and hi of :func:`_eig_bounds`, or None if no provably PD P exists."""
+    try:
+        p = solve_discrete_lyapunov(form.scaled(rate), np.eye(len(form.a)) / rate ** 2)
+        return (p, *_eig_bounds(p))
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _decay_envelope(form: SchurForm) -> Optional[Tuple[float, float]]:
     """A proven ``(c, kappa)``, kappa < 1, with ||A^j||_2 <= c kappa^j for
     every j, or None (always when rho(A) >= 1), from the real Schur ``form``
     of A.
 
-    P solves A' P A - k0^2 P = -I at k0 = (1 + rho(A)) / 2 in the transposed
-    ``form``.  kappa is the rate :func:`_rate` proves from the verified
-    P-norm gain k of A (A' P A <= k^2 P + tau I); c = sqrt(hi / lo) >=
-    sqrt(cond P), lo and hi from :func:`_eig_bounds`.
+    P, lo and hi are the :func:`_lyapunov_weight` of A at k0 = (1 + rho(A)) /
+    2, in the transposed ``form``.  kappa is the rate :func:`_rate` proves
+    from the verified P-norm gain k of A (A' P A <= k^2 P + tau I); c =
+    sqrt(hi / lo) >= sqrt(cond P).
     """
     a = form.a
     if not a.size:
         return 1.0, 0.5                      # no state: every A^j is empty
-    k0 = 0.5 * (1.0 + form.rho)
-    try:
-        p = solve_discrete_lyapunov(form.transposed().scaled(k0), np.eye(len(a)) / k0 ** 2)
-        lo, hi = _eig_bounds(p)
-        kappa = _rate(p, lo, _weighted_gain(p, [a[None]]))
-    except np.linalg.LinAlgError:
+    found = _lyapunov_weight(form.transposed(), 0.5 * (1.0 + form.rho))
+    if found is None:
         return None
+    p, lo, hi = found
+    kappa = _rate(p, lo, _weighted_gain(p, [a[None]]))
     return (math.sqrt(hi / lo), kappa) if kappa < 1.0 else None
 
 
@@ -284,37 +290,26 @@ def certify_weighted(params: ReservoirParams, vertex_budget: int = 4096) -> Cert
     if 2 ** n > vertex_budget:
         return replace(lipschitz, verdict=Verdict.UNKNOWN) if lipschitz.passed else lipschitz
     l_sigma = params.activation.lipschitz
-    a_plus = _transition(params, np.full(n, l_sigma))
-    form = real_schur(a_plus.T)
     verts = _transition(params, _slope_vertices(n, l_sigma))
+    form = real_schur(verts[0].T)           # A+ is the first vertex
     stacks = [verts[i:i + _VERTEX_CHUNK] for i in range(0, len(verts), _VERTEX_CHUNK)]
-
-    def weight(rate: float) -> Optional[Tuple[np.ndarray, float]]:
-        """The Lyapunov P at ``rate`` and lo <= lambda_min(P), or None if
-        there is no provably PD one."""
-        try:
-            p = solve_discrete_lyapunov(form.scaled(rate), np.eye(n) / rate ** 2)
-            return p, _eig_bounds(p)[0]
-        except np.linalg.LinAlgError:
-            return None
-
-    found = weight(1.0 - 1e-9)
+    found = _lyapunov_weight(form, 1.0 - 1e-9)
     gain = math.inf if found is None else _weighted_gain(found[0], stacks)
     if gain > lipschitz.kappa:
         eye_gain = _weighted_gain(np.eye(n), stacks)
         if eye_gain < gain:
-            found, gain = (np.eye(n), _eig_bounds(np.eye(n))[0]), eye_gain
+            found, gain = (np.eye(n), *_eig_bounds(np.eye(n))), eye_gain
     if gain >= 1.0:
         return Certificate(CertificateMethod.WEIGHTED_C2, gain, Verdict.FAIL)
-    best, low = found
+    best, low, _ = found
     hi, lo = _rate(best, low, gain), max(1.0 - params.leak, form.rho)
     rate, failed = hi * (1.0 - _BISECT_TOL), verts[:0]
     while hi - lo > _BISECT_TOL:
-        found = weight(rate)
+        found = _lyapunov_weight(form, rate)
         if found is None:
             lo = rate
         else:
-            p, low = found
+            p, low, _ = found
             k2p = _shifted(p, rate) - _slack(p, rate) / low * p
             for m in (failed, *stacks):
                 bad = _failing(p, k2p, m)

@@ -1,11 +1,14 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esnkit import Activation, Readout, ReservoirParams, Trajectory, simulate
+from esnkit import (Activation, Dictionary, NoiseModel, Readout,
+                    ReservoirParams, Trajectory, edmd_fit, ekf_filter,
+                    jacobians_at, linearize_trajectory, simulate)
 from esnkit.core import _noise_draws
 
 from conftest import count_step_helpers, counts_by_horizon, make_reservoir
@@ -49,6 +52,15 @@ class TestActivation:
                     Activation.leaky_slope(0.4), Activation.leaky_slope(1.5)):
             _, deriv = act.evaluate(x)
             assert np.all(np.abs(deriv) <= act.lipschitz + 1e-15)
+
+    @pytest.mark.parametrize("kind, slope, message", [
+        ("relu", 1.0, "unknown activation kind 'relu'"),
+        ("leaky_slope", -0.5, "negative_slope must be finite and >= 0"),
+        ("leaky_slope", np.nan, "negative_slope must be finite and >= 0"),
+    ], ids=["unknown-kind", "negative-slope", "nan-slope"])
+    def test_rejects_unknown_kind_and_bad_slope(self, kind, slope, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Activation(kind, negative_slope=slope)
 
     def test_leaky_lacks_curvature_bound(self):
         assert Activation.leaky_slope(0.5).second_deriv_bound is None
@@ -338,3 +350,41 @@ class TestTrajectoryType:
         with pytest.raises(ValueError, match="leak"):
             ReservoirParams(W=np.zeros((1, 1)), U=np.zeros((1, 1)),
                             b=np.zeros(1), leak=1.2)
+
+
+def _ekf_with(p, traj, readout):
+    ekf_filter(p, readout, NoiseModel(Q=np.eye(4), R=np.eye(readout.p)),
+               traj.inputs, np.zeros((traj.horizon, readout.p)),
+               (np.zeros(4), np.eye(4)))
+
+
+# each public function that takes a readout, called on an n = 4 reservoir,
+# a run of it and the readout
+READOUT_CALLS = {
+    "simulate": lambda p, traj, readout: simulate(
+        p, np.zeros(4), traj.inputs, readout),
+    "ekf_filter": _ekf_with,
+    "edmd_fit": lambda p, traj, readout: edmd_fit(
+        p, [traj], Dictionary(), readout=readout),
+    "jacobians_at": lambda p, traj, readout: jacobians_at(
+        p, np.zeros(4), np.zeros(2), readout),
+    "linearize_trajectory": lambda p, traj, readout: linearize_trajectory(
+        p, traj, readout),
+}
+
+
+@pytest.mark.parametrize("columns", [3, 5])
+@pytest.mark.parametrize("name", list(READOUT_CALLS))
+def test_readout_of_another_state_size_is_rejected(name, columns):
+    # simulate, ekf_filter and edmd_fit check the readout against the
+    # reservoir at the call; without that, scipy's fblas error, numpy's
+    # matmul message or a broadcast error came from inside the computation,
+    # and the two surrogates reject the C of their model
+    p = make_reservoir(n=4, m=2)
+    traj = simulate(p, np.zeros(4), np.random.default_rng(0).standard_normal((20, 2)))
+    readout = Readout(C=np.ones((2, columns)))
+    prefix = "readout C must be (2, 4)" if name in (
+        "simulate", "ekf_filter", "edmd_fit") else "C must be (p, 4)"
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(prefix)}, got \\(2, {columns}\\)$"):
+        READOUT_CALLS[name](p, traj, readout)

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,3 +115,43 @@ def test_input_scaling_with_no_inputs():
                           np.zeros((3, 0)))
     with pytest.raises(ValueError, match="zero along a sampled row"):
         input_scaling(1.0, np.zeros((0, 0)), 3)
+
+
+@pytest.mark.parametrize("bad", [4.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name, call", [
+    ("n", lambda v: make_normal_reservoir(v, [0.5] * 4, [0.0] * 4)),
+    ("n", lambda v: make_sparse_reservoir(v, 2, 0.9)),
+    ("nnz_per_row", lambda v: make_sparse_reservoir(4, v, 0.9)),
+    ("n", lambda v: input_scaling(1.0, np.eye(2), v)),
+], ids=["normal-n", "sparse-n", "sparse-nnz_per_row", "scaling-n"])
+def test_counts_must_be_integers(name, call, bad):
+    # a float count leaked "'float' object cannot be interpreted as an
+    # integer" from numpy, and True ran as 1
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gamma_for_radius(1.0, 0.5, 1.0), "r_star must be in (0, 1)"),
+    (lambda: gamma_for_radius(0.9, 0.0, 1.0), "leak must be in (0, 1]"),
+    (lambda: gamma_for_radius(0.9, 0.5, 0.0),
+     "slope and l_sigma must be positive and finite"),
+    (lambda: gamma_for_radius(0.4, 0.5, 1.0),
+     "target radius 0.4 unreachable at leak 0.5: the pure leak already "
+     "decays slower (gamma would be <= 0)"),
+    (lambda: make_normal_reservoir(2, [0.5, 0.5], [0.0]),
+     "radii and angles must have equal length"),
+    (lambda: make_normal_reservoir(1, [1.0], [0.0]),
+     "pole radius must be in (0, 1), got 1.0"),
+    (lambda: make_normal_reservoir(3, [0.5], [1.0]),
+     "pole list consumes 2 dimensions but n = 3; real poles take one "
+     "dimension, conjugate pairs two"),
+    (lambda: make_sparse_reservoir(4, 5, 0.9), "nnz_per_row must be in 1..n"),
+    (lambda: make_sparse_reservoir(4, 0, 0.9), "nnz_per_row must be >= 1, got 0"),
+    (lambda: make_sparse_reservoir(4, 2, 1.0), "target_norm must be in (0, 1)"),
+], ids=["r_star", "leak", "slope", "unreachable", "pole-lengths",
+        "pole-radius", "pole-dimensions", "nnz-above-n", "nnz-zero",
+        "target_norm"])
+def test_design_argument_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

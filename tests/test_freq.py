@@ -527,6 +527,13 @@ class TestRankTests:
         with pytest.raises(np.linalg.LinAlgError):
             ctrb_obsv_rank(scalar_lti(0.5, 1.0, 1.0))
 
+    def test_rank_tests_are_limited_to_512_states(self):
+        n = 513
+        lti = LtiModel(A=np.zeros((n, n)), B=np.zeros((n, 1)),
+                       C=np.zeros((1, n)), D=np.zeros((1, 1)))
+        with pytest.raises(ValueError, match=r"^rank tests are limited to n <= 512$"):
+            ctrb_obsv_rank(lti)
+
 
 class TestNorms:
     def test_h2_scalar(self):
@@ -671,6 +678,12 @@ class TestNorms:
     def test_rejects_non_integer_grid_points(self, grid_points):
         with pytest.raises(TypeError, match="grid_points must be an integer"):
             hinf_norm_grid(scalar_lti(0.5, 1, 1), grid_points=grid_points)
+
+
+def test_hinf_grid_needs_a_stable_model():
+    with pytest.raises(ValueError, match=r"^Hinf evaluation on the unit "
+                                         r"circle needs rho\(A\) < 1$"):
+        hinf_norm_grid(scalar_lti(1.0, 1.0, 1.0))
 
 
 class TestOutputPsd:

@@ -84,6 +84,12 @@ class TestFrozenCovs:
             with pytest.raises(ValueError, match="counts must be 3 integers"):
                 FrozenCovs(mats, counts)
 
+    def test_sums_over_the_step_axis_only(self):
+        seq = FrozenCovs(np.eye(2)[None], [3])
+        assert np.array_equal(seq.sum(), 3.0 * np.eye(2))
+        with pytest.raises(ValueError, match="^FrozenCovs sums over axis 0 only$"):
+            seq.sum(axis=1)
+
     @settings(max_examples=30)
     @given(frozen_covs())
     def test_every_index_and_slice_matches_the_array(self, pair):
@@ -1296,6 +1302,26 @@ class TestReadouts:
         cross = (y - y.mean(0)).T @ (states - states.mean(0))
         assert np.linalg.norm(ro.C) <= 1e-6 * np.linalg.norm(cross)
 
+    def test_unsmoothed_posterior_and_singular_gram_rejected(self):
+        lti, noise = scalar_system()
+        outputs = np.random.default_rng(13).standard_normal((20, 1))
+        filtered = kalman_filter(lti, noise, np.zeros((20, 1)), outputs,
+                                 (np.zeros(1), np.eye(1)))
+        with pytest.raises(ValueError, match="^posterior has no smoothed "
+                                             "estimates; run the smoother$"):
+            readout_ml(filtered, outputs)
+        # a constant state coordinate has zero centered second moment
+        states = np.column_stack([np.arange(20.0), np.ones(20)])
+        with pytest.raises(ValueError,
+                           match="^singular readout Gram; set ridge > 0$"):
+            readout_ml(states, outputs)
+
+    def test_bayes_rejects_a_singular_noise_covariance(self):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="^R must be positive definite$"):
+            readout_bayes(rng.standard_normal((20, 2)),
+                          rng.standard_normal((20, 2)), 1.0, np.diag([1.0, 0.0]))
+
     @pytest.mark.parametrize("tau_p", [math.inf, math.nan])
     def test_bayes_rejects_a_nonfinite_prior_precision(self, tau_p):
         rng = np.random.default_rng(12)
@@ -1397,19 +1423,56 @@ class TestSubspace:
         basis = StructuredBasis(W_bar=np.eye(2))
         assert subspace_shape(2, basis, inputs=white,
                               outputs=outputs).markov.shape == (20, p, m)
-        constant = np.ones((60, m))
+        constant = np.ones((90, m))
         with pytest.raises(ValueError, match="persistently exciting"):
             subspace_shape(2, basis, inputs=constant,
-                           outputs=np.ones((60, p)))
+                           outputs=np.ones((90, p)))
 
-    def test_record_shorter_than_its_toeplitz_rows_is_not_exciting(self):
-        # depth 3 on 8 samples of 2 inputs: 5 regressor rows for 6 columns
+    def test_record_shorter_than_its_toeplitz_rows_is_not_enough_data(self):
+        # depth 3 on 8 samples of 2 inputs: 5 regressor rows for 6 columns,
+        # which no excitation can make full rank; the record is too short
         rng = np.random.default_rng(3)
-        with pytest.raises(ValueError, match=r"at depth 3 \(sigma_min = "
-                                             r"0\.000e\+00\)$"):
+        with pytest.raises(ValueError, match=r"^not enough data for the "
+                           r"requested Markov horizon: T = 8 samples, need "
+                           r"more than L \(m \+ 1\) = 9$"):
             subspace_shape(1, StructuredBasis(W_bar=np.eye(2)),
                            inputs=rng.standard_normal((8, 2)),
                            outputs=rng.standard_normal((8, 1)), n_markov=3)
+
+    @pytest.mark.parametrize("samples", [8, 9])
+    def test_short_record_is_rejected_before_any_solve(self, monkeypatch, samples):
+        # T <= L (m + 1) leaves the regressor wide or square: rejected on its
+        # length alone, where the square case was solved, found exciting and
+        # then rejected
+        solves = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: solves.append(1) or lstsq(*args, **kw))
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="^not enough data"):
+            subspace_shape(1, StructuredBasis(W_bar=np.eye(2)),
+                           inputs=rng.standard_normal((samples, 2)),
+                           outputs=rng.standard_normal((samples, 1)), n_markov=3)
+        assert solves == []
+
+    def test_markov_depth_is_checked_before_estimating(self, monkeypatch):
+        # order 2 needs 5 Markov blocks from either source; the data are not
+        # regressed on a depth that is then refused
+        monkeypatch.setattr(identify, "_markov_from_io", None)
+        basis = StructuredBasis(W_bar=np.eye(2))
+        message = "^need at least 2 \\* order \\+ 1 = 5 Markov blocks, got 4$"
+        with pytest.raises(ValueError, match=message):
+            subspace_shape(2, basis, impulse=np.ones((4, 1, 1)))
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match=message):
+            subspace_shape(2, basis, inputs=rng.standard_normal((50, 1)),
+                           outputs=rng.standard_normal((50, 1)), n_markov=4)
+
+    def test_needs_impulse_or_data(self):
+        with pytest.raises(ValueError, match="^provide either impulse data "
+                                             "or inputs/outputs$"):
+            subspace_shape(1, StructuredBasis(W_bar=np.eye(2)),
+                           inputs=np.ones((50, 1)))
 
     def test_excitation_is_checked_at_the_regression_depth(self):
         # a sinusoid excites depth 2 (sigma_min of its two-lag regressor

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -372,3 +373,19 @@ class TestRolloutError:
         violation_rate = np.mean(disc > bound)
         assert violation_rate <= 0.05
 
+
+    @pytest.mark.parametrize("horizon, error, message", [
+        (2.5, TypeError, "horizon must be an integer, got 2.5"),
+        (True, TypeError, "horizon must be an integer, got True"),
+        (0, ValueError, "horizon must be >= 1, got 0"),
+        (41, ValueError, "horizon must be in 1..len(inputs)"),
+    ], ids=["float", "bool", "zero", "beyond-the-run"])
+    def test_horizon_is_a_count_within_the_run(self, horizon, error, message):
+        # a float horizon raised numpy's "slice indices must be integers",
+        # and True ran one step
+        p = make_reservoir(n=3, m=1, seed=9, w_scale=0.6)
+        traj = simulate(p, np.zeros(3),
+                        np.random.default_rng(6).uniform(-1, 1, (40, 1)))
+        lm = edmd_fit(p, [traj], Dictionary(), ridge=1e-10)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            lifted_rollout_error(lm, p, traj, horizon=horizon)

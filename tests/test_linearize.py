@@ -180,6 +180,15 @@ class TestLtvLinearization:
         # once the state saturates the Jacobian shrinks toward pure leak
         assert drift[-1] < drift[0]
 
+    @pytest.mark.parametrize("states, inputs", [((6, 3), (5, 2)), ((6, 4), (5, 1))],
+                             ids=["state-size", "input-size"])
+    def test_trajectory_of_another_size_rejected(self, states, inputs):
+        p = make_reservoir(n=4, m=2)
+        traj = Trajectory(states=np.zeros(states), inputs=np.zeros(inputs))
+        with pytest.raises(ValueError, match="^trajectory dimensions do not "
+                                             "match the reservoir$"):
+            linearize_trajectory(p, traj)
+
     def test_mismatched_sequences_rejected(self):
         eye = np.eye(3)
         with pytest.raises(ValueError, match="B_seq"):

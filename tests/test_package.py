@@ -404,3 +404,52 @@ def test_no_module_calls_np_block():
                 found += [f"{path.stem}: from {node.module} import block"
                           for alias in node.names if alias.name == "block"]
     assert found == []
+
+
+# int parameters that are no counts, with the check each gets instead
+COUNT_EXEMPT = {
+    "seed": "a seed goes to rng_from_seed, whose int(seed) is its only use",
+    "stability.certify_weighted.vertex_budget":
+        "a budget, not a count: NaN must stay a ValueError "
+        "(test_discretize.py::test_rejects_nonfinite_scalars)",
+}
+
+
+def _unchecked_counts(paths):
+    """``module.function.parameter`` for every parameter annotated ``int``
+    or ``Optional[int]`` of a public module-level function that its body
+    does not pass to ``check_count``."""
+    for path in paths:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            checked = {call.args[0].id for call in ast.walk(node)
+                       if isinstance(call, ast.Call)
+                       and getattr(call.func, "id", None) == "check_count"
+                       and isinstance(call.args[0], ast.Name)}
+            yield from (f"{path.stem}.{node.name}.{param.arg}"
+                        for param in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                        if param.annotation is not None
+                        and ast.unparse(param.annotation) in ("int", "Optional[int]")
+                        and param.arg not in checked)
+
+
+def test_every_public_count_is_checked_as_one():
+    # a float or a bool given for a count reads as numpy's or Python's own
+    # error from deep inside, or silently as 1: check_count names it
+    package = Path(esnkit.__file__).parent
+    paths = [path for path in sorted(package.glob("*.py")) if path.stem != "_linalg"]
+    unchecked = [name for name in _unchecked_counts(paths)
+                 if name not in COUNT_EXEMPT and name.split(".")[-1] not in COUNT_EXEMPT]
+    assert unchecked == []
+
+
+def test_only_the_lyapunov_weight_solves_in_stability():
+    # certify_weighted and the decay envelope take every P, with its
+    # eigenvalue bounds, from the one routine
+    tree = ast.parse(Path(esnkit.stability.__file__).read_text())
+    callers = {name for name, node in _functions(tree)
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and getattr(call.func, "id", None) == "solve_discrete_lyapunov"}
+    assert callers == {"_lyapunov_weight"}

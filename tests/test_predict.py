@@ -76,3 +76,12 @@ def test_feedthrough_rejected():
     noise = NoiseModel(Q=np.eye(2), R=np.eye(1))
     with pytest.raises(ValueError, match="D = 0"):
         predictive(lti, noise, (np.zeros(2), np.eye(2)), np.ones((3, 1)))
+
+
+def test_needs_a_future_input():
+    lti = LtiModel(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
+                   D=np.zeros((1, 1)))
+    noise = NoiseModel(Q=np.eye(2), R=np.eye(1))
+    with pytest.raises(ValueError,
+                       match=r"^need at least one future input \(h >= 1\)$"):
+        predictive(lti, noise, (np.zeros(2), np.eye(2)), np.zeros((0, 1)))

@@ -170,6 +170,9 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(np.array([[np.nan]]))
 
+    def test_empty_matrix_has_radius_zero(self):
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
+
 
 class TestWeightedCertificate:
     def test_normal_contraction_matches_euclidean(self):
@@ -490,8 +493,8 @@ class TestWeightedCertificate:
         assert np.array_equal(cert.weight_P, one.weight_P)
 
     def test_vertex_stack_is_built_once_per_call(self, monkeypatch):
-        # A+ and the 1024 vertex matrices are two _transition calls, however
-        # many steps the bisection takes
+        # the 1024 vertex matrices, A+ first, are one _transition call,
+        # however many steps the bisection takes
         counts = count_step_helpers(monkeypatch)
         solves = []
         solve = esnkit.stability.solve_discrete_lyapunov
@@ -499,7 +502,7 @@ class TestWeightedCertificate:
                             lambda *args: solves.append(1) or solve(*args))
         cert = certify_weighted(exhaustive_reservoir(seed=300), vertex_budget=1024)
         assert cert.passed and len(solves) > 10
-        assert counts["_transition"] == 2
+        assert counts["_transition"] == 1
 
     def test_kappa_is_the_last_rate_that_passed(self, monkeypatch):
         # each bisection step solves for P at its rate r (one form.scaled(r))
@@ -554,6 +557,53 @@ class TestWeightedCertificate:
         lo = stability._eig_bounds(cert.weight_P)[0]
         tau = stability._slack(cert.weight_P, gain)
         assert cert.kappa == math.sqrt(gain ** 2 + tau / lo)
+
+    def test_failing_stack_is_raised_once_and_tested_once_more(self, monkeypatch):
+        # a failing stack raises kappa once, to the SVD gain of its failing
+        # vertices times 1 + 1e-12, and is tested once more: a pass there
+        # gives that kappa, a second failure an infinite gain
+        stability = esnkit.stability
+        m = np.array([[[0.5, 1.0], [0.0, 0.5]], [[0.2, 0.0], [0.0, 0.2]]])
+        tests = []
+
+        def failing(p_mat, k2p, stack):
+            tests.append(len(stack))
+            return np.arange(len(stack)) if len(tests) <= fails else np.arange(0)
+
+        monkeypatch.setattr(stability, "_failing", failing)
+        fails = 1
+        assert (stability._weighted_gain(np.eye(2), [m])
+                == np.linalg.norm(m[0], 2) * (1 + 1e-12))
+        tests.clear()
+        fails = 2
+        assert stability._weighted_gain(np.eye(2), [m, m]) == math.inf
+        assert tests == [2, 2]
+
+    def test_step_with_no_weight_raises_the_lower_end(self, monkeypatch):
+        # at seed 300 the first rate tested would pass; with no provably PD
+        # weight there it raises lo instead, which leaves the bracket within
+        # tol, so the search reports the rate the sweep proves, with the
+        # sweep's weight
+        stability = esnkit.stability
+        weight, rates, sweep = stability._lyapunov_weight, [], []
+
+        def first_only(form, rate):
+            rates.append(rate)
+            sweep.append(weight(form, rate) if len(rates) == 1 else None)
+            return sweep[-1]
+
+        p = exhaustive_reservoir(seed=300)
+        base = certify_weighted(p, vertex_budget=1024)
+        monkeypatch.setattr(stability, "_lyapunov_weight", first_only)
+        cert = certify_weighted(p, vertex_budget=1024)
+        monkeypatch.undo()
+        best, lo, _ = sweep[0]
+        verts = stability._transition(p, stability._slope_vertices(10, 1.0))
+        gain = stability._weighted_gain(best, [verts])
+        assert len(rates) == 2 and sweep[1] is None
+        assert cert.passed and np.array_equal(cert.weight_P, best)
+        assert cert.kappa == stability._rate(best, lo, gain) > base.kappa
+        assert 0.0 < cert.kappa - rates[1] <= stability._BISECT_TOL
 
     def test_whole_failing_stack_when_lapack_finds_no_failing_vertex(
             self, monkeypatch):
