@@ -13,10 +13,10 @@ float64 arithmetic, no approximations, reproducible seeded noise.
 Jacobians) are the single definition of both.  They work over any leading
 axes and validate nothing: every caller checks its inputs once, up front.
 Loops over time form the drive ``U u_t + b`` for all t in one matmul first;
-:func:`_transition` builds the transition A alone.  The per-step loops of
-:func:`simulate` and ``identify.ekf_filter`` call neither it nor
-``Activation.evaluate``: they take sigma from its ufuncs
-(:func:`_slope_table`) and BLAS directly.
+:func:`_transition` builds the transition A alone.  sigma and sigma' are
+written once, by the in-place writer of :func:`_sigma_into`; the per-step
+loops of :func:`simulate` and ``identify.ekf_filter`` bind it before the
+loop and call neither ``Activation.evaluate`` nor :func:`_transition`.
 
 :func:`simulate` never steps the state itself.  With the identity
 activation the map is affine, ``x_{t+1} = A x_t + leak (U u_t + b)``, and
@@ -64,8 +64,8 @@ class Activation:
     The table is closed on purpose: ``tanh``, ``identity``, and
     ``leaky_slope`` all satisfy sigma(0) = 0 and have known global Lipschitz
     constants, which is what the contraction machinery trusts.  The curvature
-    bound ``second_deriv_bound`` is ``None`` for the piecewise-linear kind
-    (its second derivative is a point mass, so no tube bound exists).
+    bound ``second_deriv_bound`` is ``None`` for a kink (sigma'' is a point
+    mass there, so no tube bound exists); ``leaky_slope(1.0)`` has no kink.
 
     Attributes:
         kind: one of "tanh", "identity", "leaky_slope".
@@ -107,30 +107,43 @@ class Activation:
         """sup |sigma''| over the real line, or None if the kink makes it undefined."""
         if self.kind == "tanh":
             return _TANH_SECOND_DERIV_BOUND
-        if self.kind == "identity":
+        if self.kind == "identity" or self.negative_slope == 1.0:
             return 0.0
         return None
 
     def evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(sigma(x), sigma'(x))`` componentwise, with no validation."""
         x = np.asarray(x, dtype=np.float64)
-        table = _slope_table(self)
-        if table is None:
-            value = np.tanh(x)
-            return value, 1.0 - value * value
-        slope = table.take(x >= 0.0)
-        return x * slope, slope
+        value, slope = np.empty_like(x), np.empty_like(x)
+        _sigma_into(self, x.shape)(x, value, slope)
+        return value[()], slope[()]     # numpy scalars for a 0-d x, as ufuncs give
 
 
-def _slope_table(activation: Activation) -> Optional[np.ndarray]:
-    """``[sigma'(x < 0), sigma'(x >= 0)]`` of a piecewise-linear activation
-    (the identity's is [1, 1]), None for tanh: taken at the mask ``x >= 0``
-    it is the slope, and x times that the value, of every piecewise-linear
-    sigma in the package, the per-step loops' included."""
+def _sigma_into(activation: Activation, shape):
+    """``write(a, value, slope=None)``, the one definition of sigma and
+    sigma': sigma(a) into ``value`` and, given ``slope``, sigma'(a) into it,
+    arrays of ``shape`` that share no memory with ``a``.  A piecewise-linear
+    sigma's slope is its table [sigma'(x < 0), sigma'(x >= 0)] at the mask
+    x >= 0 (put in ``value`` if no ``slope`` is asked for), its value x
+    times that; table, mask and zero row are made once, so a call allocates
+    nothing."""
     if activation.kind == "tanh":
-        return None
+        def write(a, value, slope=None):
+            np.tanh(a, out=value)
+            if slope is not None:
+                np.multiply(value, value, out=slope)
+                np.subtract(1.0, slope, out=slope)
+        return write
     negative = 1.0 if activation.kind == "identity" else activation.negative_slope
-    return np.array([negative, 1.0])
+    # a zero row, not 0.0: a ufunc converts a Python float on every call
+    table, zero = np.array([negative, 1.0]), np.zeros(shape[-1:])
+    mask = np.empty(shape, dtype=bool)
+
+    def write(a, value, slope=None):
+        slope = value if slope is None else slope
+        np.greater_equal(a, zero, out=mask)
+        np.multiply(a, table.take(mask, None, slope, "clip"), out=value)
+    return write
 
 
 @dataclass(frozen=True)
@@ -279,7 +292,7 @@ def simulate(params: ReservoirParams,
     the loop.  The identity activation has no loop: its affine recursion is
     one chunked scan.  Any other activation steps the preactivation a_t (see
     :func:`_preactivation_steps`), each step one ``dgemv`` and sigma alone,
-    not its slope, written in place by ufuncs bound before the loop; the
+    not its slope, written in place by :func:`_sigma_into`'s writer; the
     states follow from one scan of the scalar leaky filter.
     Both equal the step loop up to rounding (about 1e-15 relative).  Noise
     is drawn exactly from the PSD covariance, so ``Q = 0`` adds none.
@@ -333,14 +346,14 @@ def _preactivation_steps(params: ReservoirParams, x0: np.ndarray,
         e_{t+1} = U (u_{t+1} - (1 - leak) u_t) + leak b + W w_t,
 
     so each step is one BLAS ``dgemv`` that updates ``a`` in place, one add
-    and sigma written in place by its ufuncs (:func:`_slope_table`), all
-    bound before the loop.  All of ``e`` is formed before the loop in
+    and sigma written in place by :func:`_sigma_into`'s writer (the last
+    row's too), bound before the loop.  All of ``e`` is formed first, in
     ``out`` itself (no other (T, n) array): step t reads e_{t+1} from row
     t + 1 before the next step writes sigma(a_{t+1}) there.
     """
     if not out.size:
         return
-    lam, table = params.leak, _slope_table(params.activation)
+    lam, sigma = params.leak, _sigma_into(params.activation, (params.n,))
     w = np.ascontiguousarray(params.W)
     # W's F-ordered transpose, read by dgemv with trans = 1: f2py would
     # copy a C-ordered W on every call
@@ -352,20 +365,15 @@ def _preactivation_steps(params: ReservoirParams, x0: np.ndarray,
     if w_draws is not None:
         out[1:] += w_draws[:-1] @ w_t
     a = out[0] + params.b + w @ x0
-    keep, zero = 1.0 - lam, np.zeros(params.n)
-    mask, slope = np.empty(params.n, dtype=bool), np.empty(params.n)
+    keep = 1.0 - lam
     for row, e in zip(out, out[1:]):
-        if table is None:
-            np.tanh(a, out=row)
-        else:
-            np.greater_equal(a, zero, out=mask)
-            np.multiply(a, table.take(mask, None, slope, "clip"), out=row)
+        sigma(a, row)
         # a = leak W sigma(a) + (1 - leak) a in place; the arguments after
         # a (offx, incx, offy, incy, trans, overwrite_y) are positional
         # because f2py's keyword parsing costs more than the product at n = 16
         a = dgemv(lam, w_t, row, keep, a, 0, 1, 0, 1, 1, 1)
         a += e
-    out[-1] = params.activation.evaluate(a)[0]
+    sigma(a, out[-1])
 
 
 def _noise_draws(noise, name: str, shape) -> np.ndarray:

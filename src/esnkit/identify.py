@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from ._linalg import (_congruence, as_float_array, check_count, check_psd,
                       linear_scan, spectral_norm, symmetrize)
-from .core import Readout, ReservoirParams, _slope_table
+from .core import Readout, ReservoirParams, _sigma_into
 from .linearize import LtiModel
 from .stability import Certificate, _small_gain
 
@@ -473,16 +473,17 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     the Jacobian linearization at the current filtered mean (so the recorded
     transition sequence is time varying).  The drive ``U u_t + b`` is formed
     for all t in one matmul before the loop, as are ``y_t - d`` and leak * W.
-    Each step calls only ufuncs and BLAS / LAPACK routines: one ``dgemv`` for
-    W mu + drive_t, sigma and its slope in place (:func:`core._slope_table`),
-    and A_t as leak * W times the slope plus 1 - leak on a strided view of its
-    diagonal, made once for all t.  The mean goes into a row of the returned
-    means, A_t and both covariances into rows of one (3T + 1, n, n) block, of
-    which the three sequences are views.  Each step keeps the Cholesky
-    diagonal and the whitened innovation, from which the log-likelihood is
-    formed in one pass after the loop.  The measurement update, its LAPACK
-    calls and its errors are those of :func:`kalman_filter`; a non-finite step
-    raises with its time index, as there, even when a later step fails first.
+    Each step calls only ufuncs, BLAS / LAPACK routines and one writer bound
+    before the loop: one ``dgemv`` for W mu + drive_t, sigma and its slope
+    written in place by ``core._sigma_into``'s writer, and A_t as leak * W
+    times the slope plus 1 - leak on a strided view of its diagonal, made
+    once for all t.  The mean goes into a row of the returned means, A_t and
+    both covariances into rows of one (3T + 1, n, n) block, of which the
+    three sequences are views.  Each step keeps the Cholesky diagonal and
+    the whitened innovation, from which the log-likelihood is formed in one
+    pass after the loop.  The measurement update, its LAPACK calls and its
+    errors are those of :func:`kalman_filter`; a non-finite step raises with
+    its time index, as there, even when a later step fails first.
     """
     as_float_array(readout.C, "readout C", (readout.p, params.n))
     inputs, outputs, mu0, p0 = _validate_io(params.n, params.m, readout.p,
@@ -491,7 +492,7 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
     outputs = outputs - readout.d
     horizon, n = drive.shape
     p_dim = outputs.shape[1]
-    lam, table = params.leak, _slope_table(params.activation)
+    lam, sigma = params.leak, _sigma_into(params.activation, (params.n,))
     keep = 1.0 - lam
     w_t = np.ascontiguousarray(params.W).T      # F-ordered, for dgemv
     lam_w = np.multiply(lam, params.W, order="C")
@@ -505,8 +506,8 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
                                      [horizon + 1, 2 * horizon + 1])
     a_diags = a_seq.reshape(horizon, n * n)[:, ::n + 1]
     f_means[0], f_covs[0] = mu0, p0
-    zero, value, slope = np.zeros(n), np.empty(n), np.empty(n)
-    mask, column = np.empty(n, dtype=bool), slope[:, None]
+    value, slope = np.empty(n), np.empty(n)
+    column = slope[:, None]
     diags, whites = [], []
     steps = zip(range(1, horizon + 1), f_means, f_covs, drive, a_seq, a_diags,
                 p_covs, outputs, f_means[1:], f_covs[1:])
@@ -516,14 +517,7 @@ def ekf_filter(params: ReservoirParams, readout: Readout, noise: NoiseModel,
             # overwrites once sigma has read it; positional arguments as in
             # core._preactivation_steps
             dgemv(1.0, w_t, mu, 1.0, pre, 0, 1, 0, 1, 1, 1)
-            if table is None:
-                np.tanh(pre, out=value)
-                np.multiply(value, value, out=slope)
-                np.subtract(1.0, slope, out=slope)
-            else:
-                np.greater_equal(pre, zero, out=mask)
-                np.multiply(pre, table.take(mask, None, slope, "clip"),
-                            out=value)
+            sigma(pre, value, slope)
             value *= lam
             mu_pred = np.multiply(mu, keep, out=pre)
             mu_pred += value

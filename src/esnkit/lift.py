@@ -17,7 +17,6 @@ enters the lift only linearly, so richer state features do not help.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -35,8 +34,8 @@ __all__ = ["Dictionary", "LiftedModel", "edmd_fit", "lifted_rollout_error"]
 @dataclass(frozen=True)
 class Dictionary:
     """Feature map (1, x, sqrt(2/count) * cos(omega_i . x + phase_i)), with
-    omega_i ~ N(0, bandwidth^-2 I) and phase_i ~ U[0, 2 pi) drawn once from
-    the seed; ``count = 0`` is the affine dictionary (1, x)."""
+    omega_i ~ N(0, bandwidth^-2 I) and phase_i ~ U[0, 2 pi) drawn from the
+    seed; ``count = 0`` is the affine dictionary (1, x)."""
 
     count: int = 0
     bandwidth: float = 1.0
@@ -51,15 +50,12 @@ class Dictionary:
     def random_fourier(cls, count: int, bandwidth: float, seed: int) -> "Dictionary":
         return cls(count=count, bandwidth=bandwidth, seed=seed)
 
-    @functools.lru_cache(maxsize=8)
     def _fourier_weights(self, n: int):
-        """(omega, phase) for states of size n, drawn once per dictionary
-        and n, and read-only as every call shares them."""
+        """(omega, phase) for states of size n, drawn from the seed afresh
+        on every call (tens of microseconds), so kept by no one."""
         rng = rng_from_seed(self.seed)
         omega = rng.standard_normal((self.count, n)) / self.bandwidth
-        phase = rng.uniform(0.0, 2.0 * np.pi, self.count)
-        omega.flags.writeable = phase.flags.writeable = False
-        return omega, phase
+        return omega, rng.uniform(0.0, 2.0 * np.pi, self.count)
 
     def output_dim(self, n: int) -> int:
         return 1 + n + self.count

@@ -98,6 +98,11 @@ class TestRemainderBound:
         p = make_reservoir(activation=Activation.identity())
         assert remainder_bound(p, 0.5) == 0.0
 
+    def test_unit_leaky_slope_is_the_identity_and_exact(self):
+        # negative_slope = 1 leaves no kink: sigma(x) = x
+        p = make_reservoir(activation=Activation.leaky_slope(1.0))
+        assert remainder_bound(p, 0.5) == 0.0
+
     def test_zero_radius(self):
         assert remainder_bound(make_reservoir(), 0.0) == 0.0
 

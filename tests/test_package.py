@@ -349,6 +349,33 @@ def test_one_function_defines_the_cholesky_slack():
     assert len(readers) == 1
 
 
+def test_core_alone_defines_sigma():
+    # tanh, its slope and the piecewise-linear slope table are written once,
+    # in the in-place writer core._sigma_into: it is core's one private
+    # function of an activation, no other module calls numpy's or math's
+    # tanh, and none imports another such helper from core
+    package = Path(esnkit.__file__).parent
+    helpers = {node.name for node in ast.parse((package / "core.py").read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and any(getattr(arg.annotation, "id", None) == "Activation"
+                       for arg in node.args.args)}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "tanh"
+                    and getattr(node.value, "id", None) in ("np", "numpy", "math")):
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{path.stem}: from {node.module} import {alias.name}"
+                          for alias in node.names if alias.name == "tanh"
+                          or node.module == "core"
+                          and alias.name in helpers - {"_sigma_into"}]
+    assert found == []
+    assert helpers == {"_sigma_into"}
+
+
 def test_only_linalg_reads_an_array_rank():
     # every array argument's rank and sizes are checked by one shape spec,
     # _linalg.as_float_array(a, name, shape), not by hand
