@@ -65,7 +65,8 @@ class Activation:
     ``leaky_slope`` all satisfy sigma(0) = 0 and have known global Lipschitz
     constants, which is what the contraction machinery trusts.  The curvature
     bound ``second_deriv_bound`` is ``None`` for a kink (sigma'' is a point
-    mass there, so no tube bound exists); ``leaky_slope(1.0)`` has no kink.
+    mass there, so no tube bound exists).  Each function has one form: only
+    ``leaky_slope`` keeps a ``negative_slope`` (not 1.0, which is ``identity``).
 
     Attributes:
         kind: one of "tanh", "identity", "leaky_slope".
@@ -81,7 +82,10 @@ class Activation:
         a = float(self.negative_slope)
         if not np.isfinite(a) or a < 0.0:
             raise ValueError("negative_slope must be finite and >= 0")
-        object.__setattr__(self, "negative_slope", a)
+        if self.kind == "leaky_slope" and a == 1.0:
+            object.__setattr__(self, "kind", "identity")
+        object.__setattr__(self, "negative_slope",
+                           a if self.kind == "leaky_slope" else 1.0)
 
     @classmethod
     def tanh(cls) -> "Activation":
@@ -98,16 +102,14 @@ class Activation:
     @property
     def lipschitz(self) -> float:
         """Global Lipschitz constant; slopes live in [0, lipschitz]."""
-        if self.kind == "leaky_slope":
-            return max(1.0, self.negative_slope)
-        return 1.0
+        return max(1.0, self.negative_slope)
 
     @property
     def second_deriv_bound(self) -> Optional[float]:
         """sup |sigma''| over the real line, or None if the kink makes it undefined."""
         if self.kind == "tanh":
             return _TANH_SECOND_DERIV_BOUND
-        if self.kind == "identity" or self.negative_slope == 1.0:
+        if self.kind == "identity":
             return 0.0
         return None
 
@@ -134,9 +136,8 @@ def _sigma_into(activation: Activation, shape):
                 np.multiply(value, value, out=slope)
                 np.subtract(1.0, slope, out=slope)
         return write
-    negative = 1.0 if activation.kind == "identity" else activation.negative_slope
     # a zero row, not 0.0: a ufunc converts a Python float on every call
-    table, zero = np.array([negative, 1.0]), np.zeros(shape[-1:])
+    table, zero = np.array([activation.negative_slope, 1.0]), np.zeros(shape[-1:])
     mask = np.empty(shape, dtype=bool)
 
     def write(a, value, slope=None):

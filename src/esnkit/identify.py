@@ -9,12 +9,12 @@ Conventions (shared with :mod:`esnkit.core`):
 
 The EM machinery estimates (A, B, Q, R) -- optionally with A constrained to
 ``(1 - lam) I + lam * alpha * W_bar``, the leak ``lam`` and spectral scaling
-``alpha`` read off the Frobenius projection of the unconstrained transition
-estimate onto span{I, W_bar}.  ``alpha`` is then rescaled until the
+``alpha``.  A is linear in theta = (1 - lam, lam * alpha), and the
 small-gain margin ``(1 - lam) + lam * L_sigma * alpha * ||W_bar|| <= 1 - 1e-6``
-holds (||W_bar|| is taken once per :class:`StructuredBasis`); because that
-projection is not exact coordinate ascent, a structured step is allowed to
-decrease the likelihood and is flagged instead of failing.
+(||W_bar|| is taken once per :class:`StructuredBasis`) is a triangle in
+theta, so a structured M-step minimises a quadratic in theta over that
+triangle exactly (:func:`_nearest_feasible`): every step is a maximisation
+over the feasible family, and every estimate meets the margin.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ logger = logging.getLogger(__name__)
 
 _JITTER = 1e-12
 _FEASIBILITY_MARGIN = 1e-6
-_LAM_FLOOR = 1e-6
-_ALPHA_FLOOR = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
 # relative step below which an LTI covariance recursion counts as converged
 _STEADY_TOL = 4.0 * np.finfo(np.float64).eps
@@ -563,10 +561,11 @@ class StructuredBasis:
 @dataclass(frozen=True)
 class StructuredTheta:
     """Leak ``lam`` and spectral scaling ``alpha`` of the structured transition
-    ``A = (1 - lam) I + lam * alpha * W_bar`` after feasibility projection.
+    ``A = (1 - lam) I + lam * alpha * W_bar``.
 
-    The small-gain margin holds whenever ``feasible`` is True.  ``clamped``
-    records that the raw least-squares coordinates were moved.
+    Every estimate comes from :func:`_nearest_feasible`, so it meets the
+    small-gain margin and ``feasible`` is True; ``clamped`` records that the
+    margin was active (the unconstrained optimum lay outside it).
     """
 
     lam: float
@@ -581,49 +580,41 @@ class StructuredTheta:
                 + (self.lam * self.alpha) * self.basis.W_bar)
 
 
+def _nearest_feasible(h: np.ndarray, g: np.ndarray,
+                      basis: StructuredBasis) -> StructuredTheta:
+    """The (lam, alpha) whose theta = (1 - lam, lam alpha) minimises
+    theta' h theta - 2 g' theta (h 2 x 2 PSD, g in its range) over the
+    triangle theta_1, theta_2 >= 0, theta_1 + L_sigma ||W_bar|| theta_2 <=
+    1 - 1e-6 (the edge theta_2 = 0 when W_bar = 0): the minimum-norm
+    stationary point if it lies in the triangle, else, ``clamped``, the
+    best point of the three edges."""
+    top, gain = 1.0 - _FEASIBILITY_MARGIN, basis.l_sigma * basis.w_norm
+    theta = np.linalg.lstsq(h, g, rcond=None)[0]
+    clamped = not (theta.min() >= 0.0 and theta[0] + gain * theta[1] <= top)
+    if clamped:
+        vertices = np.array([[0.0, 0.0], [top, 0.0], [0.0, top / gain if gain else 0.0]])
+        edges = []      # each edge's best point start + t step, t in [0, 1]
+        for start, end in itertools.combinations(vertices, 2):
+            step = end - start
+            descent, curve = step @ (g - h @ start), step @ h @ step
+            edges.append(start + step * (np.clip(descent / curve, 0.0, 1.0)
+                                         if curve > 0.0 else float(descent > 0.0)))
+        theta = min(edges, key=lambda point: point @ (h @ point - 2.0 * g))
+    lam = 1.0 - float(theta[0])
+    return StructuredTheta(lam=lam, alpha=float(theta[1]) / lam, basis=basis,
+                           clamped=clamped)
+
+
 def project_structured(a_matrix: np.ndarray,
                        basis: StructuredBasis) -> StructuredTheta:
-    """Frobenius projection of a transition matrix onto span{I, W_bar},
-    followed by the nearest-feasible rescaling of (lam, alpha).
-
-    The projection solves the 2x2 normal equations of
-    ``min || c1 I + c2 W_bar - A ||_F``, and lam = 1 - c1, alpha = c2 / lam;
-    leak is clamped to (1e-6, 1], alpha floored positive, then alpha shrunk
-    until ``(1 - lam) + lam * L_sigma * alpha * ||W_bar|| <= 1 - 1e-6``.
-    """
+    """The feasible structured transition nearest a transition matrix in the
+    Frobenius norm: :func:`_nearest_feasible` with h the Gram of {I, W_bar}
+    and g = (<I, A>, <W_bar, A>), minimum-norm on a degenerate basis."""
     w_bar = basis.W_bar
-    n = w_bar.shape[0]
-    a_matrix = as_float_array(a_matrix, "a_matrix", (n, n))
-    gram = np.array([
-        [float(n), float(np.trace(w_bar))],
-        [float(np.trace(w_bar)), float(np.sum(w_bar * w_bar))],
-    ])
-    rhs = np.array([float(np.trace(a_matrix)), float(np.sum(w_bar * a_matrix))])
-    # lstsq keeps degenerate bases (W_bar proportional to I, or zero) defined:
-    # the minimum-norm coordinates are used
-    theta, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-
-    clamped = False
-    lam = 1.0 - theta[0]
-    if not (_LAM_FLOOR < lam <= 1.0):
-        lam = min(max(lam, _LAM_FLOOR), 1.0)
-        clamped = True
-    alpha = theta[1] / lam
-    if alpha <= 0.0:
-        alpha = _ALPHA_FLOOR
-        clamped = True
-
-    feasible = True
-    if basis.w_norm > 0.0:
-        alpha_max = ((lam - _FEASIBILITY_MARGIN)
-                     / (lam * basis.l_sigma * basis.w_norm))
-        if alpha_max <= 0.0:
-            feasible = False
-        elif alpha > alpha_max:
-            alpha = alpha_max
-            clamped = True
-    return StructuredTheta(lam=lam, alpha=alpha, basis=basis, clamped=clamped,
-                           feasible=feasible)
+    a_matrix = as_float_array(a_matrix, "a_matrix", w_bar.shape)
+    span = np.stack([np.eye(len(w_bar)), w_bar])
+    return _nearest_feasible(np.einsum("jab,kab->jk", span, span),
+                             np.einsum("ab,kab->k", a_matrix, span), basis)
 
 
 @dataclass(frozen=True)
@@ -641,7 +632,9 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     The returned log-likelihood is the one evaluated under the *input*
     parameters (the quantity EM drives upward).  The transition update solves
     the stacked normal equations for [A B] jointly; with a structured basis
-    the A part is projected afterwards (see :func:`project_structured`).
+    it is exact conditional maximisation (ECM; Meng & Rubin 1993) under the
+    input Q: B = (M_1u - A M_xu) M_uu^-1 profiled out leaves a Q^-1-weighted
+    quadratic in (1 - lam, lam alpha), minimised by :func:`_nearest_feasible`.
     A singular regression Gram gets a ridge of ``1e-10 max(trace / dim, 1)``,
     the WARNING event ``em.ridge``; the Q and R updates are floored as in
     :func:`_floor_psd`.  A record of no step (T = 0) raises ValueError.
@@ -671,12 +664,21 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
         ridge = 1e-10 * max(float(np.trace(gram)) / gram.shape[0], 1.0)
         logger.warning("em.ridge ridge=%.3e", ridge)
     # coeffs is [A B]; the Q residual below uses the Gram without the ridge
-    coeffs = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs.T).T
-
-    theta = None
-    if structure is not None:
-        theta = project_structured(coeffs[:, :n], structure)
-        coeffs[:, :n] = theta.A
+    fit, theta = gram + ridge * np.eye(gram.shape[0]), None
+    if structure is None:
+        coeffs = np.linalg.solve(fit, rhs.T).T
+    else:
+        # M_uu^-1 [M_ux M_u1]: profiling B out leaves A's moments as Schur
+        # complements of M_uu, and B = (M_uu^-1 M_u1)' - A (M_uu^-1 M_ux)'
+        uu = np.linalg.solve(fit[n:, n:], np.hstack([fit[n:, :n], rhs[:, n:].T]))
+        s_xx = fit[:n, :n] - fit[:n, n:] @ uu[:, :n]
+        s_1x_u = s_1x - rhs[:, n:] @ uu[:, :n]
+        span = np.stack([np.eye(n), as_float_array(structure.W_bar, "W_bar", (n, n))])
+        weight = np.linalg.pinv(noise.Q, hermitian=True)
+        theta = _nearest_feasible(
+            np.einsum("jab,kab->jk", weight @ span @ s_xx, span),
+            np.einsum("ab,kab->k", weight @ s_1x_u, span), structure)
+        coeffs = np.hstack([theta.A, uu[:, n:].T - theta.A @ uu[:, :n].T])
 
     resid = _congruence(coeffs, gram, s_11 - coeffs @ rhs.T - rhs @ coeffs.T)
     q_new = _floor_psd(resid / horizon)
@@ -719,17 +721,16 @@ def em_run(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     """Iterate :func:`em_step` until the relative log-likelihood improvement
     drops below ``rel_tol`` or ``max_iters`` is reached.
 
-    On unconstrained runs a likelihood decrease beyond 1e-9 aborts (that is a
-    bug, not a numerical quirk).  On structured runs a decrease can be caused
-    by the span/feasibility projection; it is tolerated and the step is
-    flagged in ``constrained_steps``.
+    Every step maximises over the model family, so a likelihood decrease
+    beyond 1e-9 raises RuntimeError (a bug, not a numerical quirk), except
+    at a structured run's first step, whose input, the caller's model, may
+    lie outside the family.  ``constrained_steps`` flags the clamped steps.
     """
     check_count(max_iters, "max_iters", 1)
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     trace: List[float] = []
     flags: List[bool] = []
-    theta = None
     for _ in range(max_iters):
         step = em_step(lti, noise, inputs, outputs, prior, structure)
         lti, noise, theta = step.lti, step.noise, step.theta
@@ -738,12 +739,10 @@ def em_run(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
         if len(trace) < 2:
             continue
         delta = trace[-1] - trace[-2]
-        if delta < -1e-9:
-            if structure is None:
-                raise RuntimeError(
-                    f"EM log-likelihood decreased by {-delta:.3e} on an "
-                    "unconstrained run; this indicates a bug")
-            flags[-1] = True
+        if delta < -1e-9 and (structure is None or len(trace) > 2):
+            raise RuntimeError(
+                f"EM log-likelihood decreased by {-delta:.3e} at step "
+                f"{len(trace) - 1}; this indicates a bug")
         if abs(delta) < rel_tol * max(abs(trace[-2]), 1.0):
             break
     return EmResult(lti=lti, noise=noise, loglik_trace=np.array(trace),
@@ -888,9 +887,9 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
 
     The balanced realization of order ``order`` comes from the truncated SVD
     of the block Hankel matrix (singular values below ``1e-8 * s_1`` do not
-    count toward its rank); its transition matrix is then projected
-    onto span{I, W_bar} and rescaled to the contraction margin, and the
-    resulting small-gain certificate is attached.
+    count toward its rank); the feasible structured transition nearest its
+    transition matrix (:func:`project_structured`) is then taken, and its
+    small-gain certificate is attached.
     """
     check_count(order, "order", 1)
     if n_markov is not None:
@@ -932,6 +931,6 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     theta = project_structured(a_ssi, basis)
     # alpha ||W_bar|| adds one rounding to the SVD norm, inside its error bound
     cert = _small_gain(theta.lam, basis.l_sigma, theta.alpha * basis.w_norm,
-                       len(basis.W_bar), theta.feasible)
+                       len(basis.W_bar))
     return SubspaceResult(A=a_ssi, B=b_ssi, C=c_ssi, markov=markov,
                           theta=theta, certificate=cert)

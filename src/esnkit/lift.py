@@ -51,8 +51,8 @@ class Dictionary:
         return cls(count=count, bandwidth=bandwidth, seed=seed)
 
     def _fourier_weights(self, n: int):
-        """(omega, phase) for states of size n, drawn from the seed afresh
-        on every call (tens of microseconds), so kept by no one."""
+        """(omega, phase) for states of size n, drawn from the seed afresh on
+        every call (tens of microseconds); each eval_batch or edmd_fit draws once."""
         rng = rng_from_seed(self.seed)
         omega = rng.standard_normal((self.count, n)) / self.bandwidth
         return omega, rng.uniform(0.0, 2.0 * np.pi, self.count)
@@ -60,26 +60,26 @@ class Dictionary:
     def output_dim(self, n: int) -> int:
         return 1 + n + self.count
 
-    def _lipschitz(self, n: int) -> float:
-        """Bound on ||J_phi||_2 by the Frobenius norm of the Fourier
-        features' Jacobian: sqrt(1 + (2/count) ||omega||_F^2), 1 if affine."""
+    def _lipschitz(self, omega: np.ndarray) -> float:
+        """Bound on ||J_phi||_2 by the Frobenius norm of the Fourier features'
+        Jacobian at ``omega``: sqrt(1 + (2/count) ||omega||_F^2), 1 if affine."""
         if self.count == 0:
             return 1.0
-        omega = self._fourier_weights(n)[0]
         return float(np.sqrt(1.0 + 2.0 / self.count * np.sum(omega * omega)))
 
     def eval_batch(self, states: np.ndarray) -> np.ndarray:
         """Evaluate the dictionary on the rows of ``states`` (S, n) -> (S, N),
         by :meth:`_fill` into a new array (:func:`edmd_fit` fills one block)."""
         x = as_float_array(states, "states", ("S", "n"))
-        return self._fill(x, np.empty((len(x), self.output_dim(x.shape[1]))))
+        return self._fill(x, np.empty((len(x), self.output_dim(x.shape[1]))),
+                          self._fourier_weights(x.shape[1]))
 
-    def _fill(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """phi of validated states ``x`` (S, n) into ``out`` (S, N), returned."""
+    def _fill(self, x: np.ndarray, out: np.ndarray, weights) -> np.ndarray:
+        """phi of validated states ``x`` (S, n) into ``out`` (S, N) at ``weights``."""
         n = x.shape[1]
         out[:, 0], out[:, 1:1 + n] = 1.0, x
         if self.count:
-            omega, phase = self._fourier_weights(n)
+            omega, phase = weights
             extra = np.matmul(x, omega.T)   # ufuncs on out's strided view copy it
             extra += phase
             np.cos(extra, out=extra)
@@ -162,7 +162,8 @@ def edmd_fit(params: ReservoirParams,
     # temporaries meet no others); BLAS adds to phi_phi and rhs[:N]' in place
     phi = np.empty((snapshots + len(trajs), big_n))
     rows_of = np.split(phi, np.cumsum([traj.horizon + 1 for traj in trajs[:-1]]))
-    rows_of = [dictionary._fill(t.states, rows) for t, rows in zip(trajs, rows_of)]
+    weights = dictionary._fourier_weights(n)
+    rows_of = [dictionary._fill(t.states, r, weights) for t, r in zip(trajs, rows_of)]
     phi_phi = np.zeros((big_n, big_n), order="F")
     gram, rhs = np.zeros((big_n + m, big_n + m)), np.zeros((big_n + m, big_n))
     pieces, delta_max = [], 0.0     # (phi(x_0..x_T), u, target) per trajectory
@@ -174,8 +175,8 @@ def edmd_fit(params: ReservoirParams,
         reuse = delta <= 16.0 * n * np.finfo(float).eps * (
             1.0 + norms[:-1] + norms[1:])
         if not reuse.all():
-            target = target.copy()
-            target[~reuse] = dictionary.eval_batch(images[~reuse])
+            target, redo = target.copy(), ~reuse
+            target[redo] = dictionary._fill(images[redo], target[redo], weights)
         delta_max = max(delta_max, float(delta[reuse].max(initial=0.0)))
         dsyrk(1.0, phi_x.T, 1.0, phi_phi, 0, 0, 1)
         dgemm(1.0, target.T, phi_x.T, 1.0, rhs[:big_n].T, 0, 1, 1)
@@ -208,7 +209,7 @@ def edmd_fit(params: ReservoirParams,
         regress = np.hypot(norms[:-1], _row_norms(u))
         scale = max(scale, float((regress * norm_k + targets).max()))
     epsilon = (epsilon * (1.0 + _gamma(big_n + 2)) + _gamma(big_n + m + 1) * scale
-               + delta_max * dictionary._lipschitz(n))
+               + delta_max * dictionary._lipschitz(weights[0]))
 
     c_phi = np.zeros((len(c_x), big_n))
     c_phi[:, 0], c_phi[:, 1:1 + n] = d, c_x

@@ -125,11 +125,10 @@ def certify_lipschitz(params: ReservoirParams) -> Certificate:
                        spectral_norm(params.W), params.n)
 
 
-def _small_gain(lam: float, l_sigma: float, norm: float, n: int,
-                feasible: bool = True) -> Certificate:
+def _small_gain(lam: float, l_sigma: float, norm: float, n: int) -> Certificate:
     """The ``certify_lipschitz`` test of (1 - lam) I + lam l_sigma W, n x n,
     ||W||_2 = ``norm``: kappa is (1 - lam) + lam l_sigma norm (1 + 4 n eps),
-    in rationals rounded up, a Pass iff ``feasible`` and kappa < 1."""
+    in rationals rounded up, a Pass iff kappa < 1."""
     if not math.isfinite(norm):             # an SVD that overflowed
         return Certificate(CertificateMethod.LIPSCHITZ_C1, math.inf, Verdict.FAIL)
     error = Fraction(_SVD_ERROR * n * np.finfo(np.float64).eps)     # exact
@@ -139,7 +138,7 @@ def _small_gain(lam: float, l_sigma: float, norm: float, n: int,
     if kappa < bound:
         kappa = math.nextafter(kappa, math.inf)
     return Certificate(CertificateMethod.LIPSCHITZ_C1, kappa,
-                       Verdict.PASS if feasible and kappa < 1.0 else Verdict.FAIL)
+                       Verdict.PASS if kappa < 1.0 else Verdict.FAIL)
 
 
 def spectral_radius(a) -> float:

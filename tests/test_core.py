@@ -62,6 +62,17 @@ class TestActivation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Activation(kind, negative_slope=slope)
 
+    def test_equal_functions_are_stored_alike(self):
+        # a slope given to the identity is unread, and a leaky slope of 1 is
+        # the identity: each is one function, so they compare equal, hash
+        # alike and simulate by the identity's affine scan
+        forms = [Activation("identity", negative_slope=0.3),
+                 Activation.identity(), Activation.leaky_slope(1.0)]
+        assert forms[0] == forms[1] == forms[2]
+        assert len({hash(form) for form in forms}) == 1
+        assert Activation("tanh", negative_slope=0.3) == Activation.tanh()
+        assert Activation.leaky_slope(0.3) != Activation.identity()
+
     def test_leaky_lacks_curvature_bound(self):
         assert Activation.leaky_slope(0.5).second_deriv_bound is None
         assert Activation.identity().second_deriv_bound == 0.0

@@ -1091,12 +1091,55 @@ class TestStructuredProjection:
     def test_lambda_clamp(self):
         w_bar = np.array([[0.0, 1.0], [1.0, 0.0]])
         basis = StructuredBasis(W_bar=w_bar)
-        # theta1 = 1.5 would set lam = -0.5; it is clamped to the floor and
-        # the margin then cannot be met at any positive alpha
+        # theta = (1.5, 0.1) would set lam = -0.5; the nearest point of the
+        # triangle theta >= 0, theta_1 + theta_2 <= 1 - 1e-6 is its vertex
+        # (1 - 1e-6, 0)
         theta = project_structured(1.5 * np.eye(2) + 0.1 * w_bar, basis)
         assert theta.lam == pytest.approx(1e-6)
+        assert theta.alpha == 0.0
         assert theta.clamped
-        assert not theta.feasible
+        assert theta.feasible
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rank=st.integers(0, 2),
+           w_norm=st.floats(0.1, 3.0), l_sigma=st.floats(0.5, 2.0))
+    def test_nearest_feasible_meets_kkt(self, seed, rank, w_norm, l_sigma):
+        # f = theta' h theta - 2 g' theta is convex, so a feasible theta is
+        # its minimum over the triangle iff grad f makes a product >= 0 with
+        # the direction to each vertex
+        rng = np.random.default_rng(seed)
+        w_bar = rng.standard_normal((3, 3))
+        basis = StructuredBasis(W_bar=w_bar * (w_norm / np.linalg.norm(w_bar, 2)),
+                                l_sigma=l_sigma)
+        factor = rng.standard_normal((2, rank)) * rng.uniform(0.1, 10.0)
+        h = factor @ factor.T
+        g = h @ (3.0 * rng.standard_normal(2))      # in the range of h
+        theta = identify._nearest_feasible(h, g, basis)
+        point = np.array([1.0 - theta.lam, theta.lam * theta.alpha])
+        top, gain = 1.0 - 1e-6, basis.l_sigma * basis.w_norm
+        vertices = np.array([[0.0, 0.0], [top, 0.0], [0.0, top / gain]])
+        reach = np.abs(vertices).max()
+        tol = 1e-12 * (1.0 + np.abs(h).max() * reach ** 2 + np.abs(g).max() * reach)
+        assert theta.feasible
+        assert point.min() >= -1e-15 * reach
+        assert point[0] + gain * point[1] <= top + 1e-15 * reach
+        assert ((vertices - point) @ (h @ point - g)).min() >= -tol
+        if not theta.clamped:
+            assert np.abs(h @ point - g).max() <= tol
+
+    @pytest.mark.parametrize("scale", [0.0, -2.0, -0.5, 0.5, 2.0])
+    @pytest.mark.parametrize("shift", [-3.0, -0.8, 0.3, 0.9, 3.0])
+    def test_degenerate_basis_takes_the_nearest_scalar(self, scale, shift):
+        # with W_bar = scale I every structured A is c I, c in [-1 + 1e-6,
+        # 1 - 1e-6] when scale < 0, else in [0, 1 - 1e-6]; the nearest to
+        # A in the Frobenius norm has c = tr A / n clipped to that range
+        n = 3
+        a = shift * np.eye(n) + np.random.default_rng(1).standard_normal((n, n))
+        theta = project_structured(a, StructuredBasis(W_bar=scale * np.eye(n)))
+        top = 1.0 - 1e-6
+        want = np.clip(np.trace(a) / n, -top if scale < 0.0 else 0.0, top)
+        np.testing.assert_allclose(theta.A, want * np.eye(n), atol=1e-12)
+        assert theta.feasible and 0.0 < theta.lam <= 1.0
 
 
 class TestEmRun:
@@ -1157,16 +1200,17 @@ class TestEmRun:
         assert result.constrained_steps == (False,) * 4
 
     def test_structured_run_reports_clamped_steps(self):
-        # data from A = 0.1 I + 0.88 W_bar; from A = 0.2 I the first
-        # least-squares step breaks the small-gain margin, so alpha is
-        # clamped, the later steps are not, and the likelihood increases
-        w_bar = np.diag([1.0, -1.0])
+        # data from A = 0.1 I + 0.8 W_bar: rho(A) = 0.5, but ||W_bar|| =
+        # 2.12 puts it outside the small-gain triangle (0.1 + 0.8 ||W_bar||
+        # = 1.79); from A = 0.2 I the first three steps end inside the
+        # triangle, the later ones on its margin, and the likelihood rises
+        w_bar = np.array([[0.5, 2.0], [0.0, -0.5]])
         b, c = np.array([[1.0], [0.5]]), np.array([[1.0, 0.3], [0.2, 1.0]])
         rng = np.random.default_rng(503)
         inputs = rng.standard_normal((300, 1))
         x, outputs = rng.standard_normal(2), np.empty((300, 2))
         for t in range(300):
-            x = (0.1 * np.eye(2) + 0.88 * w_bar) @ x + b @ inputs[t] \
+            x = (0.1 * np.eye(2) + 0.8 * w_bar) @ x + b @ inputs[t] \
                 + np.sqrt(0.05) * rng.standard_normal(2)
             outputs[t] = c @ x + np.sqrt(0.05) * rng.standard_normal(2)
         basis = StructuredBasis(W_bar=w_bar)
@@ -1174,13 +1218,17 @@ class TestEmRun:
         noise = NoiseModel(Q=0.05 * np.eye(2), R=0.05 * np.eye(2))
         prior = (np.zeros(2), np.eye(2))
         result = em_run(model, noise, inputs, outputs, prior,
-                        structure=basis, max_iters=4, rel_tol=0.0)
+                        structure=basis, max_iters=6, rel_tol=0.0)
         flags = []
-        for _ in range(4):
+        for _ in range(6):
             step = em_step(model, noise, inputs, outputs, prior, basis)
             flags.append(step.theta.clamped)
             model, noise = step.lti, step.noise
-        assert flags == [True, False, False, False]
+            margin = (1.0 - step.theta.lam
+                      + step.theta.lam * step.theta.alpha * basis.w_norm)
+            assert margin <= 1.0 - 1e-6 + 1e-12
+            assert step.theta.clamped == (margin > 1.0 - 1e-6 - 1e-12)
+        assert flags == [False] * 3 + [True] * 3
         assert np.all(np.diff(result.loglik_trace) > 0.0)
         assert result.constrained_steps == tuple(flags)
 
@@ -1227,21 +1275,85 @@ class TestEmRun:
             em_run(lti, noise, np.zeros((3, 1)), np.zeros((3, 1)),
                    (np.zeros(1), np.eye(1)), max_iters=7, rel_tol=rel_tol)
 
-    def test_structured_decrease_is_flagged(self, monkeypatch):
+    def test_structured_decrease_raises_after_the_first_step(self, monkeypatch):
+        # the first step starts from the caller's model, which may lie
+        # outside the family, so its fall stands; every later step
+        # maximises over the family, so a fall there is a bug
         lti, noise = scalar_system()
         basis = StructuredBasis(W_bar=np.eye(1))
         thetas = [identify.StructuredTheta(lam=0.5, alpha=0.5, basis=basis,
                                            clamped=clamped)
                   for clamped in (True, False, False, False)]
-        logliks = [-10.0, -9.0, -9.5, -9.2]
+        logliks = [-9.0, -10.0, -9.5, -9.8]
         self._scripted_steps(monkeypatch, list(zip(logliks, thetas)))
         result = em_run(lti, noise, np.zeros((3, 1)), np.zeros((3, 1)),
                         (np.zeros(1), np.eye(1)), structure=basis,
-                        max_iters=4, rel_tol=0.0)
-        # step 0 is clamped, step 2 lowers the likelihood
-        assert result.constrained_steps == (True, False, True, False)
-        assert result.loglik_trace.tolist() == logliks
-        assert result.theta is thetas[-1]
+                        max_iters=3, rel_tol=0.0)
+        assert result.constrained_steps == (True, False, False)
+        assert result.loglik_trace.tolist() == logliks[:3]
+        assert result.theta is thetas[2]
+        self._scripted_steps(monkeypatch, list(zip(logliks, thetas)))
+        with pytest.raises(RuntimeError, match="decreased by 3.000e-01 at step 3"):
+            em_run(lti, noise, np.zeros((3, 1)), np.zeros((3, 1)),
+                   (np.zeros(1), np.eye(1)), structure=basis,
+                   max_iters=4, rel_tol=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @example(n=2, m=1, p=2, horizon=256, lam=0.1255, share=0.1181, seed=35580840)
+    @example(n=2, m=2, p=2, horizon=338, lam=0.5461, share=0.8016, seed=2574648163)
+    @given(n=st.integers(2, 4), m=st.integers(1, 2), p=st.integers(1, 3),
+           horizon=st.integers(150, 400), lam=st.floats(0.1, 1.0),
+           share=st.floats(0.0, 0.95), seed=st.integers(0, 2 ** 32 - 1))
+    def test_structured_likelihood_never_falls_after_the_first_step(
+            self, n, m, p, horizon, lam, share, seed):
+        # data from a feasible (lam, alpha): alpha is a share of the largest
+        # one the margin allows at ||W_bar|| = 1
+        rng = np.random.default_rng(seed)
+        w_bar = rng.standard_normal((n, n))
+        w_bar /= np.linalg.norm(w_bar, 2)
+        alpha = share * (lam - 1e-6) / lam
+        a = (1.0 - lam) * np.eye(n) + lam * alpha * w_bar
+        b, c = rng.standard_normal((n, m)), rng.standard_normal((p, n))
+        inputs = rng.standard_normal((horizon, m))
+        x, outputs = np.zeros(n), np.empty((horizon, p))
+        for t in range(horizon):
+            x = a @ x + b @ inputs[t] + 0.15 * rng.standard_normal(n)
+            outputs[t] = c @ x + 0.15 * rng.standard_normal(p)
+        start = LtiModel(A=0.5 * np.eye(n), B=np.zeros((n, m)), C=c,
+                         D=np.zeros((p, m)))
+        result = em_run(start, NoiseModel(Q=0.1 * np.eye(n), R=0.1 * np.eye(p)),
+                        inputs, outputs, (np.zeros(n), np.eye(n)),
+                        structure=StructuredBasis(W_bar=w_bar), max_iters=8,
+                        rel_tol=0.0)
+        assert result.iterations == 8
+        assert np.diff(result.loglik_trace)[1:].min() >= -1e-9
+
+    def test_structured_likelihood_never_falls_at_benchmark_size(self):
+        # instance 1 of seed 0 of the identify benchmark, built as that
+        # workload builds its inputs, and 20 structured steps from its start
+        rng = np.random.default_rng(np.random.SeedSequence([0, 1]).generate_state(1)[0])
+        n, m, p, horizon, q, r = 16, 1, 2, 2000, 1e-3, 1e-2
+        leak = rng.uniform(0.3, 0.7)
+        leak0 = float(np.clip(leak * rng.uniform(0.7, 1.3), 0.05, 1.0))
+        w = rng.standard_normal((n, n))
+        w *= rng.uniform(0.7, 0.95) / np.linalg.norm(w, 2)
+        u_mat = rng.standard_normal((n, m))
+        readout = Readout(C=rng.standard_normal((p, n)) / math.sqrt(n))
+        inputs = rng.standard_normal((horizon, m))
+        seeds = rng.integers(2 ** 31, size=2)
+        a0 = (1.0 - leak0) * np.eye(n) + leak0 * rng.uniform(0.7, 1.1) * w
+        b0 = leak * u_mat + 0.1 * rng.standard_normal((n, m))
+        params = ReservoirParams(W=w, U=u_mat, b=np.zeros(n), leak=leak,
+                                 activation=Activation.identity())
+        traj = simulate(params, np.zeros(n), inputs, readout,
+                        process_noise=(q * np.eye(n), int(seeds[0])),
+                        measurement_noise=(r * np.eye(p), int(seeds[1])))
+        result = em_run(LtiModel(A=a0, B=b0, C=readout.C, D=np.zeros((p, m))),
+                        NoiseModel(Q=3.0 * q * np.eye(n), R=3.0 * r * np.eye(p)),
+                        inputs, traj.outputs, (np.zeros(n), 1e-2 * np.eye(n)),
+                        structure=StructuredBasis(w), max_iters=20, rel_tol=0.0)
+        assert result.iterations == 20
+        assert np.diff(result.loglik_trace)[1:].min() >= -1e-9
 
     def test_structured_recovery_single_seed(self):
         rng = np.random.default_rng(30)

@@ -42,7 +42,7 @@ class TestDictionary:
         np.testing.assert_array_equal(
             d.eval_batch(x), Dictionary().eval_batch(x))
         assert d.output_dim(2) == 3
-        assert d._lipschitz(2) == 1.0
+        assert d._lipschitz(d._fourier_weights(2)[0]) == 1.0
         with pytest.raises(ValueError, match="count"):
             Dictionary.random_fourier(-1, 2.0, 5)
         with pytest.raises(ValueError, match="bandwidth"):
@@ -111,12 +111,27 @@ class TestDictionary:
         gain = (np.linalg.norm(dictionary.eval_batch(a)
                                - dictionary.eval_batch(b), axis=1)
                 / np.linalg.norm(a - b, axis=1))
-        bound = dictionary._lipschitz(n)
+        bound = dictionary._lipschitz(dictionary._fourier_weights(n)[0])
         assert gain.max() <= bound
         assert gain.max() >= bound / 10.0
 
 
 class TestEdmdFit:
+    @pytest.mark.parametrize("count", [1, 16])
+    def test_fourier_weights_are_drawn_once_per_fit(self, count, monkeypatch):
+        # one draw serves every trajectory's fill, the rows redone for
+        # process noise and the Lipschitz term of epsilon
+        p = make_reservoir(n=3, m=1, seed=4)
+        rng = np.random.default_rng(2)
+        trajs = [simulate(p, rng.standard_normal(p.n), rng.standard_normal((20, 1)),
+                          process_noise=(1e-4 * np.eye(p.n), k))
+                 for k in range(count)]
+        draws, draw = [], Dictionary._fourier_weights
+        monkeypatch.setattr(Dictionary, "_fourier_weights",
+                            lambda self, n: draws.append(n) or draw(self, n))
+        edmd_fit(p, trajs, Dictionary.random_fourier(8, 1.0, 3), ridge=1e-6)
+        assert draws == [p.n]
+
     def test_exact_closure_for_linear_dynamics(self):
         p = make_reservoir(n=3, m=2, leak=1.0, seed=2,
                            activation=Activation.identity())

@@ -376,6 +376,16 @@ def test_core_alone_defines_sigma():
     assert helpers == {"_sigma_into"}
 
 
+def test_only_the_nearest_feasible_point_makes_a_structured_theta():
+    # every (lam, alpha) estimate is the exact minimiser over the feasible
+    # triangle, so no other identify function builds one
+    tree = ast.parse(Path(esnkit.identify.__file__).read_text())
+    makers = {name for name, node in _functions(tree)
+              for call in ast.walk(node) if isinstance(call, ast.Call)
+              and _callee(call) == "StructuredTheta"}
+    assert makers == {"_nearest_feasible"}
+
+
 def test_only_linalg_reads_an_array_rank():
     # every array argument's rank and sizes are checked by one shape spec,
     # _linalg.as_float_array(a, name, shape), not by hand
