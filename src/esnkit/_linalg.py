@@ -24,6 +24,8 @@ from scipy.linalg.lapack import dtrsyl
 
 logger = logging.getLogger(__name__)
 
+_RANK_TOL = 1e-13
+
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based generator (Philox) so draws are reproducible across platforms."""
@@ -79,6 +81,16 @@ def _congruence(a, x, q, out=None):
     than the product at n = 16.  Private, so the benchmark does not trace it."""
     half = dgemm(0.5, dgemm(1.0, a.T, x.T, 0.0, None, 1, 1), a.T, 0.5, q)
     return np.add(half, half.T, out=out)
+
+
+def _singular_gram(svals: np.ndarray) -> bool:
+    """Whether a Gram with singular values ``svals`` is numerically singular:
+    its smallest is at most ``_RANK_TOL`` = 1e-13 times its largest, which
+    an all-zero Gram meets.  The test reads the same in any units (numerical
+    rank is relative to sigma_1: Golub & Van Loan, *Matrix Computations*,
+    4th ed., sec. 5.4.1).  The M-step, lift, readout and Markov regressions
+    all ask it."""
+    return bool(svals.min(initial=np.inf) <= _RANK_TOL * svals.max(initial=0.0))
 
 
 def spectral_norm(w: np.ndarray) -> float:

@@ -32,8 +32,8 @@ import scipy.linalg
 from scipy.linalg.blas import dgemm, dgemv
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from ._linalg import (_congruence, as_float_array, check_count, check_psd,
-                      linear_scan, spectral_norm, symmetrize)
+from ._linalg import (_congruence, _singular_gram, as_float_array, check_count,
+                      check_psd, linear_scan, spectral_norm, symmetrize)
 from .core import Readout, ReservoirParams, _sigma_into
 from .linearize import LtiModel
 from .stability import Certificate, _small_gain
@@ -635,9 +635,12 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     it is exact conditional maximisation (ECM; Meng & Rubin 1993) under the
     input Q: B = (M_1u - A M_xu) M_uu^-1 profiled out leaves a Q^-1-weighted
     quadratic in (1 - lam, lam alpha), minimised by :func:`_nearest_feasible`.
-    A singular regression Gram gets a ridge of ``1e-10 max(trace / dim, 1)``,
-    the WARNING event ``em.ridge``; the Q and R updates are floored as in
-    :func:`_floor_psd`.  A record of no step (T = 0) raises ValueError.
+    A regression Gram that ``_linalg._singular_gram`` calls singular (its
+    smallest singular value at most 1e-13 times its largest, zero included,
+    so the test does not depend on the data's units) gets a ridge of
+    ``1e-10 max(trace / dim, 1)``, the WARNING event ``em.ridge``; the Q and
+    R updates are floored as in :func:`_floor_psd`.  A record of no step
+    (T = 0) raises ValueError.
     """
     inputs = as_float_array(inputs, "inputs", ("T", lti.m))
     if not len(inputs):
@@ -658,9 +661,8 @@ def em_step(lti: LtiModel, noise: NoiseModel, inputs, outputs, prior,
     gram[:n, n:] = mu[:-1].T @ inputs
     gram[n:, :n], gram[n:, n:] = gram[:n, n:].T, inputs.T @ inputs
     rhs = np.hstack([s_1x, mu[1:].T @ inputs])
-    svals = np.linalg.svd(gram, compute_uv=False)
     ridge = 0.0
-    if svals[-1] <= 1e-13 * max(svals[0], 1.0):
+    if _singular_gram(np.linalg.svd(gram, compute_uv=False)):
         ridge = 1e-10 * max(float(np.trace(gram)) / gram.shape[0], 1.0)
         logger.warning("em.ridge ridge=%.3e", ridge)
     # coeffs is [A B]; the Q residual below uses the Gram without the ridge
@@ -780,16 +782,16 @@ def readout_ml(states, outputs, ridge: float = 0.0) -> Readout:
     ``states`` is a raw (T, n) array (zero state covariance) or a smoothed
     posterior, whose covariances enter the Gram as ``sum_t (P_t + x_t x_t')``.
     The offset d is fit by centering: means of x and y are removed before the
-    solve and d recovered afterwards.
+    solve and d recovered afterwards.  With ridge = 0, a centered Gram whose
+    smallest singular value is at most 1e-13 times its largest
+    (``_linalg._singular_gram``) raises ``ValueError``.
     """
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     x_mean, y_mean, gram, g = _readout_moments(states, outputs)
-    gram = gram + ridge * np.eye(gram.shape[0])
-    try:
-        c = np.linalg.solve(gram, g.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular readout Gram; set ridge > 0") from exc
+    if ridge == 0.0 and _singular_gram(np.linalg.svd(gram, compute_uv=False)):
+        raise ValueError("singular readout Gram; set ridge > 0")
+    c = np.linalg.solve(gram + ridge * np.eye(len(gram)), g.T).T
     d = y_mean - c @ x_mean
     return Readout(C=c, d=d)
 
@@ -854,7 +856,9 @@ def _markov_from_io(inputs: np.ndarray, outputs: np.ndarray,
                     n_markov: int) -> np.ndarray:
     """Least-squares Markov parameters g_1..g_L of y_t = sum_k g_k u_{t-k}
     (strictly proper; assumes the run started at rest).  Raises unless T >
-    L (m + 1), before any solve, then unless the regressor's sigma_min > 1e-8."""
+    L (m + 1), before any solve, then if the regressor is not persistently
+    exciting: the squares of its singular values, those of its Gram, fail
+    ``_linalg._singular_gram`` (sigma_min^2 <= 1e-13 sigma_max^2)."""
     (horizon, m), p = inputs.shape, outputs.shape[1]
     if horizon <= n_markov * (m + 1):
         raise ValueError(
@@ -864,11 +868,10 @@ def _markov_from_io(inputs: np.ndarray, outputs: np.ndarray,
     windows = np.lib.stride_tricks.sliding_window_view(inputs, (n_markov, m))
     regress = windows[1:, 0, ::-1].reshape(horizon - n_markov, n_markov * m)
     coeffs, _, _, svals = np.linalg.lstsq(regress, outputs[n_markov:], rcond=None)
-    sigma_min = float(svals.min(initial=np.inf))
-    if sigma_min <= 1e-8:
+    if _singular_gram(svals ** 2):
         raise ValueError(
             f"inputs are not persistently exciting at depth {n_markov} "
-            f"(sigma_min = {sigma_min:.3e})")
+            f"(sigma_min = {svals.min():.3e})")
     return coeffs.T.reshape(p, n_markov, m).transpose(1, 0, 2)
 
 
@@ -882,8 +885,12 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     (K+1, p, m)) directly, or input/output data from a run started at rest,
     in which case L Markov parameters are estimated by least squares, L =
     ``n_markov`` or by default min(max(2 order + 2, 20), T // 2).  Before any
-    solve, L >= 2 order + 1 and T > L (m + 1) are checked; persistent
-    excitation at depth L asks that the regressor's sigma_min exceed 1e-8.
+    solve, ``order`` must equal the size of ``basis.W_bar`` (the projection
+    needs an A that size), and L >= 2 order + 1 and T > L (m + 1) are
+    checked; persistent excitation at depth L asks that the regressor's
+    sigma_min^2 exceed 1e-13 sigma_max^2, the package's one rank rule
+    (``_linalg._singular_gram``) on its Gram, so it reads the same in any
+    units.
 
     The balanced realization of order ``order`` comes from the truncated SVD
     of the block Hankel matrix (singular values below ``1e-8 * s_1`` do not
@@ -892,6 +899,9 @@ def subspace_shape(order: int, basis: StructuredBasis, *,
     small-gain certificate is attached.
     """
     check_count(order, "order", 1)
+    if order != len(basis.W_bar):
+        raise ValueError(
+            f"order {order} must equal the basis size {len(basis.W_bar)}")
     if n_markov is not None:
         check_count(n_markov, "n_markov", 1)
     if impulse is not None:

@@ -24,7 +24,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg.blas import dgemm, dsyrk
 
-from ._linalg import as_float_array, check_count, linear_scan, rng_from_seed
+from ._linalg import (_singular_gram, as_float_array, check_count, linear_scan,
+                      rng_from_seed)
 from .core import Readout, ReservoirParams, Trajectory, leaky_map
 from .stability import spectral_radius
 
@@ -141,8 +142,10 @@ def edmd_fit(params: ReservoirParams,
 
     Raises:
         ValueError: a trajectory of another state or input size than the
-            reservoir's, too few snapshots, or rank-deficient normal
-            equations with ridge = 0 (the message says to set ridge > 0).
+            reservoir's, too few snapshots, or, with ridge = 0, normal
+            equations whose smallest singular value is at most 1e-13 times
+            the largest (``_linalg._singular_gram``, the package's one rank
+            rule; the message says to set ridge > 0).
     """
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
@@ -186,12 +189,9 @@ def edmd_fit(params: ReservoirParams,
         pieces.append((rows, u, target))
     gram[:big_n, :big_n] = phi_phi + np.triu(phi_phi, 1).T  # dsyrk left 0 below
     gram[big_n:, :big_n] = gram[:big_n, big_n:].T
-    if ridge == 0.0:
-        svals = np.linalg.svd(gram, compute_uv=False)
-        if svals[-1] <= 1e-13 * svals[0]:
-            raise ValueError(
-                "normal equations are rank deficient with ridge = 0; "
-                "set ridge > 0")
+    if ridge == 0.0 and _singular_gram(np.linalg.svd(gram, compute_uv=False)):
+        raise ValueError(
+            "normal equations are rank deficient with ridge = 0; set ridge > 0")
     coeffs = np.linalg.solve(gram + ridge * np.eye(big_n + m), rhs)
     del phi_phi, gram, rhs          # freed before the residual buffer exists
 

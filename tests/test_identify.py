@@ -916,6 +916,30 @@ class TestEmStep:
         assert not step.lti.A.any() and not step.lti.B.any()
         np.testing.assert_array_equal(step.noise.Q, 1e-12 * np.eye(n))
 
+    def test_singular_gram_test_reads_the_same_in_any_units(self, caplog):
+        # the same record in units 1e-9 times as large, with the noise and
+        # prior covariances scaled by s^2: its regression Gram (about 4e-16)
+        # is as well conditioned as at s = 1, so no ridge, and the same A, B
+        a, b, c = np.array([[0.8, 0.1], [0.0, 0.5]]), np.array([[1.0], [0.5]]), np.eye(2)
+        rng = np.random.default_rng(0)
+        inputs = rng.standard_normal((400, 1))
+        x, outputs = np.zeros(2), np.empty((400, 2))
+        for t in range(400):
+            x = a @ x + b @ inputs[t] + 0.1 * rng.standard_normal(2)
+            outputs[t] = c @ x + 0.1 * rng.standard_normal(2)
+        lti = LtiModel(A=a, B=b, C=c, D=np.zeros((2, 1)))
+        steps = []
+        with caplog.at_level(logging.WARNING, logger="esnkit.identify"):
+            for s in (1.0, 1e-9):
+                noise = NoiseModel(Q=0.01 * s ** 2 * np.eye(2),
+                                   R=0.01 * s ** 2 * np.eye(2))
+                steps.append(em_step(lti, noise, s * inputs, s * outputs,
+                                     (np.zeros(2), s ** 2 * np.eye(2))))
+        assert not [msg for msg in caplog.messages if msg.startswith("em.ridge")]
+        for name in "AB":
+            want, got = (getattr(step.lti, name) for step in steps)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
     def test_record_without_steps_rejected(self):
         n, p = 2, 1
         lti = LtiModel(A=0.5 * np.eye(n), B=np.ones((n, 1)),
@@ -1428,6 +1452,24 @@ class TestReadouts:
                            match="^singular readout Gram; set ridge > 0$"):
             readout_ml(states, outputs)
 
+    def test_numerically_singular_gram_rejected(self):
+        # a fourth state coordinate 3 x_1 + 0.7 x_2: the centered Gram's
+        # sigma_min / sigma_max is 1.7e-16, which LU does not see as singular
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((200, 3))
+        states = np.column_stack([x, 3.0 * x[:, 0] + 0.7 * x[:, 1]])
+        outputs = x @ rng.standard_normal((3, 2)) + 0.1 * rng.standard_normal((200, 2))
+        with pytest.raises(ValueError,
+                           match="^singular readout Gram; set ridge > 0$"):
+            readout_ml(states, outputs)
+        # a ridge fits it: the least-squares predictions (C itself is free
+        # along the null direction)
+        ro = readout_ml(states, outputs, ridge=1e-8)
+        xc, yc = states - states.mean(axis=0), outputs - outputs.mean(axis=0)
+        want = xc @ np.linalg.lstsq(xc, yc, rcond=None)[0]
+        got = states @ ro.C.T + ro.d - outputs.mean(axis=0)
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
     def test_bayes_rejects_a_singular_noise_covariance(self):
         rng = np.random.default_rng(14)
         with pytest.raises(ValueError, match="^R must be positive definite$"):
@@ -1547,7 +1589,7 @@ class TestSubspace:
         with pytest.raises(ValueError, match=r"^not enough data for the "
                            r"requested Markov horizon: T = 8 samples, need "
                            r"more than L \(m \+ 1\) = 9$"):
-            subspace_shape(1, StructuredBasis(W_bar=np.eye(2)),
+            subspace_shape(1, StructuredBasis(W_bar=np.eye(1)),
                            inputs=rng.standard_normal((8, 2)),
                            outputs=rng.standard_normal((8, 1)), n_markov=3)
 
@@ -1562,10 +1604,46 @@ class TestSubspace:
                             lambda *args, **kw: solves.append(1) or lstsq(*args, **kw))
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="^not enough data"):
-            subspace_shape(1, StructuredBasis(W_bar=np.eye(2)),
+            subspace_shape(1, StructuredBasis(W_bar=np.eye(1)),
                            inputs=rng.standard_normal((samples, 2)),
                            outputs=rng.standard_normal((samples, 1)), n_markov=3)
         assert solves == []
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_order_must_match_the_basis_before_any_solve(self, monkeypatch,
+                                                          order):
+        # the projection needs an A the size of W_bar; any other order was
+        # regressed and realized, then refused by project_structured
+        solves = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: solves.append(1) or lstsq(*args, **kw))
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match=f"^order {order} must equal the "
+                                             f"basis size 3$"):
+            subspace_shape(order, StructuredBasis(W_bar=np.eye(3)),
+                           inputs=rng.standard_normal((400, 1)),
+                           outputs=rng.standard_normal((400, 2)))
+        assert solves == []
+
+    def test_excitation_reads_the_same_in_any_units(self):
+        # white inputs excite 20 lags whatever their units: the record scaled
+        # by 1e-12 (regressor sigma_min about 1e-11) gives the same Markov
+        # parameters
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((4, 4))
+        w *= 0.8 / np.linalg.norm(w, 2)
+        params = ReservoirParams(W=w, U=rng.standard_normal((4, 1)),
+                                 b=np.zeros(4), leak=0.5,
+                                 activation=Activation.identity())
+        inputs = rng.standard_normal((400, 1))
+        outputs = simulate(params, np.zeros(4), inputs,
+                           Readout(C=rng.standard_normal((2, 4)))).outputs
+        basis = StructuredBasis(w)
+        want = subspace_shape(4, basis, inputs=inputs, outputs=outputs).markov
+        got = subspace_shape(4, basis, inputs=1e-12 * inputs,
+                             outputs=1e-12 * outputs).markov
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_markov_depth_is_checked_before_estimating(self, monkeypatch):
         # order 2 needs 5 Markov blocks from either source; the data are not
@@ -1583,7 +1661,7 @@ class TestSubspace:
     def test_needs_impulse_or_data(self):
         with pytest.raises(ValueError, match="^provide either impulse data "
                                              "or inputs/outputs$"):
-            subspace_shape(1, StructuredBasis(W_bar=np.eye(2)),
+            subspace_shape(1, StructuredBasis(W_bar=np.eye(1)),
                            inputs=np.ones((50, 1)))
 
     def test_excitation_is_checked_at_the_regression_depth(self):
@@ -1631,7 +1709,7 @@ class TestSubspace:
         rng = np.random.default_rng(20)
         with pytest.raises(ValueError,
                            match=r"^outputs must be \(200, p\), got \(150, 1\)$"):
-            subspace_shape(2, StructuredBasis(W_bar=np.eye(4)),
+            subspace_shape(2, StructuredBasis(W_bar=np.eye(2)),
                            inputs=rng.standard_normal((200, 1)),
                            outputs=rng.standard_normal((150, 1)))
 
@@ -1705,3 +1783,38 @@ class TestSubspace:
         with pytest.raises(ValueError, match="rank"):
             subspace_shape(2, StructuredBasis(W_bar=np.eye(2)),
                            impulse=blocks)
+
+
+class TestScaleEquivariance:
+    @settings(max_examples=30)
+    @given(n=st.integers(1, 4), m=st.integers(1, 2), p=st.integers(1, 3),
+           k=st.integers(-9, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_estimates_do_not_depend_on_the_data_units(self, n, m, p, k, seed):
+        # inputs, states and outputs times s = 10^k, the noise and prior
+        # covariances times s^2: A, B, C and the Markov parameters map inputs
+        # to states to outputs, so each must come back unscaled.  One em_step
+        # only: its Q and R floor is absolute
+        s = 10.0 ** k
+        a, b, c = random_stable_system(n, m, p, seed=seed)
+        rng = np.random.default_rng(seed)
+        inputs = rng.standard_normal((200, m))
+        states, outputs = np.zeros((201, n)), np.empty((200, p))
+        for t in range(200):
+            states[t + 1] = a @ states[t] + b @ inputs[t] + 0.1 * rng.standard_normal(n)
+            outputs[t] = c @ states[t + 1] + 0.1 * rng.standard_normal(p)
+        lti = LtiModel(A=a, B=b, C=c, D=np.zeros((p, m)))
+        basis = StructuredBasis(W_bar=a)
+        got = []
+        for scale in (1.0, s):
+            noise = NoiseModel(Q=0.01 * scale ** 2 * np.eye(n),
+                               R=0.01 * scale ** 2 * np.eye(p))
+            step = em_step(lti, noise, scale * inputs, scale * outputs,
+                           (np.zeros(n), scale ** 2 * np.eye(n)))
+            got.append({"A": step.lti.A, "B": step.lti.B,
+                        "C": readout_ml(scale * states[1:], scale * outputs).C,
+                        "markov": subspace_shape(n, basis, inputs=scale * inputs,
+                                                 outputs=scale * outputs).markov})
+        want, scaled = got
+        for name, value in want.items():
+            assert (np.abs(scaled[name] - value).max()
+                    <= 1e-9 * np.abs(value).max()), name

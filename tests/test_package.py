@@ -1,11 +1,14 @@
 import ast
 import dataclasses
 import inspect
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 from types import FunctionType
+
+import pytest
 
 import esnkit
 
@@ -349,6 +352,30 @@ def test_one_function_defines_the_cholesky_slack():
     assert len(readers) == 1
 
 
+def test_one_function_reads_the_rank_tolerance():
+    # every least-squares solve decides that its Gram is singular by one
+    # rule, relative to sigma_1: _linalg._singular_gram alone reads the
+    # tolerance, the four solves call it, and no module writes 1e-13 itself
+    package = Path(esnkit.__file__).parent
+    readers, callers, literals = set(), set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name, node in _functions(tree):
+            for item in ast.walk(node):
+                if isinstance(item, ast.Name) and item.id == "_RANK_TOL":
+                    readers.add(f"{path.stem}.{name}")
+                elif (isinstance(item, ast.Call)
+                      and _callee(item) == "_singular_gram"):
+                    callers.add(f"{path.stem}.{name}")
+        literals += [f"{path.stem}: line {node.lineno}" for node in ast.walk(tree)
+                     if path.stem != "_linalg" and isinstance(node, ast.Constant)
+                     and isinstance(node.value, float) and node.value == 1e-13]
+    assert readers == {"_linalg._singular_gram"}
+    assert callers == {"identify.em_step", "identify.readout_ml",
+                       "identify._markov_from_io", "lift.edmd_fit"}
+    assert literals == []
+
+
 def test_core_alone_defines_sigma():
     # tanh, its slope and the piecewise-linear slope table are written once,
     # in the in-place writer core._sigma_into: it is core's one private
@@ -490,3 +517,28 @@ def test_only_the_lyapunov_weight_solves_in_stability():
                for call in ast.walk(node) if isinstance(call, ast.Call)
                and getattr(call.func, "id", None) == "solve_discrete_lyapunov"}
     assert callers == {"_lyapunov_weight"}
+
+
+def test_a_failing_property_fails_and_the_session_goes_on(tmp_path):
+    # under the repository's warning filters, a falsified hypothesis property
+    # must read as one failure, with the test after it still run, not as an
+    # INTERNALERROR that ends the session
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11+
+    root = Path(__file__).parent.parent
+    options = tomllib.loads((root / "pyproject.toml").read_text())
+    filters = options["tool"]["pytest"]["ini_options"]["filterwarnings"]
+    (tmp_path / "pyproject.toml").write_text(
+        f"[tool.pytest.ini_options]\nfilterwarnings = {json.dumps(filters)}\n")
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 10\n\n\n"
+        "def test_after():\n"
+        "    pass\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "test_two.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout.splitlines()[-1]
